@@ -15,7 +15,6 @@ The registry exposes five named actions:
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from . import groups
 from .linalg import Subspace, TOL_RANK, rank_nullspace, range_space
@@ -34,7 +33,8 @@ class TorusSquareAlgebra:
         self.h = np.array([np.asarray(v, float).ravel() for v in h_coords]).T
         k = self.h.shape[1]
         gh = self.h.T @ manifold_alg.gram @ self.h
-        self.gram = block_diag(gh, gh)
+        self.gram = np.zeros((2 * k, 2 * k))
+        self.gram[:k, :k] = self.gram[k:, k:] = gh
         self._gram_inv = np.linalg.inv(self.gram)
         self.dim = 2 * k
         self.name = f"({manifold_alg.name}-torus)^2"

@@ -87,20 +87,30 @@ def mu_q(q, action: Action | None = None) -> DualForm:
     return DualForm(action, matrix, name="mu_q")
 
 
+def _checked_inertia(mu: DualForm, m, tol_rank):
+    """``(mu_m, generator matrix, chi)`` at m, each evaluated once.
+
+    Raises :class:`DegeneracyError` if ker chi(m) differs from the isotropy
+    algebra, the kernel of the same generator matrix.
+    """
+    M = mu.matrix(m)
+    K = mu.action.gen_matrix(m)
+    chi = M @ K
+    _, kern = rank_nullspace(chi, tol_rank)
+    _, iso = rank_nullspace(K, tol_rank)
+    if kern.dim != iso.dim or not iso.contains_subspace(kern, 1e-6):
+        raise DegeneracyError(
+            f"ker chi has dim {kern.dim}, isotropy dim {iso.dim} at this point")
+    return M, K, chi
+
+
 def inertia_factor(mu: DualForm, m, tol_rank=TOL_RANK):
     """chi(m) = mu composed with the generator map, as an alg x alg matrix.
 
     Raises :class:`DegeneracyError` if ker chi(m) differs from the isotropy
     algebra (then mu is not a dual connection form at m).
     """
-    A = mu.action
-    chi = mu.matrix(m) @ A.gen_matrix(m)
-    _, kern = rank_nullspace(chi, tol_rank)
-    iso = isotropy_algebra(A, m, tol_rank)
-    if kern.dim != iso.dim or not iso.contains_subspace(kern, 1e-6):
-        raise DegeneracyError(
-            f"ker chi has dim {kern.dim}, isotropy dim {iso.dim} at this point")
-    return chi
+    return _checked_inertia(mu, m, tol_rank)[2]
 
 
 def gamma_apply(mu: DualForm, m, nu, tol_rank=TOL_RANK, tol_consist=1e-8):
@@ -110,21 +120,19 @@ def gamma_apply(mu: DualForm, m, nu, tol_rank=TOL_RANK, tol_consist=1e-8):
     (nu outside range chi) raises and is exactly the docility-failure
     signal.
     """
-    chi = inertia_factor(mu, m, tol_rank)
-    xi = solve_consistent(chi, nu, tol_rank, tol_consist)
-    return mu.action.gen_matrix(m) @ xi
+    _, K, chi = _checked_inertia(mu, m, tol_rank)
+    return K @ solve_consistent(chi, nu, tol_rank, tol_consist)
 
 
 def projection_P_mu(mu: DualForm, m, tol_rank=TOL_RANK):
     """Matrix of the projection gamma o mu of T_m M onto the orbit tangent."""
-    A = mu.action
-    chi = inertia_factor(mu, m, tol_rank)
-    X = np.linalg.pinv(chi, rcond=tol_rank) @ mu.matrix(m)
-    resid = np.linalg.norm(chi @ X - mu.matrix(m))
-    scale = max(np.linalg.norm(mu.matrix(m)), 1e-300)
+    M, K, chi = _checked_inertia(mu, m, tol_rank)
+    X = np.linalg.pinv(chi, rcond=tol_rank) @ M
+    resid = np.linalg.norm(chi @ X - M)
+    scale = max(np.linalg.norm(M), 1e-300)
     if resid > 1e-6 * scale:
         raise DegeneracyError(f"range mu exceeds range chi (residual {resid:.2e})")
-    return A.gen_matrix(m) @ X
+    return K @ X
 
 
 def alpha_so3r3(f) -> GValuedForm:

@@ -124,17 +124,13 @@ def tame(mu: DualForm, tol_sym=1e-8) -> DualForm:
     A = mu.action
 
     def matrix(m):
-        chi = mu.matrix(m) @ A.gen_matrix(m)
+        M = mu.matrix(m)
+        chi = M @ A.gen_matrix(m)
         if np.linalg.norm(chi - chi.T) > tol_sym * max(1.0, np.linalg.norm(chi)):
             raise ValueError("tame: inertia factor is not symmetric here")
-        return chi @ np.array([A.algebra.sharp(row) for row in mu.matrix(m).T]).T
+        return chi @ np.array([A.algebra.sharp(row) for row in M.T]).T
 
     return DualForm(A, matrix, name=mu.name + "_tamed")
-
-
-def omega_alpha(alpha, mu: DualForm, m, u, v, h=FD_STEP):
-    """Algebra-valued curvature: alpha applied to the curvature vector."""
-    return alpha(m, curvature(mu, m, u, v, h))
 
 
 # ---------------------------------------------------------------------------

@@ -224,12 +224,21 @@ def pmf_connection(pmf: PartialMovingFrame, m, tol_rank=TOL_RANK, h=1e-6):
     return kernel_way, image_way
 
 
+_OFF_POLE_TRIES = 1000
+
+
 def _sample_off_poles(rng, cap=0.15):
-    while True:
+    """Uniform unit vector at polar distance more than ``cap`` from both
+    poles, by rejection; ``cap`` must lie in [0, pi/2)."""
+    if not 0.0 <= cap < np.pi / 2:
+        raise ValueError(f"_sample_off_poles: cap {cap} is outside [0, pi/2)")
+    for _ in range(_OFF_POLE_TRIES):
         m = rng.standard_normal(3)
         m /= np.linalg.norm(m)
         if abs(m[2]) < np.cos(cap):
             return m
+    raise ValueError(f"_sample_off_poles: no point off the poles in "
+                     f"{_OFF_POLE_TRIES} tries (cap {cap})")
 
 
 def latitude_curve(theta0):

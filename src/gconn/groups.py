@@ -74,6 +74,8 @@ class LieAlgebra:
             Bc = np.asarray(B, dtype=complex)
             flat.append(np.concatenate([Bc.real.ravel(), Bc.imag.ravel()]))
         self._flat = np.array(flat).T  # (2 n^2) x dim
+        self._flat_pinv = np.linalg.pinv(self._flat)  # dim x (2 n^2)
+        self._stacked = np.array(self.basis)  # dim x n x n
 
     # -- coordinates ---------------------------------------------------
 
@@ -82,13 +84,22 @@ class LieAlgebra:
         M = sum(c * B for c, B in zip(coords, self.basis))
         return np.asarray(M, dtype=complex if np.iscomplexobj(self.basis[0]) else float)
 
-    def coords(self, M):
-        Mc = np.asarray(M, dtype=complex)
-        rhs = np.concatenate([Mc.real.ravel(), Mc.imag.ravel()])
-        c, res, _, _ = np.linalg.lstsq(self._flat, rhs, rcond=None)
-        if np.linalg.norm(self._flat @ c - rhs) > 1e-9 * max(1.0, np.linalg.norm(rhs)):
+    def _coords_columns(self, Ms):
+        """Coordinates of a stack of k matrices, as a dim x k matrix.
+
+        One product with the precomputed pseudo-inverse of the flattened
+        basis; every column must reproduce its matrix to 1e-9 relative.
+        """
+        Mc = np.asarray(Ms, dtype=complex).reshape(len(Ms), -1)
+        rhs = np.concatenate([Mc.real, Mc.imag], axis=1).T  # (2 n^2) x k
+        C = self._flat_pinv @ rhs
+        resid = np.linalg.norm(self._flat @ C - rhs, axis=0)
+        if np.any(resid > 1e-9 * np.maximum(1.0, np.linalg.norm(rhs, axis=0))):
             raise ValueError(f"matrix not in the span of the {self.name} basis")
-        return c
+        return C
+
+    def coords(self, M):
+        return self._coords_columns(np.asarray(M)[None])[:, 0]
 
     # -- algebraic structure ------------------------------------------
 
@@ -103,8 +114,7 @@ class LieAlgebra:
     def Ad_matrix(self, g):
         """Matrix of Ad_g on coordinates: columns are coords(g B_i g^-1)."""
         g = np.asarray(g)
-        gi = np.linalg.inv(g)
-        return np.array([self.coords(g @ B @ gi) for B in self.basis]).T
+        return self._coords_columns(g @ self._stacked @ np.linalg.inv(g))
 
     def Ad(self, g, a):
         return self.Ad_matrix(g) @ np.asarray(a, dtype=float).ravel()

@@ -45,9 +45,7 @@ class Subspace:
             ambient_dim = len(vectors[0])
             M = np.array(vectors)
             U, s, Vt = np.linalg.svd(M, full_matrices=False)
-            cutoff = tol * s[0] if s.size and s[0] > 0 else 0.0
-            r = int(np.sum(s > cutoff))
-            self.basis = Vt[:r].T  # n x r, orthonormal columns
+            self.basis = Vt[:_svd_rank(s, tol)].T  # n x r, orthonormal columns
         else:
             if ambient_dim is None:
                 raise ValueError("empty subspace needs an ambient dimension")
@@ -78,6 +76,12 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
+def _svd_rank(s, tol_rank):
+    """Count of singular values ``s`` (descending) above tol_rank * s[0]."""
+    cutoff = tol_rank * s[0] if s.size and s[0] > 0 else 0.0
+    return int(np.sum(s > cutoff))
+
+
 def rank_nullspace(A, tol_rank=TOL_RANK):
     """Numerical rank and kernel of A via SVD.
 
@@ -90,8 +94,7 @@ def rank_nullspace(A, tol_rank=TOL_RANK):
     if A.size == 0:
         return 0, Subspace([], ambient_dim=A.shape[1])
     U, s, Vt = np.linalg.svd(A)
-    cutoff = tol_rank * s[0] if s.size and s[0] > 0 else 0.0
-    rank = int(np.sum(s > cutoff))
+    rank = _svd_rank(s, tol_rank)
     kern = Subspace([], ambient_dim=A.shape[1])
     kern.basis = Vt[rank:].T
     return rank, kern
@@ -100,10 +103,11 @@ def rank_nullspace(A, tol_rank=TOL_RANK):
 def range_space(A, tol_rank=TOL_RANK):
     """Column space of A as a :class:`Subspace`."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    r, _ = rank_nullspace(A.T, tol_rank)
-    U, s, Vt = np.linalg.svd(A)
+    if not np.all(np.isfinite(A)):
+        raise ValueError("range_space: non-finite entries")
+    U, s, _ = np.linalg.svd(A)
     out = Subspace([], ambient_dim=A.shape[0])
-    out.basis = U[:, :r]
+    out.basis = U[:, :_svd_rank(s, tol_rank)]
     return out
 
 
@@ -121,11 +125,6 @@ def solve_consistent(A, b, tol_rank=TOL_RANK, tol_consist=1e-8):
     if resid > tol_consist * scale and resid > tol_consist:
         raise InconsistentSystemError("solve_consistent: b not in range(A)", resid)
     return x
-
-
-def subspace_contains(S: Subspace, v, tol=1e-8):
-    """True iff dist(v, span S) <= tol * max(1, |v|)."""
-    return S.contains(v, tol)
 
 
 def central_difference(f, x, h=FD_STEP):

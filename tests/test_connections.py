@@ -36,11 +36,23 @@ def test_inertia_factor_kernel_is_isotropy(mu_t):
     assert np.linalg.norm(chi - chi.T) < 1e-12
 
 
-def test_inertia_factor_degenerate_raises():
+@pytest.fixture
+def zero_form():
     A = get_action("so3-on-r3")
-    bad = type(mu_q(lambda t: t))(A, lambda m: np.zeros((3, 3)), name="zero")
+    return type(mu_q(lambda t: t))(A, lambda m: np.zeros((3, 3)), name="zero")
+
+
+def test_inertia_factor_degenerate_raises(zero_form):
     with pytest.raises(DegeneracyError):
-        inertia_factor(bad, np.array([1.0, 0.0, 0.0]))
+        inertia_factor(zero_form, np.array([1.0, 0.0, 0.0]))
+
+
+def test_projection_and_gamma_degenerate_raise(zero_form):
+    m = np.array([1.0, 0.0, 0.0])
+    with pytest.raises(DegeneracyError):
+        projection_P_mu(zero_form, m)
+    with pytest.raises(DegeneracyError):
+        gamma_apply(zero_form, m, np.zeros(3))
 
 
 def test_gamma_inverts_chi_on_orbit_tangent(mu_t):

@@ -5,7 +5,8 @@ from gconn.actions import get_action
 from gconn.frames import (DomainError, PartialMovingFrame,
                           beta_equivariance_check, cross_section, dnat_rho,
                           dnat_rho_fd, eastward_field, latitude_curve,
-                          pmf_connection, pmf_from_field, rho_us2)
+                          pmf_connection, pmf_from_field, rho_us2,
+                          _sample_off_poles)
 from gconn.groups import exp_so3, is_special_orthogonal
 
 
@@ -125,3 +126,25 @@ def test_custom_field_rejected_when_not_unit():
     pmf = PartialMovingFrame(lambda m: 2.0 * eastward_field(m))
     with pytest.raises(DomainError):
         pmf.phi(np.array([1.0, 0.0, 0.0]))
+
+
+class _NoDraws:
+    """A generator stand-in that fails the test if it is ever drawn from."""
+
+    def standard_normal(self, size):
+        raise AssertionError("sampler drew a point for an invalid cap")
+
+
+@pytest.mark.parametrize("cap", [np.pi / 2, 2.0, -0.1, np.nan])
+def test_sample_off_poles_rejects_bad_cap(cap):
+    with pytest.raises(ValueError):
+        _sample_off_poles(_NoDraws(), cap)
+
+
+def test_sample_off_poles_gives_up_at_the_poles():
+    class Pole:
+        def standard_normal(self, size):
+            return np.array([0.0, 0.0, 1.0])
+
+    with pytest.raises(ValueError):
+        _sample_off_poles(Pole())

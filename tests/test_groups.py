@@ -140,3 +140,29 @@ def test_project_so3():
     g = project_so3(M)
     assert is_special_orthogonal(g)
     assert np.linalg.norm(g - M) < 5e-3
+
+
+@pytest.mark.parametrize("make", [su3_basis, so3_algebra])
+def test_Ad_matrix_matches_columnwise_coords(make):
+    alg = make()
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        g = alg.exp(rng.standard_normal(alg.dim))
+        gi = np.linalg.inv(g)
+        cols = np.array([alg.coords(g @ B @ gi) for B in alg.basis]).T
+        assert np.linalg.norm(alg.Ad_matrix(g) - cols) < 1e-12
+
+
+def test_Ad_matrix_rejects_non_unitary():
+    alg = su3_basis()
+    with pytest.raises(ValueError):
+        alg.Ad_matrix(np.diag([2.0, 0.5, 1.0]))
+
+
+def test_coords_rejects_hermitian_on_su3():
+    alg = su3_basis()
+    H = np.array([[1.0, 2.0 + 1j, 0.0],
+                  [2.0 - 1j, -1.0, 0.5],
+                  [0.0, 0.5, 0.0]])
+    with pytest.raises(ValueError):
+        alg.coords(H)

@@ -50,6 +50,13 @@ def test_range_space_matches_columns():
     assert R.contains(A[:, 1], 1e-12)
 
 
+def test_range_space_empty_and_non_finite():
+    R = range_space(np.zeros((3, 0)))
+    assert (R.dim, R.ambient_dim) == (0, 3)
+    with pytest.raises(ValueError):
+        range_space(np.array([[1.0, np.nan], [0.0, 1.0]]))
+
+
 def test_solve_consistent_min_norm():
     A = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     x = solve_consistent(A, np.array([2.0, 3.0]))
