@@ -35,7 +35,7 @@ class TorusSquareAlgebra:
         gh = self.h.T @ manifold_alg.gram @ self.h
         self.gram = np.zeros((2 * k, 2 * k))
         self.gram[:k, :k] = self.gram[k:, k:] = gh
-        self._gram_inv = np.linalg.inv(self.gram)
+        self.gram_inv = np.linalg.inv(self.gram)
         self.dim = 2 * k
         self.name = f"({manifold_alg.name}-torus)^2"
 
@@ -52,7 +52,7 @@ class TorusSquareAlgebra:
         return self.gram @ np.asarray(a, float).ravel()
 
     def sharp(self, nu):
-        return self._gram_inv @ np.asarray(nu, float).ravel()
+        return self.gram_inv @ np.asarray(nu, float).ravel()
 
     def split(self, a):
         k = self.dim // 2

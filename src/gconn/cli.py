@@ -76,7 +76,7 @@ def scenario_so3_r3_basics(cfg: ScenarioConfig) -> VerificationReport:
     rep.add_bool("alpha-discontinuous",
                  "partial connection form stays bounded away from its value "
                  "at the singular point", lim > 0.5)
-    chi_field = lambda m: mu.matrix(m) @ A.gen_matrix(m)
+    chi_field = lambda m: connections.at(mu, m).chi
     rep.extend(connections.pair_check(alpha0, chi_field,
                                       samples=cfg.samples, rng=rng,
                                       singular_points=[np.zeros(3)]))
@@ -182,7 +182,7 @@ def scenario_s1s1_so3_slice(cfg: ScenarioConfig) -> VerificationReport:
     worst = 0.0
     for _ in range(cfg.samples):
         g = A.random_point(rng)
-        chi = mu.matrix(g) @ A.gen_matrix(g)
+        chi = connections.at(mu, g).chi
         r = float(sigma @ (g @ sigma))
         worst = max(worst,
                     np.linalg.norm(chi @ nup - (1 - r) * nup),
@@ -228,7 +228,7 @@ def scenario_s1s1_so3_slice(cfg: ScenarioConfig) -> VerificationReport:
             worst, 1e-8)
     # involutivity of the almost-horizontal system
     ad = slices.trivial_adaptor(A, g0)
-    pi = 0.5 * (mu.matrix(g0) @ A.gen_matrix(g0))
+    pi = 0.5 * connections.at(mu, g0).chi
 
     def iota(g):
         r = float(sigma @ (np.asarray(g) @ sigma))

@@ -10,11 +10,13 @@ is the equivariant projection onto the orbit tangent.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
-from .actions import Action, isotropy_algebra, orbit_tangent
+from .actions import Action
 from .linalg import (Subspace, TOL_RANK, range_space, rank_nullspace,
-                     solve_consistent, InconsistentSystemError)
+                     solve_consistent)
 from .report import VerificationReport
 
 
@@ -26,16 +28,25 @@ class DualForm:
     """A dual-algebra-valued one-form, represented extensionally.
 
     ``matrix(m)`` returns the (alg_dim x vec_dim) matrix of the pointwise
-    linear map in the action's tangent coordinates and the dual basis.
+    linear map in the action's tangent coordinates and the dual basis.  A
+    form built from the generators (``uses_generators``) is given the
+    generator matrix ``K`` at m as a second argument; ``matrix(m, K)``
+    passes on the one a caller already holds, ``matrix(m)`` evaluates it.
     """
 
-    def __init__(self, action: Action, matrix_fn, name="mu"):
+    def __init__(self, action: Action, matrix_fn, name="mu",
+                 uses_generators=False):
         self.action = action
         self._matrix_fn = matrix_fn
         self.name = name
+        self.uses_generators = uses_generators
 
-    def matrix(self, m):
-        return np.asarray(self._matrix_fn(m), dtype=float)
+    def matrix(self, m, K=None):
+        if not self.uses_generators:
+            return np.asarray(self._matrix_fn(m), dtype=float)
+        if K is None:
+            K = self.action.gen_matrix(m)
+        return np.asarray(self._matrix_fn(m, K), dtype=float)
 
     def __call__(self, m, v):
         return self.matrix(m) @ np.asarray(v, dtype=float).ravel()
@@ -65,9 +76,9 @@ class GValuedForm:
 
 def simple_mechanical_mu(action: Action) -> DualForm:
     """mu(v) . xi = <v, xi_M(m)> in the action's invariant metric."""
-    def matrix(m):
-        return action.gen_matrix(m).T @ action.tangent_metric(m)
-    return DualForm(action, matrix, name="mu_mech")
+    def matrix(m, K):
+        return K.T @ action.tangent_metric(m)
+    return DualForm(action, matrix, name="mu_mech", uses_generators=True)
 
 
 def mu_q(q, action: Action | None = None) -> DualForm:
@@ -87,21 +98,71 @@ def mu_q(q, action: Action | None = None) -> DualForm:
     return DualForm(action, matrix, name="mu_q")
 
 
-def _checked_inertia(mu: DualForm, m, tol_rank):
-    """``(mu_m, generator matrix, chi)`` at m, each evaluated once.
+class PointEval:
+    """The geometry of a dual form at one point, evaluated once.
 
-    Raises :class:`DegeneracyError` if ker chi(m) differs from the isotropy
-    algebra, the kernel of the same generator matrix.
+    Holds the generator matrix ``K``, the form ``M = mu_m`` and the inertia
+    factor ``chi = M K`` at m.  The kernel test, the projection ``P`` and
+    the gamma map are derived from them on first use; nothing outlives the
+    object, which callers build per call with :func:`at`.
     """
-    M = mu.matrix(m)
-    K = mu.action.gen_matrix(m)
-    chi = M @ K
-    _, kern = rank_nullspace(chi, tol_rank)
-    _, iso = rank_nullspace(K, tol_rank)
-    if kern.dim != iso.dim or not iso.contains_subspace(kern, 1e-6):
-        raise DegeneracyError(
-            f"ker chi has dim {kern.dim}, isotropy dim {iso.dim} at this point")
-    return M, K, chi
+
+    def __init__(self, mu: DualForm, m, tol_rank=TOL_RANK, K=None):
+        self.mu = mu
+        self.m = m
+        self.tol_rank = tol_rank
+        self.K = mu.action.gen_matrix(m) if K is None else K
+        self.M = mu.matrix(m, self.K)
+        self.chi = self.M @ self.K
+
+    @cached_property
+    def _degeneracy(self):
+        """Why ker chi(m) differs from the isotropy algebra ker K, or None."""
+        _, kern = rank_nullspace(self.chi, self.tol_rank)
+        _, iso = rank_nullspace(self.K, self.tol_rank)
+        if kern.dim == iso.dim and iso.contains_subspace(kern, 1e-6):
+            return None
+        return (f"ker chi has dim {kern.dim}, isotropy dim {iso.dim} at "
+                "this point")
+
+    @property
+    def nondegenerate(self) -> bool:
+        """Whether ker chi(m) equals the isotropy algebra."""
+        return self._degeneracy is None
+
+    def inertia(self):
+        """chi(m), after the kernel test; raises :class:`DegeneracyError`
+        if ker chi(m) differs from the isotropy algebra."""
+        if self._degeneracy is not None:
+            raise DegeneracyError(self._degeneracy)
+        return self.chi
+
+    @cached_property
+    def P(self):
+        """Matrix of the projection gamma o mu onto the orbit tangent."""
+        chi = self.inertia()
+        X = np.linalg.pinv(chi, rcond=self.tol_rank) @ self.M
+        resid = np.linalg.norm(chi @ X - self.M)
+        scale = max(np.linalg.norm(self.M), 1e-300)
+        if resid > 1e-6 * scale:
+            raise DegeneracyError(
+                f"range mu exceeds range chi (residual {resid:.2e})")
+        return self.K @ X
+
+    def gamma(self, nu, tol_consist=1e-8):
+        """Solve chi(m) xi = nu and return the generator xi_M(m)."""
+        return self.K @ solve_consistent(self.inertia(), nu, self.tol_rank,
+                                         tol_consist)
+
+
+def at(mu: DualForm, m, tol_rank=TOL_RANK) -> PointEval:
+    """The point evaluation of mu at m; ``m`` itself if it already is one."""
+    if isinstance(m, PointEval):
+        if m.mu is not mu:
+            raise ValueError(f"point evaluation of {m.mu.name} passed for "
+                             f"{mu.name}")
+        return m
+    return PointEval(mu, m, tol_rank)
 
 
 def inertia_factor(mu: DualForm, m, tol_rank=TOL_RANK):
@@ -110,7 +171,7 @@ def inertia_factor(mu: DualForm, m, tol_rank=TOL_RANK):
     Raises :class:`DegeneracyError` if ker chi(m) differs from the isotropy
     algebra (then mu is not a dual connection form at m).
     """
-    return _checked_inertia(mu, m, tol_rank)[2]
+    return at(mu, m, tol_rank).inertia()
 
 
 def gamma_apply(mu: DualForm, m, nu, tol_rank=TOL_RANK, tol_consist=1e-8):
@@ -120,19 +181,12 @@ def gamma_apply(mu: DualForm, m, nu, tol_rank=TOL_RANK, tol_consist=1e-8):
     (nu outside range chi) raises and is exactly the docility-failure
     signal.
     """
-    _, K, chi = _checked_inertia(mu, m, tol_rank)
-    return K @ solve_consistent(chi, nu, tol_rank, tol_consist)
+    return at(mu, m, tol_rank).gamma(nu, tol_consist)
 
 
 def projection_P_mu(mu: DualForm, m, tol_rank=TOL_RANK):
     """Matrix of the projection gamma o mu of T_m M onto the orbit tangent."""
-    M, K, chi = _checked_inertia(mu, m, tol_rank)
-    X = np.linalg.pinv(chi, rcond=tol_rank) @ M
-    resid = np.linalg.norm(chi @ X - M)
-    scale = max(np.linalg.norm(M), 1e-300)
-    if resid > 1e-6 * scale:
-        raise DegeneracyError(f"range mu exceeds range chi (residual {resid:.2e})")
-    return K @ X
+    return at(mu, m, tol_rank).P
 
 
 def alpha_so3r3(f) -> GValuedForm:
@@ -175,9 +229,10 @@ def coadjoint_matrix(action: Action, g_inv):
 def equivariance_residual(mu: DualForm, g, m, v):
     """| mu_{g.m}(dPhi_g v) - Ad*_{g^-1} mu_m(v) |, one sample."""
     A = mu.action
-    gm = A.apply(g, m)
-    lhs = mu(gm, A.dPhi(g, m, v))
-    rhs = coadjoint_matrix(A, A.group_inv(g)) @ mu(m, v)
+    pt = at(mu, m)
+    lhs = mu(A.apply(g, pt.m), A.dPhi(g, pt.m, v))
+    rhs = (coadjoint_matrix(A, A.group_inv(g))
+           @ (pt.M @ np.asarray(v, dtype=float).ravel()))
     return float(np.linalg.norm(lhs - rhs))
 
 
@@ -195,30 +250,26 @@ def dual_form_verify(mu: DualForm, samples=25, rng=None,
     for i in range(samples):
         m = A.random_point(rng)
         tag = f"sample {i}"
-        M = mu.matrix(m)
-        kern = mu.kernel(m, tol_rank)
-        orb = orbit_tangent(A, m, tol_rank)
+        pt = at(mu, m, tol_rank)
+        _, kern = rank_nullspace(pt.M, tol_rank)
+        orb = range_space(pt.K, tol_rank)
         # direct sum: dimensions add up and the union spans
         stacked = np.hstack([kern.basis, orb.basis])
         r, _ = rank_nullspace(stacked, tol_rank)
         ok = (kern.dim + orb.dim == A.vec_dim and r == A.vec_dim)
         rep.add_bool("splitting", "T_m M = orbit-tangent + ker mu (direct)",
                      ok, tag)
-        chi = M @ A.gen_matrix(m)
-        _, kchi = rank_nullspace(chi, tol_rank)
-        iso = isotropy_algebra(A, m, tol_rank)
         rep.add_bool("ker-chi", "ker chi = isotropy algebra",
-                     kchi.dim == iso.dim and iso.contains_subspace(kchi, 1e-6),
-                     tag)
-        rchi = range_space(chi, tol_rank)
-        rmu = range_space(M, tol_rank)
+                     pt.nondegenerate, tag)
+        rchi = range_space(pt.chi, tol_rank)
+        rmu = range_space(pt.M, tol_rank)
         rep.add_bool("range-chi", "range chi = range mu",
                      rchi.dim == rmu.dim and rmu.contains_subspace(rchi, 1e-6),
                      tag)
         g = A.random_group(rng)
         v = A.random_tangent(rng, m)
         rep.add("equivariance", "pullback of mu matches coadjoint twist",
-                equivariance_residual(mu, g, m, v), tol_eq, tag)
+                equivariance_residual(mu, g, pt, v), tol_eq, tag)
     return rep
 
 

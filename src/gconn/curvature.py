@@ -13,10 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from .actions import Action
-from .connections import (DualForm, inertia_factor, gamma_apply,
-                          projection_P_mu)
-from .linalg import (FD_STEP, TOL_RANK, Subspace, curve_derivative,
-                     range_space, solve_consistent, InconsistentSystemError)
+from .connections import DualForm, at
+from .linalg import (FD_STEP, TOL_RANK, curve_derivative, range_space,
+                     solve_consistent)
 from .report import VerificationReport
 
 # Nested (second-derivative) steps are larger to limit noise amplification.
@@ -39,22 +38,27 @@ def d_oneform(mu: DualForm, m, u, v, h=FD_STEP):
 
     Uses the three-term formula X_u(mu(X_v)) - X_v(mu(X_u)) - mu([X_u, X_v])
     with frozen-coordinate extensions; on group manifolds the extensions are
-    right-invariant and [X_u, X_v] = -X_{[u,v]}.
+    right-invariant and [X_u, X_v] = -X_{[u,v]}.  ``m`` may be a point
+    evaluation of mu (see :func:`gconn.connections.at`).
     """
     A = mu.action
+    pt = at(mu, m)
+    m = pt.m
     u = np.asarray(u, dtype=float).ravel()
     v = np.asarray(v, dtype=float).ravel()
     U = _extend_field(A, m, u)
     V = _extend_field(A, m, v)
 
     def deriv_along(a, W):
-        return curve_derivative(
-            lambda t: mu(A.retract(m, a, t), W(A.retract(m, a, t))), h)
+        def value(t):
+            p = A.retract(m, a, t)
+            return mu(p, W(p))
+        return curve_derivative(value, h)
 
     term = deriv_along(u, V) - deriv_along(v, U)
     if _is_group_manifold(A):
-        return term + mu(m, A.manifold_alg.bracket(u, v))
-    return term - mu(m, field_bracket(A, U, V, m, h))
+        return term + pt.M @ A.manifold_alg.bracket(u, v)
+    return term - pt.M @ field_bracket(A, U, V, m, h)
 
 
 def field_bracket(action: Action, X, Y, m, h=FD_STEP):
@@ -77,10 +81,11 @@ def field_bracket(action: Action, X, Y, m, h=FD_STEP):
 def covariant_derivative(mu: DualForm, m, u, v, h=FD_STEP,
                          tol_rank=TOL_RANK):
     """d mu evaluated on the horizontal projections of u and v."""
-    P = projection_P_mu(mu, m, tol_rank)
-    uh = np.asarray(u, dtype=float).ravel() - P @ np.asarray(u, dtype=float).ravel()
-    vh = np.asarray(v, dtype=float).ravel() - P @ np.asarray(v, dtype=float).ravel()
-    return d_oneform(mu, m, uh, vh, h)
+    pt = at(mu, m, tol_rank)
+    P = pt.P
+    u = np.asarray(u, dtype=float).ravel()
+    v = np.asarray(v, dtype=float).ravel()
+    return d_oneform(mu, pt, u - P @ u, v - P @ v, h)
 
 
 def docile(mu: DualForm, m, probes=None, tol=1e-7, h=FD_STEP,
@@ -91,12 +96,14 @@ def docile(mu: DualForm, m, probes=None, tol=1e-7, h=FD_STEP,
     ``(u, v, value)`` triple, or None.
     """
     A = mu.action
+    pt = at(mu, m, tol_rank)
     if probes is None:
-        probes = [A.project_tangent(m, e) for e in np.eye(A.vec_dim)]
-    rng_mu = range_space(mu.matrix(m), tol_rank)
+        probes = [A.project_tangent(pt.m, e) for e in np.eye(A.vec_dim)]
+    rng_mu = range_space(pt.M, tol_rank)
     for i in range(len(probes)):
         for j in range(i + 1, len(probes)):
-            val = covariant_derivative(mu, m, probes[i], probes[j], h, tol_rank)
+            val = covariant_derivative(mu, pt, probes[i], probes[j], h,
+                                       tol_rank)
             if not rng_mu.contains(val, tol):
                 return False, (probes[i], probes[j], val)
     return True, None
@@ -110,8 +117,9 @@ def curvature(mu: DualForm, m, u, v, h=FD_STEP, tol_rank=TOL_RANK,
     failure surfaces as an :class:`InconsistentSystemError` carrying the
     unresolvable residual.
     """
-    nab = covariant_derivative(mu, m, u, v, h, tol_rank)
-    return gamma_apply(mu, m, nab, tol_rank, tol_consist)
+    pt = at(mu, m, tol_rank)
+    return pt.gamma(covariant_derivative(mu, pt, u, v, h, tol_rank),
+                    tol_consist)
 
 
 def tame(mu: DualForm, tol_sym=1e-8) -> DualForm:
@@ -123,14 +131,14 @@ def tame(mu: DualForm, tol_sym=1e-8) -> DualForm:
     """
     A = mu.action
 
-    def matrix(m):
-        M = mu.matrix(m)
-        chi = M @ A.gen_matrix(m)
+    def matrix(m, K):
+        M = mu.matrix(m, K)
+        chi = M @ K
         if np.linalg.norm(chi - chi.T) > tol_sym * max(1.0, np.linalg.norm(chi)):
             raise ValueError("tame: inertia factor is not symmetric here")
-        return chi @ np.array([A.algebra.sharp(row) for row in M.T]).T
+        return chi @ A.algebra.gram_inv @ M
 
-    return DualForm(A, matrix, name=mu.name + "_tamed")
+    return DualForm(A, matrix, name=mu.name + "_tamed", uses_generators=True)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +176,7 @@ def curvature_leftright_closed(action, g, xi, omega, tol_rank=TOL_RANK):
 
     K = action.gen_matrix(g)
     chi = K.T @ G @ K
-    sharp = np.linalg.inv(act.gram)
+    sharp = act.gram_inv
     zeta = solve_consistent(chi @ sharp @ chi, chi @ sharp @ nab,
                             tol_rank, 1e-6)
     return K @ zeta
@@ -194,16 +202,20 @@ def closed_curvature_matrix(action, g, tol_rank=TOL_RANK):
 # ---------------------------------------------------------------------------
 # structure equation and related identities
 
-def _chi_field(mu: DualForm):
-    A = mu.action
-    return lambda m: mu.matrix(m) @ A.gen_matrix(m)
+def _d_chi(mu: DualForm, m, w, h=FD_STEP_NESTED, adaptor=None):
+    """Directional derivative of the inertia factor along w.
 
-
-def _d_chi(mu: DualForm, m, w, h=FD_STEP_NESTED):
-    """Directional derivative of the inertia factor along w."""
+    With an adaptor phi, of the adapted inertia factor chi . Ad_phi.
+    """
     A = mu.action
-    chi = _chi_field(mu)
-    return curve_derivative(lambda t: chi(A.retract(m, w, t)), h)
+
+    def chi(t):
+        pt = at(mu, A.retract(m, w, t))
+        if adaptor is None:
+            return pt.chi
+        return pt.chi @ A.Ad_group(adaptor.phi(pt.m))
+
+    return curve_derivative(chi, h)
 
 
 def _acting_ad_matrix(action: Action, eta):
@@ -225,16 +237,20 @@ def structure_residual(mu: DualForm, m, u, v, h=FD_STEP,
     tangent coordinates is returned.
     """
     A = mu.action
-    chi = inertia_factor(mu, m, tol_rank)
-    xi = solve_consistent(chi, mu(m, u), tol_rank, 1e-6)
-    eta = solve_consistent(chi, mu(m, v), tol_rank, 1e-6)
+    pt = at(mu, m, tol_rank)
+    u = np.asarray(u, dtype=float).ravel()
+    v = np.asarray(v, dtype=float).ravel()
+    chi = pt.inertia()
+    xi = solve_consistent(chi, pt.M @ u, tol_rank, 1e-6)
+    eta = solve_consistent(chi, pt.M @ v, tol_rank, 1e-6)
 
-    lhs = (curvature(mu, m, u, v, h, tol_rank)
-           + A.gen_matrix(m) @ A.algebra.bracket(xi, eta))
+    lhs = (curvature(mu, pt, u, v, h, tol_rank)
+           + pt.K @ A.algebra.bracket(xi, eta))
 
-    dmu = d_oneform(mu, m, u, v, h)
-    corr = _d_chi(mu, m, u, h_nested) @ eta - _d_chi(mu, m, v, h_nested) @ xi
-    rhs = gamma_apply(mu, m, dmu - corr, tol_rank, 1e-4)
+    dmu = d_oneform(mu, pt, u, v, h)
+    corr = (_d_chi(mu, pt.m, u, h_nested) @ eta
+            - _d_chi(mu, pt.m, v, h_nested) @ xi)
+    rhs = pt.gamma(dmu - corr, 1e-4)
     return float(np.linalg.norm(lhs - rhs))
 
 
@@ -248,10 +264,12 @@ def interior_product_residual(mu: DualForm, m, eta, v, h=FD_STEP,
         d mu(eta_M(m), v) + ad*_eta(mu(v)) + (d chi(v)) eta  =  0.
     """
     A = mu.action
-    gen = A.gen_matrix(m) @ np.asarray(eta, dtype=float).ravel()
-    lhs = d_oneform(mu, m, gen, v, h)
-    coad = _acting_ad_matrix(A, eta).T @ mu(m, v)
-    dchi = _d_chi(mu, m, v, h_nested) @ np.asarray(eta, dtype=float).ravel()
+    pt = at(mu, m)
+    eta = np.asarray(eta, dtype=float).ravel()
+    lhs = d_oneform(mu, pt, pt.K @ eta, v, h)
+    coad = (_acting_ad_matrix(A, eta).T
+            @ (pt.M @ np.asarray(v, dtype=float).ravel()))
+    dchi = _d_chi(mu, pt.m, v, h_nested) @ eta
     return float(np.linalg.norm(lhs + coad + dchi))
 
 
@@ -265,12 +283,16 @@ def good_chi_residual(mu: DualForm, m, u, zeta, h=FD_STEP_NESTED):
 # involutivity at regular points
 
 def horizontal_field(mu: DualForm, c, tol_rank=TOL_RANK):
-    """The frozen coordinate vector c, projected horizontal at each point."""
+    """The frozen coordinate vector c, projected horizontal at each point.
+
+    The field takes a point or a point evaluation of mu.
+    """
     A = mu.action
 
     def X(p):
-        w = A.project_tangent(p, c)
-        return w - projection_P_mu(mu, p, tol_rank) @ w
+        pt = at(mu, p, tol_rank)
+        w = A.project_tangent(pt.m, c)
+        return w - pt.P @ w
 
     return X
 
@@ -288,17 +310,17 @@ def involutivity_check(mu: DualForm, m, pairs=None, h=FD_STEP,
         E = np.eye(A.vec_dim)
         pairs = [(E[i], E[j]) for i in range(A.vec_dim)
                  for j in range(i + 1, A.vec_dim)]
-    P = projection_P_mu(mu, m, tol_rank)
+    pt = at(mu, m, tol_rank)
     for k, (ci, cj) in enumerate(pairs):
         X = horizontal_field(mu, ci, tol_rank)
         Y = horizontal_field(mu, cj, tol_rank)
         br = field_bracket(A, X, Y, m, h)
-        om = curvature(mu, m, X(m), Y(m), h, tol_rank)
+        om = curvature(mu, pt, X(pt), Y(pt), h, tol_rank)
         scale = max(1.0, np.linalg.norm(br))
         rep.add("horizontal-bracket",
                 "mu annihilates Omega(X,Y) + [X,Y]",
-                np.linalg.norm(mu(m, om + br)) / scale, tol, f"pair {k}")
+                np.linalg.norm(pt.M @ (om + br)) / scale, tol, f"pair {k}")
         rep.add("bracket-vertical-part",
                 "Omega(X,Y) = (P_Gamma - 1)[X,Y]",
-                np.linalg.norm(om + P @ br) / scale, tol, f"pair {k}")
+                np.linalg.norm(om + pt.P @ br) / scale, tol, f"pair {k}")
     return rep

@@ -67,7 +67,7 @@ class LieAlgebra:
         self._pairing = pairing
         self.gram = np.array([[pairing(a, b) for b in self.basis]
                               for a in self.basis])
-        self._gram_inv = np.linalg.inv(self.gram)
+        self.gram_inv = np.linalg.inv(self.gram)
         # flatten basis matrices (real + imag parts) for coordinate recovery
         flat = []
         for B in self.basis:
@@ -135,7 +135,7 @@ class LieAlgebra:
 
     def sharp(self, nu):
         """Raise an index: the element whose pairing against the basis is nu."""
-        return self._gram_inv @ np.asarray(nu, dtype=float).ravel()
+        return self.gram_inv @ np.asarray(nu, dtype=float).ravel()
 
     def exp(self, coords):
         """Matrix exponential of the algebra element with given coordinates.

@@ -14,10 +14,9 @@ import numpy as np
 
 from . import groups
 from .actions import Action, isotropy_algebra, orbit_tangent
-from .connections import DualForm
+from .connections import DualForm, PointEval, at
 from .curvature import _d_chi, field_bracket
-from .linalg import (Subspace, TOL_RANK, central_difference, rank_nullspace,
-                     solve_consistent)
+from .linalg import Subspace, TOL_RANK, rank_nullspace
 from .report import VerificationReport
 
 
@@ -79,11 +78,11 @@ def adapted_inertia(mu: DualForm, adaptor: Adaptor, m, tol_rank=TOL_RANK):
     """chi_phi(m) = chi(m) composed with Ad_{phi(m)}.
 
     Raises :class:`AdaptorContractError` when ker chi_phi is not contained
-    in the reference isotropy algebra.
+    in the reference isotropy algebra.  ``m`` may be a point evaluation of
+    mu (see :func:`gconn.connections.at`).
     """
-    A = mu.action
-    chi = mu.matrix(m) @ A.gen_matrix(m)
-    chi_phi = chi @ A.Ad_group(adaptor.phi(m))
+    pt = at(mu, m, tol_rank)
+    chi_phi = pt.chi @ mu.action.Ad_group(adaptor.phi(pt.m))
     _, kern = rank_nullspace(chi_phi, tol_rank)
     if not adaptor.iso0.contains_subspace(kern, 1e-6):
         raise AdaptorContractError(
@@ -101,17 +100,19 @@ def adapted_dual_form(mu: DualForm, adaptor: Adaptor, pi, iota) -> DualForm:
     """
     pi = np.asarray(pi, dtype=float)
 
-    def matrix(m):
-        chi_phi = adapted_inertia(mu, adaptor, m)
+    def matrix(m, K):
+        pt = PointEval(mu, m, K=K)
+        chi_phi = adapted_inertia(mu, adaptor, pt)
         im = np.asarray(iota(m), dtype=float)
         resid = np.linalg.norm(pi - pi @ im @ chi_phi)
         if resid > 1e-8 * max(1.0, np.linalg.norm(pi)):
             raise ValueError(
                 f"iota is not a restricted pseudo-inverse here "
                 f"(residual {resid:.3e})")
-        return chi_phi @ pi @ im @ mu.matrix(m)
+        return chi_phi @ pi @ im @ pt.M
 
-    return DualForm(mu.action, matrix, name=mu.name + "_adapted")
+    return DualForm(mu.action, matrix, name=mu.name + "_adapted",
+                    uses_generators=True)
 
 
 def almost_horizontal_basis(mu: DualForm, adaptor: Adaptor, m,
@@ -119,12 +120,13 @@ def almost_horizontal_basis(mu: DualForm, adaptor: Adaptor, m,
     """Basis of Xi|_m = ker mu_m + generators of Ad_phi(m) applied to g_m0.
 
     The sum is verified to be direct (ranks add); a failure raises
-    :class:`AdaptorContractError`.
+    :class:`AdaptorContractError`.  ``m`` may be a point evaluation of mu.
     """
     A = mu.action
-    gam = mu.kernel(m, tol_rank)
-    Adp = A.Ad_group(adaptor.phi(m))
-    K = A.gen_matrix(m)
+    pt = at(mu, m, tol_rank)
+    _, gam = rank_nullspace(pt.M, tol_rank)
+    Adp = A.Ad_group(adaptor.phi(pt.m))
+    K = pt.K
     scale = max(1.0, np.linalg.norm(K))
     gens = [K @ (Adp @ adaptor.iso0.basis[:, j])
             for j in range(adaptor.iso0.dim)]
@@ -147,33 +149,37 @@ class SliceCandidate:
     """A parametrized submanifold through m0, with tangent evaluator and a
     Gauss-Newton membership test."""
 
-    def __init__(self, m0, psi, tangent, param_dim, radius):
+    def __init__(self, m0, psi, tangent, param_dim, radius, velocity):
         self.m0 = m0
         self.psi = psi              # params -> manifold point
         self.tangent = tangent      # (params, dparams) -> tangent coords
         self.param_dim = param_dim
         self.radius = radius
+        self.velocity = velocity    # (point, tangent coords) -> d point
 
     def tangent_basis(self, params):
         E = np.eye(self.param_dim)
         return [self.tangent(params, E[j]) for j in range(self.param_dim)]
 
+    def jacobian(self, params, point):
+        """Derivative of the flattened psi at params, where psi(params) is
+        ``point``: column j is the velocity of the j-th slice tangent."""
+        return np.array([self.velocity(point, t).ravel()
+                         for t in self.tangent_basis(params)]).T
+
     def locate(self, m, iters=25):
         """Gauss-Newton inversion of psi; returns (params, residual)."""
         target = np.asarray(m, dtype=float).ravel()
-
-        def resid(p):
-            return np.asarray(self.psi(p), dtype=float).ravel() - target
-
         p = np.zeros(self.param_dim)
         for _ in range(iters):
-            r = resid(p)
-            J = central_difference(resid, p, 1e-6)
-            step, *_ = np.linalg.lstsq(J, r, rcond=None)
+            point = np.asarray(self.psi(p), dtype=float)
+            J = self.jacobian(p, point)
+            step, *_ = np.linalg.lstsq(J, point.ravel() - target, rcond=None)
             p = p - step
             if np.linalg.norm(step) < 1e-14:
                 break
-        return p, float(np.linalg.norm(resid(p)))
+        resid = np.asarray(self.psi(p), dtype=float).ravel() - target
+        return p, float(np.linalg.norm(resid))
 
     def contains(self, m, tol=1e-8):
         p, r = self.locate(m)
@@ -185,7 +191,8 @@ def cayley_slice(sigma, g0, r=1.0) -> SliceCandidate:
     the rotation axis sigma.
 
     Tangents are returned in right-trivialized so(3) coordinates using the
-    closed form for the trivialized derivative of the Cayley transform.
+    closed form for the trivialized derivative of the Cayley transform; the
+    tangent w at g is the velocity hat(w) g.
     """
     sigma = np.asarray(sigma, dtype=float).ravel()
     if abs(np.linalg.norm(sigma) - 1.0) > 1e-10:
@@ -206,9 +213,14 @@ def cayley_slice(sigma, g0, r=1.0) -> SliceCandidate:
     def tangent(params, dparams):
         eta = B @ np.asarray(params, dtype=float).ravel()
         deta = B @ np.asarray(dparams, dtype=float).ravel()
-        return (deta + 0.5 * np.cross(eta, deta)) / (1.0 + (eta @ eta) / 4.0)
+        return ((deta + 0.5 * groups.hat(eta) @ deta)
+                / (1.0 + (eta @ eta) / 4.0))
 
-    return SliceCandidate(np.asarray(g0, dtype=float), psi, tangent, 2, r)
+    def velocity(g, w):
+        return groups.hat(w) @ g
+
+    return SliceCandidate(np.asarray(g0, dtype=float), psi, tangent, 2, r,
+                          velocity)
 
 
 def slice_verify(S: SliceCandidate, action: Action, m0, samples=50,
@@ -299,16 +311,18 @@ def abel_involutivity(mu: DualForm, adaptor: Adaptor, pi, iota, samples=20,
         scale = max(1.0, np.linalg.norm(br))
         rep.add("xi-involutive", "adapted form annihilates [X, Y]",
                 np.linalg.norm(mu_t(m, br)) / scale, tol, f"sample {i}")
-        xi_sub = almost_horizontal_basis(mu, adaptor, m, tol_rank)
+        pt = at(mu, m, tol_rank)
+        xi_sub = almost_horizontal_basis(mu, adaptor, pt, tol_rank)
         rep.add("bracket-tangent", "[X, Y] stays inside Xi",
                 np.linalg.norm(br - xi_sub.project(br)) / scale, tol,
                 f"sample {i}")
         # correction terms of the relative structure equation
+        Xm, Ym = X(m), Y(m)
         im = np.asarray(iota(m), dtype=float)
-        xi_c = pi @ im @ mu(m, X(m))
-        eta_c = pi @ im @ mu(m, Y(m))
-        dchi_u = _d_chi_phi(mu, adaptor, m, X(m))
-        dchi_v = _d_chi_phi(mu, adaptor, m, Y(m))
+        xi_c = pi @ im @ (pt.M @ Xm)
+        eta_c = pi @ im @ (pt.M @ Ym)
+        dchi_u = _d_chi(mu, m, Xm, 1e-4, adaptor)
+        dchi_v = _d_chi(mu, m, Ym, 1e-4, adaptor)
         rep.add("corrections-vanish",
                 "d chi_phi(u) pi eta - d chi_phi(v) pi xi = 0 for horizontal "
                 "inputs",
@@ -316,14 +330,3 @@ def abel_involutivity(mu: DualForm, adaptor: Adaptor, pi, iota, samples=20,
                 f"sample {i}")
     return rep
 
-
-def _d_chi_phi(mu: DualForm, adaptor: Adaptor, m, w, h=1e-4):
-    """Directional derivative of the adapted inertia factor along w."""
-    from .linalg import curve_derivative
-    A = mu.action
-
-    def at(t):
-        p = A.retract(m, w, t)
-        return (mu.matrix(p) @ A.gen_matrix(p)) @ A.Ad_group(adaptor.phi(p))
-
-    return curve_derivative(at, h)

@@ -46,7 +46,7 @@ def _unit(v):
 def _regular_point(action, form, rng, cond=1e-2):
     """Sample a point whose inertia factor is safely full-rank on the
     complement of the isotropy (stays off the singular set)."""
-    while True:
+    for _ in range(10_000):
         m = action.random_point(rng)
         chi = form.matrix(m) @ action.gen_matrix(m)
         s = np.linalg.svd(chi, compute_uv=False)
@@ -54,6 +54,7 @@ def _regular_point(action, form, rng, cond=1e-2):
         r = chi.shape[0] - iso
         if r > 0 and s[r - 1] > cond * s[0]:
             return m
+    raise RuntimeError(f"no regular point of {action.name} in 10000 tries")
 
 
 def _su3_setup():

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from gconn.actions import get_action, isotropy_algebra, orbit_tangent
-from gconn.connections import (DegeneracyError, alpha_so3r3, clean_alpha,
-                               dual_form_verify, equivariance_residual,
-                               gamma_apply, inertia_factor, mu_q, pair_check,
+from gconn.connections import (DegeneracyError, alpha_so3r3, at,
+                               clean_alpha, dual_form_verify,
+                               equivariance_residual, gamma_apply,
+                               inertia_factor, mu_q, pair_check,
                                projection_P_alpha, projection_P_mu,
                                simple_mechanical_mu)
+from gconn.curvature import tame
 from gconn.groups import exp_so3, hat
 
 
@@ -53,6 +55,77 @@ def test_projection_and_gamma_degenerate_raise(zero_form):
         projection_P_mu(zero_form, m)
     with pytest.raises(DegeneracyError):
         gamma_apply(zero_form, m, np.zeros(3))
+
+
+def test_point_evaluation_degenerate_raises(zero_form):
+    pt = at(zero_form, [1.0, 0.0, 0.0])
+    assert not pt.nondegenerate
+    with pytest.raises(DegeneracyError):
+        pt.P
+    with pytest.raises(DegeneracyError):
+        pt.gamma(np.zeros(3))
+
+
+def test_point_evaluation_is_shared(mu_t):
+    m = np.array([0.4, -1.0, 0.3])
+    pt = at(mu_t, m)
+    assert at(mu_t, pt) is pt
+    assert np.array_equal(pt.chi, mu_t.matrix(m) @ mu_t.action.gen_matrix(m))
+    assert np.array_equal(projection_P_mu(mu_t, pt), projection_P_mu(mu_t, m))
+    with pytest.raises(ValueError):
+        at(mu_q(lambda t: 1.0), pt)
+
+
+def _count_gen_matrix(monkeypatch, A):
+    calls = []
+    original = type(A).gen_matrix
+
+    def counted(self, m):
+        calls.append(1)
+        return original(self, m)
+
+    monkeypatch.setattr(type(A), "gen_matrix", counted)
+    return calls
+
+
+def test_tamed_projection_evaluates_generators_once(monkeypatch):
+    A = get_action("hxh-on-su3")
+    nu = tame(simple_mechanical_mu(A))
+    g = A.random_point(np.random.default_rng(27))
+    calls = _count_gen_matrix(monkeypatch, A)
+    projection_P_mu(nu, g)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["hxh-on-su3", "s1s1-on-so3"])
+def test_tamed_matrix_matches_row_by_row_raising(name):
+    A = get_action(name)
+    mu = simple_mechanical_mu(A)
+    nu = tame(mu)
+    rng = np.random.default_rng(28)
+    for _ in range(3):
+        g = A.random_point(rng)
+        M = mu.matrix(g)
+        chi = M @ A.gen_matrix(g)
+        old = chi @ np.array([A.algebra.sharp(row) for row in M.T]).T
+        assert np.linalg.norm(nu.matrix(g) - old) <= 1e-13 * max(
+            1.0, np.linalg.norm(old))
+
+
+def test_dual_form_verify_records_degeneracy(zero_form):
+    rep = dual_form_verify(zero_form, samples=2,
+                           rng=np.random.default_rng(29))
+    ker = [c for c in rep.checks if c.check_id == "ker-chi"]
+    assert len(ker) == 2 and not any(c.passed for c in ker)
+
+
+def test_dual_form_verify_one_point_per_sample(monkeypatch):
+    A = get_action("hxh-on-su3")
+    mu = simple_mechanical_mu(A)
+    calls = _count_gen_matrix(monkeypatch, A)
+    dual_form_verify(mu, samples=3, rng=np.random.default_rng(30))
+    # the sampled point m and its image g.m for the equivariance check
+    assert len(calls) == 2 * 3
 
 
 def test_gamma_inverts_chi_on_orbit_tangent(mu_t):

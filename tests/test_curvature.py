@@ -157,6 +157,26 @@ def test_closed_matches_fd_curvature():
         assert np.max(np.abs(cf - fd)) < 1e-5
 
 
+@pytest.mark.parametrize("name", ["hxh-on-su3", "s1s1-on-so3"])
+def test_curvature_evaluates_generators_once_per_point(monkeypatch, name):
+    A = get_action(name)
+    nu = tame(simple_mechanical_mu(A))
+    rng = np.random.default_rng(45)
+    g = A.random_point(rng)
+    u, v = rng.standard_normal(A.vec_dim), rng.standard_normal(A.vec_dim)
+    calls = []
+    original = type(A).gen_matrix
+
+    def counted(self, m):
+        calls.append(1)
+        return original(self, m)
+
+    monkeypatch.setattr(type(A), "gen_matrix", counted)
+    curvature(nu, g, u, v)
+    # one at g and one at each of the four finite-difference points
+    assert len(calls) == 5
+
+
 def test_s1s1_curvature_flat():
     A = get_action("s1s1-on-so3")
     rng = np.random.default_rng(36)

@@ -4,6 +4,7 @@ import pytest
 from gconn.actions import get_action
 from gconn.connections import simple_mechanical_mu
 from gconn.groups import cay, exp_so3
+from gconn.linalg import central_difference
 from gconn.slices import (Adaptor, AdaptorContractError, SliceCandidate,
                           abel_involutivity, adapted_dual_form,
                           adapted_inertia, almost_horizontal_basis,
@@ -119,6 +120,17 @@ def test_locate_and_contains():
     assert S.contains(S.psi(p0))
     # a vertical rotation is off the slice
     assert not S.contains(exp_so3(0.5 * SIGMA))
+
+
+def test_locate_jacobian_is_exact():
+    S = cayley_slice(SIGMA, exp_so3(np.array([0.2, -0.1, 0.4])))
+    for p0 in ([0.0, 0.0], [0.3, -0.2], [-0.55, 0.4]):
+        p0 = np.array(p0)
+        fd = central_difference(lambda q: S.psi(q).ravel(), p0, 1e-6)
+        assert np.max(np.abs(S.jacobian(p0, S.psi(p0)) - fd)) < 1e-8
+        p, resid = S.locate(S.psi(p0))
+        assert resid <= 1e-12
+        assert np.linalg.norm(p - p0) < 1e-10
 
 
 def test_slice_verify(setup):
