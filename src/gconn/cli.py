@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import actions, connections, curvature, frames, slices
-from .groups import exp_so3
+from .groups import cross, exp_so3
 from .linalg import Subspace, range_space
 from .report import VerificationReport
 
@@ -97,7 +97,7 @@ def scenario_so3_r3_docility(cfg: ScenarioConfig) -> VerificationReport:
         u, v, val = witness
         rep.add("witness-value",
                 "exterior derivative at 0 is twice the weighted cross "
-                "product", np.linalg.norm(val - 2.0 * np.cross(u, v)), 1e-6)
+                "product", np.linalg.norm(val - 2.0 * cross(u, v)), 1e-6)
     ok_t, _ = curvature.docile(mut, origin, h=cfg.fd_step)
     rep.add_bool("docile", "vanishing-weight form is docile at 0", ok_t)
     u, v = rng.standard_normal(3), rng.standard_normal(3)
@@ -285,7 +285,7 @@ def scenario_s2_pmf_beta(cfg: ScenarioConfig) -> VerificationReport:
         for t in np.linspace(0.0, 2.0, 5):
             m, dm = pt(t), vel(t)
             d = pmf.dnat_phi(m, dm)
-            pred = np.cross(m, dm) + m / np.tan(theta0)
+            pred = cross(m, dm) + m / np.tan(theta0)
             worst = max(worst, np.linalg.norm(d - pred))
     rep.add("latitude-curvature",
             "frame derivative along latitudes carries the cot(theta0) "

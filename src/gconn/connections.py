@@ -55,9 +55,6 @@ class DualForm:
         _, kern = rank_nullspace(self.matrix(m), tol_rank)
         return kern
 
-    def range(self, m, tol_rank=TOL_RANK) -> Subspace:
-        return range_space(self.matrix(m), tol_rank)
-
 
 class GValuedForm:
     """An algebra-valued one-form (same layout, values in algebra coords)."""

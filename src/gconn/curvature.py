@@ -158,8 +158,8 @@ def curvature_leftright_closed(action, g, xi, omega, tol_rank=TOL_RANK):
     act = action.algebra
     G = alg.gram
     H = act.h                                # ambient coords of h basis
-    AdG = alg.Ad_matrix(g)
-    S = np.hstack([H, AdG @ H])              # spans h + Ad_g h
+    AdH = alg.Ad_matrix(g) @ H               # ambient coords of Ad_g h
+    S = np.hstack([H, AdH])                  # spans h + Ad_g h
 
     def gamma_project(w):
         # metric-orthogonal projection onto (h + Ad_g h)^perp
@@ -170,11 +170,11 @@ def curvature_leftright_closed(action, g, xi, omega, tol_rank=TOL_RANK):
     om_h = gamma_project(np.asarray(omega, dtype=float).ravel())
     b = alg.bracket(xi_h, om_h)
 
-    # covariant derivative as a dual vector on h x h
-    AdGinv = alg.Ad_matrix(np.linalg.inv(g))
-    nab = np.concatenate([H.T @ G @ b, H.T @ G @ (AdGinv @ b)])
+    # covariant derivative on h x h; Ad_g is isometric, so the second half
+    # pairs h with Ad_g^-1 b as <Ad_g h, b>
+    nab = np.concatenate([H.T @ G @ b, AdH.T @ G @ b])
 
-    K = action.gen_matrix(g)
+    K = np.vstack([H.T, -AdH.T]).T           # gen_matrix(g), same layout
     chi = K.T @ G @ K
     sharp = act.gram_inv
     zeta = solve_consistent(chi @ sharp @ chi, chi @ sharp @ nab,

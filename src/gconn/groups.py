@@ -32,6 +32,13 @@ def vee(M):
     return np.array([M[2, 1], M[0, 2], M[1, 0]])
 
 
+def cross(a, b):
+    """Cross product of 3-vectors by its component formula, as np.cross."""
+    a0, a1, a2 = np.asarray(a).tolist()
+    b0, b1, b2 = np.asarray(b).tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 def exp_so3(v):
     """Rodrigues formula for exp of hat(v)."""
     v = np.asarray(v, dtype=float).ravel()
@@ -107,9 +114,6 @@ class LieAlgebra:
         """[a, b] in coordinates."""
         A, B = self.matrix(a), self.matrix(b)
         return self.coords(A @ B - B @ A)
-
-    def ad(self, a, b):
-        return self.bracket(a, b)
 
     def Ad_matrix(self, g):
         """Matrix of Ad_g on coordinates: columns are coords(g B_i g^-1)."""

@@ -202,9 +202,9 @@ def cayley_slice(sigma, g0, r=1.0) -> SliceCandidate:
     g0 = np.asarray(g0, dtype=float)
     # orthonormal basis of sigma-perp
     aux = np.eye(3)[np.argmin(np.abs(sigma))]
-    b1 = np.cross(sigma, aux)
+    b1 = groups.cross(sigma, aux)
     b1 /= np.linalg.norm(b1)
-    b2 = np.cross(sigma, b1)
+    b2 = groups.cross(sigma, b1)
     B = np.array([b1, b2]).T  # 3 x 2
 
     def psi(params):

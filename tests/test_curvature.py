@@ -177,6 +177,23 @@ def test_curvature_evaluates_generators_once_per_point(monkeypatch, name):
     assert len(calls) == 5
 
 
+def test_closed_curvature_computes_Ad_once(monkeypatch):
+    A = get_action("hxh-on-su3")
+    rng = np.random.default_rng(46)
+    g = A.random_point(rng)
+    u, v = rng.standard_normal(8), rng.standard_normal(8)
+    calls = []
+    original = type(A.manifold_alg).Ad_matrix
+
+    def counted(self, h):
+        calls.append(1)
+        return original(self, h)
+
+    monkeypatch.setattr(type(A.manifold_alg), "Ad_matrix", counted)
+    curvature_leftright_closed(A, g, u, v)
+    assert len(calls) == 1
+
+
 def test_s1s1_curvature_flat():
     A = get_action("s1s1-on-so3")
     rng = np.random.default_rng(36)

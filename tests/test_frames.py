@@ -100,6 +100,42 @@ def test_beta_equivariance_report():
     assert rep.all_passed, rep.to_text()
 
 
+def test_frames_do_not_call_np_cross(monkeypatch):
+    A = get_action("so3-on-us2")
+    rng = np.random.default_rng(55)
+    p = A.random_point(rng)
+    v = A.random_tangent(rng, p)
+    m = np.array([0.6, 0.0, 0.8])
+    g = exp_so3(np.array([0.3, -0.2, 0.4]))
+    pmf = pmf_from_field(eastward_field)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.cross called")
+
+    monkeypatch.setattr(np, "cross", refuse)
+    rho_us2(p)
+    dnat_rho(p, v)
+    eastward_field(m)
+    pmf.dnat_phi(m, np.array([0.0, 1.0, 0.0]))
+    pmf.slip_angle(g, m)
+    beta_equivariance_check(pmf, samples=2, rng=np.random.default_rng(56))
+
+
+def test_beta_check_differentiates_slip_once_per_sample(monkeypatch):
+    calls = []
+    original = PartialMovingFrame.dnat_slip
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(PartialMovingFrame, "dnat_slip", counted)
+    rep = beta_equivariance_check(pmf_from_field(eastward_field), samples=3,
+                                  rng=np.random.default_rng(57))
+    assert rep.all_passed, rep.to_text()
+    assert len(calls) == 3
+
+
 def test_latitude_identity():
     pmf = pmf_from_field(eastward_field)
     for theta0 in (0.7, 1.2):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gconn.groups import (LieAlgebra, cay, exp_so3, hat, vee,
+from gconn.groups import (LieAlgebra, cay, cross, exp_so3, hat, vee,
                           is_special_orthogonal, is_special_unitary,
                           orth_project, project_so3, so3_algebra, su3_basis)
 
@@ -166,3 +166,19 @@ def test_coords_rejects_hermitian_on_su3():
                   [0.0, 0.5, 0.0]])
     with pytest.raises(ValueError):
         alg.coords(H)
+
+
+def test_cross_matches_numpy_exactly():
+    rng = np.random.default_rng(12)
+    for _ in range(1000):
+        a, b = rng.standard_normal(3), rng.standard_normal(3)
+        c = cross(a, b)
+        assert c.dtype == np.float64
+        assert np.array_equal(c, np.cross(a, b))
+    ia, ib = np.array([3, -7, 2]), np.array([5, 1, -4])
+    assert np.array_equal(cross(ia, ib), np.cross(ia, ib))
+    assert cross(ia, ib).dtype == np.cross(ia, ib).dtype
+    la, lb = [0.1, 2.0, -3.5], [1.5, -0.25, 4.0]
+    assert np.array_equal(cross(la, lb), np.cross(la, lb))
+    with pytest.raises(ValueError):
+        cross(np.ones(2), np.ones(3))
