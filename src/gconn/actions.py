@@ -261,6 +261,8 @@ class TorusSquareOnGroup(Action):
 
     Group elements of the acting group are pairs (h, k) of matrices; tangent
     vectors on G are right-trivialized: (eta, zeta)_G(g) = eta - Ad_g zeta.
+    The generators need Ad_g on h only: the basis matrices of h are stacked
+    once, and only they are conjugated by g.
     """
 
     def __init__(self, name, manifold_alg, h_coords):
@@ -268,6 +270,9 @@ class TorusSquareOnGroup(Action):
         self.manifold_alg = manifold_alg
         self.algebra = TorusSquareAlgebra(manifold_alg, h_coords)
         self.vec_dim = manifold_alg.dim
+        H = self.algebra.h
+        self._h_stack = np.array([manifold_alg.matrix(H[:, j])
+                                  for j in range(H.shape[1])])
 
     def identity(self):
         n = self.manifold_alg.basis[0].shape[0]
@@ -292,11 +297,8 @@ class TorusSquareOnGroup(Action):
         return h @ m @ np.linalg.inv(k)
 
     def gen_matrix(self, m):
-        AdM = self.manifold_alg.Ad_matrix(m)
-        cols = [self.algebra.h[:, j] for j in range(self.algebra.h.shape[1])]
-        cols += [-AdM @ self.algebra.h[:, j]
-                 for j in range(self.algebra.h.shape[1])]
-        return np.array(cols).T
+        AdH = self.manifold_alg.conjugate_coords(m, self._h_stack)
+        return np.vstack([self.algebra.h.T, -AdH.T]).T
 
     def retract(self, m, v, t=1.0):
         X = self.manifold_alg.exp(t * np.asarray(v, float).ravel())

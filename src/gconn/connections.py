@@ -15,8 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .actions import Action
-from .linalg import (Subspace, TOL_RANK, range_space, rank_nullspace,
-                     solve_consistent)
+from .linalg import SVD, Subspace, TOL_RANK, range_space, rank_nullspace
 from .report import VerificationReport
 
 
@@ -99,9 +98,11 @@ class PointEval:
     """The geometry of a dual form at one point, evaluated once.
 
     Holds the generator matrix ``K``, the form ``M = mu_m`` and the inertia
-    factor ``chi = M K`` at m.  The kernel test, the projection ``P`` and
-    the gamma map are derived from them on first use; nothing outlives the
-    object, which callers build per call with :func:`at`.
+    factor ``chi = M K`` at m.  One SVD of chi, taken on first use, feeds
+    the kernel test (ker chi against the isotropy algebra ker K), the
+    projection ``P``, the solve behind the gamma map and the scale of its
+    consistency test (|chi|_2 = s[0]); ``kernel`` is ker mu_m.  Nothing
+    outlives the object, which callers build per call with :func:`at`.
     """
 
     def __init__(self, mu: DualForm, m, tol_rank=TOL_RANK, K=None):
@@ -113,9 +114,23 @@ class PointEval:
         self.chi = self.M @ self.K
 
     @cached_property
+    def _svd(self):
+        # the error the kernel test has always raised on a non-finite chi
+        if not np.all(np.isfinite(self.chi)):
+            raise ValueError("rank_nullspace: non-finite entries")
+        return SVD(self.chi, self.tol_rank)
+
+    @cached_property
+    def kernel(self) -> Subspace:
+        """ker mu_m, the horizontal space of the form at m."""
+        return rank_nullspace(self.M, self.tol_rank)[1]
+
+    @cached_property
     def _degeneracy(self):
         """Why ker chi(m) differs from the isotropy algebra ker K, or None."""
-        _, kern = rank_nullspace(self.chi, self.tol_rank)
+        svd = self._svd
+        kern = Subspace([], ambient_dim=self.chi.shape[1])
+        kern.basis = svd.Vt[svd.rank:].T
         _, iso = rank_nullspace(self.K, self.tol_rank)
         if kern.dim == iso.dim and iso.contains_subspace(kern, 1e-6):
             return None
@@ -138,7 +153,7 @@ class PointEval:
     def P(self):
         """Matrix of the projection gamma o mu onto the orbit tangent."""
         chi = self.inertia()
-        X = np.linalg.pinv(chi, rcond=self.tol_rank) @ self.M
+        X = self._svd.pinv @ self.M
         resid = np.linalg.norm(chi @ X - self.M)
         scale = max(np.linalg.norm(self.M), 1e-300)
         if resid > 1e-6 * scale:
@@ -146,10 +161,14 @@ class PointEval:
                 f"range mu exceeds range chi (residual {resid:.2e})")
         return self.K @ X
 
+    def solve(self, nu, tol_consist=1e-8):
+        """Minimum-norm xi with chi(m) xi = nu, after the kernel test."""
+        self.inertia()
+        return self._svd.solve(nu, tol_consist)
+
     def gamma(self, nu, tol_consist=1e-8):
         """Solve chi(m) xi = nu and return the generator xi_M(m)."""
-        return self.K @ solve_consistent(self.inertia(), nu, self.tol_rank,
-                                         tol_consist)
+        return self.K @ self.solve(nu, tol_consist)
 
 
 def at(mu: DualForm, m, tol_rank=TOL_RANK) -> PointEval:
@@ -248,7 +267,7 @@ def dual_form_verify(mu: DualForm, samples=25, rng=None,
         m = A.random_point(rng)
         tag = f"sample {i}"
         pt = at(mu, m, tol_rank)
-        _, kern = rank_nullspace(pt.M, tol_rank)
+        kern = pt.kernel
         orb = range_space(pt.K, tol_rank)
         # direct sum: dimensions add up and the union spans
         stacked = np.hstack([kern.basis, orb.basis])

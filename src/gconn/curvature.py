@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .actions import Action
-from .connections import DualForm, at
+from .connections import DualForm, PointEval, at
 from .linalg import (FD_STEP, TOL_RANK, curve_derivative, range_space,
                      solve_consistent)
 from .report import VerificationReport
@@ -66,16 +66,20 @@ def field_bracket(action: Action, X, Y, m, h=FD_STEP):
 
     On group manifolds the right-trivialized bracket picks up the algebra
     correction -[X(m), Y(m)]; on embedded manifolds it is the antisymmetrized
-    directional derivative, projected back into the tangent space.
+    directional derivative, projected back into the tangent space.  ``m``
+    may be a point evaluation; the fields are then evaluated on it, and the
+    retraction starts from its point.
     """
+    p = m.m if isinstance(m, PointEval) else m
+
     def D(a, W):
-        return curve_derivative(lambda t: W(action.retract(m, a, t)), h)
+        return curve_derivative(lambda t: W(action.retract(p, a, t)), h)
 
     Xm, Ym = X(m), Y(m)
     b = D(Xm, Y) - D(Ym, X)
     if _is_group_manifold(action):
         return b - action.manifold_alg.bracket(Xm, Ym)
-    return action.project_tangent(m, b)
+    return action.project_tangent(p, b)
 
 
 def covariant_derivative(mu: DualForm, m, u, v, h=FD_STEP,
@@ -240,9 +244,8 @@ def structure_residual(mu: DualForm, m, u, v, h=FD_STEP,
     pt = at(mu, m, tol_rank)
     u = np.asarray(u, dtype=float).ravel()
     v = np.asarray(v, dtype=float).ravel()
-    chi = pt.inertia()
-    xi = solve_consistent(chi, pt.M @ u, tol_rank, 1e-6)
-    eta = solve_consistent(chi, pt.M @ v, tol_rank, 1e-6)
+    xi = pt.solve(pt.M @ u, 1e-6)
+    eta = pt.solve(pt.M @ v, 1e-6)
 
     lhs = (curvature(mu, pt, u, v, h, tol_rank)
            + pt.K @ A.algebra.bracket(xi, eta))
@@ -314,7 +317,7 @@ def involutivity_check(mu: DualForm, m, pairs=None, h=FD_STEP,
     for k, (ci, cj) in enumerate(pairs):
         X = horizontal_field(mu, ci, tol_rank)
         Y = horizontal_field(mu, cj, tol_rank)
-        br = field_bracket(A, X, Y, m, h)
+        br = field_bracket(A, X, Y, pt, h)
         om = curvature(mu, pt, X(pt), Y(pt), h, tol_rank)
         scale = max(1.0, np.linalg.norm(br))
         rep.add("horizontal-bracket",

@@ -14,7 +14,7 @@ import numpy as np
 
 from .actions import get_action, So3OnUS2
 from .groups import cross, exp_so3, vee
-from .linalg import Subspace, TOL_RANK, curve_derivative
+from .linalg import Subspace, TOL_RANK, curve_derivative, rank_nullspace
 from .report import VerificationReport
 
 
@@ -196,19 +196,14 @@ def pmf_connection(pmf: PartialMovingFrame, m, tol_rank=TOL_RANK, h=1e-6):
     """
     A = pmf.action
     m = np.asarray(m, dtype=float).ravel()
-    # kernel of v -> generator of d_phi(v)
-    cols = []
+    # kernel of v -> generator of d_phi(v), restricted to the tangent space
+    K = A.gen_matrix(m)
     basis = [A.project_tangent(m, e) for e in np.eye(3)]
-    for b in basis:
-        cols.append(A.gen_matrix(m) @ pmf.dnat_phi(m, b, h))
-    P = np.array(cols).T  # 3 x 3 on (non-minimal) tangent coords
-    kern_vecs = []
+    P = np.array([K @ pmf.dnat_phi(m, b, h) for b in basis]).T
     T = Subspace(basis, ambient_dim=3)
-    for j in range(T.dim):
-        w = T.basis[:, j]
-        if np.linalg.norm(P @ w) < 1e-6:
-            kern_vecs.append(w)
-    kernel_way = Subspace(kern_vecs, ambient_dim=3)
+    _, ker = rank_nullspace(P @ T.basis, tol_rank)
+    kernel_way = Subspace([T.basis @ ker.basis[:, j] for j in range(ker.dim)],
+                          ambient_dim=3)
 
     phim = pmf.phi(m)
     img_vecs = []

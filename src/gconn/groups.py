@@ -115,10 +115,18 @@ class LieAlgebra:
         A, B = self.matrix(a), self.matrix(b)
         return self.coords(A @ B - B @ A)
 
+    def conjugate_coords(self, g, stack):
+        """Coordinates of g B g^-1 for each matrix B of a stack, as columns.
+
+        Every conjugate must lie in the span of the basis (checked by
+        :meth:`_coords_columns`).
+        """
+        g = np.asarray(g)
+        return self._coords_columns(g @ stack @ np.linalg.inv(g))
+
     def Ad_matrix(self, g):
         """Matrix of Ad_g on coordinates: columns are coords(g B_i g^-1)."""
-        g = np.asarray(g)
-        return self._coords_columns(g @ self._stacked @ np.linalg.inv(g))
+        return self.conjugate_coords(g, self._stacked)
 
     def Ad(self, g, a):
         return self.Ad_matrix(g) @ np.asarray(a, dtype=float).ravel()

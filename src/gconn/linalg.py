@@ -3,10 +3,15 @@
 Everything downstream (inertia factors, curvature solves, slice tangency
 tests) reduces to rank/nullspace decisions, minimum-norm consistent solves
 and central differences on matrices of dimension <= 16, so these helpers are
-kept deliberately simple and SVD-based.
+kept deliberately simple and SVD-based.  :class:`SVD` decomposes a matrix
+once; its rank decision, pseudo-inverse, spectral norm and consistent solve
+all read from that one decomposition, and :func:`solve_consistent` is that
+solve on a fresh matrix.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -111,20 +116,52 @@ def range_space(A, tol_rank=TOL_RANK):
     return out
 
 
-def solve_consistent(A, b, tol_rank=TOL_RANK, tol_consist=1e-8):
-    """Minimum-norm solution of A x = b, requiring b in range(A).
+class SVD:
+    """One reduced singular value decomposition A = U diag(s) Vt.
 
-    Raises :class:`InconsistentSystemError` when the least-squares residual
-    exceeds ``tol_consist * max(|A||x|, |b|)``.
+    The rank decision (:func:`_svd_rank`), the pseudo-inverse and the
+    consistent solve all read from it; the spectral norm |A|_2 is s[0].
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    b = np.asarray(b, dtype=float).ravel()
-    x = np.linalg.pinv(A, rcond=tol_rank) @ b
-    resid = np.linalg.norm(A @ x - b)
-    scale = max(np.linalg.norm(A, 2) * np.linalg.norm(x), np.linalg.norm(b), 1e-300)
-    if resid > tol_consist * scale and resid > tol_consist:
-        raise InconsistentSystemError("solve_consistent: b not in range(A)", resid)
-    return x
+
+    def __init__(self, A, tol_rank=TOL_RANK):
+        self.A = np.atleast_2d(np.asarray(A, dtype=float))
+        self.tol_rank = tol_rank
+        self.U, self.s, self.Vt = np.linalg.svd(self.A, full_matrices=False)
+
+    @property
+    def rank(self):
+        return _svd_rank(self.s, self.tol_rank)
+
+    @cached_property
+    def pinv(self):
+        """numpy's pseudo-inverse formula: the reciprocal of every singular
+        value above tol_rank * max(s), zero for the rest."""
+        s = self.s
+        large = s > self.tol_rank * np.max(s, initial=0.0)
+        s_inv = np.divide(1.0, s, where=large, out=np.zeros_like(s))
+        return self.Vt.T @ (s_inv[:, None] * self.U.T)
+
+    def solve(self, b, tol_consist=1e-8):
+        """Minimum-norm solution of A x = b, requiring b in range(A).
+
+        Raises :class:`InconsistentSystemError` when the least-squares
+        residual exceeds ``tol_consist * max(|A||x|, |b|)``.
+        """
+        b = np.asarray(b, dtype=float).ravel()
+        x = self.pinv @ b
+        resid = np.linalg.norm(self.A @ x - b)
+        norm_A = self.s[0] if self.s.size else 0.0
+        scale = max(norm_A * np.linalg.norm(x), np.linalg.norm(b), 1e-300)
+        if resid > tol_consist * scale and resid > tol_consist:
+            raise InconsistentSystemError(
+                "solve_consistent: b not in range(A)", resid)
+        return x
+
+
+def solve_consistent(A, b, tol_rank=TOL_RANK, tol_consist=1e-8):
+    """Minimum-norm solution of A x = b, requiring b in range(A); see
+    :meth:`SVD.solve`."""
+    return SVD(A, tol_rank).solve(b, tol_consist)
 
 
 def central_difference(f, x, h=FD_STEP):

@@ -124,7 +124,7 @@ def almost_horizontal_basis(mu: DualForm, adaptor: Adaptor, m,
     """
     A = mu.action
     pt = at(mu, m, tol_rank)
-    _, gam = rank_nullspace(pt.M, tol_rank)
+    gam = pt.kernel
     Adp = A.Ad_group(adaptor.phi(pt.m))
     K = pt.K
     scale = max(1.0, np.linalg.norm(K))
@@ -294,11 +294,11 @@ def abel_involutivity(mu: DualForm, adaptor: Adaptor, pi, iota, samples=20,
     pi = np.asarray(pi, dtype=float)
 
     def xi_field(c):
-        # frozen coordinate vector projected onto ker of the adapted form
+        # frozen coordinate vector projected onto ker of the adapted form;
+        # takes a point or a point evaluation of the adapted form
         def X(p):
-            w = A.project_tangent(p, c)
-            kern = mu_t.kernel(p, tol_rank)
-            return kern.project(w)
+            pt_t = at(mu_t, p, tol_rank)
+            return pt_t.kernel.project(A.project_tangent(pt_t.m, c))
         return X
 
     E = np.eye(A.vec_dim)
@@ -307,17 +307,18 @@ def abel_involutivity(mu: DualForm, adaptor: Adaptor, pi, iota, samples=20,
         m = A.retract(adaptor.m0, v, 0.25 * rng.random())
         ci, cj = rng.choice(A.vec_dim, size=2, replace=False)
         X, Y = xi_field(E[ci]), xi_field(E[cj])
-        br = field_bracket(A, X, Y, m, h)
+        pt_t = at(mu_t, m, tol_rank)
+        br = field_bracket(A, X, Y, pt_t, h)
         scale = max(1.0, np.linalg.norm(br))
         rep.add("xi-involutive", "adapted form annihilates [X, Y]",
-                np.linalg.norm(mu_t(m, br)) / scale, tol, f"sample {i}")
-        pt = at(mu, m, tol_rank)
+                np.linalg.norm(pt_t.M @ br) / scale, tol, f"sample {i}")
+        pt = PointEval(mu, m, tol_rank, K=pt_t.K)
         xi_sub = almost_horizontal_basis(mu, adaptor, pt, tol_rank)
         rep.add("bracket-tangent", "[X, Y] stays inside Xi",
                 np.linalg.norm(br - xi_sub.project(br)) / scale, tol,
                 f"sample {i}")
         # correction terms of the relative structure equation
-        Xm, Ym = X(m), Y(m)
+        Xm, Ym = X(pt_t), Y(pt_t)
         im = np.asarray(iota(m), dtype=float)
         xi_c = pi @ im @ (pt.M @ Xm)
         eta_c = pi @ im @ (pt.M @ Ym)
@@ -329,4 +330,3 @@ def abel_involutivity(mu: DualForm, adaptor: Adaptor, pi, iota, samples=20,
                 np.linalg.norm(dchi_u @ eta_c - dchi_v @ xi_c), tol,
                 f"sample {i}")
     return rep
-

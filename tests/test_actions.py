@@ -9,6 +9,34 @@ from gconn.linalg import curve_derivative
 ALL = ["so3-on-r3", "so3-on-s2", "so3-on-us2", "hxh-on-su3", "s1s1-on-so3"]
 
 
+@pytest.mark.parametrize("name, tol", [("hxh-on-su3", 0.0),
+                                       ("s1s1-on-so3", 2.3e-16)])
+def test_torus_generators_conjugate_h_only(monkeypatch, name, tol):
+    A = get_action(name)
+    H = A.algebra.h
+    alg = type(A.manifold_alg)
+    rng = np.random.default_rng(14)
+    points = [A.random_point(rng) for _ in range(2000)]
+    expected = [np.hstack([H, -A.manifold_alg.Ad_matrix(g) @ H])
+                for g in points]
+    calls = []
+    Ad_matrix = alg.Ad_matrix
+
+    def counted(self, g):
+        calls.append(1)
+        return Ad_matrix(self, g)
+
+    monkeypatch.setattr(alg, "Ad_matrix", counted)
+    for g, K in zip(points, expected):
+        assert np.max(np.abs(A.gen_matrix(g) - K)) <= tol
+    assert calls == []
+    # a conjugate that leaves the algebra still fails the span check
+    shear = np.eye(A.manifold_alg.basis[0].shape[0])
+    shear[0, 1] = 1.0
+    with pytest.raises(ValueError):
+        A.gen_matrix(shear)
+
+
 def test_registry():
     assert sorted(ALL) == action_names()
     with pytest.raises(KeyError):

@@ -97,6 +97,33 @@ def test_tamed_projection_evaluates_generators_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_tamed_point_decomposes_chi_once(decompositions):
+    A = get_action("hxh-on-su3")
+    nu = tame(simple_mechanical_mu(A))
+    rng = np.random.default_rng(31)
+    g = A.random_point(rng)
+    pt = at(nu, g)
+    assert pt.nondegenerate
+    P = pt.P
+    target = pt.chi @ rng.standard_normal(A.algebra.dim)
+    w = pt.gamma(target)
+    # one SVD of chi (kernel test, P, the solve and its scale) and one of K
+    assert decompositions == {"svd": 2}
+    chi_pinv = np.linalg.pinv(pt.chi, rcond=pt.tol_rank)
+    assert np.array_equal(P, pt.K @ (chi_pinv @ pt.M))
+    assert np.linalg.norm(w - pt.K @ (chi_pinv @ target)) <= 1e-15 * max(
+        1.0, np.linalg.norm(w))
+
+
+def test_point_kernel_is_ker_mu(mu_t):
+    m = np.array([0.4, -1.0, 0.3])
+    pt = at(mu_t, m)
+    assert pt.kernel is pt.kernel
+    assert np.array_equal(pt.kernel.basis, mu_t.kernel(m).basis)
+    assert pt.kernel.dim == 1
+    assert np.linalg.norm(pt.M @ pt.kernel.basis) < 1e-12
+
+
 @pytest.mark.parametrize("name", ["hxh-on-su3", "s1s1-on-so3"])
 def test_tamed_matrix_matches_row_by_row_raising(name):
     A = get_action(name)

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from gconn.actions import get_action
-from gconn.connections import DualForm, mu_q, simple_mechanical_mu
+from gconn.connections import DualForm, at, mu_q, simple_mechanical_mu
 from gconn.curvature import (closed_curvature_matrix, covariant_derivative,
                              curvature, curvature_leftright_closed,
                              d_oneform, docile, field_bracket,
-                             good_chi_residual, interior_product_residual,
-                             involutivity_check, structure_residual, tame)
+                             good_chi_residual, horizontal_field,
+                             interior_product_residual, involutivity_check,
+                             structure_residual, tame)
 from gconn.linalg import InconsistentSystemError, range_space
 
 
@@ -47,6 +48,17 @@ def test_field_bracket_right_invariant_fields():
     a, b = rng.standard_normal(3), rng.standard_normal(3)
     br = field_bracket(A, lambda p: a, lambda p: b, g)
     assert np.linalg.norm(br + np.cross(a, b)) < 1e-10
+
+
+def test_field_bracket_takes_a_point_evaluation():
+    mu = mu_q(lambda t: t)
+    A = mu.action
+    m = np.array([0.8, -0.3, 1.2])
+    pt = at(mu, m)
+    X = horizontal_field(mu, np.array([1.0, 0.0, 0.0]))
+    Y = horizontal_field(mu, np.array([0.0, 0.0, 1.0]))
+    assert np.array_equal(field_bracket(A, X, Y, pt),
+                          field_bracket(A, X, Y, m))
 
 
 def test_docility_dichotomy_at_origin():
@@ -236,3 +248,24 @@ def test_involutivity_at_regular_point():
     mu = mu_q(lambda t: t)
     rep = involutivity_check(mu, np.array([0.8, -0.3, 1.2]))
     assert rep.all_passed, rep.to_text()
+
+
+def test_involutivity_pair_evaluates_each_point_once(monkeypatch,
+                                                     decompositions):
+    A = get_action("s1s1-on-so3")
+    mu = simple_mechanical_mu(A)
+    g = A.random_point(np.random.default_rng(47))
+    E = np.eye(3)
+    calls = []
+    original = type(A).gen_matrix
+
+    def counted(self, m):
+        calls.append(1)
+        return original(self, m)
+
+    monkeypatch.setattr(type(A), "gen_matrix", counted)
+    rep = involutivity_check(mu, g, pairs=[(E[0], E[1])])
+    assert rep.all_passed, rep.to_text()
+    # g once, then four bracket and four d_oneform difference points
+    assert len(calls) == 9
+    assert decompositions["pinv"] == 0

@@ -158,6 +158,24 @@ def test_pmf_connection_trivial_for_transitive_action():
     assert image_way.dim == 0
 
 
+def test_pmf_connection_finds_a_kernel_direction_off_the_basis():
+    # a stub frame whose generator of d_phi kills (e1 + e2)/sqrt(2) at the
+    # north pole, where the tangent basis is e1, e2
+    class Stub(PartialMovingFrame):
+        def dnat_phi(self, m, dm, h=1e-6):
+            return (dm[0] - dm[1]) * np.array([1.0, 0.0, 0.0])
+
+    def Y(m):
+        y = np.array([1.0, 0.0, 0.0]) - m[0] * m
+        return y / np.linalg.norm(y)
+
+    pmf = Stub(Y)
+    kernel_way, _ = pmf_connection(pmf, np.array([0.0, 0.0, 1.0]))
+    assert kernel_way.dim == 1
+    w = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
+    assert kernel_way.contains(w, 1e-12)
+
+
 def test_custom_field_rejected_when_not_unit():
     pmf = PartialMovingFrame(lambda m: 2.0 * eastward_field(m))
     with pytest.raises(DomainError):

@@ -70,6 +70,21 @@ def test_solve_consistent_raises_on_inconsistency():
     assert exc.value.residual > 0.1
 
 
+def test_solve_consistent_decomposes_once(decompositions):
+    rng = np.random.default_rng(13)
+    cases = []
+    for shape, rank in [((4, 4), 4), ((5, 5), 3), ((3, 6), 2), ((6, 3), 3)]:
+        A = rng.standard_normal((shape[0], rank)) @ rng.standard_normal(
+            (rank, shape[1]))
+        cases.append((A, A @ rng.standard_normal(shape[1])))
+    xs = [solve_consistent(A, b, 1e-8) for A, b in cases]
+    # one SVD per call: no pinv and no spectral norm on top of it
+    assert decompositions == {"svd": len(cases)}
+    for (A, b), x in zip(cases, xs):
+        ref = np.linalg.pinv(A, 1e-8) @ b
+        assert np.max(np.abs(x - ref)) <= 1e-15 * max(1.0, np.max(np.abs(ref)))
+
+
 def test_central_difference_jacobian():
     def f(x):
         return np.array([x[0] ** 2, x[0] * x[1]])

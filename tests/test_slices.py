@@ -4,6 +4,7 @@ import pytest
 from gconn.actions import get_action
 from gconn.connections import simple_mechanical_mu
 from gconn.groups import cay, exp_so3
+from gconn import slices
 from gconn.linalg import central_difference
 from gconn.slices import (Adaptor, AdaptorContractError, SliceCandidate,
                           abel_involutivity, adapted_dual_form,
@@ -156,3 +157,27 @@ def test_abel_involutivity(setup):
     rep = abel_involutivity(mu, adaptor, _pi(), _iota, samples=10,
                             rng=np.random.default_rng(44))
     assert rep.all_passed, rep.to_text()
+
+
+def test_abel_sample_evaluates_each_point_once(setup, monkeypatch):
+    A, mu, g0, adaptor = setup
+    gen_calls, adapted_calls = [], []
+    gen_matrix = type(A).gen_matrix
+
+    def counted_gen(self, m):
+        gen_calls.append(1)
+        return gen_matrix(self, m)
+
+    def counted_adapted(*args, **kwargs):
+        adapted_calls.append(1)
+        return adapted_inertia(*args, **kwargs)
+
+    monkeypatch.setattr(type(A), "gen_matrix", counted_gen)
+    monkeypatch.setattr(slices, "adapted_inertia", counted_adapted)
+    rep = abel_involutivity(mu, adaptor, _pi(), _iota, samples=1,
+                            rng=np.random.default_rng(48))
+    assert rep.all_passed, rep.to_text()
+    # the adapted form at m and at the four bracket difference points
+    assert len(adapted_calls) == 5
+    # those five, plus four difference points for the two d chi_phi terms
+    assert len(gen_calls) == 9
