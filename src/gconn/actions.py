@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import groups
-from .linalg import Subspace, TOL_RANK, rank_nullspace, range_space
+from .linalg import Subspace, TOL_RANK, norm, rank_nullspace, range_space
 
 
 class TorusSquareAlgebra:
@@ -125,7 +125,7 @@ class Action:
 
     def random_group(self, rng, scale=np.pi / 2):
         xi = rng.standard_normal(self.algebra.dim)
-        n = np.linalg.norm(xi)
+        n = norm(xi)
         if n > 0:
             xi *= scale * rng.random() / n
         return self.group_exp(xi)
@@ -184,14 +184,14 @@ class So3OnS2(So3OnVectors):
 
     def retract(self, m, v, t=1.0):
         p = np.asarray(m, float).ravel() + t * np.asarray(v, float).ravel()
-        return p / np.linalg.norm(p)
+        return p / norm(p)
 
     def dPhi(self, g, m, v):
         return np.asarray(g, float) @ np.asarray(v, float).ravel()
 
     def random_point(self, rng):
         p = rng.standard_normal(3)
-        return p / np.linalg.norm(p)
+        return p / norm(p)
 
 
 class So3OnUS2(So3OnVectors):
@@ -235,10 +235,10 @@ class So3OnUS2(So3OnVectors):
         m, u = self.split(p)
         dm, du = self.split(v)
         m2 = m + t * dm
-        m2 = m2 / np.linalg.norm(m2)
+        m2 = m2 / norm(m2)
         u2 = u + t * du
         u2 = u2 - (u2 @ m2) * m2
-        u2 = u2 / np.linalg.norm(u2)
+        u2 = u2 / norm(u2)
         return self.join(m2, u2)
 
     def dPhi(self, g, p, v):
@@ -248,10 +248,10 @@ class So3OnUS2(So3OnVectors):
 
     def random_point(self, rng):
         m = rng.standard_normal(3)
-        m /= np.linalg.norm(m)
+        m /= norm(m)
         u = rng.standard_normal(3)
         u -= (u @ m) * m
-        u /= np.linalg.norm(u)
+        u /= norm(u)
         return self.join(m, u)
 
 
@@ -297,8 +297,14 @@ class TorusSquareOnGroup(Action):
         return h @ m @ np.linalg.inv(k)
 
     def gen_matrix(self, m):
+        # [h, -Ad_m h] in F order: the products that consume K round by
+        # its layout, and callers' results are pinned in this one
         AdH = self.manifold_alg.conjugate_coords(m, self._h_stack)
-        return np.vstack([self.algebra.h.T, -AdH.T]).T
+        k = AdH.shape[1]
+        K = np.empty((self.vec_dim, 2 * k), order="F")
+        K[:, :k] = self.algebra.h
+        np.negative(AdH, out=K[:, k:])
+        return K
 
     def retract(self, m, v, t=1.0):
         X = self.manifold_alg.exp(t * np.asarray(v, float).ravel())
@@ -316,7 +322,7 @@ class TorusSquareOnGroup(Action):
 
     def random_point(self, rng):
         x = rng.standard_normal(self.manifold_alg.dim)
-        x /= max(np.linalg.norm(x), 1e-12)
+        x /= max(norm(x), 1e-12)
         return self.manifold_alg.exp(1.2 * rng.random() * x)
 
 
@@ -345,7 +351,7 @@ def is_regular(action: Action, m, probe_radius=1e-3, samples=20,
     d0 = isotropy_algebra(action, m, tol_rank).dim
     for _ in range(samples):
         v = action.random_tangent(rng, m)
-        n = np.linalg.norm(v)
+        n = norm(v)
         if n > 0:
             v = v / n
         m2 = action.retract(m, v, probe_radius * rng.random())

@@ -90,7 +90,8 @@ def scenario_so3_r3_docility(cfg: ScenarioConfig) -> VerificationReport:
     mu1 = connections.mu_q(lambda t: 1.0)
     mut = connections.mu_q(lambda t: t)
     origin = np.zeros(3)
-    ok, witness = curvature.docile(mu1, origin, h=cfg.fd_step)
+    ok, witness = curvature.docile(mu1, origin, h=cfg.fd_step,
+                                   tol_rank=cfg.tol_rank)
     rep.add_bool("non-docile", "constant-weight form fails docility at 0",
                  not ok)
     if witness is not None:
@@ -98,10 +99,11 @@ def scenario_so3_r3_docility(cfg: ScenarioConfig) -> VerificationReport:
         rep.add("witness-value",
                 "exterior derivative at 0 is twice the weighted cross "
                 "product", np.linalg.norm(val - 2.0 * cross(u, v)), 1e-6)
-    ok_t, _ = curvature.docile(mut, origin, h=cfg.fd_step)
+    ok_t, _ = curvature.docile(mut, origin, h=cfg.fd_step,
+                               tol_rank=cfg.tol_rank)
     rep.add_bool("docile", "vanishing-weight form is docile at 0", ok_t)
     u, v = rng.standard_normal(3), rng.standard_normal(3)
-    om = curvature.curvature(mut, origin, u, v, cfg.fd_step)
+    om = curvature.curvature(mut, origin, u, v, cfg.fd_step, cfg.tol_rank)
     rep.add("zero-curvature", "curvature at the origin vanishes",
             np.linalg.norm(om), 1e-7)
     return rep
@@ -161,7 +163,7 @@ def scenario_hxh_su3_curvature(cfg: ScenarioConfig) -> VerificationReport:
         u = rng.standard_normal(8)
         v = rng.standard_normal(8)
         cf = curvature.curvature_leftright_closed(A, g, u, v, cfg.tol_rank)
-        fd = curvature.curvature(nu, g, u, v, cfg.fd_step)
+        fd = curvature.curvature(nu, g, u, v, cfg.fd_step, cfg.tol_rank)
         worst = max(worst, float(np.max(np.abs(cf - fd))))
     rep.add("closed-vs-fd", "closed form agrees with finite differences",
             worst, 1e-5)
@@ -215,7 +217,8 @@ def scenario_s1s1_so3_slice(cfg: ScenarioConfig) -> VerificationReport:
 
     rep.extend(slices.slice_verify(sl, A, g0, samples=cfg.samples, rng=rng,
                                    stabilizer_sampler=stab,
-                                   nearby_sampler=nearby))
+                                   nearby_sampler=nearby,
+                                   tol_rank=cfg.tol_rank))
     # tangency reduces to orthogonality against the axis
     worst = 0.0
     for _ in range(cfg.samples):
@@ -236,7 +239,9 @@ def scenario_s1s1_so3_slice(cfg: ScenarioConfig) -> VerificationReport:
 
     rep.extend(slices.abel_involutivity(mu, ad, pi, iota,
                                         samples=cfg.samples, rng=rng,
-                                        tol=cfg.tol_struct))
+                                        tol=cfg.tol_struct,
+                                        tol_rank=cfg.tol_rank,
+                                        h=cfg.fd_step))
     return rep
 
 

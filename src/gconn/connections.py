@@ -15,7 +15,8 @@ from functools import cached_property
 import numpy as np
 
 from .actions import Action
-from .linalg import SVD, Subspace, TOL_RANK, range_space, rank_nullspace
+from .linalg import (SVD, Subspace, TOL_RANK, norm, range_space,
+                     rank_nullspace)
 from .report import VerificationReport
 
 
@@ -49,10 +50,6 @@ class DualForm:
 
     def __call__(self, m, v):
         return self.matrix(m) @ np.asarray(v, dtype=float).ravel()
-
-    def kernel(self, m, tol_rank=TOL_RANK) -> Subspace:
-        _, kern = rank_nullspace(self.matrix(m), tol_rank)
-        return kern
 
 
 class GValuedForm:
@@ -154,8 +151,8 @@ class PointEval:
         """Matrix of the projection gamma o mu onto the orbit tangent."""
         chi = self.inertia()
         X = self._svd.pinv @ self.M
-        resid = np.linalg.norm(chi @ X - self.M)
-        scale = max(np.linalg.norm(self.M), 1e-300)
+        resid = norm(chi @ X - self.M)
+        scale = max(norm(self.M), 1e-300)
         if resid > 1e-6 * scale:
             raise DegeneracyError(
                 f"range mu exceeds range chi (residual {resid:.2e})")
@@ -249,7 +246,7 @@ def equivariance_residual(mu: DualForm, g, m, v):
     lhs = mu(A.apply(g, pt.m), A.dPhi(g, pt.m, v))
     rhs = (coadjoint_matrix(A, A.group_inv(g))
            @ (pt.M @ np.asarray(v, dtype=float).ravel()))
-    return float(np.linalg.norm(lhs - rhs))
+    return norm(lhs - rhs)
 
 
 def dual_form_verify(mu: DualForm, samples=25, rng=None,
@@ -321,7 +318,7 @@ def pair_check(alpha: GValuedForm, chi_field, samples=20, rng=None,
         worst = 0.0
         for k in range(8):
             ray = A.random_tangent(rng, p)
-            n = np.linalg.norm(ray)
+            n = norm(ray)
             if n == 0:
                 continue
             ray = ray / n
@@ -329,8 +326,8 @@ def pair_check(alpha: GValuedForm, chi_field, samples=20, rng=None,
                     for eps in (1e-2, 1e-3, 1e-4)]
             # Cauchy behaviour along the ray plus agreement with the value at p
             worst = max(worst,
-                        np.linalg.norm(vals[1] - vals[2]),
-                        np.linalg.norm(vals[2] - M0) / 10.0)
+                        norm(vals[1] - vals[2]),
+                        norm(vals[2] - M0) / 10.0)
         rep.add("smooth-at-singular",
                 "chi.alpha continuous along rays into the singular point",
                 worst, 1e-2, "singular probe")

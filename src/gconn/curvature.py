@@ -14,7 +14,7 @@ import numpy as np
 
 from .actions import Action
 from .connections import DualForm, PointEval, at
-from .linalg import (FD_STEP, TOL_RANK, curve_derivative, range_space,
+from .linalg import (FD_STEP, TOL_RANK, curve_derivative, norm, range_space,
                      solve_consistent)
 from .report import VerificationReport
 
@@ -138,7 +138,7 @@ def tame(mu: DualForm, tol_sym=1e-8) -> DualForm:
     def matrix(m, K):
         M = mu.matrix(m, K)
         chi = M @ K
-        if np.linalg.norm(chi - chi.T) > tol_sym * max(1.0, np.linalg.norm(chi)):
+        if norm(chi - chi.T) > tol_sym * max(1.0, norm(chi)):
             raise ValueError("tame: inertia factor is not symmetric here")
         return chi @ A.algebra.gram_inv @ M
 
@@ -162,7 +162,10 @@ def curvature_leftright_closed(action, g, xi, omega, tol_rank=TOL_RANK):
     act = action.algebra
     G = alg.gram
     H = act.h                                # ambient coords of h basis
-    AdH = alg.Ad_matrix(g) @ H               # ambient coords of Ad_g h
+    K = action.gen_matrix(g)                 # [H, -Ad_g H]
+    # ambient coords of Ad_g h; C order keeps the products below bit-equal
+    # to those of alg.Ad_matrix(g) @ H on hxh-on-su3
+    AdH = np.ascontiguousarray(-K[:, H.shape[1]:])
     S = np.hstack([H, AdH])                  # spans h + Ad_g h
 
     def gamma_project(w):
@@ -178,7 +181,6 @@ def curvature_leftright_closed(action, g, xi, omega, tol_rank=TOL_RANK):
     # pairs h with Ad_g^-1 b as <Ad_g h, b>
     nab = np.concatenate([H.T @ G @ b, AdH.T @ G @ b])
 
-    K = np.vstack([H.T, -AdH.T]).T           # gen_matrix(g), same layout
     chi = K.T @ G @ K
     sharp = act.gram_inv
     zeta = solve_consistent(chi @ sharp @ chi, chi @ sharp @ nab,
@@ -254,7 +256,7 @@ def structure_residual(mu: DualForm, m, u, v, h=FD_STEP,
     corr = (_d_chi(mu, pt.m, u, h_nested) @ eta
             - _d_chi(mu, pt.m, v, h_nested) @ xi)
     rhs = pt.gamma(dmu - corr, 1e-4)
-    return float(np.linalg.norm(lhs - rhs))
+    return norm(lhs - rhs)
 
 
 def interior_product_residual(mu: DualForm, m, eta, v, h=FD_STEP,
@@ -273,13 +275,12 @@ def interior_product_residual(mu: DualForm, m, eta, v, h=FD_STEP,
     coad = (_acting_ad_matrix(A, eta).T
             @ (pt.M @ np.asarray(v, dtype=float).ravel()))
     dchi = _d_chi(mu, pt.m, v, h_nested) @ eta
-    return float(np.linalg.norm(lhs + coad + dchi))
+    return norm(lhs + coad + dchi)
 
 
 def good_chi_residual(mu: DualForm, m, u, zeta, h=FD_STEP_NESTED):
     """|d chi(u) zeta| for u in ker mu_m and zeta in the isotropy algebra."""
-    return float(np.linalg.norm(_d_chi(mu, m, u, h) @
-                                np.asarray(zeta, dtype=float).ravel()))
+    return norm(_d_chi(mu, m, u, h) @ np.asarray(zeta, dtype=float).ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -319,11 +320,11 @@ def involutivity_check(mu: DualForm, m, pairs=None, h=FD_STEP,
         Y = horizontal_field(mu, cj, tol_rank)
         br = field_bracket(A, X, Y, pt, h)
         om = curvature(mu, pt, X(pt), Y(pt), h, tol_rank)
-        scale = max(1.0, np.linalg.norm(br))
+        scale = max(1.0, norm(br))
         rep.add("horizontal-bracket",
                 "mu annihilates Omega(X,Y) + [X,Y]",
-                np.linalg.norm(pt.M @ (om + br)) / scale, tol, f"pair {k}")
+                norm(pt.M @ (om + br)) / scale, tol, f"pair {k}")
         rep.add("bracket-vertical-part",
                 "Omega(X,Y) = (P_Gamma - 1)[X,Y]",
-                np.linalg.norm(om + pt.P @ br) / scale, tol, f"pair {k}")
+                norm(om + pt.P @ br) / scale, tol, f"pair {k}")
     return rep

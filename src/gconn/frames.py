@@ -14,7 +14,8 @@ import numpy as np
 
 from .actions import get_action, So3OnUS2
 from .groups import cross, exp_so3, vee
-from .linalg import Subspace, TOL_RANK, curve_derivative, rank_nullspace
+from .linalg import (Subspace, TOL_RANK, curve_derivative, norm,
+                     rank_nullspace)
 from .report import VerificationReport
 
 
@@ -32,8 +33,8 @@ def _split(p):
 def rho_us2(p):
     """Left moving frame on the unit tangent bundle: columns (m, u, m x u)."""
     m, u = _split(p)
-    if (abs(np.linalg.norm(m) - 1.0) > 1e-10
-            or abs(np.linalg.norm(u) - 1.0) > 1e-10
+    if (abs(norm(m) - 1.0) > 1e-10
+            or abs(norm(u) - 1.0) > 1e-10
             or abs(m @ u) > 1e-10):
         raise DomainError("rho_us2: (m, u) is not an orthonormal pair")
     return np.array([m, u, cross(m, u)]).T
@@ -64,7 +65,7 @@ def eastward_field(m, cap=1e-2):
     """Unit field pointing along increasing longitude, poles excluded."""
     m = np.asarray(m, dtype=float).ravel()
     e = cross(np.array([0.0, 0.0, 1.0]), m)
-    n = np.linalg.norm(e)
+    n = norm(e)
     if n < np.sin(cap):
         raise DomainError("eastward_field: too close to a pole")
     return e / n
@@ -86,7 +87,7 @@ class PartialMovingFrame:
     def _field(self, m):
         m = np.asarray(m, dtype=float).ravel()
         y = np.asarray(self.Y(m), dtype=float).ravel()
-        if abs(np.linalg.norm(y) - 1.0) > 1e-9 or abs(y @ m) > 1e-9:
+        if abs(norm(y) - 1.0) > 1e-9 or abs(y @ m) > 1e-9:
             raise DomainError("seed field is not unit tangent here")
         return y
 
@@ -161,28 +162,28 @@ def beta_equivariance_check(pmf: PartialMovingFrame, samples=50, rng=None,
         beta = pmf.slip(g, m)
         gm = A.apply(g, m)
         rep.add("slip-property", "phi_g(m) . m = g . m",
-                np.linalg.norm(beta @ m - gm), 1e-9, tag)
+                norm(beta @ m - gm), 1e-9, tag)
         rep.add("slip-consistency", "phi(g m) = phi_g(m) phi(m)",
-                np.linalg.norm(pmf.phi(gm) - beta @ pmf.phi(m)), 1e-9, tag)
+                norm(pmf.phi(gm) - beta @ pmf.phi(m)), 1e-9, tag)
         # product rule for the trivialized derivative
         lhs = pmf.dnat_phi(gm, np.asarray(g, dtype=float) @ v, h)
         dbeta = pmf.dnat_slip(g, m, v, h)
         rhs = beta @ pmf.dnat_phi(m, v, h) + dbeta
         rep.add("product-rule",
                 "d_phi(dPhi_g v) = Ad_slip d_phi(v) + d_slip(v)",
-                np.linalg.norm(lhs - rhs), tol, tag)
+                norm(lhs - rhs), tol, tag)
         # generator-difference identity
         lhs2 = np.asarray(g, dtype=float) @ v - beta @ v
         rhs2 = A.gen_matrix(gm) @ dbeta
         rep.add("generator-difference",
                 "dPhi_g - dPhi_slip = generators of d_slip",
-                np.linalg.norm(lhs2 - rhs2), tol, tag)
+                norm(lhs2 - rhs2), tol, tag)
         # d_phi on generators is the identity modulo isotropy
         xi = rng.standard_normal(3)
         d = pmf.dnat_phi(m, A.gen_matrix(m) @ xi, h)
         rep.add("modulo-isotropy",
                 "d_phi(xi_M(m)) = xi up to the isotropy of m",
-                np.linalg.norm(A.gen_matrix(m) @ (d - xi)), 1e-6, tag)
+                norm(A.gen_matrix(m) @ (d - xi)), 1e-6, tag)
     return rep
 
 
@@ -210,7 +211,7 @@ def pmf_connection(pmf: PartialMovingFrame, m, tol_rank=TOL_RANK, h=1e-6):
     for b in basis:
         d = curve_derivative(
             lambda t: phim @ cross_section(pmf, A.retract(m, b, t)), h)
-        if np.linalg.norm(d) > 1e-6:
+        if norm(d) > 1e-6:
             img_vecs.append(d)
     image_way = Subspace(img_vecs, ambient_dim=3)
     return kernel_way, image_way
@@ -226,7 +227,7 @@ def _sample_off_poles(rng, cap=0.15):
         raise ValueError(f"_sample_off_poles: cap {cap} is outside [0, pi/2)")
     for _ in range(_OFF_POLE_TRIES):
         m = rng.standard_normal(3)
-        m /= np.linalg.norm(m)
+        m /= norm(m)
         if abs(m[2]) < np.cos(cap):
             return m
     raise ValueError(f"_sample_off_poles: no point off the poles in "

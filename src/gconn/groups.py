@@ -11,14 +11,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import Subspace, TOL_RANK
+from .linalg import Subspace, TOL_RANK, norm
 
 _EPS_AXIS = 1e-12
+
+# The 3x3 identity shared by exp_so3 and cay (read-only).
+_I3 = np.eye(3)
+_I3.flags.writeable = False
 
 
 def hat(v):
     """3-vector -> 3x3 skew matrix, so that hat(v) @ y = v x y."""
-    v = np.asarray(v, dtype=float).ravel()
+    v = np.asarray(v, dtype=float).ravel().tolist()
     return np.array([
         [0.0, -v[2], v[1]],
         [v[2], 0.0, -v[0]],
@@ -42,11 +46,11 @@ def cross(a, b):
 def exp_so3(v):
     """Rodrigues formula for exp of hat(v)."""
     v = np.asarray(v, dtype=float).ravel()
-    th = np.linalg.norm(v)
+    th = norm(v)
     A = hat(v)
     if th < _EPS_AXIS:
-        return np.eye(3) + A + 0.5 * A @ A
-    return (np.eye(3) + (np.sin(th) / th) * A
+        return _I3 + A + 0.5 * A @ A
+    return (_I3 + (np.sin(th) / th) * A
             + ((1.0 - np.cos(th)) / th**2) * A @ A)
 
 
@@ -56,7 +60,17 @@ def cay(eta):
     Rotation about eta by angle 2*atan(|eta|/2); cay(0) = I.
     """
     H = hat(np.asarray(eta, dtype=float) / 2.0)
-    return np.linalg.solve(np.eye(3) - H, np.eye(3) + H)
+    return np.linalg.solve(_I3 - H, _I3 + H)
+
+
+def cay_inv(R):
+    """Inverse of :func:`cay`: eta with hat(eta/2) = (I + R)^(-1) (R - I).
+
+    Raises ``np.linalg.LinAlgError`` where I + R is singular (R a half
+    turn, outside the image of cay).
+    """
+    R = np.asarray(R, dtype=float)
+    return 2.0 * vee(np.linalg.solve(_I3 + R, R - _I3))
 
 
 class LieAlgebra:
@@ -83,25 +97,43 @@ class LieAlgebra:
         self._flat = np.array(flat).T  # (2 n^2) x dim
         self._flat_pinv = np.linalg.pinv(self._flat)  # dim x (2 n^2)
         self._stacked = np.array(self.basis)  # dim x n x n
+        # a real basis has an all-zero imaginary half, which real input
+        # skips: the real half of the flattened basis and its columns of
+        # the pseudo-inverse
+        self._real = not np.iscomplexobj(self._stacked)
+        nn = self._stacked[0].size
+        self._flat_re = self._flat[:nn]
+        self._flat_pinv_re = np.ascontiguousarray(self._flat_pinv[:, :nn])
 
     # -- coordinates ---------------------------------------------------
 
     def matrix(self, coords):
         coords = np.asarray(coords, dtype=float).ravel()
-        M = sum(c * B for c, B in zip(coords, self.basis))
-        return np.asarray(M, dtype=complex if np.iscomplexobj(self.basis[0]) else float)
+        # the left-to-right sum from 0 of c_i B_i
+        return np.add.reduce(coords[:, None, None] * self._stacked, axis=0,
+                             initial=0.0)
 
     def _coords_columns(self, Ms):
         """Coordinates of a stack of k matrices, as a dim x k matrix.
 
         One product with the precomputed pseudo-inverse of the flattened
         basis; every column must reproduce its matrix to 1e-9 relative.
+        Real matrices on a real basis skip the imaginary half.
         """
-        Mc = np.asarray(Ms, dtype=complex).reshape(len(Ms), -1)
-        rhs = np.concatenate([Mc.real, Mc.imag], axis=1).T  # (2 n^2) x k
-        C = self._flat_pinv @ rhs
-        resid = np.linalg.norm(self._flat @ C - rhs, axis=0)
-        if np.any(resid > 1e-9 * np.maximum(1.0, np.linalg.norm(rhs, axis=0))):
+        Ms = np.asarray(Ms)
+        if self._real and Ms.dtype.kind != "c":
+            rhs = np.asarray(Ms, dtype=float).reshape(len(Ms), -1).T
+            C = self._flat_pinv_re @ rhs
+            d = self._flat_re @ C - rhs
+        else:
+            Mc = np.asarray(Ms, dtype=complex).reshape(len(Ms), -1)
+            rhs = np.concatenate([Mc.real, Mc.imag], axis=1).T  # (2 n^2) x k
+            C = self._flat_pinv @ rhs
+            d = self._flat @ C - rhs
+        # column norms by np.linalg.norm's formula for real input
+        resid = np.sqrt(np.add.reduce(d * d, axis=0))
+        scale = np.sqrt(np.add.reduce(rhs * rhs, axis=0))
+        if (resid > 1e-9 * np.maximum(1.0, scale)).any():
             raise ValueError(f"matrix not in the span of the {self.name} basis")
         return C
 
@@ -213,7 +245,7 @@ def orth_project(algebra: LieAlgebra, S, xi):
 
 def is_special_orthogonal(g, tol=1e-10):
     g = np.asarray(g, dtype=float)
-    return (np.linalg.norm(g.T @ g - np.eye(g.shape[0])) < tol
+    return (norm(g.T @ g - np.eye(g.shape[0])) < tol
             and abs(np.linalg.det(g) - 1.0) < tol)
 
 

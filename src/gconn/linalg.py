@@ -6,11 +6,13 @@ and central differences on matrices of dimension <= 16, so these helpers are
 kept deliberately simple and SVD-based.  :class:`SVD` decomposes a matrix
 once; its rank decision, pseudo-inverse, spectral norm and consistent solve
 all read from that one decomposition, and :func:`solve_consistent` is that
-solve on a fresh matrix.
+solve on a fresh matrix.  :func:`norm` is the Euclidean norm of a real
+array by numpy's own formula, without ``np.linalg.norm``'s dispatch.
 """
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -35,6 +37,19 @@ class InconsistentSystemError(ValueError):
     def __init__(self, message, residual):
         super().__init__(f"{message} (residual {residual:.3e})")
         self.residual = float(residual)
+
+
+def norm(x):
+    """Euclidean (Frobenius) norm of a real array, bit-equal to
+    ``np.linalg.norm(x)``: the square root of the flattened array dotted
+    with itself.  Complex input raises ``TypeError`` rather than losing its
+    imaginary part; use ``np.linalg.norm`` there.
+    """
+    x = np.asarray(x)
+    if x.dtype.kind == "c":
+        raise TypeError("norm: complex input")
+    x = np.asarray(x, dtype=float).ravel(order="K")
+    return math.sqrt(x.dot(x))
 
 
 class Subspace:
@@ -71,8 +86,8 @@ class Subspace:
         v = np.asarray(v, dtype=float).ravel()
         if v.size != self.ambient_dim:
             raise ValueError("dimension mismatch")
-        d = np.linalg.norm(v - self.project(v))
-        return d <= tol * max(1.0, np.linalg.norm(v))
+        d = norm(v - self.project(v))
+        return d <= tol * max(1.0, norm(v))
 
     def contains_subspace(self, other, tol=1e-8):
         return all(self.contains(other.basis[:, j], tol) for j in range(other.dim))
@@ -83,8 +98,14 @@ class Subspace:
 
 def _svd_rank(s, tol_rank):
     """Count of singular values ``s`` (descending) above tol_rank * s[0]."""
-    cutoff = tol_rank * s[0] if s.size and s[0] > 0 else 0.0
-    return int(np.sum(s > cutoff))
+    s = s.tolist()
+    cutoff = tol_rank * s[0] if s and s[0] > 0 else 0.0
+    return sum(x > cutoff for x in s)
+
+
+def _as_matrix(A):
+    A = np.asarray(A, dtype=float)
+    return A if A.ndim == 2 else np.atleast_2d(A)
 
 
 def rank_nullspace(A, tol_rank=TOL_RANK):
@@ -93,8 +114,8 @@ def rank_nullspace(A, tol_rank=TOL_RANK):
     Returns ``(rank, kernel)`` where ``kernel`` is a :class:`Subspace` of the
     domain.  Rank + kernel dimension equals the number of columns exactly.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    if not np.all(np.isfinite(A)):
+    A = _as_matrix(A)
+    if not np.isfinite(A).all():
         raise ValueError("rank_nullspace: non-finite entries")
     if A.size == 0:
         return 0, Subspace([], ambient_dim=A.shape[1])
@@ -107,8 +128,8 @@ def rank_nullspace(A, tol_rank=TOL_RANK):
 
 def range_space(A, tol_rank=TOL_RANK):
     """Column space of A as a :class:`Subspace`."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    if not np.all(np.isfinite(A)):
+    A = _as_matrix(A)
+    if not np.isfinite(A).all():
         raise ValueError("range_space: non-finite entries")
     U, s, _ = np.linalg.svd(A)
     out = Subspace([], ambient_dim=A.shape[0])
@@ -124,7 +145,7 @@ class SVD:
     """
 
     def __init__(self, A, tol_rank=TOL_RANK):
-        self.A = np.atleast_2d(np.asarray(A, dtype=float))
+        self.A = _as_matrix(A)
         self.tol_rank = tol_rank
         self.U, self.s, self.Vt = np.linalg.svd(self.A, full_matrices=False)
 
@@ -149,9 +170,9 @@ class SVD:
         """
         b = np.asarray(b, dtype=float).ravel()
         x = self.pinv @ b
-        resid = np.linalg.norm(self.A @ x - b)
+        resid = norm(self.A @ x - b)
         norm_A = self.s[0] if self.s.size else 0.0
-        scale = max(norm_A * np.linalg.norm(x), np.linalg.norm(b), 1e-300)
+        scale = max(norm_A * norm(x), norm(b), 1e-300)
         if resid > tol_consist * scale and resid > tol_consist:
             raise InconsistentSystemError(
                 "solve_consistent: b not in range(A)", resid)

@@ -16,7 +16,7 @@ from . import groups
 from .actions import Action, isotropy_algebra, orbit_tangent
 from .connections import DualForm, PointEval, at
 from .curvature import _d_chi, field_bracket
-from .linalg import Subspace, TOL_RANK, rank_nullspace
+from .linalg import Subspace, TOL_RANK, norm, rank_nullspace
 from .report import VerificationReport
 
 
@@ -104,8 +104,8 @@ def adapted_dual_form(mu: DualForm, adaptor: Adaptor, pi, iota) -> DualForm:
         pt = PointEval(mu, m, K=K)
         chi_phi = adapted_inertia(mu, adaptor, pt)
         im = np.asarray(iota(m), dtype=float)
-        resid = np.linalg.norm(pi - pi @ im @ chi_phi)
-        if resid > 1e-8 * max(1.0, np.linalg.norm(pi)):
+        resid = norm(pi - pi @ im @ chi_phi)
+        if resid > 1e-8 * max(1.0, norm(pi)):
             raise ValueError(
                 f"iota is not a restricted pseudo-inverse here "
                 f"(residual {resid:.3e})")
@@ -127,12 +127,12 @@ def almost_horizontal_basis(mu: DualForm, adaptor: Adaptor, m,
     gam = pt.kernel
     Adp = A.Ad_group(adaptor.phi(pt.m))
     K = pt.K
-    scale = max(1.0, np.linalg.norm(K))
+    scale = max(1.0, norm(K))
     gens = [K @ (Adp @ adaptor.iso0.basis[:, j])
             for j in range(adaptor.iso0.dim)]
     # generators may vanish identically at the base point itself; drop the
     # pure-roundoff vectors before the relative-rank reduction
-    gens = [g for g in gens if np.linalg.norm(g) > 1e-10 * scale]
+    gens = [g for g in gens if norm(g) > 1e-10 * scale]
     gen_sub = Subspace(gens, ambient_dim=A.vec_dim)
     vecs = ([gam.basis[:, j] for j in range(gam.dim)]
             + [gen_sub.basis[:, j] for j in range(gen_sub.dim)])
@@ -147,15 +147,21 @@ def almost_horizontal_basis(mu: DualForm, adaptor: Adaptor, m,
 
 class SliceCandidate:
     """A parametrized submanifold through m0, with tangent evaluator and a
-    Gauss-Newton membership test."""
+    Gauss-Newton membership test.
 
-    def __init__(self, m0, psi, tangent, param_dim, radius, velocity):
+    ``chart`` maps a manifold point to the parameters of a nearby slice
+    point (exactly inverting ``psi`` on the slice); Gauss-Newton starts
+    there when it is finite and inside ``radius``, at 0 otherwise.
+    """
+
+    def __init__(self, m0, psi, tangent, param_dim, radius, velocity, chart):
         self.m0 = m0
         self.psi = psi              # params -> manifold point
         self.tangent = tangent      # (params, dparams) -> tangent coords
         self.param_dim = param_dim
         self.radius = radius
         self.velocity = velocity    # (point, tangent coords) -> d point
+        self.chart = chart          # manifold point -> params
 
     def tangent_basis(self, params):
         E = np.eye(self.param_dim)
@@ -167,23 +173,32 @@ class SliceCandidate:
         return np.array([self.velocity(point, t).ravel()
                          for t in self.tangent_basis(params)]).T
 
+    def _start(self, m):
+        """Gauss-Newton's starting parameters: chart(m) if it is finite and
+        inside the radius, else 0."""
+        p = np.asarray(self.chart(m), dtype=float).ravel()
+        if np.isfinite(p).all() and norm(p) < self.radius:
+            return p
+        return np.zeros(self.param_dim)
+
     def locate(self, m, iters=25):
-        """Gauss-Newton inversion of psi; returns (params, residual)."""
+        """Gauss-Newton inversion of psi from :meth:`_start`; returns
+        (params, residual)."""
         target = np.asarray(m, dtype=float).ravel()
-        p = np.zeros(self.param_dim)
+        p = self._start(m)
         for _ in range(iters):
             point = np.asarray(self.psi(p), dtype=float)
             J = self.jacobian(p, point)
             step, *_ = np.linalg.lstsq(J, point.ravel() - target, rcond=None)
             p = p - step
-            if np.linalg.norm(step) < 1e-14:
+            if norm(step) < 1e-14:
                 break
         resid = np.asarray(self.psi(p), dtype=float).ravel() - target
-        return p, float(np.linalg.norm(resid))
+        return p, norm(resid)
 
     def contains(self, m, tol=1e-8):
         p, r = self.locate(m)
-        return r <= tol and np.linalg.norm(p) < self.radius
+        return r <= tol and norm(p) < self.radius
 
 
 def cayley_slice(sigma, g0, r=1.0) -> SliceCandidate:
@@ -192,10 +207,13 @@ def cayley_slice(sigma, g0, r=1.0) -> SliceCandidate:
 
     Tangents are returned in right-trivialized so(3) coordinates using the
     closed form for the trivialized derivative of the Cayley transform; the
-    tangent w at g is the velocity hat(w) g.
+    tangent w at g is the velocity hat(w) g.  The chart is the inverse
+    Cayley transform of R = g g0^-1, hat(eta/2) = (I + R)^-1 (R - I),
+    projected onto sigma-perp; it is non-finite where I + R is singular
+    (R a half turn).
     """
     sigma = np.asarray(sigma, dtype=float).ravel()
-    if abs(np.linalg.norm(sigma) - 1.0) > 1e-10:
+    if abs(norm(sigma) - 1.0) > 1e-10:
         raise ValueError("cayley_slice: sigma must be a unit vector")
     if not r < 2.0:
         raise ValueError("cayley_slice: radius must be < 2")
@@ -203,7 +221,7 @@ def cayley_slice(sigma, g0, r=1.0) -> SliceCandidate:
     # orthonormal basis of sigma-perp
     aux = np.eye(3)[np.argmin(np.abs(sigma))]
     b1 = groups.cross(sigma, aux)
-    b1 /= np.linalg.norm(b1)
+    b1 /= norm(b1)
     b2 = groups.cross(sigma, b1)
     B = np.array([b1, b2]).T  # 3 x 2
 
@@ -219,8 +237,17 @@ def cayley_slice(sigma, g0, r=1.0) -> SliceCandidate:
     def velocity(g, w):
         return groups.hat(w) @ g
 
+    g0_inv = np.linalg.inv(g0)
+
+    def chart(g):
+        try:
+            eta = groups.cay_inv(np.asarray(g, dtype=float) @ g0_inv)
+        except np.linalg.LinAlgError:
+            return np.full(2, np.nan)
+        return B.T @ eta
+
     return SliceCandidate(np.asarray(g0, dtype=float), psi, tangent, 2, r,
-                          velocity)
+                          velocity, chart)
 
 
 def slice_verify(S: SliceCandidate, action: Action, m0, samples=50,
@@ -238,7 +265,7 @@ def slice_verify(S: SliceCandidate, action: Action, m0, samples=50,
 
     def sample_params():
         p = rng.standard_normal(S.param_dim)
-        return 0.6 * S.radius * rng.random() * p / np.linalg.norm(p)
+        return 0.6 * S.radius * rng.random() * p / norm(p)
 
     # (i) direct sum at the base point
     t0 = S.tangent_basis(np.zeros(S.param_dim))
@@ -269,8 +296,8 @@ def slice_verify(S: SliceCandidate, action: Action, m0, samples=50,
         if nearby_sampler is not None:
             g = nearby_sampler(rng)
             gm = action.apply(g, m)
-            moved = np.linalg.norm(np.asarray(gm, dtype=float).ravel()
-                                   - np.asarray(m, dtype=float).ravel())
+            moved = norm(np.asarray(gm, dtype=float).ravel()
+                         - np.asarray(m, dtype=float).ravel())
             if moved > 1e-7:
                 rep.add_bool("slice-iii-off", "non-stabilizer leaves S",
                              not S.contains(gm, tol), f"sample {i}")
@@ -309,13 +336,13 @@ def abel_involutivity(mu: DualForm, adaptor: Adaptor, pi, iota, samples=20,
         X, Y = xi_field(E[ci]), xi_field(E[cj])
         pt_t = at(mu_t, m, tol_rank)
         br = field_bracket(A, X, Y, pt_t, h)
-        scale = max(1.0, np.linalg.norm(br))
+        scale = max(1.0, norm(br))
         rep.add("xi-involutive", "adapted form annihilates [X, Y]",
-                np.linalg.norm(pt_t.M @ br) / scale, tol, f"sample {i}")
+                norm(pt_t.M @ br) / scale, tol, f"sample {i}")
         pt = PointEval(mu, m, tol_rank, K=pt_t.K)
         xi_sub = almost_horizontal_basis(mu, adaptor, pt, tol_rank)
         rep.add("bracket-tangent", "[X, Y] stays inside Xi",
-                np.linalg.norm(br - xi_sub.project(br)) / scale, tol,
+                norm(br - xi_sub.project(br)) / scale, tol,
                 f"sample {i}")
         # correction terms of the relative structure equation
         Xm, Ym = X(pt_t), Y(pt_t)
@@ -327,6 +354,6 @@ def abel_involutivity(mu: DualForm, adaptor: Adaptor, pi, iota, samples=20,
         rep.add("corrections-vanish",
                 "d chi_phi(u) pi eta - d chi_phi(v) pi xi = 0 for horizontal "
                 "inputs",
-                np.linalg.norm(dchi_u @ eta_c - dchi_v @ xi_c), tol,
+                norm(dchi_u @ eta_c - dchi_v @ xi_c), tol,
                 f"sample {i}")
     return rep

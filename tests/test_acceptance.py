@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from gconn.actions import get_action, isotropy_algebra, orbit_tangent
-from gconn.connections import (mu_q, projection_P_mu, simple_mechanical_mu)
+from gconn.connections import (at, mu_q, projection_P_mu,
+                               simple_mechanical_mu)
 from gconn.curvature import (closed_curvature_matrix, curvature,
                              curvature_leftright_closed, docile,
                              good_chi_residual, interior_product_residual,
@@ -186,7 +187,7 @@ def test_criterion_05_projection_suite():
                                             np.linalg.norm(M, 2))
             dims_ok &= (rank_mu
                         == A.algebra.dim - isotropy_algebra(A, m).dim)
-            dims_ok &= (mu.kernel(m).dim + orbit_tangent(A, m).dim
+            dims_ok &= (at(mu, m).kernel.dim + orbit_tangent(A, m).dim
                         == A.vec_dim)
     ok = worst_idem < 1e-9 and worst_eq < 1e-8 and dims_ok
     _line(5, "projection-suite", ok,
@@ -220,7 +221,7 @@ def test_criterion_06_interior_product_and_annihilator():
         m *= (0.5 + rng.random()) / np.linalg.norm(m)
         worst_gc = max(worst_gc, good_chi_residual(mu3, m, _unit(m), _unit(m)))
         g = exp_so3(rng.uniform(0.2, 1.2) * SIGMA)
-        kern = mus.kernel(g)
+        kern = at(mus, g).kernel
         u = _unit(kern.basis @ rng.standard_normal(kern.dim))
         z = _unit(isotropy_algebra(B, g).basis[:, 0])
         worst_gc = max(worst_gc, good_chi_residual(mus, g, u, z))

@@ -37,6 +37,20 @@ def test_torus_generators_conjugate_h_only(monkeypatch, name, tol):
         A.gen_matrix(shear)
 
 
+@pytest.mark.parametrize("name", ["hxh-on-su3", "s1s1-on-so3"])
+def test_torus_generators_keep_the_transposed_vstack_layout(name):
+    A = get_action(name)
+    rng = np.random.default_rng(16)
+    for _ in range(200):
+        g = A.random_point(rng)
+        K = A.gen_matrix(g)
+        AdH = A.manifold_alg.conjugate_coords(g, A._h_stack)
+        ref = np.vstack([A.algebra.h.T, -AdH.T]).T
+        assert K.flags.f_contiguous and not K.flags.c_contiguous
+        assert K.dtype == ref.dtype and K.shape == ref.shape
+        assert np.array_equal(K.view(np.int64), ref.view(np.int64))
+
+
 def test_registry():
     assert sorted(ALL) == action_names()
     with pytest.raises(KeyError):

@@ -1,3 +1,4 @@
+import inspect
 import json
 import subprocess
 import sys
@@ -5,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from gconn import curvature, slices
 from gconn.cli import SCENARIOS, ScenarioConfig, main, run_scenario
 from gconn.report import VerificationReport
 
@@ -107,3 +109,38 @@ def test_property_suite_prefixes_check_ids():
     rep = run_scenario(cfg)
     prefixes = {c.check_id.split("/")[0] for c in rep.checks}
     assert prefixes == set(SCENARIOS) - {"property-suite-all"}
+
+
+def test_rank_and_step_flags_reach_the_checks(monkeypatch, tmp_path):
+    seen = []
+
+    def spy(module, name):
+        original = getattr(module, name)
+        signature = inspect.signature(original)
+
+        def spied(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            seen.append((name, bound.arguments))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spied)
+
+    for module, name in ((curvature, "docile"), (curvature, "curvature"),
+                         (slices, "slice_verify"),
+                         (slices, "abel_involutivity")):
+        spy(module, name)
+    for scenario in ("so3-r3-docility", "hxh-su3-curvature",
+                     "s1s1-so3-slice"):
+        main(["--scenario", scenario, "--samples", "2", "--tol-rank", "1e-9",
+              "--fd-step", "2e-5", "--out", str(tmp_path / "r.json")])
+    names = [name for name, _ in seen]
+    assert sorted(set(names)) == ["abel_involutivity", "curvature", "docile",
+                                  "slice_verify"]
+    assert names.count("docile") == 2
+    # the origin curvature and the two closed-vs-fd samples
+    assert names.count("curvature") == 3
+    for name, args in seen:
+        assert args["tol_rank"] == 1e-9, name
+        if name != "slice_verify":
+            assert args["h"] == 2e-5, name

@@ -10,6 +10,7 @@ from gconn.connections import (DegeneracyError, alpha_so3r3, at,
                                simple_mechanical_mu)
 from gconn.curvature import tame
 from gconn.groups import exp_so3, hat
+from gconn.linalg import rank_nullspace
 
 
 @pytest.fixture
@@ -119,7 +120,7 @@ def test_point_kernel_is_ker_mu(mu_t):
     m = np.array([0.4, -1.0, 0.3])
     pt = at(mu_t, m)
     assert pt.kernel is pt.kernel
-    assert np.array_equal(pt.kernel.basis, mu_t.kernel(m).basis)
+    assert np.array_equal(pt.kernel.basis, rank_nullspace(pt.M)[1].basis)
     assert pt.kernel.dim == 1
     assert np.linalg.norm(pt.M @ pt.kernel.basis) < 1e-12
 

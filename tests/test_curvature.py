@@ -94,8 +94,8 @@ def test_tame_preserves_kernel():
     rng = np.random.default_rng(34)
     for _ in range(3):
         g = A.random_point(rng)
-        km = mu.kernel(g)
-        kn = nu.kernel(g)
+        km = at(mu, g).kernel
+        kn = at(nu, g).kernel
         assert km.dim == kn.dim
         assert km.contains_subspace(kn, 1e-8)
 
@@ -190,20 +190,27 @@ def test_curvature_evaluates_generators_once_per_point(monkeypatch, name):
 
 
 def test_closed_curvature_computes_Ad_once(monkeypatch):
+    # g conjugates h once, inside the one gen_matrix call; the whole
+    # algebra is never conjugated
     A = get_action("hxh-on-su3")
     rng = np.random.default_rng(46)
     g = A.random_point(rng)
     u, v = rng.standard_normal(8), rng.standard_normal(8)
     calls = []
-    original = type(A.manifold_alg).Ad_matrix
 
-    def counted(self, h):
-        calls.append(1)
-        return original(self, h)
+    def counting(cls, name):
+        original = getattr(cls, name)
 
-    monkeypatch.setattr(type(A.manifold_alg), "Ad_matrix", counted)
+        def counted(self, *args):
+            calls.append(name)
+            return original(self, *args)
+
+        monkeypatch.setattr(cls, name, counted)
+
+    counting(type(A.manifold_alg), "Ad_matrix")
+    counting(type(A), "gen_matrix")
     curvature_leftright_closed(A, g, u, v)
-    assert len(calls) == 1
+    assert calls == ["gen_matrix"]
 
 
 def test_s1s1_curvature_flat():

@@ -182,3 +182,68 @@ def test_cross_matches_numpy_exactly():
     assert np.array_equal(cross(la, lb), np.cross(la, lb))
     with pytest.raises(ValueError):
         cross(np.ones(2), np.ones(3))
+
+
+def _same_bits(a, b):
+    """Equal dtype, shape and bits (so signed zeros count)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and np.array_equal(np.ascontiguousarray(a).view(np.int64),
+                               np.ascontiguousarray(b).view(np.int64)))
+
+
+def _signed_zero_samples(rng, n, count):
+    """Seeded coordinate vectors, some of whose entries are +0.0 or -0.0."""
+    for _ in range(count):
+        c = rng.standard_normal(n)
+        c[rng.random(n) < 0.3] = 0.0
+        c[rng.random(n) < 0.3] = -0.0
+        yield c
+
+
+def test_hat_matches_indexing_formula_bit_for_bit():
+    def reference(v):
+        v = np.asarray(v, dtype=float).ravel()
+        return np.array([[0.0, -v[2], v[1]],
+                         [v[2], 0.0, -v[0]],
+                         [-v[1], v[0], 0.0]])
+
+    rng = np.random.default_rng(17)
+    for v in _signed_zero_samples(rng, 3, 500):
+        assert _same_bits(hat(v), reference(v))
+    for v in ([0.0, -0.0, 1.5], [1, -2, 3], np.array([[0.5], [-0.0], [2.0]])):
+        assert _same_bits(hat(v), reference(v))
+
+
+@pytest.mark.parametrize("make", [su3_basis, so3_algebra])
+def test_algebra_matrix_matches_python_sum_bit_for_bit(make):
+    alg = make()
+
+    def reference(coords):
+        coords = np.asarray(coords, dtype=float).ravel()
+        M = sum(c * B for c, B in zip(coords, alg.basis))
+        return np.asarray(M, dtype=complex if np.iscomplexobj(alg.basis[0])
+                          else float)
+
+    rng = np.random.default_rng(18)
+    for c in _signed_zero_samples(rng, alg.dim, 500):
+        assert _same_bits(alg.matrix(c), reference(c))
+    for c in (np.zeros(alg.dim), -np.zeros(alg.dim)):
+        assert _same_bits(alg.matrix(c), reference(c))
+
+
+def test_so3_real_coordinates_match_the_complex_path_bit_for_bit():
+    alg = so3_algebra()
+    rng = np.random.default_rng(19)
+    for _ in range(500):
+        g = exp_so3(2.0 * rng.standard_normal(3))
+        stack = g @ alg._stacked @ g.T
+        for Ms in (stack, stack[:1], stack[1:], hat(rng.standard_normal(3))[None]):
+            assert _same_bits(alg._coords_columns(Ms),
+                              alg._coords_columns(Ms.astype(complex)))
+    # a nonzero imaginary part is outside the real span
+    M = hat([0.3, -1.0, 2.0]) + 1e-3j * hat([0.0, 1.0, 0.0])
+    with pytest.raises(ValueError):
+        alg.coords(M)
+    with pytest.raises(ValueError):
+        alg.coords(np.diag([1.0, 0.0, 0.0]))

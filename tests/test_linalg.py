@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from gconn.linalg import (InconsistentSystemError, Subspace,
                           central_difference, curve_derivative,
-                          directional_derivative, range_space,
+                          directional_derivative, norm, range_space,
                           rank_nullspace, solve_consistent)
 
 finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
@@ -125,3 +125,22 @@ def test_directional_and_curve_derivatives_agree():
     d2 = curve_derivative(lambda t: f(x + t * v), 1e-5)
     assert np.linalg.norm(d1 - d2) < 1e-12
     assert np.linalg.norm(d1 - np.cos(x) * v) < 1e-9
+
+
+def test_norm_is_numpys_norm_bit_for_bit():
+    rng = np.random.default_rng(15)
+    for _ in range(500):
+        v = rng.standard_normal(rng.integers(1, 20))
+        v *= 10.0 ** rng.integers(-8, 9)
+        A = rng.standard_normal(rng.integers(1, 9, size=2))
+        for x in (v, A, np.asfortranarray(A), A.T, A[::2, 1:]):
+            n = norm(x)
+            assert type(n) is float
+            assert n == np.linalg.norm(x)
+    ints = np.array([[3, -4], [12, 0]])
+    assert norm(ints) == np.linalg.norm(ints) == 13.0
+    assert norm([3, 4]) == 5.0
+    assert norm(np.zeros((0, 3))) == np.linalg.norm(np.zeros((0, 3)))
+    # an imaginary part is never dropped
+    with pytest.raises(TypeError):
+        norm(np.array([1.0, 1j]))

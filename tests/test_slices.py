@@ -134,6 +134,64 @@ def test_locate_jacobian_is_exact():
         assert np.linalg.norm(p - p0) < 1e-10
 
 
+def _zero_start(S):
+    """The same slice with Gauss-Newton always started at 0."""
+    return SliceCandidate(S.m0, S.psi, S.tangent, S.param_dim, S.radius,
+                          S.velocity, lambda m: np.zeros(S.param_dim))
+
+
+def test_locate_on_the_slice_evaluates_psi_twice():
+    S = cayley_slice(SIGMA, exp_so3(np.array([0.2, -0.1, 0.4])))
+    psi, calls = S.psi, []
+
+    def counted(p):
+        calls.append(1)
+        return psi(p)
+
+    S.psi = counted
+    for p0 in ([0.0, 0.0], [0.3, -0.2], [-0.55, 0.4], [0.1, 0.9]):
+        p0 = np.array(p0)
+        calls.clear()
+        p, resid = S.locate(psi(p0))
+        # one Gauss-Newton step from the chart, below 1e-14, and the final
+        # residual
+        assert len(calls) == 2
+        assert resid <= 1e-15
+        assert np.linalg.norm(p - p0) <= 1e-15
+
+
+def test_chart_start_matches_zero_start():
+    S = cayley_slice(SIGMA, np.eye(3))
+    Z = _zero_start(S)
+    rng = np.random.default_rng(49)
+    for _ in range(300):
+        p = rng.standard_normal(2)
+        m = S.psi(0.6 * rng.random() * p / np.linalg.norm(p))
+        R = exp_so3(2 * np.pi * rng.random() * SIGMA)
+        a, b = 0.2 * rng.standard_normal(2)
+        nearby = exp_so3(a * SIGMA) @ m @ exp_so3(-b * SIGMA)
+        for target in (R @ m @ R.T, nearby):
+            pc, rc = S.locate(target)
+            pz, rz = Z.locate(target)
+            assert np.linalg.norm(pc - pz) <= 1e-14
+            assert abs(rc - rz) <= 1e-14
+
+
+def test_locate_falls_back_to_the_zero_start():
+    S = cayley_slice(SIGMA, np.eye(3))
+    Z = _zero_start(S)
+    half_turn = np.diag([1.0, -1.0, -1.0])       # I + R exactly singular
+    assert not np.isfinite(S.chart(half_turn)).all()
+    near_half_turn = exp_so3(np.pi * np.array([1.0, 0.0, 0.0]))
+    outside = S.psi(np.array([1.2, -0.9]))       # chart value |p| = 1.5
+    for m in (near_half_turn, outside):
+        assert np.linalg.norm(S.chart(m)) >= S.radius
+    for m in (half_turn, near_half_turn, outside):
+        pc, rc = S.locate(m)
+        pz, rz = Z.locate(m)
+        assert np.array_equal(pc, pz) and rc == rz
+
+
 def test_slice_verify(setup):
     A, mu, g0, _ = setup
     S = cayley_slice(SIGMA, g0)
