@@ -8,7 +8,7 @@ R^3, the sphere and its unit tangent bundle, and two-sided torus actions on
 SO(3) and SU(3)); the ``gconn`` command runs the packaged scenarios.
 """
 
-from .connections import (DualForm, GValuedForm, DegeneracyError,
+from .connections import (DualForm, DegeneracyError,
                           simple_mechanical_mu, mu_q, inertia_factor,
                           gamma_apply, projection_P_mu)
 from .curvature import (covariant_derivative, docile, tame,
@@ -19,7 +19,7 @@ from .report import VerificationReport
 __version__ = "0.1.0"
 
 __all__ = [
-    "DualForm", "GValuedForm", "DegeneracyError", "simple_mechanical_mu",
+    "DualForm", "DegeneracyError", "simple_mechanical_mu",
     "mu_q", "inertia_factor", "gamma_apply", "projection_P_mu",
     "covariant_derivative", "docile", "tame",
     "curvature_leftright_closed", "get_action", "VerificationReport",

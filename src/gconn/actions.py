@@ -20,7 +20,7 @@ from . import groups
 from .linalg import Subspace, TOL_RANK, norm, rank_nullspace, range_space
 
 
-class TorusSquareAlgebra:
+class TorusSquareAlgebra(groups.GramMetric):
     """The abelian algebra h x h of a product-of-torus acting group.
 
     ``h`` is a subalgebra of the manifold algebra given by coordinate
@@ -41,18 +41,6 @@ class TorusSquareAlgebra:
 
     def bracket(self, a, b):  # abelian
         return np.zeros(self.dim)
-
-    def inner(self, a, b):
-        return float(np.asarray(a, float) @ self.gram @ np.asarray(b, float))
-
-    def norm(self, a):
-        return np.sqrt(max(self.inner(a, a), 0.0))
-
-    def flat(self, a):
-        return self.gram @ np.asarray(a, float).ravel()
-
-    def sharp(self, nu):
-        return self.gram_inv @ np.asarray(nu, float).ravel()
 
     def split(self, a):
         k = self.dim // 2
@@ -94,9 +82,6 @@ class Action:
     def gen_matrix(self, m):
         """vec_dim x alg_dim matrix of xi -> xi_M(m) in tangent coordinates."""
         raise NotImplementedError
-
-    def generator(self, xi, m):
-        return self.gen_matrix(m) @ np.asarray(xi, float).ravel()
 
     def retract(self, m, v, t=1.0):
         raise NotImplementedError
@@ -327,11 +312,6 @@ class TorusSquareOnGroup(Action):
 
 
 # ---------------------------------------------------------------------------
-
-def generator(action: Action, xi, m):
-    """Infinitesimal generator xi_M(m) in the action's tangent coordinates."""
-    return action.generator(xi, m)
-
 
 def isotropy_algebra(action: Action, m, tol_rank=TOL_RANK) -> Subspace:
     """Kernel of xi -> xi_M(m) in acting-algebra coordinates."""

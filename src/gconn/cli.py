@@ -3,19 +3,26 @@
 Each scenario assembles a :class:`VerificationReport`; the process exits 0
 exactly when every check in the report passes.  Reports are deterministic
 for a fixed seed and serialize byte-stably.
+
+The ``check_*`` builders are the one copy of the checks that the scenarios
+share with acceptance criteria 02, 07, 08 and 09 (criterion 03 runs
+``so3-r3-docility``); each appends its records to ``rep`` and draws only
+from the caller's ``rng``, with the caller's sample count and, where callers
+differ, point sampler or example data.  Criterion 01 reads only
+``_SU3_TABLE``.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import actions, connections, curvature, frames, slices
 from .groups import cross, exp_so3
-from .linalg import Subspace, range_space
+from .linalg import FD_STEP, TOL_RANK, Subspace, range_space
 from .report import VerificationReport
 
 
@@ -23,10 +30,10 @@ from .report import VerificationReport
 class ScenarioConfig:
     scenario: str
     seed: int = 0
-    tol_rank: float = 1e-8
+    tol_rank: float = TOL_RANK
     tol_eq: float = 1e-8
     tol_struct: float = 1e-5
-    fd_step: float = 1e-5
+    fd_step: float = FD_STEP
     samples: int = 20
     out: str | None = None
     fmt: str = "json"
@@ -79,7 +86,8 @@ def scenario_so3_r3_basics(cfg: ScenarioConfig) -> VerificationReport:
     chi_field = lambda m: connections.at(mu, m).chi
     rep.extend(connections.pair_check(alpha0, chi_field,
                                       samples=cfg.samples, rng=rng,
-                                      singular_points=[np.zeros(3)]))
+                                      singular_points=[np.zeros(3)],
+                                      tol_rank=cfg.tol_rank))
     return rep
 
 
@@ -121,11 +129,9 @@ _SU3_TABLE = {
 def scenario_hxh_su3_curvature(cfg: ScenarioConfig) -> VerificationReport:
     """Curvature of the tamed two-sided torus form on SU(3)."""
     rep = _report(cfg)
-    rng = cfg.rng()
     A = actions.get_action("hxh-on-su3")
-    mu = connections.simple_mechanical_mu(A)
-    nu = curvature.tame(mu)
     E = np.eye(8)
+    target = Subspace([E[0], E[4]])
     for theta in (np.pi / 5, np.pi / 3, 1.0):
         g = A.manifold_alg.exp(theta * E[7])
         tag = f"theta={theta:.6f}"
@@ -149,17 +155,21 @@ def scenario_hxh_su3_curvature(cfg: ScenarioConfig) -> VerificationReport:
         rep.add_bool("rank-two", "curvature has numerical rank two",
                      s[2] < 1e-10 * s[0] and s[1] > 1e-6 * s[0], tag)
         rng_sub = range_space(V.T, cfg.tol_rank)
-        span = np.zeros((8, 2))
-        span[0, 0] = 1.0
-        span[4, 1] = 1.0
-        target = Subspace([span[:, 0], span[:, 1]])
         rep.add_bool("range", "curvature range is the d1/s3 plane",
                      target.contains_subspace(rng_sub, 1e-8)
                      and rng_sub.contains_subspace(target, 1e-8), tag)
-    # closed form vs finite differences at random points
+    check_closed_vs_fd(rep, cfg, cfg.rng(), cfg.samples)
+    return rep
+
+
+def check_closed_vs_fd(rep, cfg, rng, samples, sample_point=None):
+    """Closed-form vs finite-difference curvature of tamed hxh-on-su3."""
+    A = actions.get_action("hxh-on-su3")
+    nu = curvature.tame(connections.simple_mechanical_mu(A))
+    sample_point = sample_point or A.random_point
     worst = 0.0
-    for _ in range(cfg.samples):
-        g = A.random_point(rng)
+    for _ in range(samples):
+        g = sample_point(rng)
         u = rng.standard_normal(8)
         v = rng.standard_normal(8)
         cf = curvature.curvature_leftright_closed(A, g, u, v, cfg.tol_rank)
@@ -167,7 +177,9 @@ def scenario_hxh_su3_curvature(cfg: ScenarioConfig) -> VerificationReport:
         worst = max(worst, float(np.max(np.abs(cf - fd))))
     rep.add("closed-vs-fd", "closed form agrees with finite differences",
             worst, 1e-5)
-    return rep
+
+
+SIGMA = np.array([0.0, 0.0, 1.0])  # axis of both circles of s1s1-on-so3
 
 
 def scenario_s1s1_so3_slice(cfg: ScenarioConfig) -> VerificationReport:
@@ -175,25 +187,9 @@ def scenario_s1s1_so3_slice(cfg: ScenarioConfig) -> VerificationReport:
     rep = _report(cfg)
     rng = cfg.rng()
     A = actions.get_action("s1s1-on-so3")
-    mu = connections.simple_mechanical_mu(A)
-    sigma = np.array([0.0, 0.0, 1.0])
-    g0 = np.eye(3)
-    # inertia eigenstructure
-    nup = np.array([1.0, 1.0]) / np.sqrt(2)
-    num = np.array([1.0, -1.0]) / np.sqrt(2)
-    worst = 0.0
-    for _ in range(cfg.samples):
-        g = A.random_point(rng)
-        chi = connections.at(mu, g).chi
-        r = float(sigma @ (g @ sigma))
-        worst = max(worst,
-                    np.linalg.norm(chi @ nup - (1 - r) * nup),
-                    np.linalg.norm(chi @ num - (1 + r) * num))
-    rep.add("chi-eigen", "inertia eigenvalues are 1 -+ <sigma, g sigma>",
-            worst, 1e-10)
+    check_chi_eigen(rep, rng, cfg.samples)
     # curvature identically zero
     worst = 0.0
-    nu = curvature.tame(mu)
     for _ in range(cfg.samples):
         g = A.random_point(rng)
         u, v = rng.standard_normal(3), rng.standard_normal(3)
@@ -201,57 +197,91 @@ def scenario_s1s1_so3_slice(cfg: ScenarioConfig) -> VerificationReport:
             curvature.curvature_leftright_closed(A, g, u, v, cfg.tol_rank)))
     rep.add("flat", "closed-form curvature vanishes identically", worst,
             1e-7)
-    # slice verification at the identity
-    sl = slices.cayley_slice(sigma, g0, r=1.0)
+    check_slice(rep, cfg, rng, cfg.samples)
+    check_abel_involutivity(rep, cfg, rng, cfg.samples)
+    return rep
+
+
+def check_chi_eigen(rep, rng, samples):
+    """Inertia eigenstructure of s1s1-on-so3 at random points."""
+    A = actions.get_action("s1s1-on-so3")
+    mu = connections.simple_mechanical_mu(A)
+    nup = np.array([1.0, 1.0]) / np.sqrt(2)
+    num = np.array([1.0, -1.0]) / np.sqrt(2)
+    worst = 0.0
+    for _ in range(samples):
+        g = A.random_point(rng)
+        chi = connections.at(mu, g).chi
+        r = float(SIGMA @ (g @ SIGMA))
+        worst = max(worst,
+                    np.linalg.norm(chi @ nup - (1 - r) * nup),
+                    np.linalg.norm(chi @ num - (1 + r) * num))
+    rep.add("chi-eigen", "inertia eigenvalues are 1 -+ <sigma, g sigma>",
+            worst, 1e-10)
+
+
+def check_slice(rep, cfg, rng, samples):
+    """``slice_verify`` and tangency of the s1s1-on-so3 Cayley slice."""
+    A = actions.get_action("s1s1-on-so3")
+    g0 = np.eye(3)
+    sl = slices.cayley_slice(SIGMA, g0, r=1.0)
 
     def stab(rg):
-        th = 2 * np.pi * rg.random()
-        R = exp_so3(th * sigma)
+        R = exp_so3(2 * np.pi * rg.random() * SIGMA)
         return (R, R)
 
     def nearby(rg):
         a, b = 0.2 * rg.standard_normal(2)
         while abs(a - b) < 1e-3:
             a, b = 0.2 * rg.standard_normal(2)
-        return (exp_so3(a * sigma), exp_so3(b * sigma))
+        return (exp_so3(a * SIGMA), exp_so3(b * SIGMA))
 
-    rep.extend(slices.slice_verify(sl, A, g0, samples=cfg.samples, rng=rng,
+    rep.extend(slices.slice_verify(sl, A, g0, samples=samples, rng=rng,
                                    stabilizer_sampler=stab,
                                    nearby_sampler=nearby,
                                    tol_rank=cfg.tol_rank))
     # tangency reduces to orthogonality against the axis
     worst = 0.0
-    for _ in range(cfg.samples):
+    for _ in range(samples):
         p = 0.4 * rng.standard_normal(2)
         g = sl.psi(p)
-        w = sigma + g @ sigma
+        w = SIGMA + g @ SIGMA
         for dp in np.eye(2):
             worst = max(worst, abs(float(sl.tangent(p, dp) @ w)))
     rep.add("tangency", "slice tangents annihilate sigma + g sigma",
             worst, 1e-8)
-    # involutivity of the almost-horizontal system
-    ad = slices.trivial_adaptor(A, g0)
+
+
+def check_abel_involutivity(rep, cfg, rng, samples):
+    """Involutivity near the identity of s1s1-on-so3, trivial adaptor."""
+    A = actions.get_action("s1s1-on-so3")
+    mu = connections.simple_mechanical_mu(A)
+    g0 = np.eye(3)
     pi = 0.5 * connections.at(mu, g0).chi
 
     def iota(g):
-        r = float(sigma @ (np.asarray(g) @ sigma))
+        r = float(SIGMA @ (np.asarray(g) @ SIGMA))
         return np.eye(2) / (1.0 + r)
 
-    rep.extend(slices.abel_involutivity(mu, ad, pi, iota,
-                                        samples=cfg.samples, rng=rng,
+    rep.extend(slices.abel_involutivity(mu, slices.trivial_adaptor(A, g0),
+                                        pi, iota, samples=samples, rng=rng,
                                         tol=cfg.tol_struct,
                                         tol_rank=cfg.tol_rank,
                                         h=cfg.fd_step))
-    return rep
 
 
 def scenario_us2_moving_frame(cfg: ScenarioConfig) -> VerificationReport:
     """Left moving frame on the unit tangent bundle of the sphere."""
     rep = _report(cfg)
-    rng = cfg.rng()
+    check_us2_frame(rep, cfg.rng(), cfg.samples)
+    return rep
+
+
+def check_us2_frame(rep, rng, samples):
+    """Equivariance and the closed-form derivative of the US^2 frame."""
     A = actions.get_action("so3-on-us2")
     worst_eq = worst_d = 0.0
-    for _ in range(cfg.samples):
+    for _ in range(samples):
         p = A.random_point(rng)
         g = A.random_group(rng)
         worst_eq = max(worst_eq, np.linalg.norm(
@@ -264,7 +294,6 @@ def scenario_us2_moving_frame(cfg: ScenarioConfig) -> VerificationReport:
     rep.add("dnat-closed-form",
             "trivialized derivative matches finite differences", worst_d,
             1e-6)
-    return rep
 
 
 def scenario_s2_pmf_beta(cfg: ScenarioConfig) -> VerificationReport:
@@ -283,11 +312,17 @@ def scenario_s2_pmf_beta(cfg: ScenarioConfig) -> VerificationReport:
             frames.cross_section(pmf, np.asarray(g) @ m)
             - frames.cross_section(pmf, m)))
     rep.add("cross-section", "phi(m)^-1 . m is orbit invariant", worst, 1e-8)
-    # geodesic curvature of latitude circles
+    check_latitude_curvature(rep, pmf, (0.6, 1.0, 1.4),
+                             np.linspace(0.0, 2.0, 5))
+    return rep
+
+
+def check_latitude_curvature(rep, pmf, thetas, ts):
+    """Latitude geodesic curvature at polar angles ``thetas``, times ``ts``."""
     worst = 0.0
-    for theta0 in (0.6, 1.0, 1.4):
+    for theta0 in thetas:
         pt, vel = frames.latitude_curve(theta0)
-        for t in np.linspace(0.0, 2.0, 5):
+        for t in ts:
             m, dm = pt(t), vel(t)
             d = pmf.dnat_phi(m, dm)
             pred = cross(m, dm) + m / np.tan(theta0)
@@ -295,21 +330,15 @@ def scenario_s2_pmf_beta(cfg: ScenarioConfig) -> VerificationReport:
     rep.add("latitude-curvature",
             "frame derivative along latitudes carries the cot(theta0) "
             "geodesic curvature", worst, 1e-5)
-    return rep
 
 
 def scenario_property_suite_all(cfg: ScenarioConfig) -> VerificationReport:
     """All scenarios with reduced sample counts, one deterministic report."""
     rep = _report(cfg)
-    sub = ScenarioConfig(scenario="", seed=cfg.seed, tol_rank=cfg.tol_rank,
-                         tol_eq=cfg.tol_eq, tol_struct=cfg.tol_struct,
-                         fd_step=cfg.fd_step,
-                         samples=max(4, cfg.samples // 4))
     for name in ("so3-r3-basics", "so3-r3-docility", "hxh-su3-curvature",
                  "s1s1-so3-slice", "us2-moving-frame", "s2-pmf-beta"):
-        sub.scenario = name
-        inner = SCENARIOS[name](sub)
-        for c in inner.checks:
+        sub = replace(cfg, scenario=name, samples=max(4, cfg.samples // 4))
+        for c in SCENARIOS[name](sub).checks:
             c.check_id = f"{name}/{c.check_id}"
             rep.checks.append(c)
     return rep
@@ -346,21 +375,19 @@ def main(argv=None):
     p = argparse.ArgumentParser(
         prog="gconn",
         description="verification scenarios for connection forms of "
-                    "non-free group actions")
+                    "non-free group actions",
+        argument_default=argparse.SUPPRESS)
     p.add_argument("--scenario", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol-rank", type=float, default=1e-8)
-    p.add_argument("--tol-eq", type=float, default=1e-8)
-    p.add_argument("--tol-struct", type=float, default=1e-5)
-    p.add_argument("--fd-step", type=float, default=1e-5)
-    p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    args = p.parse_args(argv)
-    cfg = ScenarioConfig(scenario=args.scenario, seed=args.seed,
-                         tol_rank=args.tol_rank, tol_eq=args.tol_eq,
-                         tol_struct=args.tol_struct, fd_step=args.fd_step,
-                         samples=args.samples, out=args.out, fmt=args.format)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--tol-rank", type=float)
+    p.add_argument("--tol-eq", type=float)
+    p.add_argument("--tol-struct", type=float)
+    p.add_argument("--fd-step", type=float)
+    p.add_argument("--samples", type=int)
+    p.add_argument("--out")
+    p.add_argument("--format", dest="fmt", choices=("json", "text"))
+    # omitted flags are absent, so the config's own defaults apply
+    cfg = ScenarioConfig(**vars(p.parse_args(argv)))
     try:
         rep = run_scenario(cfg)
     except KeyError as exc:

@@ -25,7 +25,9 @@ class DegeneracyError(ValueError):
 
 
 class DualForm:
-    """A dual-algebra-valued one-form, represented extensionally.
+    """A dual-algebra-valued one-form, represented extensionally.  The
+    algebra-valued forms (values in algebra coordinates) of
+    :func:`alpha_so3r3` and :func:`clean_alpha` use the same class.
 
     ``matrix(m)`` returns the (alg_dim x vec_dim) matrix of the pointwise
     linear map in the action's tangent coordinates and the dual basis.  A
@@ -47,21 +49,6 @@ class DualForm:
         if K is None:
             K = self.action.gen_matrix(m)
         return np.asarray(self._matrix_fn(m, K), dtype=float)
-
-    def __call__(self, m, v):
-        return self.matrix(m) @ np.asarray(v, dtype=float).ravel()
-
-
-class GValuedForm:
-    """An algebra-valued one-form (same layout, values in algebra coords)."""
-
-    def __init__(self, action: Action, matrix_fn, name="alpha"):
-        self.action = action
-        self._matrix_fn = matrix_fn
-        self.name = name
-
-    def matrix(self, m):
-        return np.asarray(self._matrix_fn(m), dtype=float)
 
     def __call__(self, m, v):
         return self.matrix(m) @ np.asarray(v, dtype=float).ravel()
@@ -202,7 +189,7 @@ def projection_P_mu(mu: DualForm, m, tol_rank=TOL_RANK):
     return at(mu, m, tol_rank).P
 
 
-def alpha_so3r3(f) -> GValuedForm:
+def alpha_so3r3(f) -> DualForm:
     """Algebra-valued form |m|^-2 m x v + f(m) <m, v> m on rotating R^3.
 
     Discontinuous at the origin (where it is set to zero) for every choice
@@ -218,25 +205,20 @@ def alpha_so3r3(f) -> GValuedForm:
         if n2 == 0.0:
             return np.zeros((3, 3))
         return hat(m) / n2 + f(m) * np.outer(m, m)
-    return GValuedForm(action, matrix, name="alpha_so3r3")
+    return DualForm(action, matrix, name="alpha_so3r3")
 
 
-def projection_P_alpha(alpha: GValuedForm, m):
+def projection_P_alpha(alpha: DualForm, m):
     """P_alpha = generator map composed with alpha."""
     return alpha.action.gen_matrix(m) @ alpha.matrix(m)
 
 
-def clean_alpha(alpha: GValuedForm) -> GValuedForm:
+def clean_alpha(alpha: DualForm) -> DualForm:
     """Compose alpha with its own projection, removing isotropy components."""
     def matrix(m):
         A = alpha.matrix(m)
         return A @ alpha.action.gen_matrix(m) @ A
-    return GValuedForm(alpha.action, matrix, name=alpha.name + "_clean")
-
-
-def coadjoint_matrix(action: Action, g_inv):
-    """Matrix of Ad* for the pullback identity: transpose of Ad_{g^-1}."""
-    return action.Ad_group(g_inv).T
+    return DualForm(alpha.action, matrix, name=alpha.name + "_clean")
 
 
 def equivariance_residual(mu: DualForm, g, m, v):
@@ -244,7 +226,8 @@ def equivariance_residual(mu: DualForm, g, m, v):
     A = mu.action
     pt = at(mu, m)
     lhs = mu(A.apply(g, pt.m), A.dPhi(g, pt.m, v))
-    rhs = (coadjoint_matrix(A, A.group_inv(g))
+    # Ad*_{g^-1} is the transpose of Ad_{g^-1}
+    rhs = (A.Ad_group(A.group_inv(g)).T
            @ (pt.M @ np.asarray(v, dtype=float).ravel()))
     return norm(lhs - rhs)
 
@@ -286,8 +269,9 @@ def dual_form_verify(mu: DualForm, samples=25, rng=None,
     return rep
 
 
-def pair_check(alpha: GValuedForm, chi_field, samples=20, rng=None,
-               singular_points=None, tol_eq=1e-6) -> VerificationReport:
+def pair_check(alpha: DualForm, chi_field, samples=20, rng=None,
+               singular_points=None, tol_eq=1e-6,
+               tol_rank=TOL_RANK) -> VerificationReport:
     """Classify (alpha, chi) as a partial connection pair by sampling.
 
     ``chi_field`` maps a point to an inertia-factor matrix.  Checks that
@@ -306,7 +290,7 @@ def pair_check(alpha: GValuedForm, chi_field, samples=20, rng=None,
         rep.add("mu-equivariance", "chi.alpha transforms like a dual form",
                 equivariance_residual(mu, g, m, v), tol_eq, f"sample {i}")
         try:
-            inertia_factor(mu, m)
+            inertia_factor(mu, m, tol_rank)
             rep.add_bool("nondegenerate", "ker chi_mu = isotropy", True,
                          f"sample {i}")
         except DegeneracyError:

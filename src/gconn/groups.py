@@ -73,7 +73,28 @@ def cay_inv(R):
     return 2.0 * vee(np.linalg.solve(_I3 + R, R - _I3))
 
 
-class LieAlgebra:
+class GramMetric:
+    """Coordinate-level metric of an algebra from the Gram matrix ``gram``
+    of its basis and the inverse ``gram_inv``, both set by the subclass."""
+
+    def inner(self, a, b):
+        a = np.asarray(a, dtype=float).ravel()
+        b = np.asarray(b, dtype=float).ravel()
+        return float(a @ self.gram @ b)
+
+    def norm(self, a):
+        return np.sqrt(max(self.inner(a, a), 0.0))
+
+    def flat(self, a):
+        """Lower an index: coordinates of <a, .> in the dual basis."""
+        return self.gram @ np.asarray(a, dtype=float).ravel()
+
+    def sharp(self, nu):
+        """Raise an index: the element whose pairing against the basis is nu."""
+        return self.gram_inv @ np.asarray(nu, dtype=float).ravel()
+
+
+class LieAlgebra(GramMetric):
     """A real matrix Lie algebra with a fixed ordered basis and inner product.
 
     The inner product is given by a matrix function on ambient matrices
@@ -162,24 +183,6 @@ class LieAlgebra:
 
     def Ad(self, g, a):
         return self.Ad_matrix(g) @ np.asarray(a, dtype=float).ravel()
-
-    # -- metric --------------------------------------------------------
-
-    def inner(self, a, b):
-        a = np.asarray(a, dtype=float).ravel()
-        b = np.asarray(b, dtype=float).ravel()
-        return float(a @ self.gram @ b)
-
-    def norm(self, a):
-        return np.sqrt(max(self.inner(a, a), 0.0))
-
-    def flat(self, a):
-        """Lower an index: coordinates of <a, .> in the dual basis."""
-        return self.gram @ np.asarray(a, dtype=float).ravel()
-
-    def sharp(self, nu):
-        """Raise an index: the element whose pairing against the basis is nu."""
-        return self.gram_inv @ np.asarray(nu, dtype=float).ravel()
 
     def exp(self, coords):
         """Matrix exponential of the algebra element with given coordinates.

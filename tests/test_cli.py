@@ -2,11 +2,12 @@ import inspect
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from gconn import curvature, slices
+from gconn import connections, curvature, slices
 from gconn.cli import SCENARIOS, ScenarioConfig, main, run_scenario
 from gconn.report import VerificationReport
 
@@ -111,6 +112,26 @@ def test_property_suite_prefixes_check_ids():
     assert prefixes == set(SCENARIOS) - {"property-suite-all"}
 
 
+def test_omitted_flags_echo_the_config_defaults(tmp_path):
+    for scenario in ("so3-r3-docility", "us2-moving-frame"):
+        out = tmp_path / f"{scenario}.json"
+        main(["--scenario", scenario, "--out", str(out)])
+        echo = json.loads(out.read_text())["config"]
+        assert echo == ScenarioConfig(scenario=scenario).echo()
+
+
+def test_property_suite_is_its_scenarios_at_a_quarter_of_the_samples():
+    suite = run_scenario(ScenarioConfig("property-suite-all", seed=3,
+                                        samples=8))
+    for name in sorted(set(SCENARIOS) - {"property-suite-all"}):
+        alone = run_scenario(ScenarioConfig(name, seed=3,
+                                            samples=max(4, 8 // 4)))
+        prefix = f"{name}/"
+        inner = [replace(c, check_id=c.check_id[len(prefix):])
+                 for c in suite.checks if c.check_id.startswith(prefix)]
+        assert inner == alone.checks, name
+
+
 def test_rank_and_step_flags_reach_the_checks(monkeypatch, tmp_path):
     seen = []
 
@@ -128,19 +149,20 @@ def test_rank_and_step_flags_reach_the_checks(monkeypatch, tmp_path):
 
     for module, name in ((curvature, "docile"), (curvature, "curvature"),
                          (slices, "slice_verify"),
-                         (slices, "abel_involutivity")):
+                         (slices, "abel_involutivity"),
+                         (connections, "pair_check")):
         spy(module, name)
-    for scenario in ("so3-r3-docility", "hxh-su3-curvature",
+    for scenario in ("so3-r3-basics", "so3-r3-docility", "hxh-su3-curvature",
                      "s1s1-so3-slice"):
         main(["--scenario", scenario, "--samples", "2", "--tol-rank", "1e-9",
               "--fd-step", "2e-5", "--out", str(tmp_path / "r.json")])
     names = [name for name, _ in seen]
     assert sorted(set(names)) == ["abel_involutivity", "curvature", "docile",
-                                  "slice_verify"]
+                                  "pair_check", "slice_verify"]
     assert names.count("docile") == 2
     # the origin curvature and the two closed-vs-fd samples
     assert names.count("curvature") == 3
     for name, args in seen:
         assert args["tol_rank"] == 1e-9, name
-        if name != "slice_verify":
+        if name not in ("slice_verify", "pair_check"):
             assert args["h"] == 2e-5, name
