@@ -22,7 +22,7 @@ import numpy as np
 
 from . import actions, connections, curvature, frames, slices
 from .groups import cross, exp_so3
-from .linalg import FD_STEP, TOL_RANK, Subspace, range_space
+from .linalg import FD_STEP, SVD, TOL_RANK, Subspace
 from .report import VerificationReport
 
 
@@ -150,11 +150,12 @@ def scenario_hxh_su3_curvature(cfg: ScenarioConfig) -> VerificationReport:
                     rep.add(f"zero-{i}{j}",
                             "curvature vanishes on this basis pair",
                             np.linalg.norm(om), 1e-9, tag)
-        V = np.array(vals)
-        s = np.linalg.svd(V, compute_uv=False)
+        svd = SVD(np.array(vals), cfg.tol_rank)
+        s = svd.s
         rep.add_bool("rank-two", "curvature has numerical rank two",
                      s[2] < 1e-10 * s[0] and s[1] > 1e-6 * s[0], tag)
-        rng_sub = range_space(V.T, cfg.tol_rank)
+        # the range of the curvature values is the row space of their stack
+        rng_sub = svd.row_space
         rep.add_bool("range", "curvature range is the d1/s3 plane",
                      target.contains_subspace(rng_sub, 1e-8)
                      and rng_sub.contains_subspace(target, 1e-8), tag)

@@ -15,8 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .actions import Action
-from .linalg import (SVD, Subspace, TOL_RANK, norm, range_space,
-                     rank_nullspace)
+from .linalg import SVD, Subspace, TOL_RANK, norm
 from .report import VerificationReport
 
 
@@ -82,11 +81,12 @@ class PointEval:
     """The geometry of a dual form at one point, evaluated once.
 
     Holds the generator matrix ``K``, the form ``M = mu_m`` and the inertia
-    factor ``chi = M K`` at m.  One SVD of chi, taken on first use, feeds
-    the kernel test (ker chi against the isotropy algebra ker K), the
-    projection ``P``, the solve behind the gamma map and the scale of its
-    consistency test (|chi|_2 = s[0]); ``kernel`` is ker mu_m.  Nothing
-    outlives the object, which callers build per call with :func:`at`.
+    factor ``chi = M K`` at m, and at most one :class:`SVD` of each, taken
+    on first use.  The SVD of chi feeds the kernel test (ker chi against
+    the isotropy algebra ker K), the projection ``P``, the solve behind the
+    gamma map and the scale of its consistency test (|chi|_2 = s[0]);
+    ``kernel`` is ker mu_m.  Nothing outlives the object, which callers
+    build per call with :func:`at`.
     """
 
     def __init__(self, mu: DualForm, m, tol_rank=TOL_RANK, K=None):
@@ -98,28 +98,31 @@ class PointEval:
         self.chi = self.M @ self.K
 
     @cached_property
-    def _svd(self):
-        # the error the kernel test has always raised on a non-finite chi
-        if not np.all(np.isfinite(self.chi)):
-            raise ValueError("rank_nullspace: non-finite entries")
+    def chi_svd(self) -> SVD:
         return SVD(self.chi, self.tol_rank)
 
     @cached_property
+    def M_svd(self) -> SVD:
+        return SVD(self.M, self.tol_rank)
+
+    @cached_property
+    def K_svd(self) -> SVD:
+        return SVD(self.K, self.tol_rank)
+
+    @property
     def kernel(self) -> Subspace:
         """ker mu_m, the horizontal space of the form at m."""
-        return rank_nullspace(self.M, self.tol_rank)[1]
+        return self.M_svd.kernel
 
     @cached_property
     def _degeneracy(self):
         """Why ker chi(m) differs from the isotropy algebra ker K, or None."""
-        svd = self._svd
-        kern = Subspace([], ambient_dim=self.chi.shape[1])
-        kern.basis = svd.Vt[svd.rank:].T
-        _, iso = rank_nullspace(self.K, self.tol_rank)
+        kern = self.chi_svd.kernel
+        iso = self.K_svd.kernel
         if kern.dim == iso.dim and iso.contains_subspace(kern, 1e-6):
             return None
         return (f"ker chi has dim {kern.dim}, isotropy dim {iso.dim} at "
-                "this point")
+                f"this point (cond {self.chi_svd.cond:.3e})")
 
     @property
     def nondegenerate(self) -> bool:
@@ -137,7 +140,7 @@ class PointEval:
     def P(self):
         """Matrix of the projection gamma o mu onto the orbit tangent."""
         chi = self.inertia()
-        X = self._svd.pinv @ self.M
+        X = self.chi_svd.pinv @ self.M
         resid = norm(chi @ X - self.M)
         scale = max(norm(self.M), 1e-300)
         if resid > 1e-6 * scale:
@@ -148,7 +151,7 @@ class PointEval:
     def solve(self, nu, tol_consist=1e-8):
         """Minimum-norm xi with chi(m) xi = nu, after the kernel test."""
         self.inertia()
-        return self._svd.solve(nu, tol_consist)
+        return self.chi_svd.solve(nu, tol_consist)
 
     def gamma(self, nu, tol_consist=1e-8):
         """Solve chi(m) xi = nu and return the generator xi_M(m)."""
@@ -248,17 +251,16 @@ def dual_form_verify(mu: DualForm, samples=25, rng=None,
         tag = f"sample {i}"
         pt = at(mu, m, tol_rank)
         kern = pt.kernel
-        orb = range_space(pt.K, tol_rank)
+        orb = pt.K_svd.range
         # direct sum: dimensions add up and the union spans
-        stacked = np.hstack([kern.basis, orb.basis])
-        r, _ = rank_nullspace(stacked, tol_rank)
+        r = SVD(np.hstack([kern.basis, orb.basis]), tol_rank).rank
         ok = (kern.dim + orb.dim == A.vec_dim and r == A.vec_dim)
         rep.add_bool("splitting", "T_m M = orbit-tangent + ker mu (direct)",
                      ok, tag)
         rep.add_bool("ker-chi", "ker chi = isotropy algebra",
                      pt.nondegenerate, tag)
-        rchi = range_space(pt.chi, tol_rank)
-        rmu = range_space(pt.M, tol_rank)
+        rchi = pt.chi_svd.range
+        rmu = pt.M_svd.range
         rep.add_bool("range-chi", "range chi = range mu",
                      rchi.dim == rmu.dim and rmu.contains_subspace(rchi, 1e-6),
                      tag)

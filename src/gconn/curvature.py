@@ -14,8 +14,7 @@ import numpy as np
 
 from .actions import Action
 from .connections import DualForm, PointEval, at
-from .linalg import (FD_STEP, TOL_RANK, curve_derivative, norm, range_space,
-                     solve_consistent)
+from .linalg import FD_STEP, SVD, TOL_RANK, curve_derivative, norm
 from .report import VerificationReport
 
 # Nested (second-derivative) steps are larger to limit noise amplification.
@@ -103,7 +102,7 @@ def docile(mu: DualForm, m, probes=None, tol=1e-7, h=FD_STEP,
     pt = at(mu, m, tol_rank)
     if probes is None:
         probes = [A.project_tangent(pt.m, e) for e in np.eye(A.vec_dim)]
-    rng_mu = range_space(pt.M, tol_rank)
+    rng_mu = pt.M_svd.range
     for i in range(len(probes)):
         for j in range(i + 1, len(probes)):
             val = covariant_derivative(mu, pt, probes[i], probes[j], h,
@@ -168,13 +167,11 @@ def curvature_leftright_closed(action, g, xi, omega, tol_rank=TOL_RANK):
     AdH = np.ascontiguousarray(-K[:, H.shape[1]:])
     S = np.hstack([H, AdH])                  # spans h + Ad_g h
 
-    def gamma_project(w):
-        # metric-orthogonal projection onto (h + Ad_g h)^perp
-        coeff, *_ = np.linalg.lstsq(S.T @ G @ S, S.T @ G @ w, rcond=tol_rank)
-        return w - S @ coeff
-
-    xi_h = gamma_project(np.asarray(xi, dtype=float).ravel())
-    om_h = gamma_project(np.asarray(omega, dtype=float).ravel())
+    # metric-orthogonal projection of xi and omega onto (h + Ad_g h)^perp
+    W = np.column_stack([np.asarray(xi, dtype=float).ravel(),
+                         np.asarray(omega, dtype=float).ravel()])
+    StG = S.T @ G
+    xi_h, om_h = (W - S @ (SVD(StG @ S, tol_rank).pinv @ (StG @ W))).T
     b = alg.bracket(xi_h, om_h)
 
     # covariant derivative on h x h; Ad_g is isometric, so the second half
@@ -183,8 +180,7 @@ def curvature_leftright_closed(action, g, xi, omega, tol_rank=TOL_RANK):
 
     chi = K.T @ G @ K
     sharp = act.gram_inv
-    zeta = solve_consistent(chi @ sharp @ chi, chi @ sharp @ nab,
-                            tol_rank, 1e-6)
+    zeta = SVD(chi @ sharp @ chi, tol_rank).solve(chi @ sharp @ nab, 1e-6)
     return K @ zeta
 
 

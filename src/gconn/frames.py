@@ -14,8 +14,7 @@ import numpy as np
 
 from .actions import get_action, So3OnUS2
 from .groups import cross, exp_so3, vee
-from .linalg import (Subspace, TOL_RANK, curve_derivative, norm,
-                     rank_nullspace)
+from .linalg import SVD, Subspace, TOL_RANK, curve_derivative, norm
 from .report import VerificationReport
 
 
@@ -202,9 +201,9 @@ def pmf_connection(pmf: PartialMovingFrame, m, tol_rank=TOL_RANK, h=1e-6):
     basis = [A.project_tangent(m, e) for e in np.eye(3)]
     P = np.array([K @ pmf.dnat_phi(m, b, h) for b in basis]).T
     T = Subspace(basis, ambient_dim=3)
-    _, ker = rank_nullspace(P @ T.basis, tol_rank)
-    kernel_way = Subspace([T.basis @ ker.basis[:, j] for j in range(ker.dim)],
-                          ambient_dim=3)
+    # both factors have orthonormal columns, so their product has too
+    kernel_way = Subspace.from_basis(
+        T.basis @ SVD(P @ T.basis, tol_rank).kernel.basis)
 
     phim = pmf.phi(m)
     img_vecs = []

@@ -1,7 +1,7 @@
 """Matrix Lie groups and algebras used by the built-in actions.
 
 Provides so(3) and su(3) with their standard bases, exponentials, the Cayley
-transform, adjoint actions, brackets and metric-aware orthogonal projections.
+transform, adjoint actions and brackets.
 Algebra elements are always handled through real coordinate vectors in a
 fixed ordered basis; the dual space uses the dual basis, so a dual vector's
 i-th coordinate is its value on the i-th basis element.
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import Subspace, TOL_RANK, norm
+from .linalg import norm
 
 _EPS_AXIS = 1e-12
 
@@ -228,24 +228,6 @@ def su3_basis():
     return LieAlgebra("su3", basis, lambda A, B: -np.trace(A @ B).real)
 
 
-def orth_project(algebra: LieAlgebra, S, xi):
-    """Orthogonal projection of xi onto the span of S in the algebra metric.
-
-    ``S`` is a list of coordinate vectors (or a Subspace over coordinates).
-    """
-    if isinstance(S, Subspace):
-        vecs = [S.basis[:, j] for j in range(S.dim)]
-    else:
-        vecs = [np.asarray(v, dtype=float).ravel() for v in S]
-    xi = np.asarray(xi, dtype=float).ravel()
-    if not vecs:
-        return np.zeros_like(xi)
-    B = np.array(vecs).T  # dim x k
-    G = algebra.gram
-    coeff = np.linalg.solve(B.T @ G @ B, B.T @ G @ xi)
-    return B @ coeff
-
-
 def is_special_orthogonal(g, tol=1e-10):
     g = np.asarray(g, dtype=float)
     return (norm(g.T @ g - np.eye(g.shape[0])) < tol
@@ -256,10 +238,3 @@ def is_special_unitary(g, tol=1e-10):
     g = np.asarray(g, dtype=complex)
     return (np.linalg.norm(g.conj().T @ g - np.eye(g.shape[0])) < tol
             and abs(np.linalg.det(g) - 1.0) < tol)
-
-
-def project_so3(M):
-    """Nearest special-orthogonal matrix (used by retractions)."""
-    U, _, Vt = np.linalg.svd(np.asarray(M, dtype=float))
-    D = np.diag([1.0, 1.0, np.linalg.det(U @ Vt)])
-    return U @ D @ Vt

@@ -3,11 +3,14 @@
 Everything downstream (inertia factors, curvature solves, slice tangency
 tests) reduces to rank/nullspace decisions, minimum-norm consistent solves
 and central differences on matrices of dimension <= 16, so these helpers are
-kept deliberately simple and SVD-based.  :class:`SVD` decomposes a matrix
-once; its rank decision, pseudo-inverse, spectral norm and consistent solve
-all read from that one decomposition, and :func:`solve_consistent` is that
-solve on a fresh matrix.  :func:`norm` is the Euclidean norm of a real
-array by numpy's own formula, without ``np.linalg.norm``'s dispatch.
+kept deliberately simple and SVD-based.  :class:`SVD` is the one place that
+decomposes a matrix: every rank, kernel, range and minimum-norm solve in the
+package keeps the singular values ``s > tol_rank * s[0]`` of that one
+decomposition, and the CLI's ``--tol-rank`` sets tol_rank.
+:func:`rank_nullspace`, :func:`range_space`, :func:`solve_consistent` and
+the reduction in :class:`Subspace` are views of it.  :func:`norm` is the
+Euclidean norm of a real array by numpy's own formula, without
+``np.linalg.norm``'s dispatch.
 """
 
 from __future__ import annotations
@@ -31,12 +34,15 @@ class InconsistentSystemError(ValueError):
     """Raised when a linear system has no solution at the given tolerance.
 
     Carries the least-squares residual so callers can report *how*
-    inconsistent the system was (this is the docility-failure signal).
+    inconsistent the system was (this is the docility-failure signal), and
+    the condition number of the matrix solved against.
     """
 
-    def __init__(self, message, residual):
-        super().__init__(f"{message} (residual {residual:.3e})")
+    def __init__(self, message, residual, cond):
+        super().__init__(f"{message} (residual {residual:.3e}, "
+                         f"cond {cond:.3e})")
         self.residual = float(residual)
+        self.cond = float(cond)
 
 
 def norm(x):
@@ -56,21 +62,28 @@ class Subspace:
     """A linear subspace of R^n stored as an orthonormal column basis.
 
     ``vectors`` may be any spanning set (rows or a list of 1-d arrays);
-    linearly dependent input is reduced via SVD at the given tolerance.
+    linearly dependent input is reduced to the row space of their
+    :class:`SVD` at the given tolerance.  :meth:`from_basis` takes a basis
+    that is already orthonormal.
     """
 
     def __init__(self, vectors, ambient_dim=None, tol=TOL_RANK):
         vectors = [np.asarray(v, dtype=float).ravel() for v in vectors]
         if vectors:
-            ambient_dim = len(vectors[0])
-            M = np.array(vectors)
-            U, s, Vt = np.linalg.svd(M, full_matrices=False)
-            self.basis = Vt[:_svd_rank(s, tol)].T  # n x r, orthonormal columns
+            self.basis = SVD(np.array(vectors), tol).row_space.basis
+        elif ambient_dim is None:
+            raise ValueError("empty subspace needs an ambient dimension")
         else:
-            if ambient_dim is None:
-                raise ValueError("empty subspace needs an ambient dimension")
             self.basis = np.zeros((ambient_dim, 0))
-        self.ambient_dim = int(ambient_dim)
+        self.ambient_dim = self.basis.shape[0]
+
+    @classmethod
+    def from_basis(cls, basis):
+        """The span of the orthonormal columns of ``basis`` (n x r)."""
+        out = cls.__new__(cls)
+        out.basis = basis
+        out.ambient_dim = basis.shape[0]
+        return out
 
     @property
     def dim(self):
@@ -103,80 +116,85 @@ def _svd_rank(s, tol_rank):
     return sum(x > cutoff for x in s)
 
 
-def _as_matrix(A):
-    A = np.asarray(A, dtype=float)
-    return A if A.ndim == 2 else np.atleast_2d(A)
-
-
-def rank_nullspace(A, tol_rank=TOL_RANK):
-    """Numerical rank and kernel of A via SVD.
-
-    Returns ``(rank, kernel)`` where ``kernel`` is a :class:`Subspace` of the
-    domain.  Rank + kernel dimension equals the number of columns exactly.
-    """
-    A = _as_matrix(A)
-    if not np.isfinite(A).all():
-        raise ValueError("rank_nullspace: non-finite entries")
-    if A.size == 0:
-        return 0, Subspace([], ambient_dim=A.shape[1])
-    U, s, Vt = np.linalg.svd(A)
-    rank = _svd_rank(s, tol_rank)
-    kern = Subspace([], ambient_dim=A.shape[1])
-    kern.basis = Vt[rank:].T
-    return rank, kern
-
-
-def range_space(A, tol_rank=TOL_RANK):
-    """Column space of A as a :class:`Subspace`."""
-    A = _as_matrix(A)
-    if not np.isfinite(A).all():
-        raise ValueError("range_space: non-finite entries")
-    U, s, _ = np.linalg.svd(A)
-    out = Subspace([], ambient_dim=A.shape[0])
-    out.basis = U[:, :_svd_rank(s, tol_rank)]
-    return out
-
-
 class SVD:
-    """One reduced singular value decomposition A = U diag(s) Vt.
+    """One full singular value decomposition A = U diag(s) Vt.
 
-    The rank decision (:func:`_svd_rank`), the pseudo-inverse and the
-    consistent solve all read from it; the spectral norm |A|_2 is s[0].
+    The matrix is checked for non-finite entries once (``ValueError``).
+    ``rank`` counts the singular values above tol_rank * s[0]
+    (:func:`_svd_rank`), and every other answer reads that one cutoff: the
+    ``kernel`` (the last rows of the full Vt, so a wide A has one), the
+    ``range``, the ``row_space``, the pseudo-inverse and the minimum-norm
+    consistent solve.  The spectral norm |A|_2 is s[0].
     """
 
     def __init__(self, A, tol_rank=TOL_RANK):
-        self.A = _as_matrix(A)
+        A = np.asarray(A, dtype=float)
+        self.A = A if A.ndim == 2 else np.atleast_2d(A)
+        if not np.isfinite(self.A).all():
+            raise ValueError("SVD: non-finite entries")
         self.tol_rank = tol_rank
-        self.U, self.s, self.Vt = np.linalg.svd(self.A, full_matrices=False)
+        self.U, self.s, self.Vt = np.linalg.svd(self.A)
+        self.rank = _svd_rank(self.s, tol_rank)
 
     @property
-    def rank(self):
-        return _svd_rank(self.s, self.tol_rank)
+    def cond(self):
+        """s[0] / s[rank - 1], the conditioning of A on its numerical
+        range; infinite at rank 0."""
+        return self.s[0] / self.s[self.rank - 1] if self.rank else math.inf
+
+    @cached_property
+    def kernel(self) -> Subspace:
+        return Subspace.from_basis(self.Vt[self.rank:].T)
+
+    @cached_property
+    def range(self) -> Subspace:
+        return Subspace.from_basis(self.U[:, :self.rank])
+
+    @cached_property
+    def row_space(self) -> Subspace:
+        return Subspace.from_basis(self.Vt[:self.rank].T)
 
     @cached_property
     def pinv(self):
-        """numpy's pseudo-inverse formula: the reciprocal of every singular
-        value above tol_rank * max(s), zero for the rest."""
-        s = self.s
-        large = s > self.tol_rank * np.max(s, initial=0.0)
-        s_inv = np.divide(1.0, s, where=large, out=np.zeros_like(s))
-        return self.Vt.T @ (s_inv[:, None] * self.U.T)
+        """numpy's pseudo-inverse formula over the singular values above the
+        cutoff; bit-equal to ``np.linalg.pinv(A, tol_rank)`` for a square
+        A (numpy decomposes a non-square one in reduced form)."""
+        r = self.rank
+        return self.Vt[:r].T @ ((1.0 / self.s[:r])[:, None] * self.U[:, :r].T)
 
     def solve(self, b, tol_consist=1e-8):
         """Minimum-norm solution of A x = b, requiring b in range(A).
 
-        Raises :class:`InconsistentSystemError` when the least-squares
-        residual exceeds ``tol_consist * max(|A||x|, |b|)``.
+        A non-finite ``b`` raises ``ValueError``.  Raises
+        :class:`InconsistentSystemError` when the least-squares residual
+        exceeds ``tol_consist * max(|A||x|, |b|)``.
         """
         b = np.asarray(b, dtype=float).ravel()
+        if not np.isfinite(b).all():
+            raise ValueError("SVD.solve: non-finite right-hand side")
         x = self.pinv @ b
         resid = norm(self.A @ x - b)
         norm_A = self.s[0] if self.s.size else 0.0
         scale = max(norm_A * norm(x), norm(b), 1e-300)
         if resid > tol_consist * scale and resid > tol_consist:
             raise InconsistentSystemError(
-                "solve_consistent: b not in range(A)", resid)
+                "solve_consistent: b not in range(A)", resid, self.cond)
         return x
+
+
+def rank_nullspace(A, tol_rank=TOL_RANK):
+    """Numerical rank and kernel of A; see :class:`SVD`.
+
+    Returns ``(rank, kernel)`` where ``kernel`` is a :class:`Subspace` of the
+    domain.  Rank + kernel dimension equals the number of columns exactly.
+    """
+    svd = SVD(A, tol_rank)
+    return svd.rank, svd.kernel
+
+
+def range_space(A, tol_rank=TOL_RANK):
+    """Column space of A as a :class:`Subspace`; see :class:`SVD`."""
+    return SVD(A, tol_rank).range
 
 
 def solve_consistent(A, b, tol_rank=TOL_RANK, tol_consist=1e-8):

@@ -16,7 +16,7 @@ from . import groups
 from .actions import Action, isotropy_algebra, orbit_tangent
 from .connections import DualForm, PointEval, at
 from .curvature import _d_chi, field_bracket
-from .linalg import Subspace, TOL_RANK, norm, rank_nullspace
+from .linalg import SVD, Subspace, TOL_RANK, norm
 from .report import VerificationReport
 
 
@@ -81,10 +81,16 @@ def adapted_inertia(mu: DualForm, adaptor: Adaptor, m, tol_rank=TOL_RANK):
     in the reference isotropy algebra.  ``m`` may be a point evaluation of
     mu (see :func:`gconn.connections.at`).
     """
+    A = mu.action
     pt = at(mu, m, tol_rank)
-    chi_phi = pt.chi @ mu.action.Ad_group(adaptor.phi(pt.m))
-    _, kern = rank_nullspace(chi_phi, tol_rank)
-    if not adaptor.iso0.contains_subspace(kern, 1e-6):
+    phi = adaptor.phi(pt.m)
+    chi_phi = pt.chi @ A.Ad_group(phi)
+    # ker chi_phi = Ad_phi^-1 ker chi, from the point's SVD of chi; only a
+    # non-trivial kernel needs the inverse
+    kern = pt.chi_svd.kernel.basis
+    if kern.size:
+        kern = A.Ad_group(A.group_inv(phi)) @ kern
+    if not all(adaptor.iso0.contains(v, 1e-6) for v in kern.T):
         raise AdaptorContractError(
             "ker chi_phi escapes the reference isotropy algebra")
     return chi_phi
@@ -134,9 +140,7 @@ def almost_horizontal_basis(mu: DualForm, adaptor: Adaptor, m,
     # pure-roundoff vectors before the relative-rank reduction
     gens = [g for g in gens if norm(g) > 1e-10 * scale]
     gen_sub = Subspace(gens, ambient_dim=A.vec_dim)
-    vecs = ([gam.basis[:, j] for j in range(gam.dim)]
-            + [gen_sub.basis[:, j] for j in range(gen_sub.dim)])
-    xi = Subspace(vecs, ambient_dim=A.vec_dim)
+    xi = Subspace([*gam.basis.T, *gen_sub.basis.T], ambient_dim=A.vec_dim)
     if xi.dim != gam.dim + gen_sub.dim:
         raise AdaptorContractError("Gamma + (Ad_phi g_m0)~ is not direct")
     return xi
@@ -189,7 +193,7 @@ class SliceCandidate:
         for _ in range(iters):
             point = np.asarray(self.psi(p), dtype=float)
             J = self.jacobian(p, point)
-            step, *_ = np.linalg.lstsq(J, point.ravel() - target, rcond=None)
+            step = SVD(J).pinv @ (point.ravel() - target)
             p = p - step
             if norm(step) < 1e-14:
                 break
@@ -270,8 +274,7 @@ def slice_verify(S: SliceCandidate, action: Action, m0, samples=50,
     # (i) direct sum at the base point
     t0 = S.tangent_basis(np.zeros(S.param_dim))
     orb0 = orbit_tangent(action, m0, tol_rank)
-    stacked = Subspace(t0 + [orb0.basis[:, j] for j in range(orb0.dim)],
-                       ambient_dim=action.vec_dim)
+    stacked = Subspace([*t0, *orb0.basis.T], ambient_dim=action.vec_dim)
     rep.add_bool("slice-i", "T_m0 M = T_m0 S (+) orbit tangent (direct)",
                  stacked.dim == len(t0) + orb0.dim
                  and stacked.dim == action.vec_dim)
@@ -282,8 +285,7 @@ def slice_verify(S: SliceCandidate, action: Action, m0, samples=50,
         # (ii) spanning away from the base point
         tb = S.tangent_basis(p)
         orb = orbit_tangent(action, m, tol_rank)
-        span = Subspace(tb + [orb.basis[:, j] for j in range(orb.dim)],
-                        ambient_dim=action.vec_dim)
+        span = Subspace([*tb, *orb.basis.T], ambient_dim=action.vec_dim)
         rep.add_bool("slice-ii", "T_m S + orbit tangent spans T_m M",
                      span.dim == action.vec_dim, f"sample {i}")
         # (iii) stabilizer stays on the slice ...

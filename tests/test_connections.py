@@ -156,6 +156,31 @@ def test_dual_form_verify_one_point_per_sample(monkeypatch):
     assert len(calls) == 2 * 3
 
 
+def test_dual_form_verify_decomposes_four_matrices_per_sample(
+        decompositions):
+    mu = simple_mechanical_mu(get_action("hxh-on-su3"))
+    rep = dual_form_verify(mu, samples=3, rng=np.random.default_rng(30))
+    assert rep.all_passed, rep.to_text()
+    # chi, M and K once each at the point, and the stacked splitting basis
+    assert decompositions == {"svd": 4 * 3}
+
+
+def test_near_singular_chi_names_its_cond():
+    # g = exp(t x) tilts the second circle's axis by t off the first, so
+    # chi's smaller singular value falls like t^2 while K keeps rank two
+    A = get_action("s1s1-on-so3")
+    mu = simple_mechanical_mu(A)
+    near = at(mu, exp_so3(np.array([1e-3, 0.0, 0.0])))
+    svd = near.chi_svd
+    assert near.nondegenerate and svd.rank == 2
+    assert svd.cond == svd.s[0] / svd.s[1] > 1e5
+    past = at(mu, exp_so3(np.array([1e-5, 0.0, 0.0])))
+    assert past.K_svd.rank == 2 and past.chi_svd.rank == 1
+    with pytest.raises(DegeneracyError) as exc:
+        past.inertia()
+    assert str(exc.value).endswith(f"(cond {past.chi_svd.cond:.3e})")
+
+
 def test_gamma_inverts_chi_on_orbit_tangent(mu_t):
     rng = np.random.default_rng(20)
     A = mu_t.action

@@ -189,6 +189,16 @@ def test_curvature_evaluates_generators_once_per_point(monkeypatch, name):
     assert len(calls) == 5
 
 
+def test_closed_curvature_decomposes_twice(decompositions):
+    A = get_action("hxh-on-su3")
+    rng = np.random.default_rng(46)
+    g = A.random_point(rng)
+    curvature_leftright_closed(A, g, rng.standard_normal(8),
+                               rng.standard_normal(8))
+    # one SVD projects xi and omega together, one solves the tamed system
+    assert decompositions == {"svd": 2}
+
+
 def test_closed_curvature_computes_Ad_once(monkeypatch):
     # g conjugates h once, inside the one gen_matrix call; the whole
     # algebra is never conjugated

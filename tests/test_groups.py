@@ -3,7 +3,7 @@ import pytest
 
 from gconn.groups import (LieAlgebra, cay, cross, exp_so3, hat, vee,
                           is_special_orthogonal, is_special_unitary,
-                          orth_project, project_so3, so3_algebra, su3_basis)
+                          so3_algebra, su3_basis)
 
 
 def test_hat_vee_roundtrip():
@@ -121,25 +121,6 @@ def test_coords_rejects_off_span():
     alg = so3_algebra()
     with pytest.raises(ValueError):
         alg.coords(np.eye(3))  # symmetric, not in so(3)
-
-
-def test_orth_project_idempotent_and_metric_orthogonal():
-    alg = su3_basis()
-    rng = np.random.default_rng(9)
-    S = [rng.standard_normal(8) for _ in range(3)]
-    xi = rng.standard_normal(8)
-    p = orth_project(alg, S, xi)
-    assert np.linalg.norm(orth_project(alg, S, p) - p) < 1e-10
-    for s in S:
-        assert abs(alg.inner(xi - p, s)) < 1e-9
-
-
-def test_project_so3():
-    rng = np.random.default_rng(10)
-    M = exp_so3(rng.standard_normal(3)) + 1e-3 * rng.standard_normal((3, 3))
-    g = project_so3(M)
-    assert is_special_orthogonal(g)
-    assert np.linalg.norm(g - M) < 5e-3
 
 
 @pytest.mark.parametrize("make", [su3_basis, so3_algebra])

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gconn.linalg import (InconsistentSystemError, Subspace,
+from gconn.linalg import (SVD, InconsistentSystemError, Subspace,
                           central_difference, curve_derivative,
                           directional_derivative, norm, range_space,
                           rank_nullspace, solve_consistent)
@@ -53,6 +53,9 @@ def test_range_space_matches_columns():
 def test_range_space_empty_and_non_finite():
     R = range_space(np.zeros((3, 0)))
     assert (R.dim, R.ambient_dim) == (0, 3)
+    # rank + nullity = columns holds for a matrix without rows too
+    r, kern = rank_nullspace(np.zeros((0, 3)))
+    assert (r, kern.dim) == (0, 3)
     with pytest.raises(ValueError):
         range_space(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
@@ -83,6 +86,44 @@ def test_solve_consistent_decomposes_once(decompositions):
     for (A, b), x in zip(cases, xs):
         ref = np.linalg.pinv(A, 1e-8) @ b
         assert np.max(np.abs(x - ref)) <= 1e-15 * max(1.0, np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda A, b: SVD(A).rank,
+    lambda A, b: Subspace(A),
+    lambda A, b: rank_nullspace(A),
+    lambda A, b: range_space(A),
+    lambda A, b: solve_consistent(A, np.ones(2)),
+    lambda A, b: solve_consistent(np.eye(2), b),
+    lambda A, b: SVD(np.eye(2)).solve(b),
+], ids=["SVD", "Subspace", "rank_nullspace", "range_space",
+        "solve_consistent-A", "solve_consistent-b", "SVD.solve-b"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_raises(call, bad):
+    A = np.array([[bad, 1.0], [0.0, 1.0]])
+    b = np.array([bad, 1.0])
+    # numpy's LinAlgError is a ValueError too; the match tells them apart
+    with pytest.raises(ValueError, match="non-finite"):
+        call(A, b)
+
+
+def test_svd_answers_share_one_cutoff():
+    rng = np.random.default_rng(17)
+    A = rng.standard_normal((4, 2)) @ rng.standard_normal((2, 4))
+    svd = SVD(A)
+    assert svd.rank == 2
+    assert (svd.kernel.dim, svd.range.dim, svd.row_space.dim) == (2, 2, 2)
+    assert np.linalg.norm(A @ svd.kernel.basis) < 1e-12
+    assert svd.row_space.contains_subspace(range_space(A.T), 1e-12)
+    assert np.array_equal(svd.pinv, np.linalg.pinv(A, 1e-8))
+    assert svd.cond == svd.s[0] / svd.s[1]
+
+
+def test_inconsistent_solve_names_its_cond():
+    svd = SVD(np.diag([1.0, 1e-3, 0.0]))
+    with pytest.raises(InconsistentSystemError, match=r"cond 1\.000e\+03"):
+        svd.solve(np.array([0.0, 0.0, 1.0]))
+    assert SVD(np.zeros((2, 2))).cond == np.inf
 
 
 def test_central_difference_jacobian():

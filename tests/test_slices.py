@@ -160,6 +160,16 @@ def test_locate_on_the_slice_evaluates_psi_twice():
         assert np.linalg.norm(p - p0) <= 1e-15
 
 
+def test_locate_steps_by_the_svd_pseudo_inverse(decompositions):
+    S = cayley_slice(SIGMA, exp_so3(np.array([0.2, -0.1, 0.4])))
+    p0 = np.array([0.3, -0.2])
+    p, resid = S.locate(S.psi(p0))
+    assert resid <= 1e-15
+    # one Gauss-Newton step from the chart: one SVD of its Jacobian, and
+    # no lstsq with a cutoff of its own
+    assert decompositions == {"svd": 1}
+
+
 def test_chart_start_matches_zero_start():
     S = cayley_slice(SIGMA, np.eye(3))
     Z = _zero_start(S)
