@@ -83,6 +83,10 @@ class Action:
         """vec_dim x alg_dim matrix of xi -> xi_M(m) in tangent coordinates."""
         raise NotImplementedError
 
+    # (m, w, K) -> derivative of gen_matrix along t -> retract(m, w, t),
+    # given K = gen_matrix(m); None where only finite differences know it
+    dgen_matrix = None
+
     def retract(self, m, v, t=1.0):
         raise NotImplementedError
 
@@ -290,6 +294,17 @@ class TorusSquareOnGroup(Action):
         K[:, :k] = self.algebra.h
         np.negative(AdH, out=K[:, k:])
         return K
+
+    def dgen_matrix(self, m, w, K):
+        """Derivative of :meth:`gen_matrix` along t -> exp(t w) m.
+
+        Ad_{exp(t w) m} = Ad_{exp(t w)} Ad_m, so the h columns stay constant
+        and the -Ad_m h columns of K move by ad_w: dK = [0, ad_w K[:, k:]].
+        """
+        k = K.shape[1] // 2
+        dK = np.zeros(K.shape, order="F")
+        dK[:, k:] = self.manifold_alg.ad_matrix(w) @ K[:, k:]
+        return dK
 
     def retract(self, m, v, t=1.0):
         X = self.manifold_alg.exp(t * np.asarray(v, float).ravel())

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import actions, connections, curvature, frames, slices
 from .groups import cross, exp_so3
-from .linalg import FD_STEP, SVD, TOL_RANK, Subspace
+from .linalg import FD_STEP, SVD, TOL_RANK, Subspace, curve_derivative
 from .report import VerificationReport
 
 
@@ -160,13 +160,16 @@ def scenario_hxh_su3_curvature(cfg: ScenarioConfig) -> VerificationReport:
                      target.contains_subspace(rng_sub, 1e-8)
                      and rng_sub.contains_subspace(target, 1e-8), tag)
     check_closed_vs_fd(rep, cfg, cfg.rng(), cfg.samples)
+    check_d_exact_vs_fd(rep, cfg, cfg.rng(), cfg.samples,
+                        curvature.tame(connections.simple_mechanical_mu(A)))
     return rep
 
 
 def check_closed_vs_fd(rep, cfg, rng, samples, sample_point=None):
     """Closed-form vs finite-difference curvature of tamed hxh-on-su3."""
     A = actions.get_action("hxh-on-su3")
-    nu = curvature.tame(connections.simple_mechanical_mu(A))
+    nu = connections.fd_oracle(
+        curvature.tame(connections.simple_mechanical_mu(A)))
     sample_point = sample_point or A.random_point
     worst = 0.0
     for _ in range(samples):
@@ -178,6 +181,23 @@ def check_closed_vs_fd(rep, cfg, rng, samples, sample_point=None):
         worst = max(worst, float(np.max(np.abs(cf - fd))))
     rep.add("closed-vs-fd", "closed form agrees with finite differences",
             worst, 1e-5)
+
+
+def check_d_exact_vs_fd(rep, cfg, rng, samples, mu):
+    """The exact derivative ``dmatrix`` of mu against central differences
+    of its matrix along the retraction, at random points and directions."""
+    A = mu.action
+    worst = 0.0
+    for _ in range(samples):
+        m = A.random_point(rng)
+        w = A.random_tangent(rng, m)
+        fd = curve_derivative(lambda t: mu.matrix(A.retract(m, w, t)),
+                              cfg.fd_step)
+        worst = max(worst, np.linalg.norm(
+            mu.dmatrix(m, w, A.gen_matrix(m)) - fd))
+    rep.add("d-exact-vs-fd",
+            "exact derivative of the form matches finite differences",
+            worst, 1e-6)
 
 
 SIGMA = np.array([0.0, 0.0, 1.0])  # axis of both circles of s1s1-on-so3
@@ -200,6 +220,8 @@ def scenario_s1s1_so3_slice(cfg: ScenarioConfig) -> VerificationReport:
             1e-7)
     check_slice(rep, cfg, rng, cfg.samples)
     check_abel_involutivity(rep, cfg, rng, cfg.samples)
+    check_d_exact_vs_fd(rep, cfg, cfg.rng(), cfg.samples,
+                        connections.simple_mechanical_mu(A))
     return rep
 
 

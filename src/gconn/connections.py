@@ -33,14 +33,20 @@ class DualForm:
     form built from the generators (``uses_generators``) is given the
     generator matrix ``K`` at m as a second argument; ``matrix(m, K)``
     passes on the one a caller already holds, ``matrix(m)`` evaluates it.
+
+    ``dmatrix(m, w, K)``, if given, is the exact derivative of ``matrix``
+    along t -> retract(m, w, t), with K the generator matrix at m; the
+    derivatives in :mod:`gconn.curvature` read it, and fall back to finite
+    differences where it is None (see :func:`fd_oracle`).
     """
 
     def __init__(self, action: Action, matrix_fn, name="mu",
-                 uses_generators=False):
+                 uses_generators=False, dmatrix=None):
         self.action = action
         self._matrix_fn = matrix_fn
         self.name = name
         self.uses_generators = uses_generators
+        self.dmatrix = dmatrix
 
     def matrix(self, m, K=None):
         if not self.uses_generators:
@@ -54,10 +60,30 @@ class DualForm:
 
 
 def simple_mechanical_mu(action: Action) -> DualForm:
-    """mu(v) . xi = <v, xi_M(m)> in the action's invariant metric."""
+    """mu(v) . xi = <v, xi_M(m)> in the action's invariant metric.
+
+    Exactly differentiable, dK^T G, where the action has ``dgen_matrix``:
+    those actions are on group manifolds, whose metric G is the constant
+    Gram of the manifold algebra.
+    """
     def matrix(m, K):
         return K.T @ action.tangent_metric(m)
-    return DualForm(action, matrix, name="mu_mech", uses_generators=True)
+
+    dmatrix = None
+    if action.dgen_matrix is not None:
+        def dmatrix(m, w, K):
+            return action.dgen_matrix(m, w, K).T @ action.tangent_metric(m)
+
+    return DualForm(action, matrix, name="mu_mech", uses_generators=True,
+                    dmatrix=dmatrix)
+
+
+def fd_oracle(mu: DualForm) -> DualForm:
+    """The same form without its exact derivative, so that every derivative
+    of it is taken by central differences: the independent oracle that the
+    exact derivatives are checked against."""
+    return DualForm(mu.action, mu._matrix_fn, name=mu.name,
+                    uses_generators=mu.uses_generators)
 
 
 def mu_q(q, action: Action | None = None) -> DualForm:
@@ -86,15 +112,16 @@ class PointEval:
     the isotropy algebra ker K), the projection ``P``, the solve behind the
     gamma map and the scale of its consistency test (|chi|_2 = s[0]);
     ``kernel`` is ker mu_m.  Nothing outlives the object, which callers
-    build per call with :func:`at`.
+    build per call with :func:`at`; a caller that already holds ``K`` or
+    ``M`` at m passes it on.
     """
 
-    def __init__(self, mu: DualForm, m, tol_rank=TOL_RANK, K=None):
+    def __init__(self, mu: DualForm, m, tol_rank=TOL_RANK, K=None, M=None):
         self.mu = mu
         self.m = m
         self.tol_rank = tol_rank
         self.K = mu.action.gen_matrix(m) if K is None else K
-        self.M = mu.matrix(m, self.K)
+        self.M = mu.matrix(m, self.K) if M is None else M
         self.chi = self.M @ self.K
 
     @cached_property

@@ -1,11 +1,19 @@
 """Exterior/covariant derivatives of dual forms, docility and curvature.
 
-All derivatives are finite differences through the action's retraction.  On
-group manifolds one-forms are differentiated along right-invariant
-extensions of frozen tangent coordinates, with the standard bracket
-correction for right-invariant fields; on embedded manifolds the frozen
-coordinates are extended by pointwise tangent projection.  Both choices are
-legitimate because the exterior derivative of a one-form is tensorial.
+Derivatives are taken along the action's retraction.  On group manifolds
+one-forms are differentiated along right-invariant extensions of frozen
+tangent coordinates, with the standard bracket correction for
+right-invariant fields; on embedded manifolds the frozen coordinates are
+extended by pointwise tangent projection.  Both choices are legitimate
+because the exterior derivative of a one-form is tensorial.
+
+A form that carries ``dmatrix`` (see :class:`gconn.connections.DualForm`)
+is differentiated exactly: d mu, d chi and the derivative of a horizontal
+field are then linear algebra at the one point, using the action's
+``dgen_matrix`` for the generators.  Every other derivative is a central
+difference with the step ``h`` of the function that takes it;
+:func:`gconn.connections.fd_oracle` strips a form's derivative to get the
+finite-difference values as an independent check.
 """
 
 from __future__ import annotations
@@ -25,6 +33,11 @@ def _is_group_manifold(action: Action):
     return action.manifold_alg is not None
 
 
+def _exact(mu: DualForm):
+    """Whether mu and its action's generators have exact derivatives."""
+    return mu.dmatrix is not None and mu.action.dgen_matrix is not None
+
+
 def _extend_field(action: Action, m, c):
     """Frozen-coordinate extension of the tangent coordinate vector c."""
     if _is_group_manifold(action):
@@ -37,14 +50,21 @@ def d_oneform(mu: DualForm, m, u, v, h=FD_STEP):
 
     Uses the three-term formula X_u(mu(X_v)) - X_v(mu(X_u)) - mu([X_u, X_v])
     with frozen-coordinate extensions; on group manifolds the extensions are
-    right-invariant and [X_u, X_v] = -X_{[u,v]}.  ``m`` may be a point
-    evaluation of mu (see :func:`gconn.connections.at`).
+    right-invariant and [X_u, X_v] = -X_{[u,v]}.  With the form's exact
+    derivative dM this is dM(u) v - dM(v) u (+ M [u, v] on a group); the
+    terms of a projected extension cancel for tangent u, v.  ``m`` may be a
+    point evaluation of mu (see :func:`gconn.connections.at`).
     """
     A = mu.action
     pt = at(mu, m)
     m = pt.m
     u = np.asarray(u, dtype=float).ravel()
     v = np.asarray(v, dtype=float).ravel()
+    if mu.dmatrix is not None:
+        d = mu.dmatrix(m, u, pt.K) @ v - mu.dmatrix(m, v, pt.K) @ u
+        if _is_group_manifold(A):
+            return d + pt.M @ A.manifold_alg.bracket(u, v)
+        return d
     U = _extend_field(A, m, u)
     V = _extend_field(A, m, v)
 
@@ -65,17 +85,24 @@ def field_bracket(action: Action, X, Y, m, h=FD_STEP):
 
     On group manifolds the right-trivialized bracket picks up the algebra
     correction -[X(m), Y(m)]; on embedded manifolds it is the antisymmetrized
-    directional derivative, projected back into the tangent space.  ``m``
-    may be a point evaluation; the fields are then evaluated on it, and the
-    retraction starts from its point.
+    directional derivative, projected back into the tangent space.  When
+    both fields carry a ``derivative(m, w)`` (as exact horizontal fields
+    do) the directional derivatives are read from it; otherwise they are
+    central differences along the retraction.  ``m`` may be a point
+    evaluation; the fields are then evaluated on it, and the retraction
+    starts from its point.
     """
     p = m.m if isinstance(m, PointEval) else m
-
-    def D(a, W):
-        return curve_derivative(lambda t: W(action.retract(p, a, t)), h)
-
     Xm, Ym = X(m), Y(m)
-    b = D(Xm, Y) - D(Ym, X)
+    dX = getattr(X, "derivative", None)
+    dY = getattr(Y, "derivative", None)
+    if dX is not None and dY is not None:
+        b = dY(m, Xm) - dX(m, Ym)
+    else:
+        def D(a, W):
+            return curve_derivative(lambda t: W(action.retract(p, a, t)), h)
+
+        b = D(Xm, Y) - D(Ym, X)
     if _is_group_manifold(action):
         return b - action.manifold_alg.bracket(Xm, Ym)
     return action.project_tangent(p, b)
@@ -130,7 +157,7 @@ def tame(mu: DualForm, tol_sym=1e-8) -> DualForm:
 
     Requires chi(m) symmetric wherever evaluated (checked); the result has
     the same kernel as mu pointwise and the same curvature wherever both
-    are docile.
+    are docile.  Exactly differentiable by the product rule where mu is.
     """
     A = mu.action
 
@@ -141,7 +168,18 @@ def tame(mu: DualForm, tol_sym=1e-8) -> DualForm:
             raise ValueError("tame: inertia factor is not symmetric here")
         return chi @ A.algebra.gram_inv @ M
 
-    return DualForm(A, matrix, name=mu.name + "_tamed", uses_generators=True)
+    dmatrix = None
+    if _exact(mu):
+        def dmatrix(m, w, K):
+            # d chi = dM K + M dK and d(chi # M) = d chi # M + chi # dM
+            M = mu.matrix(m, K)
+            dM = mu.dmatrix(m, w, K)
+            dchi = dM @ K + M @ A.dgen_matrix(m, w, K)
+            sharp = A.algebra.gram_inv
+            return dchi @ sharp @ M + (M @ K) @ sharp @ dM
+
+    return DualForm(A, matrix, name=mu.name + "_tamed", uses_generators=True,
+                    dmatrix=dmatrix)
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +245,23 @@ def closed_curvature_matrix(action, g, tol_rank=TOL_RANK):
 def _d_chi(mu: DualForm, m, w, h=FD_STEP_NESTED, adaptor=None):
     """Directional derivative of the inertia factor along w.
 
-    With an adaptor phi, of the adapted inertia factor chi . Ad_phi.
+    With an adaptor phi, of the adapted inertia factor chi . Ad_phi.  Exact,
+    dM K + M dK (times Ad_phi, plus chi Ad_phi ad_{dnatL(m, w)}), where the
+    form, its action and the adaptor know their derivatives; a central
+    difference with step h otherwise.  ``m`` may be a point evaluation.
     """
     A = mu.action
+    if _exact(mu) and (adaptor is None or adaptor.dnatL is not None):
+        pt = at(mu, m)
+        w = np.asarray(w, dtype=float).ravel()
+        dchi = (mu.dmatrix(pt.m, w, pt.K) @ pt.K
+                + pt.M @ A.dgen_matrix(pt.m, w, pt.K))
+        if adaptor is None:
+            return dchi
+        Ad = A.Ad_group(adaptor.phi(pt.m))
+        return dchi @ Ad + pt.chi @ Ad @ _acting_ad_matrix(
+            A, adaptor.dnatL(pt.m, w))
+    m = m.m if isinstance(m, PointEval) else m
 
     def chi(t):
         pt = at(mu, A.retract(m, w, t))
@@ -249,8 +301,8 @@ def structure_residual(mu: DualForm, m, u, v, h=FD_STEP,
            + pt.K @ A.algebra.bracket(xi, eta))
 
     dmu = d_oneform(mu, pt, u, v, h)
-    corr = (_d_chi(mu, pt.m, u, h_nested) @ eta
-            - _d_chi(mu, pt.m, v, h_nested) @ xi)
+    corr = (_d_chi(mu, pt, u, h_nested) @ eta
+            - _d_chi(mu, pt, v, h_nested) @ xi)
     rhs = pt.gamma(dmu - corr, 1e-4)
     return norm(lhs - rhs)
 
@@ -270,7 +322,7 @@ def interior_product_residual(mu: DualForm, m, eta, v, h=FD_STEP,
     lhs = d_oneform(mu, pt, pt.K @ eta, v, h)
     coad = (_acting_ad_matrix(A, eta).T
             @ (pt.M @ np.asarray(v, dtype=float).ravel()))
-    dchi = _d_chi(mu, pt.m, v, h_nested) @ eta
+    dchi = _d_chi(mu, pt, v, h_nested) @ eta
     return norm(lhs + coad + dchi)
 
 
@@ -285,7 +337,11 @@ def good_chi_residual(mu: DualForm, m, u, zeta, h=FD_STEP_NESTED):
 def horizontal_field(mu: DualForm, c, tol_rank=TOL_RANK):
     """The frozen coordinate vector c, projected horizontal at each point.
 
-    The field takes a point or a point evaluation of mu.
+    The field takes a point or a point evaluation of mu.  On a group
+    manifold, where mu and the generators have exact derivatives, it
+    carries its own, ``X.derivative(p, w)``: with P = K chi+ M,
+    dX(w) = -[(1 - P) dK chi+ M + K chi+ dM (1 - P)] c, which holds where
+    the rank of chi is locally constant and reuses the point's SVD of chi.
     """
     A = mu.action
 
@@ -294,6 +350,18 @@ def horizontal_field(mu: DualForm, c, tol_rank=TOL_RANK):
         w = A.project_tangent(pt.m, c)
         return w - pt.P @ w
 
+    if _exact(mu) and _is_group_manifold(A):
+        c = np.asarray(c, dtype=float).ravel()
+
+        def derivative(p, w):
+            pt = at(mu, p, tol_rank)
+            pinv = pt.chi_svd.pinv
+            xi = pinv @ (pt.M @ c)              # P c = K xi
+            dK_xi = A.dgen_matrix(pt.m, w, pt.K) @ xi
+            dM_X = mu.dmatrix(pt.m, w, pt.K) @ (c - pt.K @ xi)
+            return -(dK_xi - pt.P @ dK_xi + pt.K @ (pinv @ dM_X))
+
+        X.derivative = derivative
     return X
 
 

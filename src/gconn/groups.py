@@ -9,6 +9,8 @@ i-th coordinate is its value on the i-th basis element.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .linalg import norm
@@ -167,6 +169,23 @@ class LieAlgebra(GramMetric):
         """[a, b] in coordinates."""
         A, B = self.matrix(a), self.matrix(b)
         return self.coords(A @ B - B @ A)
+
+    @cached_property
+    def _ad_basis(self):
+        """Structure constants as a dim x (dim * dim) matrix: row i holds
+        the matrix of ad_{B_i}, flattened.  Taken on first use."""
+        S = self._stacked
+        d = self.dim
+        C = self._coords_columns((S[:, None] @ S[None] - S[None] @ S[:, None])
+                                 .reshape(d * d, *S.shape[1:]))
+        # C[:, i * d + j] = coords [B_i, B_j], the column j of ad_{B_i}
+        return np.ascontiguousarray(
+            C.reshape(d, d, d).transpose(1, 0, 2).reshape(d, d * d))
+
+    def ad_matrix(self, a):
+        """Matrix of ad_a = [a, .] on coordinates."""
+        a = np.asarray(a, dtype=float).ravel()
+        return (a @ self._ad_basis).reshape(self.dim, self.dim)
 
     def conjugate_coords(self, g, stack):
         """Coordinates of g B g^-1 for each matrix B of a stack, as columns.

@@ -29,23 +29,26 @@ class Adaptor:
     conjugates the reference isotropy algebra over nearby isotropy algebras.
 
     ``phi`` maps a manifold point to an acting-group element; ``dnatL`` is
-    the left-trivialized derivative evaluator (tangent coords -> acting
-    algebra), identically zero for the trivial adaptor.
+    the left-trivialized derivative evaluator (m, tangent coords) -> acting
+    algebra, identically zero for the trivial adaptor (no ``phi``).  An
+    adaptor given a ``phi`` but no ``dnatL`` has ``dnatL`` None: its
+    derivative is unknown, and derivatives through it are taken by finite
+    differences.
     """
 
     def __init__(self, action: Action, m0, phi=None, dnatL=None):
         self.action = action
         self.m0 = m0
-        self._phi = phi if phi is not None else (lambda m: action.identity())
-        self._dnatL = dnatL if dnatL is not None else (
-            lambda m, v: np.zeros(action.algebra.dim))
+        if phi is None:
+            phi = lambda m: action.identity()
+            if dnatL is None:
+                dnatL = lambda m, v: np.zeros(action.algebra.dim)
+        self._phi = phi
+        self.dnatL = dnatL
         self.iso0 = isotropy_algebra(action, m0)
 
     def phi(self, m):
         return self._phi(m)
-
-    def dnatL(self, m, v):
-        return self._dnatL(m, v)
 
     def verify(self, samples=20, rng=None, tol=1e-8) -> VerificationReport:
         """Sampled check of the defining adaptor properties near m0."""
@@ -96,26 +99,35 @@ def adapted_inertia(mu: DualForm, adaptor: Adaptor, m, tol_rank=TOL_RANK):
     return chi_phi
 
 
-def adapted_dual_form(mu: DualForm, adaptor: Adaptor, pi, iota) -> DualForm:
+def _adapted_matrix(adaptor: Adaptor, pi, iota, pt: PointEval):
+    """chi_phi . pi . iota(m) . mu_m from the point evaluation pt of mu at m,
+    after checking that iota(m) is a restricted pseudo-inverse there."""
+    chi_phi = adapted_inertia(pt.mu, adaptor, pt)
+    im = np.asarray(iota(pt.m), dtype=float)
+    resid = norm(pi - pi @ im @ chi_phi)
+    if resid > 1e-8 * max(1.0, norm(pi)):
+        raise ValueError(
+            f"iota is not a restricted pseudo-inverse here "
+            f"(residual {resid:.3e})")
+    return chi_phi @ pi @ im @ pt.M
+
+
+def adapted_dual_form(mu: DualForm, adaptor: Adaptor, pi, iota,
+                      tol_rank=TOL_RANK) -> DualForm:
     """The constant-rank correction (chi_phi . pi . iota) . mu of mu.
 
     ``pi`` is a fixed projection matrix on the acting algebra with kernel
     the reference isotropy algebra; ``iota`` maps a point to a restricted
     pseudo-inverse of chi_phi, i.e. pi = pi . iota(m) . chi_phi(m) must hold
-    on the domain (checked at every evaluation).
+    on the domain (checked at every evaluation).  The kernel test of
+    chi_phi decides rank at ``tol_rank``.  The form has no exact
+    derivative: ``iota`` has none.
     """
     pi = np.asarray(pi, dtype=float)
 
     def matrix(m, K):
-        pt = PointEval(mu, m, K=K)
-        chi_phi = adapted_inertia(mu, adaptor, pt)
-        im = np.asarray(iota(m), dtype=float)
-        resid = norm(pi - pi @ im @ chi_phi)
-        if resid > 1e-8 * max(1.0, norm(pi)):
-            raise ValueError(
-                f"iota is not a restricted pseudo-inverse here "
-                f"(residual {resid:.3e})")
-        return chi_phi @ pi @ im @ pt.M
+        return _adapted_matrix(adaptor, pi, iota,
+                               PointEval(mu, m, tol_rank, K=K))
 
     return DualForm(mu.action, matrix, name=mu.name + "_adapted",
                     uses_generators=True)
@@ -314,12 +326,15 @@ def abel_involutivity(mu: DualForm, adaptor: Adaptor, pi, iota, samples=20,
 
     For fields X, Y valued in Xi = ker(adapted form) checks that the adapted
     form annihilates [X, Y], that [X, Y] stays in Xi, and that the
-    inertia-derivative correction terms vanish for horizontal inputs.
+    inertia-derivative correction terms vanish for horizontal inputs.  The
+    bracket is a central difference with step ``h`` (the adapted form has
+    no exact derivative); the correction terms use :func:`_d_chi`, exact
+    where mu and the adaptor are.  mu is evaluated once at each sample.
     """
     A = mu.action
     rng = np.random.default_rng(0) if rng is None else rng
     rep = VerificationReport(scenario="abel_involutivity")
-    mu_t = adapted_dual_form(mu, adaptor, pi, iota)
+    mu_t = adapted_dual_form(mu, adaptor, pi, iota, tol_rank)
     pi = np.asarray(pi, dtype=float)
 
     def xi_field(c):
@@ -336,12 +351,13 @@ def abel_involutivity(mu: DualForm, adaptor: Adaptor, pi, iota, samples=20,
         m = A.retract(adaptor.m0, v, 0.25 * rng.random())
         ci, cj = rng.choice(A.vec_dim, size=2, replace=False)
         X, Y = xi_field(E[ci]), xi_field(E[cj])
-        pt_t = at(mu_t, m, tol_rank)
+        pt = PointEval(mu, m, tol_rank)
+        pt_t = PointEval(mu_t, m, tol_rank, K=pt.K,
+                         M=_adapted_matrix(adaptor, pi, iota, pt))
         br = field_bracket(A, X, Y, pt_t, h)
         scale = max(1.0, norm(br))
         rep.add("xi-involutive", "adapted form annihilates [X, Y]",
                 norm(pt_t.M @ br) / scale, tol, f"sample {i}")
-        pt = PointEval(mu, m, tol_rank, K=pt_t.K)
         xi_sub = almost_horizontal_basis(mu, adaptor, pt, tol_rank)
         rep.add("bracket-tangent", "[X, Y] stays inside Xi",
                 norm(br - xi_sub.project(br)) / scale, tol,
@@ -351,8 +367,8 @@ def abel_involutivity(mu: DualForm, adaptor: Adaptor, pi, iota, samples=20,
         im = np.asarray(iota(m), dtype=float)
         xi_c = pi @ im @ (pt.M @ Xm)
         eta_c = pi @ im @ (pt.M @ Ym)
-        dchi_u = _d_chi(mu, m, Xm, 1e-4, adaptor)
-        dchi_v = _d_chi(mu, m, Ym, 1e-4, adaptor)
+        dchi_u = _d_chi(mu, pt, Xm, adaptor=adaptor)
+        dchi_v = _d_chi(mu, pt, Ym, adaptor=adaptor)
         rep.add("corrections-vanish",
                 "d chi_phi(u) pi eta - d chi_phi(v) pi xi = 0 for horizontal "
                 "inputs",

@@ -226,7 +226,7 @@ def test_criterion_07_slice_verification():
     passed = sum(c.passed for c in conditions)
     worst_tan = _worst(rep, "tangency")
     worst_eig = _worst(rep, "chi-eigen")
-    # flatness by finite differences on the tamed form
+    # flatness of the tamed form's (exactly differentiated) curvature
     nu = tame(mu)
     worst_cur = 0.0
     for _ in range(100):

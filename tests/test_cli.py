@@ -166,3 +166,21 @@ def test_rank_and_step_flags_reach_the_checks(monkeypatch, tmp_path):
         assert args["tol_rank"] == 1e-9, name
         if name not in ("slice_verify", "pair_check"):
             assert args["h"] == 2e-5, name
+
+
+def test_rank_flag_reaches_the_adapted_kernel_test(monkeypatch, tmp_path):
+    # every kernel test of chi_phi in abel_involutivity, at the sample
+    # points and at the bracket's difference points, decides rank at the
+    # flag's cutoff
+    seen = []
+    adapted_inertia = slices.adapted_inertia
+
+    def spied(mu, adaptor, m, *args, **kwargs):
+        seen.append(m.tol_rank)
+        return adapted_inertia(mu, adaptor, m, *args, **kwargs)
+
+    monkeypatch.setattr(slices, "adapted_inertia", spied)
+    main(["--scenario", "s1s1-so3-slice", "--samples", "2", "--tol-rank",
+          "1e-9", "--out", str(tmp_path / "r.json")])
+    # five points per sample
+    assert seen == [1e-9] * 10

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from gconn.actions import get_action
-from gconn.connections import DualForm, at, mu_q, simple_mechanical_mu
+from gconn.connections import (DualForm, at, fd_oracle, mu_q,
+                               simple_mechanical_mu)
 from gconn.curvature import (closed_curvature_matrix, covariant_derivative,
                              curvature, curvature_leftright_closed,
                              d_oneform, docile, field_bracket,
@@ -160,13 +161,14 @@ def test_closed_curvature_rank_and_range():
 def test_closed_matches_fd_curvature():
     A = get_action("hxh-on-su3")
     nu = tame(simple_mechanical_mu(A))
+    oracle = fd_oracle(nu)
     rng = np.random.default_rng(35)
     for _ in range(5):
         g = A.random_point(rng)
         u, v = rng.standard_normal(8), rng.standard_normal(8)
         cf = curvature_leftright_closed(A, g, u, v)
-        fd = curvature(nu, g, u, v)
-        assert np.max(np.abs(cf - fd)) < 1e-5
+        assert np.max(np.abs(cf - curvature(nu, g, u, v))) < 1e-8
+        assert np.max(np.abs(cf - curvature(oracle, g, u, v))) < 1e-5
 
 
 @pytest.mark.parametrize("name", ["hxh-on-su3", "s1s1-on-so3"])
@@ -185,8 +187,9 @@ def test_curvature_evaluates_generators_once_per_point(monkeypatch, name):
 
     monkeypatch.setattr(type(A), "gen_matrix", counted)
     curvature(nu, g, u, v)
-    # one at g and one at each of the four finite-difference points
-    assert len(calls) == 5
+    # one at g: the exact derivative needs no other point (the oracle's
+    # five are pinned in test_exact_derivatives)
+    assert len(calls) == 1
 
 
 def test_closed_curvature_decomposes_twice(decompositions):
@@ -283,6 +286,6 @@ def test_involutivity_pair_evaluates_each_point_once(monkeypatch,
     monkeypatch.setattr(type(A), "gen_matrix", counted)
     rep = involutivity_check(mu, g, pairs=[(E[0], E[1])])
     assert rep.all_passed, rep.to_text()
-    # g once, then four bracket and four d_oneform difference points
-    assert len(calls) == 9
+    # g once: the bracket and d_oneform are exact at g
+    assert len(calls) == 1
     assert decompositions["pinv"] == 0

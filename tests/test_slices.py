@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from gconn.actions import get_action
-from gconn.connections import simple_mechanical_mu
+from gconn.connections import DualForm, fd_oracle, simple_mechanical_mu
+from gconn.curvature import _d_chi
 from gconn.groups import cay, exp_so3
 from gconn import slices
 from gconn.linalg import central_difference
@@ -229,8 +230,9 @@ def test_abel_involutivity(setup):
 
 def test_abel_sample_evaluates_each_point_once(setup, monkeypatch):
     A, mu, g0, adaptor = setup
-    gen_calls, adapted_calls = [], []
+    gen_calls, adapted_calls, plain_points = [], [], []
     gen_matrix = type(A).gen_matrix
+    matrix = DualForm.matrix
 
     def counted_gen(self, m):
         gen_calls.append(1)
@@ -240,12 +242,44 @@ def test_abel_sample_evaluates_each_point_once(setup, monkeypatch):
         adapted_calls.append(1)
         return adapted_inertia(*args, **kwargs)
 
+    def counted_matrix(self, m, K=None):
+        if self is mu:
+            plain_points.append(m)
+        return matrix(self, m, K)
+
     monkeypatch.setattr(type(A), "gen_matrix", counted_gen)
     monkeypatch.setattr(slices, "adapted_inertia", counted_adapted)
-    rep = abel_involutivity(mu, adaptor, _pi(), _iota, samples=1,
-                            rng=np.random.default_rng(48))
+    monkeypatch.setattr(DualForm, "matrix", counted_matrix)
+    rng = np.random.default_rng(48)
+    rep = abel_involutivity(mu, adaptor, _pi(), _iota, samples=1, rng=rng)
     assert rep.all_passed, rep.to_text()
     # the adapted form at m and at the four bracket difference points
     assert len(adapted_calls) == 5
-    # those five, plus four difference points for the two d chi_phi terms
-    assert len(gen_calls) == 9
+    # the same five points: the two d chi_phi terms are exact at m
+    assert len(gen_calls) == 5
+    # the plain form once at each of them, so once at the sample point m
+    rng = np.random.default_rng(48)
+    m = A.retract(g0, A.random_tangent(rng, g0), 0.25 * rng.random())
+    assert len(plain_points) == 5
+    assert sum(np.array_equal(p, m) for p in plain_points) == 1
+
+
+def test_adaptor_without_dnatL_reports_an_unknown_derivative(setup):
+    A, mu, g0, adaptor = setup
+    m = A.retract(g0, np.array([0.2, -0.1, 0.3]), 1.0)
+    w = np.array([0.4, 0.1, -0.2])
+    # the trivial adaptor's zero derivative is exact
+    assert np.array_equal(adaptor.dnatL(m, w), np.zeros(2))
+    assert np.array_equal(_d_chi(mu, m, w, adaptor=adaptor), _d_chi(mu, m, w))
+    # a phi without dnatL has no derivative, and d chi_phi stays a central
+    # difference: the same bits as the oracle's
+    unknown = Adaptor(A, g0, phi=lambda m: A.identity())
+    assert unknown.dnatL is None
+    assert np.array_equal(_d_chi(mu, m, w, adaptor=unknown),
+                          _d_chi(fd_oracle(mu), m, w, adaptor=unknown))
+    # a given dnatL is read
+    seen = []
+    known = Adaptor(A, g0, phi=lambda m: A.identity(),
+                    dnatL=lambda m, v: seen.append(v) or np.zeros(2))
+    assert np.array_equal(_d_chi(mu, m, w, adaptor=known), _d_chi(mu, m, w))
+    assert len(seen) == 1
