@@ -20,7 +20,7 @@ from . import groups
 from .linalg import Subspace, TOL_RANK, norm, rank_nullspace, range_space
 
 
-class TorusSquareAlgebra(groups.GramMetric):
+class TorusSquareAlgebra:
     """The abelian algebra h x h of a product-of-torus acting group.
 
     ``h`` is a subalgebra of the manifold algebra given by coordinate
@@ -109,19 +109,17 @@ class Action:
     def random_tangent(self, rng, m):
         return self.project_tangent(m, rng.standard_normal(self.vec_dim))
 
-    def random_algebra(self, rng, scale=1.0):
-        return scale * rng.standard_normal(self.algebra.dim)
-
-    def random_group(self, rng, scale=np.pi / 2):
+    def random_group(self, rng):
         xi = rng.standard_normal(self.algebra.dim)
         n = norm(xi)
         if n > 0:
-            xi *= scale * rng.random() / n
+            xi *= np.pi / 2 * rng.random() / n
         return self.group_exp(xi)
 
 
 class So3OnVectors(Action):
-    """SO(3) acting by rotation; base for R^3, S^2 and US^2."""
+    """SO(3) acting by rotation, linearly, so that dPhi_g is the action of g
+    on tangent vectors; base for R^3, S^2 and US^2."""
 
     def __init__(self):
         self.algebra = groups.so3_algebra()
@@ -135,22 +133,22 @@ class So3OnVectors(Action):
     def Ad_group(self, g):
         return np.asarray(g, float)
 
+    def apply(self, g, m):
+        return np.asarray(g, float) @ np.asarray(m, float).ravel()
+
+    def dPhi(self, g, m, v):
+        return self.apply(g, v)
+
 
 class So3OnR3(So3OnVectors):
     name = "so3-on-r3"
     vec_dim = 3
-
-    def apply(self, g, m):
-        return np.asarray(g, float) @ np.asarray(m, float).ravel()
 
     def gen_matrix(self, m):
         return -groups.hat(m)
 
     def retract(self, m, v, t=1.0):
         return np.asarray(m, float).ravel() + t * np.asarray(v, float).ravel()
-
-    def dPhi(self, g, m, v):
-        return np.asarray(g, float) @ np.asarray(v, float).ravel()
 
     def random_point(self, rng):
         return rng.standard_normal(3)
@@ -159,9 +157,6 @@ class So3OnR3(So3OnVectors):
 class So3OnS2(So3OnVectors):
     name = "so3-on-s2"
     vec_dim = 3
-
-    def apply(self, g, m):
-        return np.asarray(g, float) @ np.asarray(m, float).ravel()
 
     def gen_matrix(self, m):
         return -groups.hat(m)
@@ -174,9 +169,6 @@ class So3OnS2(So3OnVectors):
     def retract(self, m, v, t=1.0):
         p = np.asarray(m, float).ravel() + t * np.asarray(v, float).ravel()
         return p / norm(p)
-
-    def dPhi(self, g, m, v):
-        return np.asarray(g, float) @ np.asarray(v, float).ravel()
 
     def random_point(self, rng):
         p = rng.standard_normal(3)
@@ -193,6 +185,8 @@ class So3OnUS2(So3OnVectors):
     @staticmethod
     def split(p):
         p = np.asarray(p, float).ravel()
+        if p.size != 6:
+            raise ValueError("expected a 6-vector (m, u)")
         return p[:3], p[3:]
 
     @staticmethod
@@ -229,11 +223,6 @@ class So3OnUS2(So3OnVectors):
         u2 = u2 - (u2 @ m2) * m2
         u2 = u2 / norm(u2)
         return self.join(m2, u2)
-
-    def dPhi(self, g, p, v):
-        dm, du = self.split(v)
-        g = np.asarray(g, float)
-        return self.join(g @ dm, g @ du)
 
     def random_point(self, rng):
         m = rng.standard_normal(3)
@@ -317,9 +306,6 @@ class TorusSquareOnGroup(Action):
         h, _ = g
         return self.manifold_alg.Ad_matrix(h) @ np.asarray(v, float).ravel()
 
-    def project_tangent(self, m, v):
-        return np.asarray(v, float).ravel()
-
     def random_point(self, rng):
         x = rng.standard_normal(self.manifold_alg.dim)
         x /= max(norm(x), 1e-12)
@@ -337,22 +323,6 @@ def isotropy_algebra(action: Action, m, tol_rank=TOL_RANK) -> Subspace:
 def orbit_tangent(action: Action, m, tol_rank=TOL_RANK) -> Subspace:
     """Range of xi -> xi_M(m): the orbit's tangent space at m."""
     return range_space(action.gen_matrix(m), tol_rank)
-
-
-def is_regular(action: Action, m, probe_radius=1e-3, samples=20,
-               rng=None, tol_rank=TOL_RANK):
-    """Locally constant orbit dimension test by sampling a retraction ball."""
-    rng = np.random.default_rng(0) if rng is None else rng
-    d0 = isotropy_algebra(action, m, tol_rank).dim
-    for _ in range(samples):
-        v = action.random_tangent(rng, m)
-        n = norm(v)
-        if n > 0:
-            v = v / n
-        m2 = action.retract(m, v, probe_radius * rng.random())
-        if isotropy_algebra(action, m2, tol_rank).dim != d0:
-            return False
-    return True
 
 
 def _make_registry():

@@ -86,14 +86,14 @@ def fd_oracle(mu: DualForm) -> DualForm:
                     uses_generators=mu.uses_generators)
 
 
-def mu_q(q, action: Action | None = None) -> DualForm:
+def mu_q(q) -> DualForm:
     """The family mu(v) = q(|m|^2) m x v of dual forms on rotating R^3.
 
     ``q`` must be smooth and strictly positive on the sampled positive axis.
     """
     from .actions import get_action
     from .groups import hat
-    action = action or get_action("so3-on-r3")
+    action = get_action("so3-on-r3")
     for t in np.linspace(0.3, 9.0, 30):
         if not q(t) > 0:
             raise ValueError(f"mu_q: q({t}) = {q(t)} is not positive")
@@ -149,7 +149,8 @@ class PointEval:
         if kern.dim == iso.dim and iso.contains_subspace(kern, 1e-6):
             return None
         return (f"ker chi has dim {kern.dim}, isotropy dim {iso.dim} at "
-                f"this point (cond {self.chi_svd.cond:.3e})")
+                f"this point (cond {self.chi_svd.cond:.3e}, "
+                f"gap {self.chi_svd.gap:.3e})")
 
     @property
     def nondegenerate(self) -> bool:
@@ -236,11 +237,6 @@ def alpha_so3r3(f) -> DualForm:
             return np.zeros((3, 3))
         return hat(m) / n2 + f(m) * np.outer(m, m)
     return DualForm(action, matrix, name="alpha_so3r3")
-
-
-def projection_P_alpha(alpha: DualForm, m):
-    """P_alpha = generator map composed with alpha."""
-    return alpha.action.gen_matrix(m) @ alpha.matrix(m)
 
 
 def clean_alpha(alpha: DualForm) -> DualForm:

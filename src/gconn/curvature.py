@@ -152,7 +152,7 @@ def curvature(mu: DualForm, m, u, v, h=FD_STEP, tol_rank=TOL_RANK,
                     tol_consist)
 
 
-def tame(mu: DualForm, tol_sym=1e-8) -> DualForm:
+def tame(mu: DualForm) -> DualForm:
     """Compose mu with its own raised inertia factor: chi . sharp . mu.
 
     Requires chi(m) symmetric wherever evaluated (checked); the result has
@@ -164,7 +164,7 @@ def tame(mu: DualForm, tol_sym=1e-8) -> DualForm:
     def matrix(m, K):
         M = mu.matrix(m, K)
         chi = M @ K
-        if norm(chi - chi.T) > tol_sym * max(1.0, norm(chi)):
+        if norm(chi - chi.T) > 1e-8 * max(1.0, norm(chi)):
             raise ValueError("tame: inertia factor is not symmetric here")
         return chi @ A.algebra.gram_inv @ M
 
@@ -220,23 +220,6 @@ def curvature_leftright_closed(action, g, xi, omega, tol_rank=TOL_RANK):
     sharp = act.gram_inv
     zeta = SVD(chi @ sharp @ chi, tol_rank).solve(chi @ sharp @ nab, 1e-6)
     return K @ zeta
-
-
-def closed_curvature_matrix(action, g, tol_rank=TOL_RANK):
-    """All pairwise closed-form curvature values on the coordinate basis.
-
-    Returns an (n, n, n) array C with C[i, j] the curvature on the (i, j)
-    basis pair; used for rank/range sweeps.
-    """
-    n = action.vec_dim
-    E = np.eye(n)
-    C = np.zeros((n, n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            C[i, j] = curvature_leftright_closed(action, g, E[i], E[j],
-                                                 tol_rank)
-            C[j, i] = -C[i, j]
-    return C
 
 
 # ---------------------------------------------------------------------------

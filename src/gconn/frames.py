@@ -14,7 +14,7 @@ import numpy as np
 
 from .actions import get_action, So3OnUS2
 from .groups import cross, exp_so3, vee
-from .linalg import SVD, Subspace, TOL_RANK, curve_derivative, norm
+from .linalg import curve_derivative, norm
 from .report import VerificationReport
 
 
@@ -22,16 +22,9 @@ class DomainError(ValueError):
     """A point lies outside the domain of a frame or seed field."""
 
 
-def _split(p):
-    p = np.asarray(p, dtype=float).ravel()
-    if p.size == 6:
-        return p[:3], p[3:]
-    raise ValueError("expected a 6-vector (m, u)")
-
-
 def rho_us2(p):
     """Left moving frame on the unit tangent bundle: columns (m, u, m x u)."""
-    m, u = _split(p)
+    m, u = So3OnUS2.split(p)
     if (abs(norm(m) - 1.0) > 1e-10
             or abs(norm(u) - 1.0) > 1e-10
             or abs(m @ u) > 1e-10):
@@ -44,8 +37,8 @@ def dnat_rho(p, v):
 
     Closed form m x dm + <u x du, m> m, returned as so(3) coordinates.
     """
-    m, u = _split(p)
-    dm, du = _split(v)
+    m, u = So3OnUS2.split(p)
+    dm, du = So3OnUS2.split(v)
     return cross(m, dm) + (cross(u, du) @ m) * m
 
 
@@ -60,12 +53,13 @@ def dnat_rho_fd(p, v, h=1e-6):
     return vee(0.5 * (J - J.T))
 
 
-def eastward_field(m, cap=1e-2):
-    """Unit field pointing along increasing longitude, poles excluded."""
+def eastward_field(m):
+    """Unit field pointing along increasing longitude, excluding the polar
+    caps of angular radius 1e-2."""
     m = np.asarray(m, dtype=float).ravel()
     e = cross(np.array([0.0, 0.0, 1.0]), m)
     n = norm(e)
-    if n < np.sin(cap):
+    if n < np.sin(1e-2):
         raise DomainError("eastward_field: too close to a pole")
     return e / n
 
@@ -78,9 +72,10 @@ class PartialMovingFrame:
     the moved point composed with g.
     """
 
-    def __init__(self, Y, name="pmf"):
+    name = "pmf"
+
+    def __init__(self, Y):
         self.Y = Y
-        self.name = name
         self.action = get_action("so3-on-s2")
 
     def _field(self, m):
@@ -179,41 +174,12 @@ def beta_equivariance_check(pmf: PartialMovingFrame, samples=50, rng=None,
                 norm(lhs2 - rhs2), tol, tag)
         # d_phi on generators is the identity modulo isotropy
         xi = rng.standard_normal(3)
-        d = pmf.dnat_phi(m, A.gen_matrix(m) @ xi, h)
+        K = A.gen_matrix(m)
+        d = pmf.dnat_phi(m, K @ xi, h)
         rep.add("modulo-isotropy",
                 "d_phi(xi_M(m)) = xi up to the isotropy of m",
-                norm(A.gen_matrix(m) @ (d - xi)), 1e-6, tag)
+                norm(K @ (d - xi)), 1e-6, tag)
     return rep
-
-
-def pmf_connection(pmf: PartialMovingFrame, m, tol_rank=TOL_RANK, h=1e-6):
-    """Horizontal space at m computed two independent ways.
-
-    Returns ``(kernel_way, image_way)`` as subspaces of the tangent space:
-    the kernel of the projection induced by the trivialized derivative, and
-    the image of the differential of phi(m) composed with the invariant
-    cross-section.  For the transitive sphere action both are trivial.
-    """
-    A = pmf.action
-    m = np.asarray(m, dtype=float).ravel()
-    # kernel of v -> generator of d_phi(v), restricted to the tangent space
-    K = A.gen_matrix(m)
-    basis = [A.project_tangent(m, e) for e in np.eye(3)]
-    P = np.array([K @ pmf.dnat_phi(m, b, h) for b in basis]).T
-    T = Subspace(basis, ambient_dim=3)
-    # both factors have orthonormal columns, so their product has too
-    kernel_way = Subspace.from_basis(
-        T.basis @ SVD(P @ T.basis, tol_rank).kernel.basis)
-
-    phim = pmf.phi(m)
-    img_vecs = []
-    for b in basis:
-        d = curve_derivative(
-            lambda t: phim @ cross_section(pmf, A.retract(m, b, t)), h)
-        if norm(d) > 1e-6:
-            img_vecs.append(d)
-    image_way = Subspace(img_vecs, ambient_dim=3)
-    return kernel_way, image_way
 
 
 _OFF_POLE_TRIES = 1000

@@ -75,33 +75,12 @@ def cay_inv(R):
     return 2.0 * vee(np.linalg.solve(_I3 + R, R - _I3))
 
 
-class GramMetric:
-    """Coordinate-level metric of an algebra from the Gram matrix ``gram``
-    of its basis and the inverse ``gram_inv``, both set by the subclass."""
-
-    def inner(self, a, b):
-        a = np.asarray(a, dtype=float).ravel()
-        b = np.asarray(b, dtype=float).ravel()
-        return float(a @ self.gram @ b)
-
-    def norm(self, a):
-        return np.sqrt(max(self.inner(a, a), 0.0))
-
-    def flat(self, a):
-        """Lower an index: coordinates of <a, .> in the dual basis."""
-        return self.gram @ np.asarray(a, dtype=float).ravel()
-
-    def sharp(self, nu):
-        """Raise an index: the element whose pairing against the basis is nu."""
-        return self.gram_inv @ np.asarray(nu, dtype=float).ravel()
-
-
-class LieAlgebra(GramMetric):
+class LieAlgebra:
     """A real matrix Lie algebra with a fixed ordered basis and inner product.
 
     The inner product is given by a matrix function on ambient matrices
-    (Frobenius-type); the Gram matrix of the basis is precomputed and all
-    coordinate-level metric operations go through it.
+    (Frobenius-type); the Gram matrix of the basis (``gram``) and its
+    inverse (``gram_inv``) are precomputed.
     """
 
     def __init__(self, name, basis, pairing):
@@ -200,9 +179,6 @@ class LieAlgebra(GramMetric):
         """Matrix of Ad_g on coordinates: columns are coords(g B_i g^-1)."""
         return self.conjugate_coords(g, self._stacked)
 
-    def Ad(self, g, a):
-        return self.Ad_matrix(g) @ np.asarray(a, dtype=float).ravel()
-
     def exp(self, coords):
         """Matrix exponential of the algebra element with given coordinates.
 
@@ -245,15 +221,3 @@ def su3_basis():
     xi = [E(k, l) - E(l, k) for k, l in (cyc[j] for j in (1, 2, 3))]
     basis = [d1, d2] + sig + xi
     return LieAlgebra("su3", basis, lambda A, B: -np.trace(A @ B).real)
-
-
-def is_special_orthogonal(g, tol=1e-10):
-    g = np.asarray(g, dtype=float)
-    return (norm(g.T @ g - np.eye(g.shape[0])) < tol
-            and abs(np.linalg.det(g) - 1.0) < tol)
-
-
-def is_special_unitary(g, tol=1e-10):
-    g = np.asarray(g, dtype=complex)
-    return (np.linalg.norm(g.conj().T @ g - np.eye(g.shape[0])) < tol
-            and abs(np.linalg.det(g) - 1.0) < tol)

@@ -35,14 +35,15 @@ class InconsistentSystemError(ValueError):
 
     Carries the least-squares residual so callers can report *how*
     inconsistent the system was (this is the docility-failure signal), and
-    the condition number of the matrix solved against.
+    the ``cond`` and ``gap`` of the :class:`SVD` solved against.
     """
 
-    def __init__(self, message, residual, cond):
+    def __init__(self, message, residual, cond, gap):
         super().__init__(f"{message} (residual {residual:.3e}, "
-                         f"cond {cond:.3e})")
+                         f"cond {cond:.3e}, gap {gap:.3e})")
         self.residual = float(residual)
         self.cond = float(cond)
+        self.gap = float(gap)
 
 
 def norm(x):
@@ -142,6 +143,16 @@ class SVD:
         range; infinite at rank 0."""
         return self.s[0] / self.s[self.rank - 1] if self.rank else math.inf
 
+    @property
+    def gap(self):
+        """s[rank] / s[rank - 1], the largest dropped singular value over the
+        smallest kept one: near 1 when the cutoff split a cluster, 0.0 when
+        nothing is dropped, infinite at rank 0."""
+        r = self.rank
+        if r == 0:
+            return math.inf
+        return self.s[r] / self.s[r - 1] if r < self.s.size else 0.0
+
     @cached_property
     def kernel(self) -> Subspace:
         return Subspace.from_basis(self.Vt[self.rank:].T)
@@ -178,7 +189,8 @@ class SVD:
         scale = max(norm_A * norm(x), norm(b), 1e-300)
         if resid > tol_consist * scale and resid > tol_consist:
             raise InconsistentSystemError(
-                "solve_consistent: b not in range(A)", resid, self.cond)
+                "solve_consistent: b not in range(A)", resid, self.cond,
+                self.gap)
         return x
 
 
@@ -218,15 +230,6 @@ def central_difference(f, x, h=FD_STEP):
         fm = np.asarray(f(x - e), dtype=float).ravel()
         cols.append((fp - fm) / (2.0 * h))
     return np.array(cols).T
-
-
-def directional_derivative(f, x, v, h=FD_STEP):
-    """Central-difference derivative of ``f`` along direction ``v``."""
-    x = np.asarray(x, dtype=float).ravel()
-    v = np.asarray(v, dtype=float).ravel()
-    fp = np.asarray(f(x + h * v), dtype=float)
-    fm = np.asarray(f(x - h * v), dtype=float)
-    return (fp - fm) / (2.0 * h)
 
 
 def curve_derivative(f, h=FD_STEP):

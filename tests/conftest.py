@@ -1,7 +1,23 @@
+import os
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import gconn
+from gconn.linalg import norm
+
+
+@pytest.fixture(scope="session", autouse=True)
+def cli_imports_this_tree():
+    """The CLI tests start ``python -m gconn.cli`` in a subprocess; it must
+    import the tree the tests import, also where only pytest's
+    ``pythonpath`` setting put that tree on ``sys.path``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", str(Path(gconn.__file__).parents[1]),
+                  prepend=os.pathsep)
+        yield
 
 
 @pytest.fixture
@@ -35,3 +51,15 @@ def decompositions(monkeypatch):
     monkeypatch.setattr(np.linalg, "pinv", counted_pinv)
     monkeypatch.setattr(np.linalg, "norm", counted_norm)
     return counts
+
+
+def is_special_orthogonal(g, tol=1e-10):
+    g = np.asarray(g, dtype=float)
+    return (norm(g.T @ g - np.eye(g.shape[0])) < tol
+            and abs(np.linalg.det(g) - 1.0) < tol)
+
+
+def is_special_unitary(g, tol=1e-10):
+    g = np.asarray(g, dtype=complex)
+    return (np.linalg.norm(g.conj().T @ g - np.eye(g.shape[0])) < tol
+            and abs(np.linalg.det(g) - 1.0) < tol)

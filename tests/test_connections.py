@@ -6,8 +6,7 @@ from gconn.connections import (DegeneracyError, alpha_so3r3, at,
                                clean_alpha, dual_form_verify,
                                equivariance_residual, gamma_apply,
                                inertia_factor, mu_q, pair_check,
-                               projection_P_alpha, projection_P_mu,
-                               simple_mechanical_mu)
+                               projection_P_mu, simple_mechanical_mu)
 from gconn.curvature import tame
 from gconn.groups import exp_so3, hat
 from gconn.linalg import rank_nullspace
@@ -135,7 +134,7 @@ def test_tamed_matrix_matches_row_by_row_raising(name):
         g = A.random_point(rng)
         M = mu.matrix(g)
         chi = M @ A.gen_matrix(g)
-        old = chi @ np.array([A.algebra.sharp(row) for row in M.T]).T
+        old = chi @ np.array([A.algebra.gram_inv @ row for row in M.T]).T
         assert np.linalg.norm(nu.matrix(g) - old) <= 1e-13 * max(
             1.0, np.linalg.norm(old))
 
@@ -178,7 +177,12 @@ def test_near_singular_chi_names_its_cond():
     assert past.K_svd.rank == 2 and past.chi_svd.rank == 1
     with pytest.raises(DegeneracyError) as exc:
         past.inertia()
-    assert str(exc.value).endswith(f"(cond {past.chi_svd.cond:.3e})")
+    assert str(exc.value).endswith(f"(cond {past.chi_svd.cond:.3e}, "
+                                   f"gap {past.chi_svd.gap:.3e})")
+    # the gap shows what was dropped: nothing near, and past it chi's
+    # t^2 / 2 singular value, t^2 / 4 of the kept 2, not an exact zero
+    assert svd.gap == 0.0
+    assert past.chi_svd.gap == pytest.approx(1e-10 / 4, rel=1e-3)
 
 
 def test_gamma_inverts_chi_on_orbit_tangent(mu_t):
@@ -232,7 +236,7 @@ def test_alpha_projection_is_orthogonal():
     rng = np.random.default_rng(24)
     for _ in range(5):
         m = rng.standard_normal(3)
-        P = projection_P_alpha(alpha, m)
+        P = alpha.action.gen_matrix(m) @ alpha.matrix(m)
         n2 = m @ m
         expect = np.eye(3) - np.outer(m, m) / n2
         assert np.linalg.norm(P - expect) < 1e-12

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from conftest import is_special_orthogonal
 from gconn.actions import get_action
 from gconn.frames import (DomainError, PartialMovingFrame,
                           beta_equivariance_check, cross_section, dnat_rho,
                           dnat_rho_fd, eastward_field, latitude_curve,
-                          pmf_connection, pmf_from_field, rho_us2,
-                          _sample_off_poles)
-from gconn.groups import exp_so3, is_special_orthogonal
+                          pmf_from_field, rho_us2, _sample_off_poles)
+from gconn.groups import exp_so3
 
 
 def test_rho_columns_and_validation():
@@ -19,6 +19,8 @@ def test_rho_columns_and_validation():
         rho_us2(np.concatenate([m, 2 * u]))
     with pytest.raises(DomainError):
         rho_us2(np.concatenate([m, m]))
+    with pytest.raises(ValueError, match="expected a 6-vector"):
+        rho_us2(m)
 
 
 def test_rho_equivariance():
@@ -147,33 +149,6 @@ def test_latitude_identity():
             d = pmf.dnat_phi(m, dm)
             pred = np.cross(m, dm) + m / np.tan(theta0)
             assert np.linalg.norm(d - pred) < 1e-6
-
-
-def test_pmf_connection_trivial_for_transitive_action():
-    pmf = pmf_from_field(eastward_field)
-    m = np.array([0.8, 0.36, 0.48])
-    m /= np.linalg.norm(m)
-    kernel_way, image_way = pmf_connection(pmf, m)
-    assert kernel_way.dim == 0
-    assert image_way.dim == 0
-
-
-def test_pmf_connection_finds_a_kernel_direction_off_the_basis():
-    # a stub frame whose generator of d_phi kills (e1 + e2)/sqrt(2) at the
-    # north pole, where the tangent basis is e1, e2
-    class Stub(PartialMovingFrame):
-        def dnat_phi(self, m, dm, h=1e-6):
-            return (dm[0] - dm[1]) * np.array([1.0, 0.0, 0.0])
-
-    def Y(m):
-        y = np.array([1.0, 0.0, 0.0]) - m[0] * m
-        return y / np.linalg.norm(y)
-
-    pmf = Stub(Y)
-    kernel_way, _ = pmf_connection(pmf, np.array([0.0, 0.0, 1.0]))
-    assert kernel_way.dim == 1
-    w = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
-    assert kernel_way.contains(w, 1e-12)
 
 
 def test_custom_field_rejected_when_not_unit():

@@ -4,9 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gconn.linalg import (SVD, InconsistentSystemError, Subspace,
-                          central_difference, curve_derivative,
-                          directional_derivative, norm, range_space,
-                          rank_nullspace, solve_consistent)
+                          central_difference, curve_derivative, norm,
+                          range_space, rank_nullspace, solve_consistent)
 
 finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 
@@ -117,13 +116,24 @@ def test_svd_answers_share_one_cutoff():
     assert svd.row_space.contains_subspace(range_space(A.T), 1e-12)
     assert np.array_equal(svd.pinv, np.linalg.pinv(A, 1e-8))
     assert svd.cond == svd.s[0] / svd.s[1]
+    assert svd.gap == svd.s[2] / svd.s[1] < 1e-8
+    assert SVD(np.diag([2.0, 1.0])).gap == 0.0
 
 
 def test_inconsistent_solve_names_its_cond():
     svd = SVD(np.diag([1.0, 1e-3, 0.0]))
-    with pytest.raises(InconsistentSystemError, match=r"cond 1\.000e\+03"):
+    with pytest.raises(InconsistentSystemError,
+                       match=r"cond 1\.000e\+03, gap 0\.000e\+00\)$"):
         svd.solve(np.array([0.0, 0.0, 1.0]))
     assert SVD(np.zeros((2, 2))).cond == np.inf
+    assert SVD(np.zeros((2, 3))).gap == np.inf
+    # a value dropped by the cutoff rather than exactly zero shows in the gap
+    svd = SVD(np.diag([1.0, 1e-3, 1e-9]))
+    assert svd.rank == 2
+    with pytest.raises(InconsistentSystemError,
+                       match=r"cond 1\.000e\+03, gap 1\.000e-06\)$") as exc:
+        svd.solve(np.array([0.0, 0.0, 1.0]))
+    assert (exc.value.cond, exc.value.gap) == (svd.cond, svd.gap)
 
 
 def test_central_difference_jacobian():
@@ -157,15 +167,18 @@ def test_rank_plus_nullity_property(rows):
 
 
 def test_directional_and_curve_derivatives_agree():
-    def f(x):
-        return np.sin(x)
-
+    # the curve derivative of t -> sin(x + t v) is the directional
+    # derivative cos(x) v, with a central difference's h^2 error
     x = np.array([0.2, 0.4, 0.6])
     v = np.array([1.0, -2.0, 0.5])
-    d1 = directional_derivative(f, x, v, 1e-5)
-    d2 = curve_derivative(lambda t: f(x + t * v), 1e-5)
-    assert np.linalg.norm(d1 - d2) < 1e-12
-    assert np.linalg.norm(d1 - np.cos(x) * v) < 1e-9
+    want = np.cos(x) * v
+
+    def err(h):
+        return np.linalg.norm(curve_derivative(lambda t: np.sin(x + t * v), h)
+                              - want)
+
+    assert err(1e-5) < 1e-9
+    assert 90.0 < err(1e-3) / err(1e-4) < 110.0
 
 
 def test_norm_is_numpys_norm_bit_for_bit():
