@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import groups
-from .linalg import Subspace, TOL_RANK, norm, rank_nullspace, range_space
+from .linalg import Subspace, norm, rank_nullspace, range_space
 
 
 class TorusSquareAlgebra:
@@ -41,6 +41,9 @@ class TorusSquareAlgebra:
 
     def bracket(self, a, b):  # abelian
         return np.zeros(self.dim)
+
+    def ad_matrix(self, a):
+        return np.zeros((self.dim, self.dim))
 
     def split(self, a):
         k = self.dim // 2
@@ -314,15 +317,15 @@ class TorusSquareOnGroup(Action):
 
 # ---------------------------------------------------------------------------
 
-def isotropy_algebra(action: Action, m, tol_rank=TOL_RANK) -> Subspace:
+def isotropy_algebra(action: Action, m) -> Subspace:
     """Kernel of xi -> xi_M(m) in acting-algebra coordinates."""
-    _, kern = rank_nullspace(action.gen_matrix(m), tol_rank)
+    _, kern = rank_nullspace(action.gen_matrix(m))
     return kern
 
 
-def orbit_tangent(action: Action, m, tol_rank=TOL_RANK) -> Subspace:
+def orbit_tangent(action: Action, m) -> Subspace:
     """Range of xi -> xi_M(m): the orbit's tangent space at m."""
-    return range_space(action.gen_matrix(m), tol_rank)
+    return range_space(action.gen_matrix(m))
 
 
 def _make_registry():

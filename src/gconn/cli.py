@@ -15,6 +15,7 @@ differ, point sampler or example data.  Criterion 01 reads only
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import asdict, dataclass, replace
 
@@ -22,7 +23,8 @@ import numpy as np
 
 from . import actions, connections, curvature, frames, slices
 from .groups import cross, exp_so3
-from .linalg import FD_STEP, SVD, TOL_RANK, Subspace, curve_derivative
+from .linalg import (FD_STEP, SVD, TOL_RANK, Subspace, curve_derivative,
+                     numerics)
 from .report import VerificationReport
 
 
@@ -60,11 +62,10 @@ def scenario_so3_r3_basics(cfg: ScenarioConfig) -> VerificationReport:
     A = actions.get_action("so3-on-r3")
     mu = connections.mu_q(lambda t: t)
     rep.extend(connections.dual_form_verify(mu, samples=cfg.samples, rng=rng,
-                                            tol_rank=cfg.tol_rank,
                                             tol_eq=cfg.tol_eq))
     for i in range(cfg.samples):
         m = A.random_point(rng)
-        P = connections.projection_P_mu(mu, m, cfg.tol_rank)
+        P = connections.projection_P_mu(mu, m)
         rep.add("P-idempotent", "P_mu squares to itself",
                 np.linalg.norm(P @ P - P), 1e-9, f"sample {i}")
     # clean form of the singular partial connection form
@@ -86,8 +87,7 @@ def scenario_so3_r3_basics(cfg: ScenarioConfig) -> VerificationReport:
     chi_field = lambda m: connections.at(mu, m).chi
     rep.extend(connections.pair_check(alpha0, chi_field,
                                       samples=cfg.samples, rng=rng,
-                                      singular_points=[np.zeros(3)],
-                                      tol_rank=cfg.tol_rank))
+                                      singular_points=[np.zeros(3)]))
     return rep
 
 
@@ -98,8 +98,7 @@ def scenario_so3_r3_docility(cfg: ScenarioConfig) -> VerificationReport:
     mu1 = connections.mu_q(lambda t: 1.0)
     mut = connections.mu_q(lambda t: t)
     origin = np.zeros(3)
-    ok, witness = curvature.docile(mu1, origin, h=cfg.fd_step,
-                                   tol_rank=cfg.tol_rank)
+    ok, witness = curvature.docile(mu1, origin)
     rep.add_bool("non-docile", "constant-weight form fails docility at 0",
                  not ok)
     if witness is not None:
@@ -107,11 +106,10 @@ def scenario_so3_r3_docility(cfg: ScenarioConfig) -> VerificationReport:
         rep.add("witness-value",
                 "exterior derivative at 0 is twice the weighted cross "
                 "product", np.linalg.norm(val - 2.0 * cross(u, v)), 1e-6)
-    ok_t, _ = curvature.docile(mut, origin, h=cfg.fd_step,
-                               tol_rank=cfg.tol_rank)
+    ok_t, _ = curvature.docile(mut, origin)
     rep.add_bool("docile", "vanishing-weight form is docile at 0", ok_t)
     u, v = rng.standard_normal(3), rng.standard_normal(3)
-    om = curvature.curvature(mut, origin, u, v, cfg.fd_step, cfg.tol_rank)
+    om = curvature.curvature(mut, origin, u, v)
     rep.add("zero-curvature", "curvature at the origin vanishes",
             np.linalg.norm(om), 1e-7)
     return rep
@@ -138,8 +136,7 @@ def scenario_hxh_su3_curvature(cfg: ScenarioConfig) -> VerificationReport:
         vals = []
         for i in range(8):
             for j in range(i + 1, 8):
-                om = curvature.curvature_leftright_closed(A, g, E[i], E[j],
-                                                          cfg.tol_rank)
+                om = curvature.curvature_leftright_closed(A, g, E[i], E[j])
                 vals.append(om)
                 want = _SU3_TABLE.get((i, j))
                 if want is not None:
@@ -150,7 +147,7 @@ def scenario_hxh_su3_curvature(cfg: ScenarioConfig) -> VerificationReport:
                     rep.add(f"zero-{i}{j}",
                             "curvature vanishes on this basis pair",
                             np.linalg.norm(om), 1e-9, tag)
-        svd = SVD(np.array(vals), cfg.tol_rank)
+        svd = SVD(np.array(vals))
         s = svd.s
         rep.add_bool("rank-two", "curvature has numerical rank two",
                      s[2] < 1e-10 * s[0] and s[1] > 1e-6 * s[0], tag)
@@ -176,8 +173,8 @@ def check_closed_vs_fd(rep, cfg, rng, samples, sample_point=None):
         g = sample_point(rng)
         u = rng.standard_normal(8)
         v = rng.standard_normal(8)
-        cf = curvature.curvature_leftright_closed(A, g, u, v, cfg.tol_rank)
-        fd = curvature.curvature(nu, g, u, v, cfg.fd_step, cfg.tol_rank)
+        cf = curvature.curvature_leftright_closed(A, g, u, v)
+        fd = curvature.curvature(nu, g, u, v)
         worst = max(worst, float(np.max(np.abs(cf - fd))))
     rep.add("closed-vs-fd", "closed form agrees with finite differences",
             worst, 1e-5)
@@ -191,8 +188,7 @@ def check_d_exact_vs_fd(rep, cfg, rng, samples, mu):
     for _ in range(samples):
         m = A.random_point(rng)
         w = A.random_tangent(rng, m)
-        fd = curve_derivative(lambda t: mu.matrix(A.retract(m, w, t)),
-                              cfg.fd_step)
+        fd = curve_derivative(lambda t: mu.matrix(A.retract(m, w, t)))
         worst = max(worst, np.linalg.norm(
             mu.dmatrix(m, w, A.gen_matrix(m)) - fd))
     rep.add("d-exact-vs-fd",
@@ -215,7 +211,7 @@ def scenario_s1s1_so3_slice(cfg: ScenarioConfig) -> VerificationReport:
         g = A.random_point(rng)
         u, v = rng.standard_normal(3), rng.standard_normal(3)
         worst = max(worst, np.linalg.norm(
-            curvature.curvature_leftright_closed(A, g, u, v, cfg.tol_rank)))
+            curvature.curvature_leftright_closed(A, g, u, v)))
     rep.add("flat", "closed-form curvature vanishes identically", worst,
             1e-7)
     check_slice(rep, cfg, rng, cfg.samples)
@@ -261,8 +257,7 @@ def check_slice(rep, cfg, rng, samples):
 
     rep.extend(slices.slice_verify(sl, A, g0, samples=samples, rng=rng,
                                    stabilizer_sampler=stab,
-                                   nearby_sampler=nearby,
-                                   tol_rank=cfg.tol_rank))
+                                   nearby_sampler=nearby))
     # tangency reduces to orthogonality against the axis
     worst = 0.0
     for _ in range(samples):
@@ -288,9 +283,7 @@ def check_abel_involutivity(rep, cfg, rng, samples):
 
     rep.extend(slices.abel_involutivity(mu, slices.trivial_adaptor(A, g0),
                                         pi, iota, samples=samples, rng=rng,
-                                        tol=cfg.tol_struct,
-                                        tol_rank=cfg.tol_rank,
-                                        h=cfg.fd_step))
+                                        tol=cfg.tol_struct))
 
 
 def scenario_us2_moving_frame(cfg: ScenarioConfig) -> VerificationReport:
@@ -382,7 +375,8 @@ def run_scenario(cfg: ScenarioConfig) -> VerificationReport:
     if cfg.scenario not in SCENARIOS:
         raise KeyError(f"unknown scenario {cfg.scenario!r}; "
                        f"known: {sorted(SCENARIOS)}")
-    return SCENARIOS[cfg.scenario](cfg)
+    with numerics(cfg.tol_rank, cfg.fd_step):
+        return SCENARIOS[cfg.scenario](cfg)
 
 
 def emit_report(report: VerificationReport, path=None, fmt="json"):
@@ -394,6 +388,17 @@ def emit_report(report: VerificationReport, path=None, fmt="json"):
             fh.write(text)
 
 
+def _checked(kind, ok, requirement):
+    """An argparse type: ``kind`` of the text, rejected unless ``ok`` (which
+    NaN fails, as it fails every comparison)."""
+    def parse(text):
+        if not ok(value := kind(text)):
+            raise argparse.ArgumentTypeError(f"{requirement}, got {text!r}")
+        return value
+    parse.__name__ = kind.__name__  # for argparse's "invalid float value"
+    return parse
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(
         prog="gconn",
@@ -402,11 +407,14 @@ def main(argv=None):
         argument_default=argparse.SUPPRESS)
     p.add_argument("--scenario", required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--tol-rank", type=float)
+    p.add_argument("--tol-rank", type=_checked(
+        float, lambda x: 0.0 < x < 1.0, "must lie in (0, 1)"))
     p.add_argument("--tol-eq", type=float)
     p.add_argument("--tol-struct", type=float)
-    p.add_argument("--fd-step", type=float)
-    p.add_argument("--samples", type=int)
+    p.add_argument("--fd-step", type=_checked(
+        float, lambda x: 0.0 < x < math.inf, "must be a finite number > 0"))
+    p.add_argument("--samples", type=_checked(
+        int, lambda n: n >= 1, "must be at least 1"))
     p.add_argument("--out")
     p.add_argument("--format", dest="fmt", choices=("json", "text"))
     # omitted flags are absent, so the config's own defaults apply

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .actions import Action
-from .linalg import SVD, Subspace, TOL_RANK, norm
+from .linalg import SVD, Subspace, norm
 from .report import VerificationReport
 
 
@@ -116,25 +116,24 @@ class PointEval:
     ``M`` at m passes it on.
     """
 
-    def __init__(self, mu: DualForm, m, tol_rank=TOL_RANK, K=None, M=None):
+    def __init__(self, mu: DualForm, m, K=None, M=None):
         self.mu = mu
         self.m = m
-        self.tol_rank = tol_rank
         self.K = mu.action.gen_matrix(m) if K is None else K
         self.M = mu.matrix(m, self.K) if M is None else M
         self.chi = self.M @ self.K
 
     @cached_property
     def chi_svd(self) -> SVD:
-        return SVD(self.chi, self.tol_rank)
+        return SVD(self.chi)
 
     @cached_property
     def M_svd(self) -> SVD:
-        return SVD(self.M, self.tol_rank)
+        return SVD(self.M)
 
     @cached_property
     def K_svd(self) -> SVD:
-        return SVD(self.K, self.tol_rank)
+        return SVD(self.K)
 
     @property
     def kernel(self) -> Subspace:
@@ -176,48 +175,48 @@ class PointEval:
                 f"range mu exceeds range chi (residual {resid:.2e})")
         return self.K @ X
 
-    def solve(self, nu, tol_consist=1e-8):
+    def solve(self, nu, *, tol_consist=1e-8):
         """Minimum-norm xi with chi(m) xi = nu, after the kernel test."""
         self.inertia()
-        return self.chi_svd.solve(nu, tol_consist)
+        return self.chi_svd.solve(nu, tol_consist=tol_consist)
 
-    def gamma(self, nu, tol_consist=1e-8):
+    def gamma(self, nu, *, tol_consist=1e-8):
         """Solve chi(m) xi = nu and return the generator xi_M(m)."""
-        return self.K @ self.solve(nu, tol_consist)
+        return self.K @ self.solve(nu, tol_consist=tol_consist)
 
 
-def at(mu: DualForm, m, tol_rank=TOL_RANK) -> PointEval:
+def at(mu: DualForm, m) -> PointEval:
     """The point evaluation of mu at m; ``m`` itself if it already is one."""
     if isinstance(m, PointEval):
         if m.mu is not mu:
             raise ValueError(f"point evaluation of {m.mu.name} passed for "
                              f"{mu.name}")
         return m
-    return PointEval(mu, m, tol_rank)
+    return PointEval(mu, m)
 
 
-def inertia_factor(mu: DualForm, m, tol_rank=TOL_RANK):
+def inertia_factor(mu: DualForm, m):
     """chi(m) = mu composed with the generator map, as an alg x alg matrix.
 
     Raises :class:`DegeneracyError` if ker chi(m) differs from the isotropy
     algebra (then mu is not a dual connection form at m).
     """
-    return at(mu, m, tol_rank).inertia()
+    return at(mu, m).inertia()
 
 
-def gamma_apply(mu: DualForm, m, nu, tol_rank=TOL_RANK, tol_consist=1e-8):
+def gamma_apply(mu: DualForm, m, nu, *, tol_consist=1e-8):
     """Solve chi(m) xi = nu and return the generator xi_M(m).
 
     Well defined because ker chi = ker of the generator map; inconsistency
     (nu outside range chi) raises and is exactly the docility-failure
     signal.
     """
-    return at(mu, m, tol_rank).gamma(nu, tol_consist)
+    return at(mu, m).gamma(nu, tol_consist=tol_consist)
 
 
-def projection_P_mu(mu: DualForm, m, tol_rank=TOL_RANK):
+def projection_P_mu(mu: DualForm, m):
     """Matrix of the projection gamma o mu of T_m M onto the orbit tangent."""
-    return at(mu, m, tol_rank).P
+    return at(mu, m).P
 
 
 def alpha_so3r3(f) -> DualForm:
@@ -259,7 +258,7 @@ def equivariance_residual(mu: DualForm, g, m, v):
 
 
 def dual_form_verify(mu: DualForm, samples=25, rng=None,
-                     tol_rank=TOL_RANK, tol_eq=1e-8) -> VerificationReport:
+                     tol_eq=1e-8) -> VerificationReport:
     """Check the defining properties of a dual connection form by sampling.
 
     At each sampled point: the tangent space splits as orbit-tangent plus
@@ -272,11 +271,11 @@ def dual_form_verify(mu: DualForm, samples=25, rng=None,
     for i in range(samples):
         m = A.random_point(rng)
         tag = f"sample {i}"
-        pt = at(mu, m, tol_rank)
+        pt = at(mu, m)
         kern = pt.kernel
         orb = pt.K_svd.range
         # direct sum: dimensions add up and the union spans
-        r = SVD(np.hstack([kern.basis, orb.basis]), tol_rank).rank
+        r = SVD(np.hstack([kern.basis, orb.basis])).rank
         ok = (kern.dim + orb.dim == A.vec_dim and r == A.vec_dim)
         rep.add_bool("splitting", "T_m M = orbit-tangent + ker mu (direct)",
                      ok, tag)
@@ -295,8 +294,7 @@ def dual_form_verify(mu: DualForm, samples=25, rng=None,
 
 
 def pair_check(alpha: DualForm, chi_field, samples=20, rng=None,
-               singular_points=None, tol_eq=1e-6,
-               tol_rank=TOL_RANK) -> VerificationReport:
+               singular_points=None, tol_eq=1e-6) -> VerificationReport:
     """Classify (alpha, chi) as a partial connection pair by sampling.
 
     ``chi_field`` maps a point to an inertia-factor matrix.  Checks that
@@ -314,13 +312,8 @@ def pair_check(alpha: DualForm, chi_field, samples=20, rng=None,
         v = A.random_tangent(rng, m)
         rep.add("mu-equivariance", "chi.alpha transforms like a dual form",
                 equivariance_residual(mu, g, m, v), tol_eq, f"sample {i}")
-        try:
-            inertia_factor(mu, m, tol_rank)
-            rep.add_bool("nondegenerate", "ker chi_mu = isotropy", True,
-                         f"sample {i}")
-        except DegeneracyError:
-            rep.add_bool("nondegenerate", "ker chi_mu = isotropy", False,
-                         f"sample {i}")
+        rep.add_bool("nondegenerate", "ker chi_mu = isotropy",
+                     at(mu, m).nondegenerate, f"sample {i}")
     for p in (singular_points if singular_points is not None else []):
         p = np.asarray(p, dtype=float)
         M0 = mu.matrix(p)

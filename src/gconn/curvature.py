@@ -11,9 +11,10 @@ A form that carries ``dmatrix`` (see :class:`gconn.connections.DualForm`)
 is differentiated exactly: d mu, d chi and the derivative of a horizontal
 field are then linear algebra at the one point, using the action's
 ``dgen_matrix`` for the generators.  Every other derivative is a central
-difference with the step ``h`` of the function that takes it;
-:func:`gconn.connections.fd_oracle` strips a form's derivative to get the
-finite-difference values as an independent check.
+difference with the step in force (see :func:`gconn.linalg.numerics`),
+or ``FD_STEP_NESTED`` in :func:`_d_chi`; :func:`gconn.connections.fd_oracle`
+strips a form's derivative to get the finite-difference values as an
+independent check.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .actions import Action
 from .connections import DualForm, PointEval, at
-from .linalg import FD_STEP, SVD, TOL_RANK, curve_derivative, norm
+from .linalg import SVD, curve_derivative, norm
 from .report import VerificationReport
 
 # Nested (second-derivative) steps are larger to limit noise amplification.
@@ -45,7 +46,7 @@ def _extend_field(action: Action, m, c):
     return lambda p: action.project_tangent(p, c)
 
 
-def d_oneform(mu: DualForm, m, u, v, h=FD_STEP):
+def d_oneform(mu: DualForm, m, u, v):
     """Exterior derivative d mu at m on tangent vectors u, v.
 
     Uses the three-term formula X_u(mu(X_v)) - X_v(mu(X_u)) - mu([X_u, X_v])
@@ -72,15 +73,15 @@ def d_oneform(mu: DualForm, m, u, v, h=FD_STEP):
         def value(t):
             p = A.retract(m, a, t)
             return mu(p, W(p))
-        return curve_derivative(value, h)
+        return curve_derivative(value)
 
     term = deriv_along(u, V) - deriv_along(v, U)
     if _is_group_manifold(A):
         return term + pt.M @ A.manifold_alg.bracket(u, v)
-    return term - pt.M @ field_bracket(A, U, V, m, h)
+    return term - pt.M @ field_bracket(A, U, V, m)
 
 
-def field_bracket(action: Action, X, Y, m, h=FD_STEP):
+def field_bracket(action: Action, X, Y, m):
     """Lie bracket of two tangent-coordinate vector fields at m.
 
     On group manifolds the right-trivialized bracket picks up the algebra
@@ -100,7 +101,7 @@ def field_bracket(action: Action, X, Y, m, h=FD_STEP):
         b = dY(m, Xm) - dX(m, Ym)
     else:
         def D(a, W):
-            return curve_derivative(lambda t: W(action.retract(p, a, t)), h)
+            return curve_derivative(lambda t: W(action.retract(p, a, t)))
 
         b = D(Xm, Y) - D(Ym, X)
     if _is_group_manifold(action):
@@ -108,48 +109,44 @@ def field_bracket(action: Action, X, Y, m, h=FD_STEP):
     return action.project_tangent(p, b)
 
 
-def covariant_derivative(mu: DualForm, m, u, v, h=FD_STEP,
-                         tol_rank=TOL_RANK):
+def covariant_derivative(mu: DualForm, m, u, v):
     """d mu evaluated on the horizontal projections of u and v."""
-    pt = at(mu, m, tol_rank)
+    pt = at(mu, m)
     P = pt.P
     u = np.asarray(u, dtype=float).ravel()
     v = np.asarray(v, dtype=float).ravel()
-    return d_oneform(mu, pt, u - P @ u, v - P @ v, h)
+    return d_oneform(mu, pt, u - P @ u, v - P @ v)
 
 
-def docile(mu: DualForm, m, probes=None, tol=1e-7, h=FD_STEP,
-           tol_rank=TOL_RANK):
+def docile(mu: DualForm, m, probes=None, *, tol=1e-7):
     """Range test: is every covariant-derivative value inside range(mu_m)?
 
     Returns ``(flag, witness)`` where the witness is a violating
     ``(u, v, value)`` triple, or None.
     """
     A = mu.action
-    pt = at(mu, m, tol_rank)
+    pt = at(mu, m)
     if probes is None:
         probes = [A.project_tangent(pt.m, e) for e in np.eye(A.vec_dim)]
     rng_mu = pt.M_svd.range
     for i in range(len(probes)):
         for j in range(i + 1, len(probes)):
-            val = covariant_derivative(mu, pt, probes[i], probes[j], h,
-                                       tol_rank)
+            val = covariant_derivative(mu, pt, probes[i], probes[j])
             if not rng_mu.contains(val, tol):
                 return False, (probes[i], probes[j], val)
     return True, None
 
 
-def curvature(mu: DualForm, m, u, v, h=FD_STEP, tol_rank=TOL_RANK,
-              tol_consist=1e-6):
+def curvature(mu: DualForm, m, u, v, *, tol_consist=1e-6):
     """Curvature value gamma(m)(covariant derivative of mu at m on u, v).
 
     The result is a tangent vector in the orbit tangent space.  A docility
     failure surfaces as an :class:`InconsistentSystemError` carrying the
     unresolvable residual.
     """
-    pt = at(mu, m, tol_rank)
-    return pt.gamma(covariant_derivative(mu, pt, u, v, h, tol_rank),
-                    tol_consist)
+    pt = at(mu, m)
+    return pt.gamma(covariant_derivative(mu, pt, u, v),
+                    tol_consist=tol_consist)
 
 
 def tame(mu: DualForm) -> DualForm:
@@ -185,7 +182,7 @@ def tame(mu: DualForm) -> DualForm:
 # ---------------------------------------------------------------------------
 # closed-form curvature for two-sided torus actions on a group
 
-def curvature_leftright_closed(action, g, xi, omega, tol_rank=TOL_RANK):
+def curvature_leftright_closed(action, g, xi, omega):
     """Curvature of the tamed two-sided-torus form, by exact linear algebra.
 
     For the action (h, k) . g = h g k^(-1) of H x H on G the ingredients of
@@ -209,7 +206,7 @@ def curvature_leftright_closed(action, g, xi, omega, tol_rank=TOL_RANK):
     W = np.column_stack([np.asarray(xi, dtype=float).ravel(),
                          np.asarray(omega, dtype=float).ravel()])
     StG = S.T @ G
-    xi_h, om_h = (W - S @ (SVD(StG @ S, tol_rank).pinv @ (StG @ W))).T
+    xi_h, om_h = (W - S @ (SVD(StG @ S).pinv @ (StG @ W))).T
     b = alg.bracket(xi_h, om_h)
 
     # covariant derivative on h x h; Ad_g is isometric, so the second half
@@ -218,20 +215,20 @@ def curvature_leftright_closed(action, g, xi, omega, tol_rank=TOL_RANK):
 
     chi = K.T @ G @ K
     sharp = act.gram_inv
-    zeta = SVD(chi @ sharp @ chi, tol_rank).solve(chi @ sharp @ nab, 1e-6)
+    zeta = SVD(chi @ sharp @ chi).solve(chi @ sharp @ nab, tol_consist=1e-6)
     return K @ zeta
 
 
 # ---------------------------------------------------------------------------
 # structure equation and related identities
 
-def _d_chi(mu: DualForm, m, w, h=FD_STEP_NESTED, adaptor=None):
+def _d_chi(mu: DualForm, m, w, adaptor=None):
     """Directional derivative of the inertia factor along w.
 
     With an adaptor phi, of the adapted inertia factor chi . Ad_phi.  Exact,
     dM K + M dK (times Ad_phi, plus chi Ad_phi ad_{dnatL(m, w)}), where the
-    form, its action and the adaptor know their derivatives; a central
-    difference with step h otherwise.  ``m`` may be a point evaluation.
+    form, its action and the adaptor know their derivatives, and otherwise
+    by differencing with ``FD_STEP_NESTED``; ``m`` may be a point evaluation.
     """
     A = mu.action
     if _exact(mu) and (adaptor is None or adaptor.dnatL is not None):
@@ -242,8 +239,8 @@ def _d_chi(mu: DualForm, m, w, h=FD_STEP_NESTED, adaptor=None):
         if adaptor is None:
             return dchi
         Ad = A.Ad_group(adaptor.phi(pt.m))
-        return dchi @ Ad + pt.chi @ Ad @ _acting_ad_matrix(
-            A, adaptor.dnatL(pt.m, w))
+        return dchi @ Ad + pt.chi @ Ad @ A.algebra.ad_matrix(
+            adaptor.dnatL(pt.m, w))
     m = m.m if isinstance(m, PointEval) else m
 
     def chi(t):
@@ -252,17 +249,10 @@ def _d_chi(mu: DualForm, m, w, h=FD_STEP_NESTED, adaptor=None):
             return pt.chi
         return pt.chi @ A.Ad_group(adaptor.phi(pt.m))
 
-    return curve_derivative(chi, h)
+    return curve_derivative(chi, FD_STEP_NESTED)
 
 
-def _acting_ad_matrix(action: Action, eta):
-    """Matrix of ad_eta on the acting algebra."""
-    alg = action.algebra
-    return np.array([alg.bracket(eta, e) for e in np.eye(alg.dim)]).T
-
-
-def structure_residual(mu: DualForm, m, u, v, h=FD_STEP,
-                       h_nested=FD_STEP_NESTED, tol_rank=TOL_RANK):
+def structure_residual(mu: DualForm, m, u, v):
     """Residual of the structure equation at one sample.
 
     With xi, eta solving chi xi = mu(u), chi eta = mu(v):
@@ -274,24 +264,21 @@ def structure_residual(mu: DualForm, m, u, v, h=FD_STEP,
     tangent coordinates is returned.
     """
     A = mu.action
-    pt = at(mu, m, tol_rank)
+    pt = at(mu, m)
     u = np.asarray(u, dtype=float).ravel()
     v = np.asarray(v, dtype=float).ravel()
-    xi = pt.solve(pt.M @ u, 1e-6)
-    eta = pt.solve(pt.M @ v, 1e-6)
+    xi = pt.solve(pt.M @ u, tol_consist=1e-6)
+    eta = pt.solve(pt.M @ v, tol_consist=1e-6)
 
-    lhs = (curvature(mu, pt, u, v, h, tol_rank)
-           + pt.K @ A.algebra.bracket(xi, eta))
+    lhs = curvature(mu, pt, u, v) + pt.K @ A.algebra.bracket(xi, eta)
 
-    dmu = d_oneform(mu, pt, u, v, h)
-    corr = (_d_chi(mu, pt, u, h_nested) @ eta
-            - _d_chi(mu, pt, v, h_nested) @ xi)
-    rhs = pt.gamma(dmu - corr, 1e-4)
+    dmu = d_oneform(mu, pt, u, v)
+    corr = _d_chi(mu, pt, u) @ eta - _d_chi(mu, pt, v) @ xi
+    rhs = pt.gamma(dmu - corr, tol_consist=1e-4)
     return norm(lhs - rhs)
 
 
-def interior_product_residual(mu: DualForm, m, eta, v, h=FD_STEP,
-                              h_nested=FD_STEP_NESTED):
+def interior_product_residual(mu: DualForm, m, eta, v):
     """Residual of the generator-contraction identity for d mu.
 
     Contracting d mu with the generator of eta equals minus the coadjoint
@@ -302,22 +289,22 @@ def interior_product_residual(mu: DualForm, m, eta, v, h=FD_STEP,
     A = mu.action
     pt = at(mu, m)
     eta = np.asarray(eta, dtype=float).ravel()
-    lhs = d_oneform(mu, pt, pt.K @ eta, v, h)
-    coad = (_acting_ad_matrix(A, eta).T
+    lhs = d_oneform(mu, pt, pt.K @ eta, v)
+    coad = (A.algebra.ad_matrix(eta).T
             @ (pt.M @ np.asarray(v, dtype=float).ravel()))
-    dchi = _d_chi(mu, pt, v, h_nested) @ eta
+    dchi = _d_chi(mu, pt, v) @ eta
     return norm(lhs + coad + dchi)
 
 
-def good_chi_residual(mu: DualForm, m, u, zeta, h=FD_STEP_NESTED):
+def good_chi_residual(mu: DualForm, m, u, zeta):
     """|d chi(u) zeta| for u in ker mu_m and zeta in the isotropy algebra."""
-    return norm(_d_chi(mu, m, u, h) @ np.asarray(zeta, dtype=float).ravel())
+    return norm(_d_chi(mu, m, u) @ np.asarray(zeta, dtype=float).ravel())
 
 
 # ---------------------------------------------------------------------------
 # involutivity at regular points
 
-def horizontal_field(mu: DualForm, c, tol_rank=TOL_RANK):
+def horizontal_field(mu: DualForm, c):
     """The frozen coordinate vector c, projected horizontal at each point.
 
     The field takes a point or a point evaluation of mu.  On a group
@@ -329,7 +316,7 @@ def horizontal_field(mu: DualForm, c, tol_rank=TOL_RANK):
     A = mu.action
 
     def X(p):
-        pt = at(mu, p, tol_rank)
+        pt = at(mu, p)
         w = A.project_tangent(pt.m, c)
         return w - pt.P @ w
 
@@ -337,7 +324,7 @@ def horizontal_field(mu: DualForm, c, tol_rank=TOL_RANK):
         c = np.asarray(c, dtype=float).ravel()
 
         def derivative(p, w):
-            pt = at(mu, p, tol_rank)
+            pt = at(mu, p)
             pinv = pt.chi_svd.pinv
             xi = pinv @ (pt.M @ c)              # P c = K xi
             dK_xi = A.dgen_matrix(pt.m, w, pt.K) @ xi
@@ -348,8 +335,8 @@ def horizontal_field(mu: DualForm, c, tol_rank=TOL_RANK):
     return X
 
 
-def involutivity_check(mu: DualForm, m, pairs=None, h=FD_STEP,
-                       tol=1e-5, tol_rank=TOL_RANK) -> VerificationReport:
+def involutivity_check(mu: DualForm, m, pairs=None,
+                       tol=1e-5) -> VerificationReport:
     """At a regular point: curvature measures the bracket's vertical part.
 
     For horizontal fields X, Y checks that mu annihilates
@@ -361,12 +348,12 @@ def involutivity_check(mu: DualForm, m, pairs=None, h=FD_STEP,
         E = np.eye(A.vec_dim)
         pairs = [(E[i], E[j]) for i in range(A.vec_dim)
                  for j in range(i + 1, A.vec_dim)]
-    pt = at(mu, m, tol_rank)
+    pt = at(mu, m)
     for k, (ci, cj) in enumerate(pairs):
-        X = horizontal_field(mu, ci, tol_rank)
-        Y = horizontal_field(mu, cj, tol_rank)
-        br = field_bracket(A, X, Y, pt, h)
-        om = curvature(mu, pt, X(pt), Y(pt), h, tol_rank)
+        X = horizontal_field(mu, ci)
+        Y = horizontal_field(mu, cj)
+        br = field_bracket(A, X, Y, pt)
+        om = curvature(mu, pt, X(pt), Y(pt))
         scale = max(1.0, norm(br))
         rep.add("horizontal-bracket",
                 "mu annihilates Omega(X,Y) + [X,Y]",

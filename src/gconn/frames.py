@@ -5,7 +5,8 @@ The frame of an orthonormal pair (m, u) is the rotation with columns
 (m, u, m x u); composing with a unit tangent field Y gives a group-valued
 map on the sphere that is equivariant only up to isotropy.  The frame, its
 derivative and the slip map are closed forms; ``dnat_phi`` (through the
-seed field) and ``dnat_slip`` differentiate by central differences.
+seed field), ``dnat_slip`` and the oracle ``dnat_rho_fd`` differentiate by
+central differences with the fixed step ``FRAME_STEP``.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from .actions import get_action, So3OnUS2
 from .groups import cross, exp_so3, vee
 from .linalg import curve_derivative, norm
 from .report import VerificationReport
+
+FRAME_STEP = 1e-6
 
 
 class DomainError(ValueError):
@@ -42,15 +45,18 @@ def dnat_rho(p, v):
     return cross(m, dm) + (cross(u, du) @ m) * m
 
 
-def dnat_rho_fd(p, v, h=1e-6):
+def _trivialized_fd(curve, R):
+    """Right-trivialized derivative at t = 0 of a rotation-valued curve
+    through R, by differencing: the skew part of R'(0) R^T, as a vector."""
+    J = curve_derivative(curve, FRAME_STEP) @ R.T
+    return vee(0.5 * (J - J.T))
+
+
+def dnat_rho_fd(p, v):
     """Finite-difference oracle for :func:`dnat_rho` through the retraction."""
     act = get_action("so3-on-us2")
-
-    def at(t):
-        return rho_us2(act.retract(p, v, t))
-
-    J = curve_derivative(at, h) @ rho_us2(p).T
-    return vee(0.5 * (J - J.T))
+    return _trivialized_fd(lambda t: rho_us2(act.retract(p, v, t)),
+                           rho_us2(p))
 
 
 def eastward_field(m):
@@ -72,8 +78,6 @@ class PartialMovingFrame:
     the moved point composed with g.
     """
 
-    name = "pmf"
-
     def __init__(self, Y):
         self.Y = Y
         self.action = get_action("so3-on-s2")
@@ -89,14 +93,14 @@ class PartialMovingFrame:
         m = np.asarray(m, dtype=float).ravel()
         return rho_us2(np.concatenate([m, self._field(m)]))
 
-    def dnat_phi(self, m, dm, h=1e-6):
+    def dnat_phi(self, m, dm):
         """Closed form m x dm + <Y x (dY dm), m> m for the trivialized
         derivative; dY is differentiated along the sphere retraction."""
         m = np.asarray(m, dtype=float).ravel()
         dm = self.action.project_tangent(m, dm)
         y = self._field(m)
         dY = curve_derivative(
-            lambda t: self._field(self.action.retract(m, dm, t)), h)
+            lambda t: self._field(self.action.retract(m, dm, t)), FRAME_STEP)
         return cross(m, dm) + (cross(y, dY) @ m) * m
 
     def slip_angle(self, g, m):
@@ -112,15 +116,12 @@ class PartialMovingFrame:
         m = np.asarray(m, dtype=float).ravel()
         return np.asarray(g, dtype=float) @ exp_so3(self.slip_angle(g, m) * m)
 
-    def dnat_slip(self, g, m, v, h=1e-6):
+    def dnat_slip(self, g, m, v):
         """Right-trivialized derivative of m -> phi_g(m), by differencing."""
         v = self.action.project_tangent(m, v)
-
-        def at(t):
-            return self.slip(g, self.action.retract(m, v, t))
-
-        J = curve_derivative(at, h) @ self.slip(g, m).T
-        return vee(0.5 * (J - J.T))
+        return _trivialized_fd(
+            lambda t: self.slip(g, self.action.retract(m, v, t)),
+            self.slip(g, m))
 
 
 def pmf_from_field(Y) -> PartialMovingFrame:
@@ -136,7 +137,7 @@ def cross_section(pmf: PartialMovingFrame, m):
 
 
 def beta_equivariance_check(pmf: PartialMovingFrame, samples=50, rng=None,
-                            tol=1e-5, h=1e-6) -> VerificationReport:
+                            tol=1e-5) -> VerificationReport:
     """Sampled verification of the slip-relative equivariance identities.
 
     Checks, at random (g, m, v): the slip property phi_g(m).m = g.m; the
@@ -160,9 +161,9 @@ def beta_equivariance_check(pmf: PartialMovingFrame, samples=50, rng=None,
         rep.add("slip-consistency", "phi(g m) = phi_g(m) phi(m)",
                 norm(pmf.phi(gm) - beta @ pmf.phi(m)), 1e-9, tag)
         # product rule for the trivialized derivative
-        lhs = pmf.dnat_phi(gm, np.asarray(g, dtype=float) @ v, h)
-        dbeta = pmf.dnat_slip(g, m, v, h)
-        rhs = beta @ pmf.dnat_phi(m, v, h) + dbeta
+        lhs = pmf.dnat_phi(gm, np.asarray(g, dtype=float) @ v)
+        dbeta = pmf.dnat_slip(g, m, v)
+        rhs = beta @ pmf.dnat_phi(m, v) + dbeta
         rep.add("product-rule",
                 "d_phi(dPhi_g v) = Ad_slip d_phi(v) + d_slip(v)",
                 norm(lhs - rhs), tol, tag)
@@ -175,7 +176,7 @@ def beta_equivariance_check(pmf: PartialMovingFrame, samples=50, rng=None,
         # d_phi on generators is the identity modulo isotropy
         xi = rng.standard_normal(3)
         K = A.gen_matrix(m)
-        d = pmf.dnat_phi(m, K @ xi, h)
+        d = pmf.dnat_phi(m, K @ xi)
         rep.add("modulo-isotropy",
                 "d_phi(xi_M(m)) = xi up to the isotropy of m",
                 norm(K @ (d - xi)), 1e-6, tag)

@@ -6,16 +6,21 @@ and central differences on matrices of dimension <= 16, so these helpers are
 kept deliberately simple and SVD-based.  :class:`SVD` is the one place that
 decomposes a matrix: every rank, kernel, range and minimum-norm solve in the
 package keeps the singular values ``s > tol_rank * s[0]`` of that one
-decomposition, and the CLI's ``--tol-rank`` sets tol_rank.
-:func:`rank_nullspace`, :func:`range_space`, :func:`solve_consistent` and
-the reduction in :class:`Subspace` are views of it.  :func:`norm` is the
-Euclidean norm of a real array by numpy's own formula, without
-``np.linalg.norm``'s dispatch.
+decomposition.  :func:`rank_nullspace`, :func:`range_space`,
+:func:`solve_consistent` and the reduction in :class:`Subspace` are views
+of it.  :func:`norm` is the Euclidean norm of a real array by numpy's own
+formula, without ``np.linalg.norm``'s dispatch.
+
+The rank cutoff and the first-difference step have one source, the
+setting that :func:`numerics` makes for a block (the CLI for a scenario);
+:class:`SVD` records the cutoff it used, and the differences take the step
+unless given one.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from functools import cached_property
 
 import numpy as np
@@ -28,6 +33,21 @@ TOL_RANK = 1e-8
 # Default central-difference step: truncation ~h^2 = 1e-10 balances roundoff
 # ~eps/h = 1e-11.
 FD_STEP = 1e-5
+
+_tol_rank, _fd_step = TOL_RANK, FD_STEP  # in force; see numerics
+
+
+@contextmanager
+def numerics(tol_rank=TOL_RANK, fd_step=FD_STEP):
+    """Set the rank cutoff and the first-difference step for a block, and
+    restore the ones in force on exit, also when the block raises."""
+    global _tol_rank, _fd_step
+    saved = _tol_rank, _fd_step
+    _tol_rank, _fd_step = tol_rank, fd_step
+    try:
+        yield
+    finally:
+        _tol_rank, _fd_step = saved
 
 
 class InconsistentSystemError(ValueError):
@@ -64,14 +84,14 @@ class Subspace:
 
     ``vectors`` may be any spanning set (rows or a list of 1-d arrays);
     linearly dependent input is reduced to the row space of their
-    :class:`SVD` at the given tolerance.  :meth:`from_basis` takes a basis
-    that is already orthonormal.
+    :class:`SVD` at the rank cutoff in force.  :meth:`from_basis` takes a
+    basis that is already orthonormal.
     """
 
-    def __init__(self, vectors, ambient_dim=None, tol=TOL_RANK):
+    def __init__(self, vectors, ambient_dim=None):
         vectors = [np.asarray(v, dtype=float).ravel() for v in vectors]
         if vectors:
-            self.basis = SVD(np.array(vectors), tol).row_space.basis
+            self.basis = SVD(np.array(vectors)).row_space.basis
         elif ambient_dim is None:
             raise ValueError("empty subspace needs an ambient dimension")
         else:
@@ -98,10 +118,7 @@ class Subspace:
 
     def contains(self, v, tol=1e-8):
         v = np.asarray(v, dtype=float).ravel()
-        if v.size != self.ambient_dim:
-            raise ValueError("dimension mismatch")
-        d = norm(v - self.project(v))
-        return d <= tol * max(1.0, norm(v))
+        return norm(v - self.project(v)) <= tol * max(1.0, norm(v))
 
     def contains_subspace(self, other, tol=1e-8):
         return all(self.contains(other.basis[:, j], tol) for j in range(other.dim))
@@ -110,32 +127,28 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def _svd_rank(s, tol_rank):
-    """Count of singular values ``s`` (descending) above tol_rank * s[0]."""
-    s = s.tolist()
-    cutoff = tol_rank * s[0] if s and s[0] > 0 else 0.0
-    return sum(x > cutoff for x in s)
-
-
 class SVD:
     """One full singular value decomposition A = U diag(s) Vt.
 
     The matrix is checked for non-finite entries once (``ValueError``).
-    ``rank`` counts the singular values above tol_rank * s[0]
-    (:func:`_svd_rank`), and every other answer reads that one cutoff: the
-    ``kernel`` (the last rows of the full Vt, so a wide A has one), the
-    ``range``, the ``row_space``, the pseudo-inverse and the minimum-norm
-    consistent solve.  The spectral norm |A|_2 is s[0].
+    ``rank`` counts the singular values above tol_rank * s[0] at the cutoff
+    in force (:func:`numerics`), which ``tol_rank`` records, and every other
+    answer reads that one cutoff: the ``kernel`` (the last rows of the full
+    Vt, so a wide A has one), the ``range``, the ``row_space``, the
+    pseudo-inverse and the minimum-norm consistent solve.  The spectral
+    norm |A|_2 is s[0].
     """
 
-    def __init__(self, A, tol_rank=TOL_RANK):
+    def __init__(self, A):
         A = np.asarray(A, dtype=float)
         self.A = A if A.ndim == 2 else np.atleast_2d(A)
         if not np.isfinite(self.A).all():
             raise ValueError("SVD: non-finite entries")
-        self.tol_rank = tol_rank
+        self.tol_rank = _tol_rank
         self.U, self.s, self.Vt = np.linalg.svd(self.A)
-        self.rank = _svd_rank(self.s, tol_rank)
+        s = self.s.tolist()
+        cutoff = self.tol_rank * s[0] if s and s[0] > 0 else 0.0
+        self.rank = sum(x > cutoff for x in s)
 
     @property
     def cond(self):
@@ -173,7 +186,7 @@ class SVD:
         r = self.rank
         return self.Vt[:r].T @ ((1.0 / self.s[:r])[:, None] * self.U[:, :r].T)
 
-    def solve(self, b, tol_consist=1e-8):
+    def solve(self, b, *, tol_consist=1e-8):
         """Minimum-norm solution of A x = b, requiring b in range(A).
 
         A non-finite ``b`` raises ``ValueError``.  Raises
@@ -194,33 +207,33 @@ class SVD:
         return x
 
 
-def rank_nullspace(A, tol_rank=TOL_RANK):
+def rank_nullspace(A):
     """Numerical rank and kernel of A; see :class:`SVD`.
 
     Returns ``(rank, kernel)`` where ``kernel`` is a :class:`Subspace` of the
     domain.  Rank + kernel dimension equals the number of columns exactly.
     """
-    svd = SVD(A, tol_rank)
+    svd = SVD(A)
     return svd.rank, svd.kernel
 
 
-def range_space(A, tol_rank=TOL_RANK):
+def range_space(A):
     """Column space of A as a :class:`Subspace`; see :class:`SVD`."""
-    return SVD(A, tol_rank).range
+    return SVD(A).range
 
 
-def solve_consistent(A, b, tol_rank=TOL_RANK, tol_consist=1e-8):
+def solve_consistent(A, b, *, tol_consist=1e-8):
     """Minimum-norm solution of A x = b, requiring b in range(A); see
     :meth:`SVD.solve`."""
-    return SVD(A, tol_rank).solve(b, tol_consist)
+    return SVD(A).solve(b, tol_consist=tol_consist)
 
 
-def central_difference(f, x, h=FD_STEP):
-    """Jacobian of ``f`` at ``x`` by central differences, column by column.
-
-    ``f`` maps a 1-d array to a 1-d array (scalars are promoted).  Exact for
-    polynomials of degree <= 2 up to roundoff.
-    """
+def central_difference(f, x, h=None):
+    """Jacobian of ``f`` at ``x`` by central differences with step ``h``
+    (if None, the step in force), column by column.  ``f`` maps a 1-d array
+    to a 1-d array (scalars are promoted).  Exact for polynomials of degree
+    <= 2 up to roundoff."""
+    h = _fd_step if h is None else h
     x = np.asarray(x, dtype=float).ravel()
     cols = []
     for j in range(x.size):
@@ -232,8 +245,10 @@ def central_difference(f, x, h=FD_STEP):
     return np.array(cols).T
 
 
-def curve_derivative(f, h=FD_STEP):
-    """Derivative at t = 0 of a curve t -> array."""
+def curve_derivative(f, h=None):
+    """Derivative at t = 0 of a curve t -> array, by a central difference
+    with step ``h`` (if None, the step in force)."""
+    h = _fd_step if h is None else h
     fp = np.asarray(f(h), dtype=float)
     fm = np.asarray(f(-h), dtype=float)
     return (fp - fm) / (2.0 * h)

@@ -16,7 +16,7 @@ from . import groups
 from .actions import Action, isotropy_algebra, orbit_tangent
 from .connections import DualForm, PointEval, at
 from .curvature import _d_chi, field_bracket
-from .linalg import SVD, Subspace, TOL_RANK, norm
+from .linalg import SVD, Subspace, norm
 from .report import VerificationReport
 
 
@@ -45,19 +45,16 @@ class Adaptor:
             phi = lambda m: action.identity()
             if dnatL is None:
                 dnatL = lambda m, v: np.zeros(action.algebra.dim)
-        self._phi = phi
+        self.phi = phi
         self.dnatL = dnatL
         self.iso0 = isotropy_algebra(action, m0)
-
-    def phi(self, m):
-        return self._phi(m)
 
 
 def trivial_adaptor(action: Action, m0) -> Adaptor:
     return Adaptor(action, m0)
 
 
-def adapted_inertia(mu: DualForm, adaptor: Adaptor, m, tol_rank=TOL_RANK):
+def adapted_inertia(mu: DualForm, adaptor: Adaptor, m):
     """chi_phi(m) = chi(m) composed with Ad_{phi(m)}.
 
     Raises :class:`AdaptorContractError` when ker chi_phi is not contained
@@ -65,7 +62,7 @@ def adapted_inertia(mu: DualForm, adaptor: Adaptor, m, tol_rank=TOL_RANK):
     mu (see :func:`gconn.connections.at`).
     """
     A = mu.action
-    pt = at(mu, m, tol_rank)
+    pt = at(mu, m)
     phi = adaptor.phi(pt.m)
     chi_phi = pt.chi @ A.Ad_group(phi)
     # ker chi_phi = Ad_phi^-1 ker chi, from the point's SVD of chi; only a
@@ -92,36 +89,32 @@ def _adapted_matrix(adaptor: Adaptor, pi, iota, pt: PointEval):
     return chi_phi @ pi @ im @ pt.M
 
 
-def adapted_dual_form(mu: DualForm, adaptor: Adaptor, pi, iota,
-                      tol_rank=TOL_RANK) -> DualForm:
+def adapted_dual_form(mu: DualForm, adaptor: Adaptor, pi, iota) -> DualForm:
     """The constant-rank correction (chi_phi . pi . iota) . mu of mu.
 
     ``pi`` is a fixed projection matrix on the acting algebra with kernel
     the reference isotropy algebra; ``iota`` maps a point to a restricted
     pseudo-inverse of chi_phi, i.e. pi = pi . iota(m) . chi_phi(m) must hold
-    on the domain (checked at every evaluation).  The kernel test of
-    chi_phi decides rank at ``tol_rank``.  The form has no exact
+    on the domain (checked at every evaluation).  The form has no exact
     derivative: ``iota`` has none.
     """
     pi = np.asarray(pi, dtype=float)
 
     def matrix(m, K):
-        return _adapted_matrix(adaptor, pi, iota,
-                               PointEval(mu, m, tol_rank, K=K))
+        return _adapted_matrix(adaptor, pi, iota, PointEval(mu, m, K=K))
 
     return DualForm(mu.action, matrix, name=mu.name + "_adapted",
                     uses_generators=True)
 
 
-def almost_horizontal_basis(mu: DualForm, adaptor: Adaptor, m,
-                            tol_rank=TOL_RANK) -> Subspace:
+def almost_horizontal_basis(mu: DualForm, adaptor: Adaptor, m) -> Subspace:
     """Basis of Xi|_m = ker mu_m + generators of Ad_phi(m) applied to g_m0.
 
     The sum is verified to be direct (ranks add); a failure raises
     :class:`AdaptorContractError`.  ``m`` may be a point evaluation of mu.
     """
     A = mu.action
-    pt = at(mu, m, tol_rank)
+    pt = at(mu, m)
     gam = pt.kernel
     Adp = A.Ad_group(adaptor.phi(pt.m))
     K = pt.K
@@ -248,7 +241,7 @@ def cayley_slice(sigma, g0, r=1.0) -> SliceCandidate:
 
 def slice_verify(S: SliceCandidate, action: Action, m0, samples=50,
                  rng=None, stabilizer_sampler=None, nearby_sampler=None,
-                 tol=1e-8, tol_rank=TOL_RANK) -> VerificationReport:
+                 tol=1e-8) -> VerificationReport:
     """Sampled verification of the three defining slice conditions.
 
     (i) T_m0 M splits as T_m0 S + orbit tangent, directly;
@@ -265,7 +258,7 @@ def slice_verify(S: SliceCandidate, action: Action, m0, samples=50,
 
     # (i) direct sum at the base point
     t0 = S.tangent_basis(np.zeros(S.param_dim))
-    orb0 = orbit_tangent(action, m0, tol_rank)
+    orb0 = orbit_tangent(action, m0)
     stacked = Subspace([*t0, *orb0.basis.T], ambient_dim=action.vec_dim)
     rep.add_bool("slice-i", "T_m0 M = T_m0 S (+) orbit tangent (direct)",
                  stacked.dim == len(t0) + orb0.dim
@@ -276,7 +269,7 @@ def slice_verify(S: SliceCandidate, action: Action, m0, samples=50,
         m = S.psi(p)
         # (ii) spanning away from the base point
         tb = S.tangent_basis(p)
-        orb = orbit_tangent(action, m, tol_rank)
+        orb = orbit_tangent(action, m)
         span = Subspace([*tb, *orb.basis.T], ambient_dim=action.vec_dim)
         rep.add_bool("slice-ii", "T_m S + orbit tangent spans T_m M",
                      span.dim == action.vec_dim, f"sample {i}")
@@ -299,29 +292,29 @@ def slice_verify(S: SliceCandidate, action: Action, m0, samples=50,
 
 
 def abel_involutivity(mu: DualForm, adaptor: Adaptor, pi, iota, samples=20,
-                      rng=None, tol=1e-5, tol_rank=TOL_RANK,
-                      h=1e-5) -> VerificationReport:
+                      rng=None, tol=1e-5) -> VerificationReport:
     """Involutivity of the almost-horizontal system near an abelian-stabilizer
     singular point, via the adapted form.
 
     For fields X, Y valued in Xi = ker(adapted form) checks that the adapted
     form annihilates [X, Y], that [X, Y] stays in Xi, and that the
     inertia-derivative correction terms vanish for horizontal inputs.  The
-    bracket is a central difference with step ``h`` (the adapted form has
-    no exact derivative); the correction terms use :func:`_d_chi`, exact
-    where mu and the adaptor are.  mu is evaluated once at each sample.
+    bracket is a central difference with the step in force (the adapted
+    form has no exact derivative); the correction terms use :func:`_d_chi`,
+    exact where mu and the adaptor are.  mu is evaluated once at each
+    sample.
     """
     A = mu.action
     rng = np.random.default_rng(0) if rng is None else rng
     rep = VerificationReport(scenario="abel_involutivity")
-    mu_t = adapted_dual_form(mu, adaptor, pi, iota, tol_rank)
+    mu_t = adapted_dual_form(mu, adaptor, pi, iota)
     pi = np.asarray(pi, dtype=float)
 
     def xi_field(c):
         # frozen coordinate vector projected onto ker of the adapted form;
         # takes a point or a point evaluation of the adapted form
         def X(p):
-            pt_t = at(mu_t, p, tol_rank)
+            pt_t = at(mu_t, p)
             return pt_t.kernel.project(A.project_tangent(pt_t.m, c))
         return X
 
@@ -331,14 +324,14 @@ def abel_involutivity(mu: DualForm, adaptor: Adaptor, pi, iota, samples=20,
         m = A.retract(adaptor.m0, v, 0.25 * rng.random())
         ci, cj = rng.choice(A.vec_dim, size=2, replace=False)
         X, Y = xi_field(E[ci]), xi_field(E[cj])
-        pt = PointEval(mu, m, tol_rank)
-        pt_t = PointEval(mu_t, m, tol_rank, K=pt.K,
+        pt = PointEval(mu, m)
+        pt_t = PointEval(mu_t, m, K=pt.K,
                          M=_adapted_matrix(adaptor, pi, iota, pt))
-        br = field_bracket(A, X, Y, pt_t, h)
+        br = field_bracket(A, X, Y, pt_t)
         scale = max(1.0, norm(br))
         rep.add("xi-involutive", "adapted form annihilates [X, Y]",
                 norm(pt_t.M @ br) / scale, tol, f"sample {i}")
-        xi_sub = almost_horizontal_basis(mu, adaptor, pt, tol_rank)
+        xi_sub = almost_horizontal_basis(mu, adaptor, pt)
         rep.add("bracket-tangent", "[X, Y] stays inside Xi",
                 norm(br - xi_sub.project(br)) / scale, tol,
                 f"sample {i}")

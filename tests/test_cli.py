@@ -1,4 +1,3 @@
-import inspect
 import json
 import subprocess
 import sys
@@ -7,8 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gconn import connections, curvature, slices
+from gconn import linalg, slices
 from gconn.cli import SCENARIOS, ScenarioConfig, main, run_scenario
+from gconn.curvature import FD_STEP_NESTED
+from gconn.frames import FRAME_STEP
+from gconn.linalg import (FD_STEP, SVD, TOL_RANK, InconsistentSystemError,
+                          curve_derivative)
 from gconn.report import VerificationReport
 
 
@@ -133,39 +136,78 @@ def test_property_suite_is_its_scenarios_at_a_quarter_of_the_samples():
 
 
 def test_rank_and_step_flags_reach_the_checks(monkeypatch, tmp_path):
-    seen = []
+    # every SVD of every scenario decides rank at the flag's cutoff, every
+    # difference not given a step takes the flag's, and the rest take the
+    # named nested and frame steps
+    cutoffs, steps, given = [], [], []
+    svd_init = linalg.SVD.__init__
 
-    def spy(module, name):
-        original = getattr(module, name)
-        signature = inspect.signature(original)
+    def spied_svd(self, *args, **kwargs):
+        svd_init(self, *args, **kwargs)
+        cutoffs.append(self.tol_rank)
 
-        def spied(*args, **kwargs):
-            bound = signature.bind(*args, **kwargs)
-            bound.apply_defaults()
-            seen.append((name, bound.arguments))
-            return original(*args, **kwargs)
+    original = linalg.curve_derivative
 
-        monkeypatch.setattr(module, name, spied)
+    def spied_difference(f, h=None):
+        if h is not None:
+            given.append(h)
+            return original(f, h)
 
-    for module, name in ((curvature, "docile"), (curvature, "curvature"),
-                         (slices, "slice_verify"),
-                         (slices, "abel_involutivity"),
-                         (connections, "pair_check")):
-        spy(module, name)
-    for scenario in ("so3-r3-basics", "so3-r3-docility", "hxh-su3-curvature",
-                     "s1s1-so3-slice"):
-        main(["--scenario", scenario, "--samples", "2", "--tol-rank", "1e-9",
-              "--fd-step", "2e-5", "--out", str(tmp_path / "r.json")])
-    names = [name for name, _ in seen]
-    assert sorted(set(names)) == ["abel_involutivity", "curvature", "docile",
-                                  "pair_check", "slice_verify"]
-    assert names.count("docile") == 2
-    # the origin curvature and the two closed-vs-fd samples
-    assert names.count("curvature") == 3
-    for name, args in seen:
-        assert args["tol_rank"] == 1e-9, name
-        if name not in ("slice_verify", "pair_check"):
-            assert args["h"] == 2e-5, name
+        def probed(t):
+            steps.append(abs(t))
+            return f(t)
+
+        return original(probed)
+
+    monkeypatch.setattr(linalg.SVD, "__init__", spied_svd)
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "gconn"
+                and getattr(module, "curve_derivative", None) is original):
+            monkeypatch.setattr(module, "curve_derivative", spied_difference)
+    for scenario in sorted(SCENARIOS):
+        main(["--scenario", scenario, "--seed", "1", "--samples", "2",
+              "--tol-rank", "1e-9", "--fd-step", "2e-5",
+              "--out", str(tmp_path / "r.json")])
+    stray = [c for c in cutoffs if c != 1e-9]
+    assert cutoffs and not stray, f"{len(stray)} of {len(cutoffs)} SVDs"
+    assert steps and set(steps) == {2e-5}
+    assert given and set(given) <= {FD_STEP_NESTED, FRAME_STEP}
+
+
+def _in_force():
+    """The rank cutoff and the difference step in force."""
+    steps = []
+    curve_derivative(lambda t: steps.append(abs(t)) or 0.0)
+    return SVD(np.eye(2)).tol_rank, steps[0]
+
+
+@pytest.mark.parametrize("scenario, seed, error", [
+    ("hxh-su3-curvature", 3, InconsistentSystemError),
+    ("so3-r3-docility", 0, None),
+])
+def test_scenario_restores_the_numerics(scenario, seed, error):
+    assert _in_force() == (TOL_RANK, FD_STEP)
+    cfg = ScenarioConfig(scenario, seed=seed, tol_rank=1e-9, fd_step=2e-5)
+    if error is None:
+        run_scenario(cfg)
+    else:
+        with pytest.raises(error):
+            run_scenario(cfg)
+    assert _in_force() == (TOL_RANK, FD_STEP)
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--tol-rank", "nan"), ("--tol-rank", "0"), ("--tol-rank", "-1"),
+    ("--tol-rank", "1"), ("--tol-rank", "2"), ("--tol-rank", "inf"),
+    ("--fd-step", "0"), ("--fd-step", "-1e-5"), ("--fd-step", "nan"),
+    ("--fd-step", "inf"), ("--samples", "0"), ("--samples", "-5"),
+])
+def test_bad_numeric_flags_are_rejected(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["--scenario", "s1s1-so3-slice", f"{flag}={value}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: " in err and repr(value) in err
 
 
 def test_rank_flag_reaches_the_adapted_kernel_test(monkeypatch, tmp_path):
@@ -176,7 +218,7 @@ def test_rank_flag_reaches_the_adapted_kernel_test(monkeypatch, tmp_path):
     adapted_inertia = slices.adapted_inertia
 
     def spied(mu, adaptor, m, *args, **kwargs):
-        seen.append(m.tol_rank)
+        seen.append(m.chi_svd.tol_rank)
         return adapted_inertia(mu, adaptor, m, *args, **kwargs)
 
     monkeypatch.setattr(slices, "adapted_inertia", spied)

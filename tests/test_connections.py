@@ -109,7 +109,7 @@ def test_tamed_point_decomposes_chi_once(decompositions):
     w = pt.gamma(target)
     # one SVD of chi (kernel test, P, the solve and its scale) and one of K
     assert decompositions == {"svd": 2}
-    chi_pinv = np.linalg.pinv(pt.chi, rcond=pt.tol_rank)
+    chi_pinv = np.linalg.pinv(pt.chi, rcond=pt.chi_svd.tol_rank)
     assert np.array_equal(P, pt.K @ (chi_pinv @ pt.M))
     assert np.linalg.norm(w - pt.K @ (chi_pinv @ target)) <= 1e-15 * max(
         1.0, np.linalg.norm(w))

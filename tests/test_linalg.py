@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gconn.linalg import (SVD, InconsistentSystemError, Subspace,
-                          central_difference, curve_derivative, norm,
-                          range_space, rank_nullspace, solve_consistent)
+from gconn.linalg import (FD_STEP, SVD, TOL_RANK, InconsistentSystemError,
+                          Subspace, central_difference, curve_derivative,
+                          norm, numerics, range_space, rank_nullspace,
+                          solve_consistent)
 
 finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 
@@ -79,7 +80,7 @@ def test_solve_consistent_decomposes_once(decompositions):
         A = rng.standard_normal((shape[0], rank)) @ rng.standard_normal(
             (rank, shape[1]))
         cases.append((A, A @ rng.standard_normal(shape[1])))
-    xs = [solve_consistent(A, b, 1e-8) for A, b in cases]
+    xs = [solve_consistent(A, b) for A, b in cases]
     # one SVD per call: no pinv and no spectral norm on top of it
     assert decompositions == {"svd": len(cases)}
     for (A, b), x in zip(cases, xs):
@@ -179,6 +180,37 @@ def test_directional_and_curve_derivatives_agree():
 
     assert err(1e-5) < 1e-9
     assert 90.0 < err(1e-3) / err(1e-4) < 110.0
+
+
+def _steps(difference):
+    """The steps a difference evaluates its function at."""
+    seen = []
+    difference(lambda t: seen.append(abs(float(np.ravel(t)[0]))) or t)
+    return set(seen)
+
+
+def test_numerics_sets_cutoff_and_step_for_a_block():
+    A = np.diag([1.0, 1e-3])
+    wide = lambda: _steps(lambda f: central_difference(f, np.zeros(1)))
+    assert SVD(A).tol_rank == TOL_RANK and SVD(A).rank == 2
+    assert _steps(curve_derivative) == wide() == {FD_STEP}
+    with numerics(tol_rank=1e-2, fd_step=2e-5):
+        assert SVD(A).tol_rank == 1e-2 and SVD(A).rank == 1
+        assert Subspace(A).dim == range_space(A).dim == 1
+        assert _steps(curve_derivative) == wide() == {2e-5}
+        # a step given explicitly wins, and an inner block restores the
+        # outer one's setting
+        assert _steps(lambda f: curve_derivative(f, 1e-3)) == {1e-3}
+        with numerics(fd_step=1e-4):
+            assert SVD(A).tol_rank == TOL_RANK
+            assert _steps(curve_derivative) == {1e-4}
+        assert SVD(A).tol_rank == 1e-2
+        assert _steps(curve_derivative) == {2e-5}
+    with pytest.raises(RuntimeError):
+        with numerics(tol_rank=1e-2, fd_step=2e-5):
+            raise RuntimeError
+    assert SVD(A).tol_rank == TOL_RANK
+    assert _steps(curve_derivative) == {FD_STEP}
 
 
 def test_norm_is_numpys_norm_bit_for_bit():
