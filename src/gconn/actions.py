@@ -150,6 +150,10 @@ class So3OnR3(So3OnVectors):
     def gen_matrix(self, m):
         return -groups.hat(m)
 
+    def dgen_matrix(self, m, w, K):
+        """Derivative of :meth:`gen_matrix` along t -> m + t w: -hat(w)."""
+        return -groups.hat(w)
+
     def retract(self, m, v, t=1.0):
         return np.asarray(m, float).ravel() + t * np.asarray(v, float).ravel()
 

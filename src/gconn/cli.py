@@ -88,6 +88,7 @@ def scenario_so3_r3_basics(cfg: ScenarioConfig) -> VerificationReport:
     rep.extend(connections.pair_check(alpha0, chi_field,
                                       samples=cfg.samples, rng=rng,
                                       singular_points=[np.zeros(3)]))
+    check_d_exact_vs_fd(rep, cfg, cfg.rng(), cfg.samples, mu)
     return rep
 
 
@@ -330,7 +331,28 @@ def scenario_s2_pmf_beta(cfg: ScenarioConfig) -> VerificationReport:
     rep.add("cross-section", "phi(m)^-1 . m is orbit invariant", worst, 1e-8)
     check_latitude_curvature(rep, pmf, (0.6, 1.0, 1.4),
                              np.linspace(0.0, 2.0, 5))
+    check_frame_d_exact_vs_fd(rep, pmf, cfg.rng(), cfg.samples)
     return rep
+
+
+def check_frame_d_exact_vs_fd(rep, pmf, rng, samples):
+    """The closed-form ``dnat_phi`` and ``dnat_slip`` against trivialized
+    central differences of phi and of the slip map along the retraction."""
+    A = pmf.action
+    worst = 0.0
+    for _ in range(samples):
+        m = frames._sample_off_poles(rng)
+        g = A.random_group(rng)
+        v = A.random_tangent(rng, m)
+        fd_phi = frames._trivialized_fd(
+            lambda t: pmf.phi(A.retract(m, v, t)), pmf.phi(m))
+        fd_slip = frames._trivialized_fd(
+            lambda t: pmf.slip(g, A.retract(m, v, t)), pmf.slip(g, m))
+        worst = max(worst, np.linalg.norm(pmf.dnat_phi(m, v) - fd_phi),
+                    np.linalg.norm(pmf.dnat_slip(g, m, v) - fd_slip))
+    rep.add("frame-d-exact-vs-fd",
+            "closed-form frame and slip derivatives match finite "
+            "differences", worst, 1e-6)
 
 
 def check_latitude_curvature(rep, pmf, thetas, ts):
@@ -406,13 +428,15 @@ def main(argv=None):
                     "non-free group actions",
         argument_default=argparse.SUPPRESS)
     p.add_argument("--scenario", required=True)
-    p.add_argument("--seed", type=int)
+    positive = _checked(float, lambda x: 0.0 < x < math.inf,
+                        "must be a finite number > 0")
+    p.add_argument("--seed", type=_checked(
+        int, lambda n: n >= 0, "must be at least 0"))
     p.add_argument("--tol-rank", type=_checked(
         float, lambda x: 0.0 < x < 1.0, "must lie in (0, 1)"))
-    p.add_argument("--tol-eq", type=float)
-    p.add_argument("--tol-struct", type=float)
-    p.add_argument("--fd-step", type=_checked(
-        float, lambda x: 0.0 < x < math.inf, "must be a finite number > 0"))
+    p.add_argument("--tol-eq", type=positive)
+    p.add_argument("--tol-struct", type=positive)
+    p.add_argument("--fd-step", type=positive)
     p.add_argument("--samples", type=_checked(
         int, lambda n: n >= 1, "must be at least 1"))
     p.add_argument("--out")

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .actions import Action
-from .linalg import SVD, Subspace, norm
+from .linalg import SVD, Subspace, fd_step_in_force, norm
 from .report import VerificationReport
 
 
@@ -63,8 +63,7 @@ def simple_mechanical_mu(action: Action) -> DualForm:
     """mu(v) . xi = <v, xi_M(m)> in the action's invariant metric.
 
     Exactly differentiable, dK^T G, where the action has ``dgen_matrix``:
-    those actions are on group manifolds, whose metric G is the constant
-    Gram of the manifold algebra.
+    those actions (on group manifolds and on R^3) have a constant metric G.
     """
     def matrix(m, K):
         return K.T @ action.tangent_metric(m)
@@ -90,6 +89,10 @@ def mu_q(q) -> DualForm:
     """The family mu(v) = q(|m|^2) m x v of dual forms on rotating R^3.
 
     ``q`` must be smooth and strictly positive on the sampled positive axis.
+    The form carries its derivative along m + t w,
+    2 q'(|m|^2) <m, w> hat(m) + q(|m|^2) hat(w), in which q' is the one
+    part not known in closed form: a central difference of ``q`` at the
+    step in force, so ``q`` must also be defined a step below |m|^2.
     """
     from .actions import get_action
     from .groups import hat
@@ -100,7 +103,16 @@ def mu_q(q) -> DualForm:
     def matrix(m):
         m = np.asarray(m, dtype=float).ravel()
         return q(float(m @ m)) * hat(m)
-    return DualForm(action, matrix, name="mu_q")
+
+    def dmatrix(m, w, K):
+        m = np.asarray(m, dtype=float).ravel()
+        w = np.asarray(w, dtype=float).ravel()
+        s = float(m @ m)
+        h = fd_step_in_force()
+        dq = (q(s + h) - q(s - h)) / (2.0 * h)
+        return hat(2.0 * dq * float(m @ w) * m + q(s) * w)  # hat is linear
+
+    return DualForm(action, matrix, name="mu_q", dmatrix=dmatrix)
 
 
 class PointEval:

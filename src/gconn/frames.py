@@ -3,13 +3,20 @@ moving frames built from unit vector fields on the sphere.
 
 The frame of an orthonormal pair (m, u) is the rotation with columns
 (m, u, m x u); composing with a unit tangent field Y gives a group-valued
-map on the sphere that is equivariant only up to isotropy.  The frame, its
-derivative and the slip map are closed forms; ``dnat_phi`` (through the
-seed field), ``dnat_slip`` and the oracle ``dnat_rho_fd`` differentiate by
-central differences with the fixed step ``FRAME_STEP``.
+map on the sphere that is equivariant only up to isotropy.  The frame, the
+slip map and their right-trivialized derivatives ``dnat_rho``,
+``dnat_phi`` and ``dnat_slip`` are closed forms, given the derivative of
+the seed field, which the eastward field carries as
+``eastward_field.derivative``.  Central differences with the fixed step
+``FRAME_STEP`` remain in the oracles, ``dnat_rho_fd`` and
+``_trivialized_fd`` (which the CLI's ``frame-d-exact-vs-fd`` record
+applies to phi and to the slip map), and for a seed field without a
+``derivative``.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -59,15 +66,38 @@ def dnat_rho_fd(p, v):
                            rho_us2(p))
 
 
-def eastward_field(m):
-    """Unit field pointing along increasing longitude, excluding the polar
-    caps of angular radius 1e-2."""
-    m = np.asarray(m, dtype=float).ravel()
-    e = cross(np.array([0.0, 0.0, 1.0]), m)
+def _z_cross(x):
+    """z x x for the pole z = (0, 0, 1)."""
+    x = np.asarray(x, dtype=float).ravel()
+    return np.array([-x[1], x[0], 0.0])
+
+
+def _eastward(m):
+    """e = z x m and |e|, outside the polar caps of angular radius 1e-2."""
+    e = _z_cross(m)
     n = norm(e)
     if n < np.sin(1e-2):
         raise DomainError("eastward_field: too close to a pole")
+    return e, n
+
+
+def eastward_field(m):
+    """Unit field pointing along increasing longitude, excluding the polar
+    caps of angular radius 1e-2."""
+    e, n = _eastward(m)
     return e / n
+
+
+def _eastward_derivative(m, w):
+    """Derivative of :func:`eastward_field` at m along w: with Y = e/|e|,
+    (I - Y Y^T)(z x w)/|e|."""
+    e, n = _eastward(m)
+    y = e / n
+    dz = _z_cross(w)
+    return (dz - (y @ dz) * y) / n
+
+
+eastward_field.derivative = _eastward_derivative
 
 
 class PartialMovingFrame:
@@ -75,11 +105,16 @@ class PartialMovingFrame:
 
     Equivariant only modulo the isotropy of m; the discrepancy is carried by
     the slip map phi_g(m) = phi(g m) phi(m)^(-1), which is a rotation about
-    the moved point composed with g.
+    the moved point composed with g.  The derivatives ``dnat_phi`` and
+    ``dnat_slip`` are closed forms in the derivative of Y, which they read
+    from ``Y.derivative(m, w)`` where the field has one, and otherwise take
+    as a central difference along the sphere retraction with
+    ``FRAME_STEP``.
     """
 
     def __init__(self, Y):
         self.Y = Y
+        self.dY = getattr(Y, "derivative", None)
         self.action = get_action("so3-on-s2")
 
     def _field(self, m):
@@ -89,26 +124,35 @@ class PartialMovingFrame:
             raise DomainError("seed field is not unit tangent here")
         return y
 
+    def _dfield(self, m, w):
+        """Derivative of the seed field at m along the tangent w."""
+        if self.dY is not None:
+            return np.asarray(self.dY(m, w), dtype=float).ravel()
+        return curve_derivative(
+            lambda t: self._field(self.action.retract(m, w, t)), FRAME_STEP)
+
     def phi(self, m):
         m = np.asarray(m, dtype=float).ravel()
         return rho_us2(np.concatenate([m, self._field(m)]))
 
     def dnat_phi(self, m, dm):
         """Closed form m x dm + <Y x (dY dm), m> m for the trivialized
-        derivative; dY is differentiated along the sphere retraction."""
+        derivative."""
         m = np.asarray(m, dtype=float).ravel()
         dm = self.action.project_tangent(m, dm)
         y = self._field(m)
-        dY = curve_derivative(
-            lambda t: self._field(self.action.retract(m, dm, t)), FRAME_STEP)
-        return cross(m, dm) + (cross(y, dY) @ m) * m
+        return cross(m, dm) + (cross(y, self._dfield(m, dm)) @ m) * m
+
+    def _slip_frame(self, g, m):
+        """Y(m), the moved point g m and w = g^(-1) Y(g m)."""
+        y = self._field(m)
+        gm = self.action.apply(g, m)
+        return y, gm, np.asarray(g, dtype=float).T @ self._field(gm)
 
     def slip_angle(self, g, m):
         """Signed angle from Y(m) to g^(-1) Y(g m) around the axis m."""
         m = np.asarray(m, dtype=float).ravel()
-        y = self._field(m)
-        gm = self.action.apply(g, m)
-        w = np.asarray(g, dtype=float).T @ self._field(gm)
+        y, _, w = self._slip_frame(g, m)
         return float(np.arctan2(w @ cross(m, y), w @ y))
 
     def slip(self, g, m):
@@ -117,11 +161,24 @@ class PartialMovingFrame:
         return np.asarray(g, dtype=float) @ exp_so3(self.slip_angle(g, m) * m)
 
     def dnat_slip(self, g, m, v):
-        """Right-trivialized derivative of m -> phi_g(m), by differencing."""
+        """Right-trivialized derivative of m -> phi_g(m) along v, in closed
+        form g (theta' m + sin(theta) v + (1 - cos(theta)) m x v).  The
+        slip angle is theta = atan2(a, b) with a = <w, m x Y(m)> and
+        b = <w, Y(m)>; its derivative theta' reads dY at m and at g m."""
+        g = np.asarray(g, dtype=float)
+        m = np.asarray(m, dtype=float).ravel()
         v = self.action.project_tangent(m, v)
-        return _trivialized_fd(
-            lambda t: self.slip(g, self.action.retract(m, v, t)),
-            self.slip(g, m))
+        y, gm, w = self._slip_frame(g, m)
+        dy = self._dfield(m, v)
+        dw = g.T @ self._dfield(gm, g @ v)
+        my = cross(m, y)
+        a, b = w @ my, w @ y
+        da = dw @ my + w @ (cross(v, y) + cross(m, dy))
+        db = dw @ y + w @ dy
+        theta = math.atan2(a, b)
+        dtheta = (b * da - a * db) / (a * a + b * b)
+        return g @ (dtheta * m + math.sin(theta) * v
+                    + (1.0 - math.cos(theta)) * cross(m, v))
 
 
 def pmf_from_field(Y) -> PartialMovingFrame:

@@ -13,8 +13,8 @@ formula, without ``np.linalg.norm``'s dispatch.
 
 The rank cutoff and the first-difference step have one source, the
 setting that :func:`numerics` makes for a block (the CLI for a scenario);
-:class:`SVD` records the cutoff it used, and the differences take the step
-unless given one.
+:class:`SVD` records the cutoff it used, the differences take the step
+unless given one, and :func:`fd_step_in_force` reads it for the rest.
 """
 
 from __future__ import annotations
@@ -48,6 +48,11 @@ def numerics(tol_rank=TOL_RANK, fd_step=FD_STEP):
         yield
     finally:
         _tol_rank, _fd_step = saved
+
+
+def fd_step_in_force():
+    """The first-difference step in force (see :func:`numerics`)."""
+    return _fd_step
 
 
 class InconsistentSystemError(ValueError):

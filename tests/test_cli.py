@@ -201,6 +201,9 @@ def test_scenario_restores_the_numerics(scenario, seed, error):
     ("--tol-rank", "1"), ("--tol-rank", "2"), ("--tol-rank", "inf"),
     ("--fd-step", "0"), ("--fd-step", "-1e-5"), ("--fd-step", "nan"),
     ("--fd-step", "inf"), ("--samples", "0"), ("--samples", "-5"),
+    ("--tol-eq", "inf"), ("--tol-eq", "nan"), ("--tol-eq", "0"),
+    ("--tol-eq", "-1e-8"), ("--tol-struct", "inf"), ("--tol-struct", "nan"),
+    ("--tol-struct", "0"), ("--tol-struct", "-1e-5"), ("--seed", "-1"),
 ])
 def test_bad_numeric_flags_are_rejected(capsys, flag, value):
     with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,6 @@
-"""The exact first derivatives of the torus-action forms, against their
-finite-difference oracle.
+"""The exact first derivatives of the torus-action forms, of the SO(3)
+forms on R^3 and of the eastward partial moving frame, against their
+finite-difference oracles.
 
 An exact derivative and a central difference with step h differ by the
 truncation error c h^2, so halving h must divide their gap by four; a wrong
@@ -9,11 +10,17 @@ exact derivative leaves a gap that does not shrink.
 import numpy as np
 import pytest
 
+from gconn import curvature as curvature_module
+from gconn import frames
 from gconn.actions import get_action
 from gconn.connections import at, fd_oracle, mu_q, simple_mechanical_mu
-from gconn.curvature import (_d_chi, curvature, d_oneform, field_bracket,
-                             horizontal_field, involutivity_check, tame)
-from gconn.linalg import curve_derivative, norm
+from gconn.curvature import (_d_chi, curvature, d_oneform, docile,
+                             field_bracket, horizontal_field,
+                             involutivity_check, structure_residual, tame)
+from gconn.frames import (FRAME_STEP, PartialMovingFrame, _sample_off_poles,
+                          eastward_field, pmf_from_field)
+from gconn.groups import hat
+from gconn.linalg import curve_derivative, norm, numerics
 
 TORUS = ["hxh-on-su3", "s1s1-on-so3"]
 
@@ -92,14 +99,19 @@ def test_horizontal_field_derivative_follows_the_h2_law(name):
 
 
 def test_forms_without_exact_generators_keep_finite_differences():
-    assert mu_q(lambda t: t).dmatrix is None
-    for name in ("so3-on-r3", "so3-on-s2", "so3-on-us2"):
+    for name in ("so3-on-s2", "so3-on-us2"):
         A = get_action(name)
         assert A.dgen_matrix is None
         assert simple_mechanical_mu(A).dmatrix is None
         assert tame(simple_mechanical_mu(A)).dmatrix is None
         assert not hasattr(horizontal_field(simple_mechanical_mu(A),
                                             np.ones(A.vec_dim)), "derivative")
+    # rotating R^3 has exact generators, so its forms are exact
+    A = get_action("so3-on-r3")
+    assert A.dgen_matrix is not None
+    assert mu_q(lambda t: t).dmatrix is not None
+    assert simple_mechanical_mu(A).dmatrix is not None
+    assert tame(simple_mechanical_mu(A)).dmatrix is not None
 
 
 def test_fd_oracle_is_the_same_form_without_its_derivative():
@@ -195,3 +207,152 @@ def test_oracle_curvature_evaluates_generators_at_five_points(monkeypatch,
     curvature(oracle, g, u, v)
     # one at g and one at each of the four finite-difference points
     assert len(calls) == 5
+
+
+# ---------------------------------------------------------------------------
+# SO(3) on R^3 and the eastward partial moving frame
+
+S2 = get_action("so3-on-s2")
+
+
+def test_so3_r3_dgen_matrix_is_exact():
+    # gen_matrix is linear in m, so the h^2 coefficient is zero and the
+    # central difference matches at every step up to roundoff
+    A = get_action("so3-on-r3")
+    rng = np.random.default_rng(70)
+    for _ in range(3):
+        m, w = rng.standard_normal((2, 3))
+        dK = A.dgen_matrix(m, w, A.gen_matrix(m))
+        assert np.array_equal(dK, -hat(w))
+        for h in (1e-3, 5e-4):
+            fd = curve_derivative(lambda t: A.gen_matrix(A.retract(m, w, t)),
+                                  h)
+            assert norm(fd - dK) < 1e-11
+
+
+@pytest.mark.parametrize("q", [lambda t: t, lambda t: 1.0 + np.exp(-t)],
+                         ids=["t", "1+exp(-t)"])
+def test_mu_q_dmatrix_follows_the_h2_law(q):
+    mu = mu_q(q)
+    A = mu.action
+    rng = np.random.default_rng(71)
+    for _ in range(3):
+        m, w = rng.standard_normal((2, 3))
+        dM = mu.dmatrix(m, w, A.gen_matrix(m))
+        ratio, gap = _h2_ratio(dM, lambda t: mu.matrix(A.retract(m, w, t)))
+        assert 3.9 < ratio < 4.1 and gap < 1e-5
+
+
+def test_mu_q_differences_q_at_the_step_in_force():
+    seen = []
+
+    def q(t):
+        seen.append(t)
+        return 1.0 + t
+
+    mu = mu_q(q)
+    m, w = np.array([0.3, -0.4, 1.2]), np.array([1.0, 0.5, -0.2])
+    s = float(m @ m)
+    seen.clear()
+    with numerics(fd_step=2e-5):
+        mu.dmatrix(m, w, None)
+    assert sorted(seen) == sorted([s + 2e-5, s - 2e-5, s])
+
+
+def test_eastward_field_derivative_follows_the_h2_law():
+    rng = np.random.default_rng(72)
+    for _ in range(3):
+        m = _sample_off_poles(rng)
+        w = S2.random_tangent(rng, m)
+        dY = eastward_field.derivative(m, w)
+        ratio, gap = _h2_ratio(
+            dY, lambda t: eastward_field(S2.retract(m, w, t)))
+        assert 3.9 < ratio < 4.1 and gap < 1e-5
+
+
+def test_eastward_field_derivative_refuses_the_poles():
+    with pytest.raises(frames.DomainError):
+        eastward_field.derivative(np.array([0.0, 0.0, 1.0]),
+                                  np.array([1.0, 0.0, 0.0]))
+
+
+def test_dnat_phi_follows_the_h2_law():
+    pmf = pmf_from_field(eastward_field)
+    rng = np.random.default_rng(73)
+    for _ in range(3):
+        m = _sample_off_poles(rng)
+        dm = S2.random_tangent(rng, m)
+        R = pmf.phi(m)
+        # d/dt phi(m(t)) phi(m)^T at 0 is hat of the trivialized derivative
+        ratio, gap = _h2_ratio(hat(pmf.dnat_phi(m, dm)),
+                               lambda t: pmf.phi(S2.retract(m, dm, t)) @ R.T)
+        assert 3.9 < ratio < 4.1 and gap < 1e-5
+
+
+def test_dnat_slip_follows_the_h2_law():
+    pmf = pmf_from_field(eastward_field)
+    rng = np.random.default_rng(74)
+    for _ in range(3):
+        m = _sample_off_poles(rng)
+        g = S2.random_group(rng)
+        v = S2.random_tangent(rng, m)
+        B = pmf.slip(g, m)
+        ratio, gap = _h2_ratio(
+            hat(pmf.dnat_slip(g, m, v)),
+            lambda t: pmf.slip(g, S2.retract(m, v, t)) @ B.T)
+        assert 3.9 < ratio < 4.1 and gap < 1e-5
+
+
+def test_seed_field_without_derivative_takes_finite_differences(monkeypatch):
+    exact = pmf_from_field(eastward_field)
+    plain = PartialMovingFrame(lambda m: eastward_field(m))
+    assert exact.dY is not None and plain.dY is None
+    steps = []
+
+    def spied(f, h=None):
+        steps.append(h)
+        return curve_derivative(f, h)
+
+    monkeypatch.setattr(frames, "curve_derivative", spied)
+    rng = np.random.default_rng(75)
+    for _ in range(5):
+        m = _sample_off_poles(rng)
+        g = S2.random_group(rng)
+        v = S2.random_tangent(rng, m)
+        assert norm(plain.dnat_phi(m, v) - exact.dnat_phi(m, v)) < 1e-8
+        assert norm(plain.dnat_slip(g, m, v)
+                    - exact.dnat_slip(g, m, v)) < 1e-8
+    # dY at m for dnat_phi, at m and at g m for dnat_slip
+    assert steps == [FRAME_STEP] * 15
+
+
+def test_so3_forms_and_frame_take_no_difference(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("central difference taken")
+
+    for module in (curvature_module, frames):
+        monkeypatch.setattr(module, "curve_derivative", refuse)
+    rng = np.random.default_rng(76)
+    mu = mu_q(lambda t: t)
+    origin = np.zeros(3)
+    assert docile(mu, origin)[0] and not docile(mu_q(lambda t: 1.0),
+                                                origin)[0]
+    m, u, v = rng.standard_normal((3, 3))
+    structure_residual(mu, m, u, v)
+    pmf = pmf_from_field(eastward_field)
+    m = _sample_off_poles(rng)
+    pmf.dnat_phi(m, v)
+    pmf.dnat_slip(S2.random_group(rng), m, v)
+
+
+@pytest.mark.parametrize("radius", [0.05, 0.127, 0.3])
+def test_structure_residual_holds_near_the_origin(radius):
+    # with the nested difference step of d chi, this residual grew as
+    # the origin approached (about 1e-4 at |m| = 0.05)
+    mu = mu_q(lambda t: t)
+    rng = np.random.default_rng(1209)
+    for _ in range(5):
+        m = rng.standard_normal(3)
+        m *= radius / norm(m)
+        u, v = rng.standard_normal((2, 3))
+        assert structure_residual(mu, m, u / norm(u), v / norm(v)) < 1e-10
