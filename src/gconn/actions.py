@@ -86,9 +86,10 @@ class Action:
         """vec_dim x alg_dim matrix of xi -> xi_M(m) in tangent coordinates."""
         raise NotImplementedError
 
-    # (m, w, K) -> derivative of gen_matrix along t -> retract(m, w, t),
-    # given K = gen_matrix(m); None where only finite differences know it
-    dgen_matrix = None
+    def dgen_matrix(self, m, w, K):
+        """Derivative of :meth:`gen_matrix` along t -> retract(m, w, t) at
+        t = 0, given K = gen_matrix(m)."""
+        raise NotImplementedError
 
     def retract(self, m, v, t=1.0):
         raise NotImplementedError
@@ -104,6 +105,11 @@ class Action:
     def project_tangent(self, m, v):
         """Project an arbitrary coordinate vector into T_m M."""
         return np.asarray(v, float).ravel()
+
+    def dproject_tangent(self, m, w, v):
+        """Derivative of :meth:`project_tangent` (frozen v) along
+        t -> retract(m, w, t); zero where the projection is the identity."""
+        return np.zeros(self.vec_dim)
 
     # sampling ----------------------------------------------------------
     def random_point(self, rng):
@@ -142,6 +148,11 @@ class So3OnVectors(Action):
     def dPhi(self, g, m, v):
         return self.apply(g, v)
 
+    def dgen_matrix(self, m, w, K):
+        """The generators are linear in the point, and the retraction leaves
+        m with velocity w: dK = gen_matrix(w)."""
+        return self.gen_matrix(w)
+
 
 class So3OnR3(So3OnVectors):
     name = "so3-on-r3"
@@ -149,10 +160,6 @@ class So3OnR3(So3OnVectors):
 
     def gen_matrix(self, m):
         return -groups.hat(m)
-
-    def dgen_matrix(self, m, w, K):
-        """Derivative of :meth:`gen_matrix` along t -> m + t w: -hat(w)."""
-        return -groups.hat(w)
 
     def retract(self, m, v, t=1.0):
         return np.asarray(m, float).ravel() + t * np.asarray(v, float).ravel()
@@ -172,6 +179,10 @@ class So3OnS2(So3OnVectors):
         m = np.asarray(m, float).ravel()
         v = np.asarray(v, float).ravel()
         return v - (v @ m) * m
+
+    def dproject_tangent(self, m, w, v):
+        m, w, v = (np.asarray(x, float).ravel() for x in (m, w, v))
+        return -(v @ w) * m - (v @ m) * w
 
     def retract(self, m, v, t=1.0):
         p = np.asarray(m, float).ravel() + t * np.asarray(v, float).ravel()
@@ -220,6 +231,9 @@ class So3OnUS2(So3OnVectors):
         v = np.asarray(v, float).ravel()
         lam = np.linalg.solve(C @ C.T, C @ v)
         return v - C.T @ lam
+
+    def dproject_tangent(self, p, w, v):  # no check differentiates on US^2
+        raise NotImplementedError("so3-on-us2: no dproject_tangent")
 
     def retract(self, p, v, t=1.0):
         m, u = self.split(p)

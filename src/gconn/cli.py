@@ -23,8 +23,7 @@ import numpy as np
 
 from . import actions, connections, curvature, frames, slices
 from .groups import cross, exp_so3
-from .linalg import (FD_STEP, SVD, TOL_RANK, Subspace, curve_derivative,
-                     numerics)
+from .linalg import FD_STEP, SVD, TOL_RANK, Subspace, numerics
 from .report import VerificationReport
 
 
@@ -181,18 +180,21 @@ def check_closed_vs_fd(rep, cfg, rng, samples, sample_point=None):
             worst, 1e-5)
 
 
-def check_d_exact_vs_fd(rep, cfg, rng, samples, mu):
-    """The exact derivative ``dmatrix`` of mu against central differences
-    of its matrix along the retraction, at random points and directions."""
+def check_d_exact_vs_fd(rep, cfg, rng, samples, mu, sample_point=None,
+                        check_id="d-exact-vs-fd"):
+    """The exact derivative ``dmatrix`` of mu against that of its
+    ``fd_oracle``, at random points and directions."""
     A = mu.action
+    oracle = connections.fd_oracle(mu)
+    sample_point = sample_point or A.random_point
     worst = 0.0
     for _ in range(samples):
-        m = A.random_point(rng)
+        m = sample_point(rng)
         w = A.random_tangent(rng, m)
-        fd = curve_derivative(lambda t: mu.matrix(A.retract(m, w, t)))
+        K = A.gen_matrix(m)
         worst = max(worst, np.linalg.norm(
-            mu.dmatrix(m, w, A.gen_matrix(m)) - fd))
-    rep.add("d-exact-vs-fd",
+            mu.dmatrix(m, w, K) - oracle.dmatrix(m, w, K)))
+    rep.add(check_id,
             "exact derivative of the form matches finite differences",
             worst, 1e-6)
 
@@ -216,9 +218,16 @@ def scenario_s1s1_so3_slice(cfg: ScenarioConfig) -> VerificationReport:
     rep.add("flat", "closed-form curvature vanishes identically", worst,
             1e-7)
     check_slice(rep, cfg, rng, cfg.samples)
-    check_abel_involutivity(rep, cfg, rng, cfg.samples)
+    mu_t = check_abel_involutivity(rep, cfg, rng, cfg.samples)
     check_d_exact_vs_fd(rep, cfg, cfg.rng(), cfg.samples,
                         connections.simple_mechanical_mu(A))
+    # the adapted form's derivative at abel_involutivity's point draw
+    g0 = np.eye(3)
+    check_d_exact_vs_fd(
+        rep, cfg, cfg.rng(), cfg.samples, mu_t,
+        sample_point=lambda rg: A.retract(g0, A.random_tangent(rg, g0),
+                                          0.25 * rg.random()),
+        check_id="adapted-d-exact-vs-fd")
     return rep
 
 
@@ -272,7 +281,8 @@ def check_slice(rep, cfg, rng, samples):
 
 
 def check_abel_involutivity(rep, cfg, rng, samples):
-    """Involutivity near the identity of s1s1-on-so3, trivial adaptor."""
+    """Involutivity near the identity of s1s1-on-so3, trivial adaptor;
+    returns the adapted form."""
     A = actions.get_action("s1s1-on-so3")
     mu = connections.simple_mechanical_mu(A)
     g0 = np.eye(3)
@@ -282,9 +292,11 @@ def check_abel_involutivity(rep, cfg, rng, samples):
         r = float(SIGMA @ (np.asarray(g) @ SIGMA))
         return np.eye(2) / (1.0 + r)
 
-    rep.extend(slices.abel_involutivity(mu, slices.trivial_adaptor(A, g0),
-                                        pi, iota, samples=samples, rng=rng,
+    adaptor = slices.trivial_adaptor(A, g0)
+    rep.extend(slices.abel_involutivity(mu, adaptor, pi, iota,
+                                        samples=samples, rng=rng,
                                         tol=cfg.tol_struct))
+    return slices.adapted_dual_form(mu, adaptor, pi, iota)
 
 
 def scenario_us2_moving_frame(cfg: ScenarioConfig) -> VerificationReport:

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .actions import Action
-from .linalg import SVD, Subspace, fd_step_in_force, norm
+from .linalg import SVD, Subspace, curve_derivative, fd_step_in_force, norm
 from .report import VerificationReport
 
 
@@ -34,10 +34,12 @@ class DualForm:
     generator matrix ``K`` at m as a second argument; ``matrix(m, K)``
     passes on the one a caller already holds, ``matrix(m)`` evaluates it.
 
-    ``dmatrix(m, w, K)``, if given, is the exact derivative of ``matrix``
-    along t -> retract(m, w, t), with K the generator matrix at m; the
-    derivatives in :mod:`gconn.curvature` read it, and fall back to finite
-    differences where it is None (see :func:`fd_oracle`).
+    ``dmatrix(m, w, K)`` is the derivative of ``matrix`` along
+    t -> retract(m, w, t), with K the generator matrix at m; every
+    derivative in :mod:`gconn.curvature` and :mod:`gconn.slices` reads it.
+    A form built without one raises :class:`TypeError` when differentiated;
+    :func:`fd_oracle` gives the same form with a finite-difference
+    ``dmatrix``.
     """
 
     def __init__(self, action: Action, matrix_fn, name="mu",
@@ -46,7 +48,13 @@ class DualForm:
         self._matrix_fn = matrix_fn
         self.name = name
         self.uses_generators = uses_generators
-        self.dmatrix = dmatrix
+        self._dmatrix_fn = dmatrix
+
+    def dmatrix(self, m, w, K):
+        if self._dmatrix_fn is None:
+            raise TypeError(f"the form {self.name} has no dmatrix; "
+                            f"fd_oracle({self.name}) differences its matrix")
+        return self._dmatrix_fn(m, w, K)
 
     def matrix(self, m, K=None):
         if not self.uses_generators:
@@ -62,27 +70,29 @@ class DualForm:
 def simple_mechanical_mu(action: Action) -> DualForm:
     """mu(v) . xi = <v, xi_M(m)> in the action's invariant metric.
 
-    Exactly differentiable, dK^T G, where the action has ``dgen_matrix``:
-    those actions (on group manifolds and on R^3) have a constant metric G.
+    Its derivative is dK^T G: every action's metric G is constant.
     """
     def matrix(m, K):
         return K.T @ action.tangent_metric(m)
 
-    dmatrix = None
-    if action.dgen_matrix is not None:
-        def dmatrix(m, w, K):
-            return action.dgen_matrix(m, w, K).T @ action.tangent_metric(m)
+    def dmatrix(m, w, K):
+        return action.dgen_matrix(m, w, K).T @ action.tangent_metric(m)
 
     return DualForm(action, matrix, name="mu_mech", uses_generators=True,
                     dmatrix=dmatrix)
 
 
 def fd_oracle(mu: DualForm) -> DualForm:
-    """The same form without its exact derivative, so that every derivative
-    of it is taken by central differences: the independent oracle that the
-    exact derivatives are checked against."""
-    return DualForm(mu.action, mu._matrix_fn, name=mu.name,
-                    uses_generators=mu.uses_generators)
+    """The same form whose ``dmatrix`` is a central difference of its matrix
+    along the retraction, at the step in force: the oracle that the exact
+    derivatives are checked against."""
+    A = mu.action
+
+    def dmatrix(m, w, K):
+        return curve_derivative(lambda t: mu.matrix(A.retract(m, w, t)))
+
+    return DualForm(A, mu._matrix_fn, name=mu.name,
+                    uses_generators=mu.uses_generators, dmatrix=dmatrix)
 
 
 def mu_q(q) -> DualForm:

@@ -7,14 +7,12 @@ right-invariant fields; on embedded manifolds the frozen coordinates are
 extended by pointwise tangent projection.  Both choices are legitimate
 because the exterior derivative of a one-form is tensorial.
 
-A form that carries ``dmatrix`` (see :class:`gconn.connections.DualForm`)
-is differentiated exactly: d mu, d chi and the derivative of a horizontal
-field are then linear algebra at the one point, using the action's
-``dgen_matrix`` for the generators.  Every other derivative is a central
-difference with the step in force (see :func:`gconn.linalg.numerics`),
-or ``FD_STEP_NESTED`` in :func:`_d_chi`; :func:`gconn.connections.fd_oracle`
-strips a form's derivative to get the finite-difference values as an
-independent check.
+Every derivative here reads the form's ``dmatrix`` (see
+:class:`gconn.connections.DualForm`), the action's ``dgen_matrix`` and
+``dproject_tangent`` and a field's ``derivative(m, w)``, so d mu, d chi,
+brackets and horizontal-field derivatives are linear algebra at the one
+point.  :func:`gconn.connections.fd_oracle` gives a form whose ``dmatrix``
+is a central difference, checked through the same code.
 """
 
 from __future__ import annotations
@@ -23,87 +21,47 @@ import numpy as np
 
 from .actions import Action
 from .connections import DualForm, PointEval, at
-from .linalg import SVD, curve_derivative, norm
+from .linalg import SVD, norm
 from .report import VerificationReport
-
-# Nested (second-derivative) steps are larger to limit noise amplification.
-FD_STEP_NESTED = 1e-4
 
 
 def _is_group_manifold(action: Action):
     return action.manifold_alg is not None
 
 
-def _exact(mu: DualForm):
-    """Whether mu and its action's generators have exact derivatives."""
-    return mu.dmatrix is not None and mu.action.dgen_matrix is not None
-
-
-def _extend_field(action: Action, m, c):
-    """Frozen-coordinate extension of the tangent coordinate vector c."""
-    if _is_group_manifold(action):
-        return lambda p: np.asarray(c, dtype=float).ravel()
-    return lambda p: action.project_tangent(p, c)
-
-
 def d_oneform(mu: DualForm, m, u, v):
     """Exterior derivative d mu at m on tangent vectors u, v.
 
-    Uses the three-term formula X_u(mu(X_v)) - X_v(mu(X_u)) - mu([X_u, X_v])
-    with frozen-coordinate extensions; on group manifolds the extensions are
-    right-invariant and [X_u, X_v] = -X_{[u,v]}.  With the form's exact
-    derivative dM this is dM(u) v - dM(v) u (+ M [u, v] on a group); the
-    terms of a projected extension cancel for tangent u, v.  ``m`` may be a
-    point evaluation of mu (see :func:`gconn.connections.at`).
+    The three-term formula X_u(mu(X_v)) - X_v(mu(X_u)) - mu([X_u, X_v]) on
+    frozen-coordinate extensions, with the form's derivative dM: on a group
+    the extensions are right-invariant, [X_u, X_v] = -X_{[u,v]}, and it is
+    dM(u) v - dM(v) u + M [u, v]; on an embedded manifold the terms of the
+    projected extensions cancel for tangent u, v, leaving
+    dM(u) v - dM(v) u.  ``m`` may be a point evaluation of mu (see
+    :func:`gconn.connections.at`).
     """
     A = mu.action
     pt = at(mu, m)
-    m = pt.m
     u = np.asarray(u, dtype=float).ravel()
     v = np.asarray(v, dtype=float).ravel()
-    if mu.dmatrix is not None:
-        d = mu.dmatrix(m, u, pt.K) @ v - mu.dmatrix(m, v, pt.K) @ u
-        if _is_group_manifold(A):
-            return d + pt.M @ A.manifold_alg.bracket(u, v)
-        return d
-    U = _extend_field(A, m, u)
-    V = _extend_field(A, m, v)
-
-    def deriv_along(a, W):
-        def value(t):
-            p = A.retract(m, a, t)
-            return mu(p, W(p))
-        return curve_derivative(value)
-
-    term = deriv_along(u, V) - deriv_along(v, U)
+    d = mu.dmatrix(pt.m, u, pt.K) @ v - mu.dmatrix(pt.m, v, pt.K) @ u
     if _is_group_manifold(A):
-        return term + pt.M @ A.manifold_alg.bracket(u, v)
-    return term - pt.M @ field_bracket(A, U, V, m)
+        return d + pt.M @ A.manifold_alg.bracket(u, v)
+    return d
 
 
 def field_bracket(action: Action, X, Y, m):
     """Lie bracket of two tangent-coordinate vector fields at m.
 
+    Both fields carry their directional derivative ``derivative(m, w)``.
     On group manifolds the right-trivialized bracket picks up the algebra
     correction -[X(m), Y(m)]; on embedded manifolds it is the antisymmetrized
-    directional derivative, projected back into the tangent space.  When
-    both fields carry a ``derivative(m, w)`` (as exact horizontal fields
-    do) the directional derivatives are read from it; otherwise they are
-    central differences along the retraction.  ``m`` may be a point
-    evaluation; the fields are then evaluated on it, and the retraction
-    starts from its point.
+    directional derivative, projected back into the tangent space.  ``m``
+    may be a point evaluation; the fields are then evaluated on it.
     """
     p = m.m if isinstance(m, PointEval) else m
     Xm, Ym = X(m), Y(m)
-    dX = getattr(X, "derivative", None)
-    dY = getattr(Y, "derivative", None)
-    if dX is not None and dY is not None:
-        b = dY(m, Xm) - dX(m, Ym)
-    else:
-        def D(a, W):
-            return curve_derivative(lambda t: W(action.retract(p, a, t)))
-
-        b = D(Xm, Y) - D(Ym, X)
+    b = Y.derivative(m, Xm) - X.derivative(m, Ym)
     if _is_group_manifold(action):
         return b - action.manifold_alg.bracket(Xm, Ym)
     return action.project_tangent(p, b)
@@ -154,7 +112,7 @@ def tame(mu: DualForm) -> DualForm:
 
     Requires chi(m) symmetric wherever evaluated (checked); the result has
     the same kernel as mu pointwise and the same curvature wherever both
-    are docile.  Exactly differentiable by the product rule where mu is.
+    are docile.  Its derivative follows from mu's by the product rule.
     """
     A = mu.action
 
@@ -165,15 +123,13 @@ def tame(mu: DualForm) -> DualForm:
             raise ValueError("tame: inertia factor is not symmetric here")
         return chi @ A.algebra.gram_inv @ M
 
-    dmatrix = None
-    if _exact(mu):
-        def dmatrix(m, w, K):
-            # d chi = dM K + M dK and d(chi # M) = d chi # M + chi # dM
-            M = mu.matrix(m, K)
-            dM = mu.dmatrix(m, w, K)
-            dchi = dM @ K + M @ A.dgen_matrix(m, w, K)
-            sharp = A.algebra.gram_inv
-            return dchi @ sharp @ M + (M @ K) @ sharp @ dM
+    def dmatrix(m, w, K):
+        # d chi = dM K + M dK and d(chi # M) = d chi # M + chi # dM
+        M = mu.matrix(m, K)
+        dM = mu.dmatrix(m, w, K)
+        dchi = dM @ K + M @ A.dgen_matrix(m, w, K)
+        sharp = A.algebra.gram_inv
+        return dchi @ sharp @ M + (M @ K) @ sharp @ dM
 
     return DualForm(A, matrix, name=mu.name + "_tamed", uses_generators=True,
                     dmatrix=dmatrix)
@@ -225,31 +181,20 @@ def curvature_leftright_closed(action, g, xi, omega):
 def _d_chi(mu: DualForm, m, w, adaptor=None):
     """Directional derivative of the inertia factor along w.
 
-    With an adaptor phi, of the adapted inertia factor chi . Ad_phi.  Exact,
-    dM K + M dK (times Ad_phi, plus chi Ad_phi ad_{dnatL(m, w)}), where the
-    form, its action and the adaptor know their derivatives, and otherwise
-    by differencing with ``FD_STEP_NESTED``; ``m`` may be a point evaluation.
+    With an adaptor phi, of the adapted inertia factor chi . Ad_phi:
+    dM K + M dK, times Ad_phi, plus chi Ad_phi ad_{dnatL(m, w)}.  ``m`` may
+    be a point evaluation.
     """
     A = mu.action
-    if _exact(mu) and (adaptor is None or adaptor.dnatL is not None):
-        pt = at(mu, m)
-        w = np.asarray(w, dtype=float).ravel()
-        dchi = (mu.dmatrix(pt.m, w, pt.K) @ pt.K
-                + pt.M @ A.dgen_matrix(pt.m, w, pt.K))
-        if adaptor is None:
-            return dchi
-        Ad = A.Ad_group(adaptor.phi(pt.m))
-        return dchi @ Ad + pt.chi @ Ad @ A.algebra.ad_matrix(
-            adaptor.dnatL(pt.m, w))
-    m = m.m if isinstance(m, PointEval) else m
-
-    def chi(t):
-        pt = at(mu, A.retract(m, w, t))
-        if adaptor is None:
-            return pt.chi
-        return pt.chi @ A.Ad_group(adaptor.phi(pt.m))
-
-    return curve_derivative(chi, FD_STEP_NESTED)
+    pt = at(mu, m)
+    w = np.asarray(w, dtype=float).ravel()
+    dchi = (mu.dmatrix(pt.m, w, pt.K) @ pt.K
+            + pt.M @ A.dgen_matrix(pt.m, w, pt.K))
+    if adaptor is None:
+        return dchi
+    Ad = A.Ad_group(adaptor.phi(pt.m))
+    return dchi @ Ad + pt.chi @ Ad @ A.algebra.ad_matrix(
+        adaptor.dnatL(pt.m, w))
 
 
 def structure_residual(mu: DualForm, m, u, v):
@@ -307,10 +252,10 @@ def good_chi_residual(mu: DualForm, m, u, zeta):
 def horizontal_field(mu: DualForm, c):
     """The frozen coordinate vector c, projected horizontal at each point.
 
-    The field takes a point or a point evaluation of mu.  On a group
-    manifold, where mu and the generators have exact derivatives, it
-    carries its own, ``X.derivative(p, w)``: with P = K chi+ M,
-    dX(w) = -[(1 - P) dK chi+ M + K chi+ dM (1 - P)] c, which holds where
+    The field takes a point or a point evaluation of mu, and carries its
+    derivative ``X.derivative(p, w)``: with z = project_tangent(p, c),
+    P = K chi+ M and xi = chi+ M z (so X = z - K xi),
+    dX(w) = (1 - P)(dz - dK xi) - K chi+ dM (z - K xi), which holds where
     the rank of chi is locally constant and reuses the point's SVD of chi.
     """
     A = mu.action
@@ -320,18 +265,16 @@ def horizontal_field(mu: DualForm, c):
         w = A.project_tangent(pt.m, c)
         return w - pt.P @ w
 
-    if _exact(mu) and _is_group_manifold(A):
-        c = np.asarray(c, dtype=float).ravel()
+    def derivative(p, w):
+        pt = at(mu, p)
+        pinv = pt.chi_svd.pinv
+        z = A.project_tangent(pt.m, c)
+        xi = pinv @ (pt.M @ z)
+        a = A.dproject_tangent(pt.m, w, c) - A.dgen_matrix(pt.m, w, pt.K) @ xi
+        dM_X = mu.dmatrix(pt.m, w, pt.K) @ (z - pt.K @ xi)
+        return a - pt.P @ a - pt.K @ (pinv @ dM_X)
 
-        def derivative(p, w):
-            pt = at(mu, p)
-            pinv = pt.chi_svd.pinv
-            xi = pinv @ (pt.M @ c)              # P c = K xi
-            dK_xi = A.dgen_matrix(pt.m, w, pt.K) @ xi
-            dM_X = mu.dmatrix(pt.m, w, pt.K) @ (c - pt.K @ xi)
-            return -(dK_xi - pt.P @ dK_xi + pt.K @ (pinv @ dM_X))
-
-        X.derivative = derivative
+    X.derivative = derivative
     return X
 
 

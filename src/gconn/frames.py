@@ -6,12 +6,11 @@ The frame of an orthonormal pair (m, u) is the rotation with columns
 map on the sphere that is equivariant only up to isotropy.  The frame, the
 slip map and their right-trivialized derivatives ``dnat_rho``,
 ``dnat_phi`` and ``dnat_slip`` are closed forms, given the derivative of
-the seed field, which the eastward field carries as
-``eastward_field.derivative``.  Central differences with the fixed step
-``FRAME_STEP`` remain in the oracles, ``dnat_rho_fd`` and
+the seed field, which every seed field carries (the eastward field as
+``eastward_field.derivative``).  Central differences with the fixed step
+``FRAME_STEP`` remain only in the oracles, ``dnat_rho_fd`` and
 ``_trivialized_fd`` (which the CLI's ``frame-d-exact-vs-fd`` record
-applies to phi and to the slip map), and for a seed field without a
-``derivative``.
+applies to phi and to the slip map).
 """
 
 from __future__ import annotations
@@ -107,14 +106,12 @@ class PartialMovingFrame:
     the slip map phi_g(m) = phi(g m) phi(m)^(-1), which is a rotation about
     the moved point composed with g.  The derivatives ``dnat_phi`` and
     ``dnat_slip`` are closed forms in the derivative of Y, which they read
-    from ``Y.derivative(m, w)`` where the field has one, and otherwise take
-    as a central difference along the sphere retraction with
-    ``FRAME_STEP``.
+    from ``Y.derivative(m, w)``; a field without one is refused.
     """
 
     def __init__(self, Y):
         self.Y = Y
-        self.dY = getattr(Y, "derivative", None)
+        self.dY = Y.derivative
         self.action = get_action("so3-on-s2")
 
     def _field(self, m):
@@ -123,13 +120,6 @@ class PartialMovingFrame:
         if abs(norm(y) - 1.0) > 1e-9 or abs(y @ m) > 1e-9:
             raise DomainError("seed field is not unit tangent here")
         return y
-
-    def _dfield(self, m, w):
-        """Derivative of the seed field at m along the tangent w."""
-        if self.dY is not None:
-            return np.asarray(self.dY(m, w), dtype=float).ravel()
-        return curve_derivative(
-            lambda t: self._field(self.action.retract(m, w, t)), FRAME_STEP)
 
     def phi(self, m):
         m = np.asarray(m, dtype=float).ravel()
@@ -141,7 +131,7 @@ class PartialMovingFrame:
         m = np.asarray(m, dtype=float).ravel()
         dm = self.action.project_tangent(m, dm)
         y = self._field(m)
-        return cross(m, dm) + (cross(y, self._dfield(m, dm)) @ m) * m
+        return cross(m, dm) + (cross(y, self.dY(m, dm)) @ m) * m
 
     def _slip_frame(self, g, m):
         """Y(m), the moved point g m and w = g^(-1) Y(g m)."""
@@ -169,8 +159,8 @@ class PartialMovingFrame:
         m = np.asarray(m, dtype=float).ravel()
         v = self.action.project_tangent(m, v)
         y, gm, w = self._slip_frame(g, m)
-        dy = self._dfield(m, v)
-        dw = g.T @ self._dfield(gm, g @ v)
+        dy = self.dY(m, v)
+        dw = g.T @ self.dY(gm, g @ v)
         my = cross(m, y)
         a, b = w @ my, w @ y
         da = dw @ my + w @ (cross(v, y) + cross(m, dy))

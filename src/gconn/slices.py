@@ -4,8 +4,10 @@ Near a singular point m0 the kernel of a dual form jumps in dimension.  An
 adaptor phi conjugates the reference isotropy algebra over the nearby
 isotropy algebras, which lets the form be corrected to constant rank: the
 adapted form's kernel is the almost-horizontal system
-Xi = Gamma + (Ad_phi g_m0)~.  The concrete slice construction here is the
-Cayley-parametrized slice for the two-sided circle action on SO(3).
+Xi = Gamma + (Ad_phi g_m0)~; it carries its derivative, so brackets of
+Xi-valued fields are exact up to one difference, of the caller's iota.
+The concrete slice construction here is the Cayley-parametrized slice for
+the two-sided circle action on SO(3).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from . import groups
 from .actions import Action, isotropy_algebra, orbit_tangent
 from .connections import DualForm, PointEval, at
 from .curvature import _d_chi, field_bracket
-from .linalg import SVD, Subspace, norm
+from .linalg import SVD, Subspace, curve_derivative, norm
 from .report import VerificationReport
 
 
@@ -30,12 +32,11 @@ class Adaptor:
 
     ``phi`` maps a manifold point to an acting-group element; ``dnatL`` is
     the left-trivialized derivative evaluator (m, tangent coords) -> acting
-    algebra, identically zero for the trivial adaptor (no ``phi``).  An
-    adaptor given a ``phi`` but no ``dnatL`` has ``dnatL`` None: its
-    derivative is unknown, and derivatives through it are taken by finite
-    differences.  Whether Ad_phi g_m0 covers the isotropy algebra g_m is
-    tested where it is used: :func:`adapted_inertia` raises
-    :class:`AdaptorContractError` at every point where it fails.
+    algebra, identically zero for the trivial adaptor (no ``phi``).  A
+    ``phi`` given without its ``dnatL`` raises :class:`TypeError`.  Whether
+    Ad_phi g_m0 covers the isotropy algebra g_m is tested where it is used:
+    :func:`adapted_inertia` raises :class:`AdaptorContractError` at every
+    point where it fails.
     """
 
     def __init__(self, action: Action, m0, phi=None, dnatL=None):
@@ -45,6 +46,8 @@ class Adaptor:
             phi = lambda m: action.identity()
             if dnatL is None:
                 dnatL = lambda m, v: np.zeros(action.algebra.dim)
+        elif dnatL is None:
+            raise TypeError("Adaptor: a phi needs its derivative dnatL")
         self.phi = phi
         self.dnatL = dnatL
         self.iso0 = isotropy_algebra(action, m0)
@@ -95,16 +98,27 @@ def adapted_dual_form(mu: DualForm, adaptor: Adaptor, pi, iota) -> DualForm:
     ``pi`` is a fixed projection matrix on the acting algebra with kernel
     the reference isotropy algebra; ``iota`` maps a point to a restricted
     pseudo-inverse of chi_phi, i.e. pi = pi . iota(m) . chi_phi(m) must hold
-    on the domain (checked at every evaluation).  The form has no exact
-    derivative: ``iota`` has none.
+    on the domain (checked at every evaluation).  Its derivative is
+    d chi_phi pi iota M + chi_phi pi (d iota M + iota dM), d chi_phi from
+    :func:`gconn.curvature._d_chi`; d iota, not known in closed form, is a
+    central difference of ``iota`` along the retraction.
     """
+    A = mu.action
     pi = np.asarray(pi, dtype=float)
 
     def matrix(m, K):
         return _adapted_matrix(adaptor, pi, iota, PointEval(mu, m, K=K))
 
-    return DualForm(mu.action, matrix, name=mu.name + "_adapted",
-                    uses_generators=True)
+    def dmatrix(m, w, K):
+        pt = PointEval(mu, m, K=K)
+        chi_phi = adapted_inertia(mu, adaptor, pt)
+        im = np.asarray(iota(m), dtype=float)
+        dim = curve_derivative(lambda t: iota(A.retract(m, w, t)))
+        return (_d_chi(mu, pt, w, adaptor=adaptor) @ pi @ im @ pt.M
+                + chi_phi @ pi @ (dim @ pt.M + im @ mu.dmatrix(m, w, K)))
+
+    return DualForm(A, matrix, name=mu.name + "_adapted",
+                    uses_generators=True, dmatrix=dmatrix)
 
 
 def almost_horizontal_basis(mu: DualForm, adaptor: Adaptor, m) -> Subspace:
@@ -291,6 +305,27 @@ def slice_verify(S: SliceCandidate, action: Action, m0, samples=50,
     return rep
 
 
+def _xi_field(mu_t: DualForm, c):
+    """The frozen coordinate vector c projected onto ker mu_t, X = Pi z with
+    z = project_tangent(p, c), taking a point or a point evaluation of mu_t;
+    its derivative is dX = Pi (dz - B^T z) - B Pi z, with B = M+ dM."""
+    A = mu_t.action
+
+    def X(p):
+        pt_t = at(mu_t, p)
+        return pt_t.kernel.project(A.project_tangent(pt_t.m, c))
+
+    def derivative(p, w):
+        pt_t = at(mu_t, p)
+        z = A.project_tangent(pt_t.m, c)
+        B = pt_t.M_svd.pinv @ mu_t.dmatrix(pt_t.m, w, pt_t.K)
+        dz = A.dproject_tangent(pt_t.m, w, c)
+        return pt_t.kernel.project(dz - B.T @ z) - B @ pt_t.kernel.project(z)
+
+    X.derivative = derivative
+    return X
+
+
 def abel_involutivity(mu: DualForm, adaptor: Adaptor, pi, iota, samples=20,
                       rng=None, tol=1e-5) -> VerificationReport:
     """Involutivity of the almost-horizontal system near an abelian-stabilizer
@@ -299,10 +334,10 @@ def abel_involutivity(mu: DualForm, adaptor: Adaptor, pi, iota, samples=20,
     For fields X, Y valued in Xi = ker(adapted form) checks that the adapted
     form annihilates [X, Y], that [X, Y] stays in Xi, and that the
     inertia-derivative correction terms vanish for horizontal inputs.  The
-    bracket is a central difference with the step in force (the adapted
-    form has no exact derivative); the correction terms use :func:`_d_chi`,
-    exact where mu and the adaptor are.  mu is evaluated once at each
-    sample.
+    fields (:func:`_xi_field`) carry their derivative, read from the adapted
+    form's ``dmatrix`` and the point's SVD of its matrix, so the bracket is
+    exact up to iota's difference; the correction terms use
+    :func:`_d_chi`.
     """
     A = mu.action
     rng = np.random.default_rng(0) if rng is None else rng
@@ -310,20 +345,12 @@ def abel_involutivity(mu: DualForm, adaptor: Adaptor, pi, iota, samples=20,
     mu_t = adapted_dual_form(mu, adaptor, pi, iota)
     pi = np.asarray(pi, dtype=float)
 
-    def xi_field(c):
-        # frozen coordinate vector projected onto ker of the adapted form;
-        # takes a point or a point evaluation of the adapted form
-        def X(p):
-            pt_t = at(mu_t, p)
-            return pt_t.kernel.project(A.project_tangent(pt_t.m, c))
-        return X
-
     E = np.eye(A.vec_dim)
     for i in range(samples):
         v = A.random_tangent(rng, adaptor.m0)
         m = A.retract(adaptor.m0, v, 0.25 * rng.random())
         ci, cj = rng.choice(A.vec_dim, size=2, replace=False)
-        X, Y = xi_field(E[ci]), xi_field(E[cj])
+        X, Y = _xi_field(mu_t, E[ci]), _xi_field(mu_t, E[cj])
         pt = PointEval(mu, m)
         pt_t = PointEval(mu_t, m, K=pt.K,
                          M=_adapted_matrix(adaptor, pi, iota, pt))

@@ -8,7 +8,6 @@ import pytest
 
 from gconn import linalg, slices
 from gconn.cli import SCENARIOS, ScenarioConfig, main, run_scenario
-from gconn.curvature import FD_STEP_NESTED
 from gconn.frames import FRAME_STEP
 from gconn.linalg import (FD_STEP, SVD, TOL_RANK, InconsistentSystemError,
                           curve_derivative)
@@ -138,7 +137,7 @@ def test_property_suite_is_its_scenarios_at_a_quarter_of_the_samples():
 def test_rank_and_step_flags_reach_the_checks(monkeypatch, tmp_path):
     # every SVD of every scenario decides rank at the flag's cutoff, every
     # difference not given a step takes the flag's, and the rest take the
-    # named nested and frame steps
+    # frame oracles' named step
     cutoffs, steps, given = [], [], []
     svd_init = linalg.SVD.__init__
 
@@ -171,7 +170,30 @@ def test_rank_and_step_flags_reach_the_checks(monkeypatch, tmp_path):
     stray = [c for c in cutoffs if c != 1e-9]
     assert cutoffs and not stray, f"{len(stray)} of {len(cutoffs)} SVDs"
     assert steps and set(steps) == {2e-5}
-    assert given and set(given) <= {FD_STEP_NESTED, FRAME_STEP}
+    assert given and set(given) <= {FRAME_STEP}
+
+
+def test_differences_come_only_from_the_oracles(monkeypatch, tmp_path):
+    # every central difference of every scenario is taken by an oracle
+    # (an fd_oracle form's dmatrix, the frame oracles' _trivialized_fd) or
+    # for iota, the one factor of the adapted form without a closed form
+    callers = set()
+    original = linalg.curve_derivative
+
+    def spied(f, h=None):
+        code = sys._getframe(1).f_code
+        callers.add(getattr(code, "co_qualname", code.co_name))
+        return original(f, h)
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "gconn"
+                and getattr(module, "curve_derivative", None) is original):
+            monkeypatch.setattr(module, "curve_derivative", spied)
+    for scenario in sorted(SCENARIOS):
+        main(["--scenario", scenario, "--seed", "1", "--samples", "2",
+              "--out", str(tmp_path / "r.json")])
+    assert callers == {"fd_oracle.<locals>.dmatrix", "_trivialized_fd",
+                       "adapted_dual_form.<locals>.dmatrix"}
 
 
 def _in_force():
@@ -214,9 +236,8 @@ def test_bad_numeric_flags_are_rejected(capsys, flag, value):
 
 
 def test_rank_flag_reaches_the_adapted_kernel_test(monkeypatch, tmp_path):
-    # every kernel test of chi_phi in abel_involutivity, at the sample
-    # points and at the bracket's difference points, decides rank at the
-    # flag's cutoff
+    # every kernel test of chi_phi, in abel_involutivity and in the
+    # adapted-d-exact-vs-fd oracle, decides rank at the flag's cutoff
     seen = []
     adapted_inertia = slices.adapted_inertia
 
@@ -227,5 +248,7 @@ def test_rank_flag_reaches_the_adapted_kernel_test(monkeypatch, tmp_path):
     monkeypatch.setattr(slices, "adapted_inertia", spied)
     main(["--scenario", "s1s1-so3-slice", "--samples", "2", "--tol-rank",
           "1e-9", "--out", str(tmp_path / "r.json")])
-    # five points per sample
-    assert seen == [1e-9] * 10
+    # per sample: abel_involutivity's adapted form at m and its derivative
+    # there for each of the two fields, and the oracle record's exact
+    # derivative at m and its difference points
+    assert seen == [1e-9] * 12

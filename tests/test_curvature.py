@@ -32,12 +32,23 @@ def test_d_oneform_antisymmetric():
                           + d_oneform(mu, g, v, u)) < 1e-9
 
 
+def _constant(c):
+    """The field with constant coordinates c, and its zero derivative."""
+    c = np.asarray(c, dtype=float)
+    X = lambda p: c
+    X.derivative = lambda p, w: np.zeros_like(c)
+    return X
+
+
 def test_field_bracket_coordinate_fields_commute_on_r3():
     A = get_action("so3-on-r3")
-    X = lambda p: np.array([1.0, 0.0, 0.0])
-    Y = lambda p: np.array([0.0, 1.0, 0.0])
+    X = _constant([1.0, 0.0, 0.0])
+    Y = _constant([0.0, 1.0, 0.0])
     m = np.array([0.3, -0.7, 1.1])
     assert np.linalg.norm(field_bracket(A, X, Y, m)) < 1e-10
+    # a field without its derivative is refused
+    with pytest.raises(AttributeError, match="derivative"):
+        field_bracket(A, X, lambda p: np.array([0.0, 1.0, 0.0]), m)
 
 
 def test_field_bracket_right_invariant_fields():
@@ -46,7 +57,7 @@ def test_field_bracket_right_invariant_fields():
     rng = np.random.default_rng(32)
     g = A.random_point(rng)
     a, b = rng.standard_normal(3), rng.standard_normal(3)
-    br = field_bracket(A, lambda p: a, lambda p: b, g)
+    br = field_bracket(A, _constant(a), _constant(b), g)
     assert np.linalg.norm(br + np.cross(a, b)) < 1e-10
 
 

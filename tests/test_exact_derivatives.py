@@ -1,19 +1,25 @@
-"""The exact first derivatives of the torus-action forms, of the SO(3)
-forms on R^3 and of the eastward partial moving frame, against their
-finite-difference oracles.
+"""The exact first derivatives of the forms, actions, fields and the
+eastward partial moving frame, against finite differences.
 
 An exact derivative and a central difference with step h differ by the
 truncation error c h^2, so halving h must divide their gap by four; a wrong
-exact derivative leaves a gap that does not shrink.
+exact derivative leaves a gap that does not shrink.  ``fd_oracle`` forms run
+through the same ``d_oneform`` and ``field_bracket`` as exact ones, so those
+two are checked against the independent references of ``fd_reference``.
 """
+
+import re
+import sys
 
 import numpy as np
 import pytest
 
+import fd_reference
+from gconn import connections, frames, linalg
 from gconn import curvature as curvature_module
-from gconn import frames
 from gconn.actions import get_action
-from gconn.connections import at, fd_oracle, mu_q, simple_mechanical_mu
+from gconn.connections import (alpha_so3r3, at, clean_alpha, fd_oracle, mu_q,
+                               pair_check, simple_mechanical_mu)
 from gconn.curvature import (_d_chi, curvature, d_oneform, docile,
                              field_bracket, horizontal_field,
                              involutivity_check, structure_residual, tame)
@@ -21,6 +27,7 @@ from gconn.frames import (FRAME_STEP, PartialMovingFrame, _sample_off_poles,
                           eastward_field, pmf_from_field)
 from gconn.groups import hat
 from gconn.linalg import curve_derivative, norm, numerics
+from gconn.slices import _xi_field, adapted_dual_form, trivial_adaptor
 
 TORUS = ["hxh-on-su3", "s1s1-on-so3"]
 
@@ -56,7 +63,7 @@ def test_ad_matrix_is_the_bracket():
         assert norm(alg.ad_matrix(a) @ b - alg.bracket(a, b)) < 1e-12
 
 
-@pytest.mark.parametrize("name", TORUS)
+@pytest.mark.parametrize("name", TORUS + ["so3-on-s2", "so3-on-us2"])
 def test_dgen_matrix_follows_the_h2_law(name):
     A = get_action(name)
     rng = np.random.default_rng(61)
@@ -99,46 +106,80 @@ def test_horizontal_field_derivative_follows_the_h2_law(name):
 
 
 def test_forms_without_exact_generators_keep_finite_differences():
-    for name in ("so3-on-s2", "so3-on-us2"):
+    # every action now has exact generators, so the forms built from them
+    # are exact on the spheres too; a form built without a derivative is
+    # differenced only as its fd_oracle
+    rng = np.random.default_rng(64)
+    for name in ("so3-on-r3", "so3-on-s2", "so3-on-us2"):
         A = get_action(name)
-        assert A.dgen_matrix is None
-        assert simple_mechanical_mu(A).dmatrix is None
-        assert tame(simple_mechanical_mu(A)).dmatrix is None
-        assert not hasattr(horizontal_field(simple_mechanical_mu(A),
-                                            np.ones(A.vec_dim)), "derivative")
-    # rotating R^3 has exact generators, so its forms are exact
-    A = get_action("so3-on-r3")
-    assert A.dgen_matrix is not None
-    assert mu_q(lambda t: t).dmatrix is not None
-    assert simple_mechanical_mu(A).dmatrix is not None
-    assert tame(simple_mechanical_mu(A)).dmatrix is not None
+        m = A.random_point(rng)
+        w = A.random_tangent(rng, m)
+        K = A.gen_matrix(m)
+        for mu in (simple_mechanical_mu(A), tame(simple_mechanical_mu(A))):
+            assert norm(mu.dmatrix(m, w, K)
+                        - fd_oracle(mu).dmatrix(m, w, K)) < 1e-8, mu.name
+    alpha = alpha_so3r3(lambda m: 0.3 * np.exp(-(m @ m)))
+    m, w = rng.standard_normal((2, 3))
+    with pytest.raises(TypeError):
+        alpha.dmatrix(m, w, None)
+    assert np.isfinite(fd_oracle(alpha).dmatrix(m, w, None)).all()
 
 
 def test_fd_oracle_is_the_same_form_without_its_derivative():
+    # the same name and matrix; its dmatrix is the central difference of
+    # that matrix along the retraction, not the form's own derivative
     A = get_action("hxh-on-su3")
     nu = tame(simple_mechanical_mu(A))
     oracle = fd_oracle(nu)
-    g = A.random_point(np.random.default_rng(64))
-    assert oracle.dmatrix is None and oracle.name == nu.name
+    rng = np.random.default_rng(64)
+    g = A.random_point(rng)
+    w = A.random_tangent(rng, g)
+    K = A.gen_matrix(g)
+    assert oracle.name == nu.name
     assert np.array_equal(oracle.matrix(g), nu.matrix(g))
+    fd = curve_derivative(lambda t: nu.matrix(A.retract(g, w, t)))
+    assert np.array_equal(oracle.dmatrix(g, w, K), fd)
+    assert not np.array_equal(fd, nu.dmatrix(g, w, K))
 
 
-@pytest.mark.parametrize("name", TORUS)
+def test_forms_without_a_derivative_raise_a_typed_error(monkeypatch):
+    alpha = alpha_so3r3(lambda m: 0.3 * np.exp(-(m @ m)))
+    forms = [alpha, clean_alpha(alpha)]
+    # pair_check's chi*alpha, caught as it checks equivariance
+    original = connections.equivariance_residual
+
+    def caught(mu, *args):
+        forms.append(mu)
+        return original(mu, *args)
+
+    monkeypatch.setattr(connections, "equivariance_residual", caught)
+    pair_check(alpha_so3r3(lambda m: 0.0), lambda m: np.eye(3), samples=1)
+    assert forms[2].name == "chi*alpha"
+    rng = np.random.default_rng(69)
+    m, u, v = rng.standard_normal((3, 3))
+    for mu in forms[:3]:
+        with pytest.raises(TypeError, match=re.escape(
+                f"the form {mu.name} has no dmatrix; fd_oracle({mu.name})")):
+            d_oneform(mu, m, u, v)
+        assert np.isfinite(d_oneform(fd_oracle(mu), m, u, v)).all()
+
+
+@pytest.mark.parametrize("name", TORUS + ["so3-on-s2"])
 def test_exact_d_oneform_and_d_chi_match_the_oracle(name):
+    # against the three-term difference and the differenced chi, which
+    # share no code with d_oneform and _d_chi
     A = get_action(name)
     rng = np.random.default_rng(65)
     for mu in _forms(name):
-        oracle = fd_oracle(mu)
         for _ in range(5):
             m = A.random_point(rng)
-            u, v = rng.standard_normal(A.vec_dim), rng.standard_normal(
-                A.vec_dim)
+            u, v = A.random_tangent(rng, m), A.random_tangent(rng, m)
             d = d_oneform(mu, m, u, v)
-            assert norm(d - d_oneform(oracle, m, u, v)) <= 1e-7 * max(
+            assert norm(d - fd_reference.d_oneform(mu, m, u, v)) <= 1e-7 * max(
                 1.0, norm(d)), mu.name
             dchi = _d_chi(mu, m, u)
-            # the oracle's nested step 1e-4 leaves an h^2 gap of ~1e-8
-            assert norm(dchi - _d_chi(oracle, m, u)) <= 1e-6 * max(
+            # the reference's nested step 1e-4 leaves an h^2 gap of ~1e-8
+            assert norm(dchi - fd_reference.d_chi(mu, m, u)) <= 1e-6 * max(
                 1.0, norm(dchi)), mu.name
 
 
@@ -157,18 +198,16 @@ def test_exact_curvature_matches_the_oracle(name):
 
 @pytest.mark.parametrize("name", TORUS)
 def test_exact_field_bracket_matches_the_oracle(name):
+    # against central differences of the field values
     A = get_action(name)
     rng = np.random.default_rng(68)
     for mu in _forms(name):
-        oracle = fd_oracle(mu)
         for _ in range(3):
             m = _regular_point(A, mu, rng)
             a, b = rng.standard_normal((2, A.vec_dim))
             X, Y = horizontal_field(mu, a), horizontal_field(mu, b)
-            assert hasattr(X, "derivative")
             br = field_bracket(A, X, Y, at(mu, m))
-            fd = field_bracket(A, horizontal_field(oracle, a),
-                               horizontal_field(oracle, b), m)
+            fd = fd_reference.field_bracket(A, X, Y, m)
             assert norm(br - fd) <= 1e-7 * max(1.0, norm(br)), mu.name
 
 
@@ -179,9 +218,15 @@ def test_exact_involutivity_matches_the_oracle(name):
     for mu in _forms(name):
         for _ in range(2):
             m = _regular_point(A, mu, rng, cond=1e-3)
-            # every pair of basis fields
+            # every pair of basis fields; the reference run takes d mu and
+            # the bracket by differencing values
             exact = involutivity_check(mu, m)
-            fd = involutivity_check(fd_oracle(mu), m)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(curvature_module, "d_oneform",
+                           fd_reference.d_oneform)
+                mp.setattr(curvature_module, "field_bracket",
+                           fd_reference.field_bracket)
+                fd = involutivity_check(mu, m)
             assert exact.all_passed and fd.all_passed, exact.to_text()
             for a, b in zip(exact.checks, fd.checks):
                 assert a.check_id == b.check_id
@@ -303,35 +348,45 @@ def test_dnat_slip_follows_the_h2_law():
         assert 3.9 < ratio < 4.1 and gap < 1e-5
 
 
-def test_seed_field_without_derivative_takes_finite_differences(monkeypatch):
-    exact = pmf_from_field(eastward_field)
-    plain = PartialMovingFrame(lambda m: eastward_field(m))
-    assert exact.dY is not None and plain.dY is None
+def test_seed_field_without_derivative_takes_finite_differences():
+    # a seed field without a derivative is refused; finite differences are
+    # what a caller attaches as the field's derivative
+    with pytest.raises(AttributeError, match="derivative"):
+        PartialMovingFrame(lambda m: eastward_field(m))
     steps = []
 
-    def spied(f, h=None):
-        steps.append(h)
-        return curve_derivative(f, h)
+    def plain(m):
+        return eastward_field(m)
 
-    monkeypatch.setattr(frames, "curve_derivative", spied)
+    def differenced(m, w):
+        steps.append(FRAME_STEP)
+        return curve_derivative(lambda t: plain(S2.retract(m, w, t)),
+                                FRAME_STEP)
+
+    plain.derivative = differenced
+    exact = pmf_from_field(eastward_field)
+    fd = PartialMovingFrame(plain)
     rng = np.random.default_rng(75)
     for _ in range(5):
         m = _sample_off_poles(rng)
         g = S2.random_group(rng)
         v = S2.random_tangent(rng, m)
-        assert norm(plain.dnat_phi(m, v) - exact.dnat_phi(m, v)) < 1e-8
-        assert norm(plain.dnat_slip(g, m, v)
-                    - exact.dnat_slip(g, m, v)) < 1e-8
+        assert norm(fd.dnat_phi(m, v) - exact.dnat_phi(m, v)) < 1e-8
+        assert norm(fd.dnat_slip(g, m, v) - exact.dnat_slip(g, m, v)) < 1e-8
     # dY at m for dnat_phi, at m and at g m for dnat_slip
-    assert steps == [FRAME_STEP] * 15
+    assert len(steps) == 15
 
 
 def test_so3_forms_and_frame_take_no_difference(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("central difference taken")
 
-    for module in (curvature_module, frames):
-        monkeypatch.setattr(module, "curve_derivative", refuse)
+    # every alias of curve_derivative in every gconn module
+    original = linalg.curve_derivative
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "gconn"
+                and getattr(module, "curve_derivative", None) is original):
+            monkeypatch.setattr(module, "curve_derivative", refuse)
     rng = np.random.default_rng(76)
     mu = mu_q(lambda t: t)
     origin = np.zeros(3)
@@ -343,6 +398,89 @@ def test_so3_forms_and_frame_take_no_difference(monkeypatch):
     m = _sample_off_poles(rng)
     pmf.dnat_phi(m, v)
     pmf.dnat_slip(S2.random_group(rng), m, v)
+    # the mechanical form on the sphere, now that its generators are exact
+    assert involutivity_check(simple_mechanical_mu(S2), m).all_passed
+
+
+# ---------------------------------------------------------------------------
+# the sphere's projection, the horizontal fields of rotating R^3 and S^2,
+# and the adapted form near the singular point of s1s1-on-so3
+
+
+def test_s2_dproject_tangent_follows_the_h2_law():
+    rng = np.random.default_rng(77)
+    for _ in range(3):
+        m = S2.random_point(rng)
+        w = S2.random_tangent(rng, m)
+        v = rng.standard_normal(3)
+        ratio, gap = _h2_ratio(
+            S2.dproject_tangent(m, w, v),
+            lambda t: S2.project_tangent(S2.retract(m, w, t), v))
+        assert 3.9 < ratio < 4.1 and gap < 1e-5
+
+
+def test_us2_dproject_tangent_is_not_known():
+    A = get_action("so3-on-us2")
+    rng = np.random.default_rng(78)
+    p = A.random_point(rng)
+    with pytest.raises(NotImplementedError):
+        A.dproject_tangent(p, A.random_tangent(rng, p), np.ones(6))
+
+
+def test_r3_horizontal_field_derivative_follows_the_h2_law():
+    A = get_action("so3-on-r3")
+    rng = np.random.default_rng(79)
+    for mu in (mu_q(lambda t: 1.0 + np.exp(-t)), simple_mechanical_mu(A)):
+        for _ in range(3):
+            m = _regular_point(A, mu, rng)
+            X = horizontal_field(mu, rng.standard_normal(3))
+            w = A.random_tangent(rng, m)
+            ratio, gap = _h2_ratio(X.derivative(at(mu, m), w),
+                                   lambda t: X(A.retract(m, w, t)))
+            assert 3.9 < ratio < 4.1 and gap < 1e-5, mu.name
+
+
+def test_s2_horizontal_field_has_zero_derivative():
+    # the action is transitive: every horizontal field vanishes identically
+    mu = simple_mechanical_mu(S2)
+    rng = np.random.default_rng(80)
+    for _ in range(5):
+        m = S2.random_point(rng)
+        X = horizontal_field(mu, rng.standard_normal(3))
+        w = S2.random_tangent(rng, m)
+        assert norm(X(m)) <= 1e-12
+        assert norm(X.derivative(at(mu, m), w)) <= 1e-12
+
+
+def _near_singular_points(rng, n):
+    """The adapted form of the CLI's s1s1-so3-slice at abel_involutivity's
+    draw: retract(g0, v, 0.25 rand) for random v."""
+    A = get_action("s1s1-on-so3")
+    mu = simple_mechanical_mu(A)
+    g0, sigma = np.eye(3), np.eye(3)[2]
+    mu_t = adapted_dual_form(mu, trivial_adaptor(A, g0), 0.5 * at(mu, g0).chi,
+                             lambda g: np.eye(2) / (1.0 + sigma @ g @ sigma))
+    for _ in range(n):
+        m = A.retract(g0, A.random_tangent(rng, g0), 0.25 * rng.random())
+        yield mu_t, m, A.random_tangent(rng, m)
+
+
+def test_adapted_dmatrix_follows_the_h2_law():
+    rng = np.random.default_rng(81)
+    for mu_t, m, w in _near_singular_points(rng, 3):
+        A = mu_t.action
+        ratio, gap = _h2_ratio(mu_t.dmatrix(m, w, A.gen_matrix(m)),
+                               lambda t: mu_t.matrix(A.retract(m, w, t)))
+        assert 3.9 < ratio < 4.1 and gap < 1e-5
+
+
+def test_xi_field_derivative_follows_the_h2_law():
+    rng = np.random.default_rng(82)
+    for mu_t, m, w in _near_singular_points(rng, 3):
+        X = _xi_field(mu_t, rng.standard_normal(3))
+        ratio, gap = _h2_ratio(X.derivative(at(mu_t, m), w),
+                               lambda t: X(mu_t.action.retract(m, w, t)))
+        assert 3.9 < ratio < 4.1 and gap < 1e-5
 
 
 @pytest.mark.parametrize("radius", [0.05, 0.127, 0.3])

@@ -152,7 +152,11 @@ def test_latitude_identity():
 
 
 def test_custom_field_rejected_when_not_unit():
-    pmf = PartialMovingFrame(lambda m: 2.0 * eastward_field(m))
+    def doubled(m):
+        return 2.0 * eastward_field(m)
+
+    doubled.derivative = lambda m, w: 2.0 * eastward_field.derivative(m, w)
+    pmf = PartialMovingFrame(doubled)
     with pytest.raises(DomainError):
         pmf.phi(np.array([1.0, 0.0, 0.0]))
 

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from gconn.actions import get_action
-from gconn.connections import DualForm, fd_oracle, simple_mechanical_mu
+from gconn import curvature
+from gconn.cli import ScenarioConfig, run_scenario
+from gconn.connections import DualForm, simple_mechanical_mu
 from gconn.curvature import _d_chi
 from gconn.groups import cay, exp_so3
 from gconn import slices
@@ -247,15 +249,38 @@ def test_abel_sample_evaluates_each_point_once(setup, monkeypatch):
     rng = np.random.default_rng(48)
     rep = abel_involutivity(mu, adaptor, _pi(), _iota, samples=1, rng=rng)
     assert rep.all_passed, rep.to_text()
-    # the adapted form at m and at the four bracket difference points
-    assert len(adapted_calls) == 5
-    # the same five points: the two d chi_phi terms are exact at m
-    assert len(gen_calls) == 5
-    # the plain form once at each of them, so once at the sample point m
+    # the adapted form at m, and its derivative there for each field of
+    # the exact bracket
+    assert len(adapted_calls) == 3
+    # the generators only at m: every derivative is taken there
+    assert len(gen_calls) == 1
+    # the plain form three times, all at the sample point m
     rng = np.random.default_rng(48)
     m = A.retract(g0, A.random_tangent(rng, g0), 0.25 * rng.random())
-    assert len(plain_points) == 5
-    assert sum(np.array_equal(p, m) for p in plain_points) == 1
+    assert len(plain_points) == 3
+    assert all(np.array_equal(p, m) for p in plain_points)
+
+
+def test_reversed_bracket_fails_every_abel_record(monkeypatch):
+    # a mutation: field_bracket with the sign of its derivative term b
+    # reversed must fail every bracket record of the near-singular check
+    def run():
+        rep = run_scenario(ScenarioConfig("s1s1-so3-slice", seed=1))
+        return [c for c in rep.checks
+                if c.check_id in ("xi-involutive", "bracket-tangent")]
+
+    assert all(c.passed for c in run())
+
+    def reversed_bracket(action, X, Y, m):
+        Xm, Ym = X(m), Y(m)
+        b = X.derivative(m, Ym) - Y.derivative(m, Xm)
+        return b - action.manifold_alg.bracket(Xm, Ym)
+
+    for module in (curvature, slices):
+        monkeypatch.setattr(module, "field_bracket", reversed_bracket)
+    records = run()
+    assert len(records) == 40
+    assert not any(c.passed for c in records)
 
 
 def test_adaptor_without_dnatL_reports_an_unknown_derivative(setup):
@@ -265,12 +290,9 @@ def test_adaptor_without_dnatL_reports_an_unknown_derivative(setup):
     # the trivial adaptor's zero derivative is exact
     assert np.array_equal(adaptor.dnatL(m, w), np.zeros(2))
     assert np.array_equal(_d_chi(mu, m, w, adaptor=adaptor), _d_chi(mu, m, w))
-    # a phi without dnatL has no derivative, and d chi_phi stays a central
-    # difference: the same bits as the oracle's
-    unknown = Adaptor(A, g0, phi=lambda m: A.identity())
-    assert unknown.dnatL is None
-    assert np.array_equal(_d_chi(mu, m, w, adaptor=unknown),
-                          _d_chi(fd_oracle(mu), m, w, adaptor=unknown))
+    # a phi without dnatL has no derivative, and is refused
+    with pytest.raises(TypeError, match="dnatL"):
+        Adaptor(A, g0, phi=lambda m: A.identity())
     # a given dnatL is read
     seen = []
     known = Adaptor(A, g0, phi=lambda m: A.identity(),
