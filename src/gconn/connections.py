@@ -125,6 +125,12 @@ def mu_q(q) -> DualForm:
     return DualForm(action, matrix, name="mu_q", dmatrix=dmatrix)
 
 
+def _read_only(a):
+    a = np.asarray(a, dtype=float).view()
+    a.setflags(write=False)
+    return a
+
+
 class PointEval:
     """The geometry of a dual form at one point, evaluated once.
 
@@ -133,17 +139,55 @@ class PointEval:
     on first use.  The SVD of chi feeds the kernel test (ker chi against
     the isotropy algebra ker K), the projection ``P``, the solve behind the
     gamma map and the scale of its consistency test (|chi|_2 = s[0]);
-    ``kernel`` is ker mu_m.  Nothing outlives the object, which callers
-    build per call with :func:`at`; a caller that already holds ``K`` or
-    ``M`` at m passes it on.
+    ``kernel`` is ker mu_m.
+
+    The derivatives along a direction w are held the same way: ``dM(w)``,
+    the form's ``dmatrix``, and ``dchi(w, adaptor)``, each computed at most
+    once per distinct w (and adaptor) and stored read-only.  Nothing
+    outlives the object, which callers build per call with :func:`at`; a
+    caller that already holds ``K`` or ``M`` at m passes it on, and one
+    that holds the derivative of ``M`` passes it as ``dM``, a function of
+    w, in place of the form's ``dmatrix``.
     """
 
-    def __init__(self, mu: DualForm, m, K=None, M=None):
+    def __init__(self, mu: DualForm, m, K=None, M=None, dM=None):
         self.mu = mu
         self.m = m
         self.K = mu.action.gen_matrix(m) if K is None else K
         self.M = mu.matrix(m, self.K) if M is None else M
         self.chi = self.M @ self.K
+        self._dM_fn = dM
+        self._dM = {}
+        self._dchi = {}
+
+    def dM(self, w):
+        """The derivative of mu_m along w, the form's ``dmatrix`` at m."""
+        w = np.asarray(w, dtype=float).ravel()
+        key = w.tobytes()
+        d = self._dM.get(key)
+        if d is None:
+            d = (self.mu.dmatrix(self.m, w, self.K) if self._dM_fn is None
+                 else self._dM_fn(w))
+            self._dM[key] = d = _read_only(d)
+        return d
+
+    def dchi(self, w, adaptor=None):
+        """The derivative of chi along w, dM K + M dK; with an adaptor phi,
+        that of the adapted inertia factor chi Ad_phi:
+        (dM K + M dK) Ad_phi + chi Ad_phi ad_{dnatL(m, w)}."""
+        w = np.asarray(w, dtype=float).ravel()
+        key = (w.tobytes(), adaptor)
+        d = self._dchi.get(key)
+        if d is None:
+            A = self.mu.action
+            d = self.dM(w) @ self.K + self.M @ A.dgen_matrix(self.m, w,
+                                                             self.K)
+            if adaptor is not None:
+                Ad = A.Ad_group(adaptor.phi(self.m))
+                d = d @ Ad + self.chi @ Ad @ A.algebra.ad_matrix(
+                    adaptor.dnatL(self.m, w))
+            self._dchi[key] = d = _read_only(d)
+        return d
 
     @cached_property
     def chi_svd(self) -> SVD:

@@ -8,11 +8,13 @@ extended by pointwise tangent projection.  Both choices are legitimate
 because the exterior derivative of a one-form is tensorial.
 
 Every derivative here reads the form's ``dmatrix`` (see
-:class:`gconn.connections.DualForm`), the action's ``dgen_matrix`` and
-``dproject_tangent`` and a field's ``derivative(m, w)``, so d mu, d chi,
-brackets and horizontal-field derivatives are linear algebra at the one
-point.  :func:`gconn.connections.fd_oracle` gives a form whose ``dmatrix``
-is a central difference, checked through the same code.
+:class:`gconn.connections.DualForm`) through the point evaluation's
+``dM(w)`` and ``dchi(w)``, taken once per direction, the action's
+``dgen_matrix`` and ``dproject_tangent`` and a field's
+``derivative(m, w)``, so d mu, d chi, brackets and horizontal-field
+derivatives are linear algebra at the one point.
+:func:`gconn.connections.fd_oracle` gives a form whose ``dmatrix`` is a
+central difference, checked through the same code.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ def d_oneform(mu: DualForm, m, u, v):
     pt = at(mu, m)
     u = np.asarray(u, dtype=float).ravel()
     v = np.asarray(v, dtype=float).ravel()
-    d = mu.dmatrix(pt.m, u, pt.K) @ v - mu.dmatrix(pt.m, v, pt.K) @ u
+    d = pt.dM(u) @ v - pt.dM(v) @ u
     if _is_group_manifold(A):
         return d + pt.M @ A.manifold_alg.bracket(u, v)
     return d
@@ -178,25 +180,6 @@ def curvature_leftright_closed(action, g, xi, omega):
 # ---------------------------------------------------------------------------
 # structure equation and related identities
 
-def _d_chi(mu: DualForm, m, w, adaptor=None):
-    """Directional derivative of the inertia factor along w.
-
-    With an adaptor phi, of the adapted inertia factor chi . Ad_phi:
-    dM K + M dK, times Ad_phi, plus chi Ad_phi ad_{dnatL(m, w)}.  ``m`` may
-    be a point evaluation.
-    """
-    A = mu.action
-    pt = at(mu, m)
-    w = np.asarray(w, dtype=float).ravel()
-    dchi = (mu.dmatrix(pt.m, w, pt.K) @ pt.K
-            + pt.M @ A.dgen_matrix(pt.m, w, pt.K))
-    if adaptor is None:
-        return dchi
-    Ad = A.Ad_group(adaptor.phi(pt.m))
-    return dchi @ Ad + pt.chi @ Ad @ A.algebra.ad_matrix(
-        adaptor.dnatL(pt.m, w))
-
-
 def structure_residual(mu: DualForm, m, u, v):
     """Residual of the structure equation at one sample.
 
@@ -218,7 +201,7 @@ def structure_residual(mu: DualForm, m, u, v):
     lhs = curvature(mu, pt, u, v) + pt.K @ A.algebra.bracket(xi, eta)
 
     dmu = d_oneform(mu, pt, u, v)
-    corr = _d_chi(mu, pt, u) @ eta - _d_chi(mu, pt, v) @ xi
+    corr = pt.dchi(u) @ eta - pt.dchi(v) @ xi
     rhs = pt.gamma(dmu - corr, tol_consist=1e-4)
     return norm(lhs - rhs)
 
@@ -237,13 +220,13 @@ def interior_product_residual(mu: DualForm, m, eta, v):
     lhs = d_oneform(mu, pt, pt.K @ eta, v)
     coad = (A.algebra.ad_matrix(eta).T
             @ (pt.M @ np.asarray(v, dtype=float).ravel()))
-    dchi = _d_chi(mu, pt, v) @ eta
+    dchi = pt.dchi(v) @ eta
     return norm(lhs + coad + dchi)
 
 
 def good_chi_residual(mu: DualForm, m, u, zeta):
     """|d chi(u) zeta| for u in ker mu_m and zeta in the isotropy algebra."""
-    return norm(_d_chi(mu, m, u) @ np.asarray(zeta, dtype=float).ravel())
+    return norm(at(mu, m).dchi(u) @ np.asarray(zeta, dtype=float).ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +239,8 @@ def horizontal_field(mu: DualForm, c):
     derivative ``X.derivative(p, w)``: with z = project_tangent(p, c),
     P = K chi+ M and xi = chi+ M z (so X = z - K xi),
     dX(w) = (1 - P)(dz - dK xi) - K chi+ dM (z - K xi), which holds where
-    the rank of chi is locally constant and reuses the point's SVD of chi.
+    the rank of chi is locally constant and reuses the point's SVD of chi
+    and its ``dM(w)``.
     """
     A = mu.action
 
@@ -271,7 +255,7 @@ def horizontal_field(mu: DualForm, c):
         z = A.project_tangent(pt.m, c)
         xi = pinv @ (pt.M @ z)
         a = A.dproject_tangent(pt.m, w, c) - A.dgen_matrix(pt.m, w, pt.K) @ xi
-        dM_X = mu.dmatrix(pt.m, w, pt.K) @ (z - pt.K @ xi)
+        dM_X = pt.dM(w) @ (z - pt.K @ xi)
         return a - pt.P @ a - pt.K @ (pinv @ dM_X)
 
     X.derivative = derivative

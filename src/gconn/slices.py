@@ -6,8 +6,14 @@ isotropy algebras, which lets the form be corrected to constant rank: the
 adapted form's kernel is the almost-horizontal system
 Xi = Gamma + (Ad_phi g_m0)~; it carries its derivative, so brackets of
 Xi-valued fields are exact up to one difference, of the caller's iota.
+:func:`abel_involutivity` builds the adapted point evaluation from the
+plain one at each sample, so chi_phi, iota(m) and each derivative along a
+direction are taken once per point.
+
 The concrete slice construction here is the Cayley-parametrized slice for
-the two-sided circle action on SO(3).
+the two-sided circle action on SO(3); its tangent evaluator takes a matrix
+of parameter directions, so the Gauss-Newton Jacobian of
+:meth:`SliceCandidate.locate` comes from one call.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import numpy as np
 from . import groups
 from .actions import Action, isotropy_algebra, orbit_tangent
 from .connections import DualForm, PointEval, at
-from .curvature import _d_chi, field_bracket
+from .curvature import field_bracket
 from .linalg import SVD, Subspace, curve_derivative, norm
 from .report import VerificationReport
 
@@ -79,9 +85,17 @@ def adapted_inertia(mu: DualForm, adaptor: Adaptor, m):
     return chi_phi
 
 
-def _adapted_matrix(adaptor: Adaptor, pi, iota, pt: PointEval):
-    """chi_phi . pi . iota(m) . mu_m from the point evaluation pt of mu at m,
-    after checking that iota(m) is a restricted pseudo-inverse there."""
+def _adapted_eval(adaptor: Adaptor, pi, iota, pt: PointEval):
+    """The adapted form at m, from the point evaluation pt of mu there.
+
+    Takes chi_phi (one :func:`adapted_inertia`, with its kernel test) and
+    iota(m), checked to be a restricted pseudo-inverse, once.  Returns
+    iota(m), M_t = chi_phi . pi . iota(m) . mu_m, and dM_t(w) by the product
+    rule d chi_phi pi iota M + chi_phi pi (d iota M + iota dM), with
+    d chi_phi and dM read from pt and d iota one central difference of
+    iota along the retraction.
+    """
+    A = pt.mu.action
     chi_phi = adapted_inertia(pt.mu, adaptor, pt)
     im = np.asarray(iota(pt.m), dtype=float)
     resid = norm(pi - pi @ im @ chi_phi)
@@ -89,7 +103,13 @@ def _adapted_matrix(adaptor: Adaptor, pi, iota, pt: PointEval):
         raise ValueError(
             f"iota is not a restricted pseudo-inverse here "
             f"(residual {resid:.3e})")
-    return chi_phi @ pi @ im @ pt.M
+
+    def dM(w):
+        dim = curve_derivative(lambda t: iota(A.retract(pt.m, w, t)))
+        return (pt.dchi(w, adaptor) @ pi @ im @ pt.M
+                + chi_phi @ pi @ (dim @ pt.M + im @ pt.dM(w)))
+
+    return im, chi_phi @ pi @ im @ pt.M, dM
 
 
 def adapted_dual_form(mu: DualForm, adaptor: Adaptor, pi, iota) -> DualForm:
@@ -99,25 +119,21 @@ def adapted_dual_form(mu: DualForm, adaptor: Adaptor, pi, iota) -> DualForm:
     the reference isotropy algebra; ``iota`` maps a point to a restricted
     pseudo-inverse of chi_phi, i.e. pi = pi . iota(m) . chi_phi(m) must hold
     on the domain (checked at every evaluation).  Its derivative is
-    d chi_phi pi iota M + chi_phi pi (d iota M + iota dM), d chi_phi from
-    :func:`gconn.curvature._d_chi`; d iota, not known in closed form, is a
-    central difference of ``iota`` along the retraction.
+    d chi_phi pi iota M + chi_phi pi (d iota M + iota dM); d iota, not known
+    in closed form, is a central difference of ``iota`` along the
+    retraction.  ``matrix`` and ``dmatrix`` evaluate mu afresh at m;
+    :func:`abel_involutivity` builds the adapted point evaluation from the
+    one of mu it holds, by the same formula.
     """
-    A = mu.action
     pi = np.asarray(pi, dtype=float)
 
     def matrix(m, K):
-        return _adapted_matrix(adaptor, pi, iota, PointEval(mu, m, K=K))
+        return _adapted_eval(adaptor, pi, iota, PointEval(mu, m, K=K))[1]
 
     def dmatrix(m, w, K):
-        pt = PointEval(mu, m, K=K)
-        chi_phi = adapted_inertia(mu, adaptor, pt)
-        im = np.asarray(iota(m), dtype=float)
-        dim = curve_derivative(lambda t: iota(A.retract(m, w, t)))
-        return (_d_chi(mu, pt, w, adaptor=adaptor) @ pi @ im @ pt.M
-                + chi_phi @ pi @ (dim @ pt.M + im @ mu.dmatrix(m, w, K)))
+        return _adapted_eval(adaptor, pi, iota, PointEval(mu, m, K=K))[2](w)
 
-    return DualForm(A, matrix, name=mu.name + "_adapted",
+    return DualForm(mu.action, matrix, name=mu.name + "_adapted",
                     uses_generators=True, dmatrix=dmatrix)
 
 
@@ -152,9 +168,13 @@ class SliceCandidate:
     """A parametrized submanifold through m0, with tangent evaluator and a
     Gauss-Newton membership test.
 
-    ``chart`` maps a manifold point to the parameters of a nearby slice
-    point (exactly inverting ``psi`` on the slice); Gauss-Newton starts
-    there when it is finite and inside ``radius``, at 0 otherwise.
+    ``tangent(params, dparams)`` gives the tangent coordinates of the
+    slice along one parameter direction, or, for a (param_dim x k) matrix
+    of directions, a matrix with one column per direction;
+    :meth:`tangent_basis` takes all of them in one call.  ``chart`` maps a
+    manifold point to the parameters of a nearby slice point (exactly
+    inverting ``psi`` on the slice); Gauss-Newton starts there when it is
+    finite and inside ``radius``, at 0 otherwise.
     """
 
     def __init__(self, m0, psi, tangent, param_dim, radius, velocity, chart):
@@ -165,10 +185,12 @@ class SliceCandidate:
         self.radius = radius
         self.velocity = velocity    # (point, tangent coords) -> d point
         self.chart = chart          # manifold point -> params
+        self._eye = np.eye(param_dim)
 
     def tangent_basis(self, params):
-        E = np.eye(self.param_dim)
-        return [self.tangent(params, E[j]) for j in range(self.param_dim)]
+        """The slice tangents along the parameter axes, from one call of
+        ``tangent`` with the identity."""
+        return list(self.tangent(params, self._eye).T)
 
     def jacobian(self, params, point):
         """Derivative of the flattened psi at params, where psi(params) is
@@ -209,8 +231,9 @@ def cayley_slice(sigma, g0, r=1.0) -> SliceCandidate:
     the rotation axis sigma.
 
     Tangents are returned in right-trivialized so(3) coordinates using the
-    closed form for the trivialized derivative of the Cayley transform; the
-    tangent w at g is the velocity hat(w) g.  The chart is the inverse
+    closed form for the trivialized derivative of the Cayley transform, one
+    column per column of a matrix of parameter directions; the tangent w at
+    g is the velocity hat(w) g.  The chart is the inverse
     Cayley transform of R = g g0^-1, hat(eta/2) = (I + R)^-1 (R - I),
     projected onto sigma-perp; it is non-finite where I + R is singular
     (R a half turn).
@@ -232,10 +255,12 @@ def cayley_slice(sigma, g0, r=1.0) -> SliceCandidate:
         return groups.cay(B @ np.asarray(params, dtype=float).ravel()) @ g0
 
     def tangent(params, dparams):
+        # T holds the tangents along the parameter axes; T @ e_j is
+        # exactly column j, so the identity and one call per axis agree
+        # bit for bit
         eta = B @ np.asarray(params, dtype=float).ravel()
-        deta = B @ np.asarray(dparams, dtype=float).ravel()
-        return ((deta + 0.5 * groups.hat(eta) @ deta)
-                / (1.0 + (eta @ eta) / 4.0))
+        T = (B + 0.5 * groups.hat(eta) @ B) / (1.0 + (eta @ eta) / 4.0)
+        return T @ np.asarray(dparams, dtype=float)
 
     def velocity(g, w):
         return groups.hat(w) @ g
@@ -308,7 +333,8 @@ def slice_verify(S: SliceCandidate, action: Action, m0, samples=50,
 def _xi_field(mu_t: DualForm, c):
     """The frozen coordinate vector c projected onto ker mu_t, X = Pi z with
     z = project_tangent(p, c), taking a point or a point evaluation of mu_t;
-    its derivative is dX = Pi (dz - B^T z) - B Pi z, with B = M+ dM."""
+    its derivative is dX = Pi (dz - B^T z) - B Pi z, with B = M+ dM read
+    from the point's SVD of M and its ``dM(w)``."""
     A = mu_t.action
 
     def X(p):
@@ -318,7 +344,7 @@ def _xi_field(mu_t: DualForm, c):
     def derivative(p, w):
         pt_t = at(mu_t, p)
         z = A.project_tangent(pt_t.m, c)
-        B = pt_t.M_svd.pinv @ mu_t.dmatrix(pt_t.m, w, pt_t.K)
+        B = pt_t.M_svd.pinv @ pt_t.dM(w)
         dz = A.dproject_tangent(pt_t.m, w, c)
         return pt_t.kernel.project(dz - B.T @ z) - B @ pt_t.kernel.project(z)
 
@@ -334,10 +360,11 @@ def abel_involutivity(mu: DualForm, adaptor: Adaptor, pi, iota, samples=20,
     For fields X, Y valued in Xi = ker(adapted form) checks that the adapted
     form annihilates [X, Y], that [X, Y] stays in Xi, and that the
     inertia-derivative correction terms vanish for horizontal inputs.  The
-    fields (:func:`_xi_field`) carry their derivative, read from the adapted
-    form's ``dmatrix`` and the point's SVD of its matrix, so the bracket is
-    exact up to iota's difference; the correction terms use
-    :func:`_d_chi`.
+    adapted point evaluation is built from the one of mu at each sample
+    (:func:`_adapted_eval`), and the fields (:func:`_xi_field`) carry their
+    derivative, read from its ``dM(w)`` and its SVD of M_t, so the bracket
+    is exact up to iota's difference; the correction terms reuse iota(m)
+    and the d chi_phi that the bracket took.
     """
     A = mu.action
     rng = np.random.default_rng(0) if rng is None else rng
@@ -352,8 +379,8 @@ def abel_involutivity(mu: DualForm, adaptor: Adaptor, pi, iota, samples=20,
         ci, cj = rng.choice(A.vec_dim, size=2, replace=False)
         X, Y = _xi_field(mu_t, E[ci]), _xi_field(mu_t, E[cj])
         pt = PointEval(mu, m)
-        pt_t = PointEval(mu_t, m, K=pt.K,
-                         M=_adapted_matrix(adaptor, pi, iota, pt))
+        im, M_t, dM_t = _adapted_eval(adaptor, pi, iota, pt)
+        pt_t = PointEval(mu_t, m, K=pt.K, M=M_t, dM=dM_t)
         br = field_bracket(A, X, Y, pt_t)
         scale = max(1.0, norm(br))
         rep.add("xi-involutive", "adapted form annihilates [X, Y]",
@@ -364,11 +391,10 @@ def abel_involutivity(mu: DualForm, adaptor: Adaptor, pi, iota, samples=20,
                 f"sample {i}")
         # correction terms of the relative structure equation
         Xm, Ym = X(pt_t), Y(pt_t)
-        im = np.asarray(iota(m), dtype=float)
         xi_c = pi @ im @ (pt.M @ Xm)
         eta_c = pi @ im @ (pt.M @ Ym)
-        dchi_u = _d_chi(mu, pt, Xm, adaptor=adaptor)
-        dchi_v = _d_chi(mu, pt, Ym, adaptor=adaptor)
+        dchi_u = pt.dchi(Xm, adaptor)
+        dchi_v = pt.dchi(Ym, adaptor)
         rep.add("corrections-vanish",
                 "d chi_phi(u) pi eta - d chi_phi(v) pi xi = 0 for horizontal "
                 "inputs",

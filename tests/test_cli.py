@@ -193,7 +193,7 @@ def test_differences_come_only_from_the_oracles(monkeypatch, tmp_path):
         main(["--scenario", scenario, "--seed", "1", "--samples", "2",
               "--out", str(tmp_path / "r.json")])
     assert callers == {"fd_oracle.<locals>.dmatrix", "_trivialized_fd",
-                       "adapted_dual_form.<locals>.dmatrix"}
+                       "_adapted_eval.<locals>.dM"}
 
 
 def _in_force():
@@ -248,7 +248,6 @@ def test_rank_flag_reaches_the_adapted_kernel_test(monkeypatch, tmp_path):
     monkeypatch.setattr(slices, "adapted_inertia", spied)
     main(["--scenario", "s1s1-so3-slice", "--samples", "2", "--tol-rank",
           "1e-9", "--out", str(tmp_path / "r.json")])
-    # per sample: abel_involutivity's adapted form at m and its derivative
-    # there for each of the two fields, and the oracle record's exact
-    # derivative at m and its difference points
-    assert seen == [1e-9] * 12
+    # per sample: abel_involutivity's adapted form at m, and the oracle
+    # record's exact derivative at m and its two difference points
+    assert seen == [1e-9] * 8

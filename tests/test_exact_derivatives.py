@@ -20,9 +20,9 @@ from gconn import curvature as curvature_module
 from gconn.actions import get_action
 from gconn.connections import (alpha_so3r3, at, clean_alpha, fd_oracle, mu_q,
                                pair_check, simple_mechanical_mu)
-from gconn.curvature import (_d_chi, curvature, d_oneform, docile,
-                             field_bracket, horizontal_field,
-                             involutivity_check, structure_residual, tame)
+from gconn.curvature import (curvature, d_oneform, docile, field_bracket,
+                             horizontal_field, involutivity_check,
+                             structure_residual, tame)
 from gconn.frames import (FRAME_STEP, PartialMovingFrame, _sample_off_poles,
                           eastward_field, pmf_from_field)
 from gconn.groups import hat
@@ -167,7 +167,7 @@ def test_forms_without_a_derivative_raise_a_typed_error(monkeypatch):
 @pytest.mark.parametrize("name", TORUS + ["so3-on-s2"])
 def test_exact_d_oneform_and_d_chi_match_the_oracle(name):
     # against the three-term difference and the differenced chi, which
-    # share no code with d_oneform and _d_chi
+    # share no code with d_oneform and the point's dchi
     A = get_action(name)
     rng = np.random.default_rng(65)
     for mu in _forms(name):
@@ -177,7 +177,7 @@ def test_exact_d_oneform_and_d_chi_match_the_oracle(name):
             d = d_oneform(mu, m, u, v)
             assert norm(d - fd_reference.d_oneform(mu, m, u, v)) <= 1e-7 * max(
                 1.0, norm(d)), mu.name
-            dchi = _d_chi(mu, m, u)
+            dchi = at(mu, m).dchi(u)
             # the reference's nested step 1e-4 leaves an h^2 gap of ~1e-8
             assert norm(dchi - fd_reference.d_chi(mu, m, u)) <= 1e-6 * max(
                 1.0, norm(dchi)), mu.name
@@ -494,3 +494,47 @@ def test_structure_residual_holds_near_the_origin(radius):
         m *= radius / norm(m)
         u, v = rng.standard_normal((2, 3))
         assert structure_residual(mu, m, u / norm(u), v / norm(v)) < 1e-10
+
+
+def test_structure_residual_differentiates_once_per_direction(monkeypatch):
+    # d mu, d chi and the covariant derivative read the point's dM: the
+    # tamed hxh form is differentiated along u, v and their horizontal
+    # parts u - P u, v - P v, once each
+    A = get_action("hxh-on-su3")
+    tamed = tame(simple_mechanical_mu(A))
+    rng = np.random.default_rng(90)
+    m = _regular_point(A, tamed, rng)
+    u, v = A.random_tangent(rng, m), A.random_tangent(rng, m)
+    directions = []
+    dmatrix = connections.DualForm.dmatrix
+
+    def counted(self, m, w, K):
+        if self is tamed:
+            directions.append(np.asarray(w, dtype=float).tobytes())
+        return dmatrix(self, m, w, K)
+
+    monkeypatch.setattr(connections.DualForm, "dmatrix", counted)
+    assert structure_residual(tamed, m, u / norm(u), v / norm(v)) < 1e-5
+    assert len(directions) == len(set(directions)) == 4
+
+
+def test_point_derivatives_are_stored_once_and_read_only():
+    A = get_action("s1s1-on-so3")
+    mu = simple_mechanical_mu(A)
+    adaptor = trivial_adaptor(A, np.eye(3))
+    rng = np.random.default_rng(91)
+    m = A.random_point(rng)
+    w = A.random_tangent(rng, m)
+    pt = at(mu, m)
+    stored = [pt.dM(w), pt.dchi(w), pt.dchi(w, adaptor)]
+    for d in stored:
+        assert not d.flags.writeable
+        with pytest.raises(ValueError):
+            d[0, 0] = 1.0
+    # an equal direction reads the stored array; the adaptor is its own key
+    assert pt.dM(w.copy()) is stored[0]
+    assert pt.dchi(list(w)) is stored[1]
+    assert pt.dchi(w, adaptor) is stored[2] and stored[2] is not stored[1]
+    assert np.array_equal(stored[0], mu.dmatrix(m, w, pt.K))
+    assert np.array_equal(stored[1], stored[0] @ pt.K
+                          + pt.M @ A.dgen_matrix(m, w, pt.K))

@@ -4,8 +4,7 @@ import pytest
 from gconn.actions import get_action
 from gconn import curvature
 from gconn.cli import ScenarioConfig, run_scenario
-from gconn.connections import DualForm, simple_mechanical_mu
-from gconn.curvature import _d_chi
+from gconn.connections import DualForm, PointEval, simple_mechanical_mu
 from gconn.groups import cay, exp_so3
 from gconn import slices
 from gconn.linalg import central_difference
@@ -249,15 +248,15 @@ def test_abel_sample_evaluates_each_point_once(setup, monkeypatch):
     rng = np.random.default_rng(48)
     rep = abel_involutivity(mu, adaptor, _pi(), _iota, samples=1, rng=rng)
     assert rep.all_passed, rep.to_text()
-    # the adapted form at m, and its derivative there for each field of
-    # the exact bracket
-    assert len(adapted_calls) == 3
+    # the adapted form at m once: the derivatives of the exact bracket
+    # read the adapted point evaluation built from the plain one
+    assert len(adapted_calls) == 1
     # the generators only at m: every derivative is taken there
     assert len(gen_calls) == 1
-    # the plain form three times, all at the sample point m
+    # the plain form once, at the sample point m
     rng = np.random.default_rng(48)
     m = A.retract(g0, A.random_tangent(rng, g0), 0.25 * rng.random())
-    assert len(plain_points) == 3
+    assert len(plain_points) == 1
     assert all(np.array_equal(p, m) for p in plain_points)
 
 
@@ -289,7 +288,8 @@ def test_adaptor_without_dnatL_reports_an_unknown_derivative(setup):
     w = np.array([0.4, 0.1, -0.2])
     # the trivial adaptor's zero derivative is exact
     assert np.array_equal(adaptor.dnatL(m, w), np.zeros(2))
-    assert np.array_equal(_d_chi(mu, m, w, adaptor=adaptor), _d_chi(mu, m, w))
+    pt = PointEval(mu, m)
+    assert np.array_equal(pt.dchi(w, adaptor), pt.dchi(w))
     # a phi without dnatL has no derivative, and is refused
     with pytest.raises(TypeError, match="dnatL"):
         Adaptor(A, g0, phi=lambda m: A.identity())
@@ -297,5 +297,26 @@ def test_adaptor_without_dnatL_reports_an_unknown_derivative(setup):
     seen = []
     known = Adaptor(A, g0, phi=lambda m: A.identity(),
                     dnatL=lambda m, v: seen.append(v) or np.zeros(2))
-    assert np.array_equal(_d_chi(mu, m, w, adaptor=known), _d_chi(mu, m, w))
+    assert np.array_equal(pt.dchi(w, known), pt.dchi(w))
     assert len(seen) == 1
+
+
+def test_tangent_matrix_form_equals_the_per_column_calls():
+    # tangent_basis takes the slice tangents in one call with the identity;
+    # each column has the bits of the call along that parameter axis
+    rng = np.random.default_rng(49)
+    for _ in range(20):
+        sigma = rng.standard_normal(3)
+        S = cayley_slice(sigma / np.linalg.norm(sigma),
+                         exp_so3(rng.standard_normal(3)))
+        p = 0.6 * rng.standard_normal(2)
+        T = S.tangent(p, np.eye(2))
+        assert T.shape == (3, 2)
+        for j, e in enumerate(np.eye(2)):
+            assert np.array_equal(T[:, j], S.tangent(p, e))
+            assert np.array_equal(S.tangent_basis(p)[j], T[:, j])
+        # any matrix of directions, one column each
+        D = rng.standard_normal((2, 3))
+        assert np.allclose(S.tangent(p, D),
+                           np.array([S.tangent(p, d) for d in D.T]).T,
+                           rtol=0, atol=1e-15)
