@@ -102,25 +102,30 @@ def mu_q(q) -> DualForm:
     The form carries its derivative along m + t w,
     2 q'(|m|^2) <m, w> hat(m) + q(|m|^2) hat(w), in which q' is the one
     part not known in closed form: a central difference of ``q`` at the
-    step in force, so ``q`` must also be defined a step below |m|^2.
+    step in force, so ``q`` must also be defined a step below |m|^2.  Both
+    compute on triples (the helpers of :mod:`gconn.groups`) and return
+    3x3 float arrays.
     """
     from .actions import get_action
-    from .groups import hat
+    from .groups import axpy3, dot3, hat3, triple
     action = get_action("so3-on-r3")
     for t in np.linspace(0.3, 9.0, 30):
         if not q(t) > 0:
             raise ValueError(f"mu_q: q({t}) = {q(t)} is not positive")
     def matrix(m):
-        m = np.asarray(m, dtype=float).ravel()
-        return q(float(m @ m)) * hat(m)
+        x, y, z = triple(m)
+        c = q(x * x + y * y + z * z)
+        return hat3((c * x, c * y, c * z))
 
     def dmatrix(m, w, K):
-        m = np.asarray(m, dtype=float).ravel()
-        w = np.asarray(w, dtype=float).ravel()
-        s = float(m @ m)
+        m, w = triple(m), triple(w)
+        s = dot3(m, m)
         h = fd_step_in_force()
         dq = (q(s + h) - q(s - h)) / (2.0 * h)
-        return hat(2.0 * dq * float(m @ w) * m + q(s) * w)  # hat is linear
+        qs = q(s)
+        # hat is linear
+        return hat3(axpy3(2.0 * dq * dot3(m, w), m,
+                          (qs * w[0], qs * w[1], qs * w[2])))
 
     return DualForm(action, matrix, name="mu_q", dmatrix=dmatrix)
 
@@ -143,7 +148,8 @@ class PointEval:
 
     The derivatives along a direction w are held the same way: ``dM(w)``,
     the form's ``dmatrix``, and ``dchi(w, adaptor)``, each computed at most
-    once per distinct w (and adaptor) and stored read-only.  Nothing
+    once per distinct w (and adaptor) and stored read-only, as is
+    ``Ad_phi(adaptor)``, the adjoint of an adaptor's phi(m).  Nothing
     outlives the object, which callers build per call with :func:`at`; a
     caller that already holds ``K`` or ``M`` at m passes it on, and one
     that holds the derivative of ``M`` passes it as ``dM``, a function of
@@ -159,6 +165,7 @@ class PointEval:
         self._dM_fn = dM
         self._dM = {}
         self._dchi = {}
+        self._Ad_phi = {}
 
     def dM(self, w):
         """The derivative of mu_m along w, the form's ``dmatrix`` at m."""
@@ -170,6 +177,15 @@ class PointEval:
                  else self._dM_fn(w))
             self._dM[key] = d = _read_only(d)
         return d
+
+    def Ad_phi(self, adaptor):
+        """Ad_{phi(m)} on acting-algebra coordinates, for the adaptor's
+        group-valued map phi."""
+        Ad = self._Ad_phi.get(adaptor)
+        if Ad is None:
+            Ad = self.mu.action.Ad_group(adaptor.phi(self.m))
+            self._Ad_phi[adaptor] = Ad = _read_only(Ad)
+        return Ad
 
     def dchi(self, w, adaptor=None):
         """The derivative of chi along w, dM K + M dK; with an adaptor phi,
@@ -183,7 +199,7 @@ class PointEval:
             d = self.dM(w) @ self.K + self.M @ A.dgen_matrix(self.m, w,
                                                              self.K)
             if adaptor is not None:
-                Ad = A.Ad_group(adaptor.phi(self.m))
+                Ad = self.Ad_phi(adaptor)
                 d = d @ Ad + self.chi @ Ad @ A.algebra.ad_matrix(
                     adaptor.dnatL(self.m, w))
             self._dchi[key] = d = _read_only(d)

@@ -7,10 +7,15 @@ map on the sphere that is equivariant only up to isotropy.  The frame, the
 slip map and their right-trivialized derivatives ``dnat_rho``,
 ``dnat_phi`` and ``dnat_slip`` are closed forms, given the derivative of
 the seed field, which every seed field carries (the eastward field as
-``eastward_field.derivative``).  Central differences with the fixed step
-``FRAME_STEP`` remain only in the oracles, ``dnat_rho_fd`` and
-``_trivialized_fd`` (which the CLI's ``frame-d-exact-vs-fd`` record
-applies to phi and to the slip map).
+``eastward_field.derivative``).
+
+These per-point kernels compute on triples of Python floats (the helpers
+of :mod:`gconn.groups`) and use numpy only at their inputs and outputs:
+they take and return float arrays, and so do the seed field and its
+derivative.  Central differences with the fixed step ``FRAME_STEP`` remain
+only in the oracles, ``dnat_rho_fd`` and ``_trivialized_fd`` (which the
+CLI's ``frame-d-exact-vs-fd`` record applies to phi and to the slip map),
+which keep their numpy code.
 """
 
 from __future__ import annotations
@@ -20,25 +25,36 @@ import math
 import numpy as np
 
 from .actions import get_action, So3OnUS2
-from .groups import cross, exp_so3, vee
+from .groups import (axpy3, cross3, dot3, exp_so3, matvec3, rmatvec3, rows3,
+                     triple, vee)
 from .linalg import curve_derivative, norm
 from .report import VerificationReport
 
 FRAME_STEP = 1e-6
+
+# Y = z x m / |z x m| is refused where |z x m| < sin(1e-2): the polar caps
+# of angular radius 1e-2
+_POLAR_CAP = math.sin(1e-2)
 
 
 class DomainError(ValueError):
     """A point lies outside the domain of a frame or seed field."""
 
 
+def _frame(m, u):
+    """The rotation with columns (m, u, m x u) of two triples, which must be
+    an orthonormal pair."""
+    if (abs(math.sqrt(dot3(m, m)) - 1.0) > 1e-10
+            or abs(math.sqrt(dot3(u, u)) - 1.0) > 1e-10
+            or abs(dot3(m, u)) > 1e-10):
+        raise DomainError("rho_us2: (m, u) is not an orthonormal pair")
+    return np.array([m, u, cross3(m, u)]).T
+
+
 def rho_us2(p):
     """Left moving frame on the unit tangent bundle: columns (m, u, m x u)."""
     m, u = So3OnUS2.split(p)
-    if (abs(norm(m) - 1.0) > 1e-10
-            or abs(norm(u) - 1.0) > 1e-10
-            or abs(m @ u) > 1e-10):
-        raise DomainError("rho_us2: (m, u) is not an orthonormal pair")
-    return np.array([m, u, cross(m, u)]).T
+    return _frame(triple(m), triple(u))
 
 
 def dnat_rho(p, v):
@@ -48,7 +64,9 @@ def dnat_rho(p, v):
     """
     m, u = So3OnUS2.split(p)
     dm, du = So3OnUS2.split(v)
-    return cross(m, dm) + (cross(u, du) @ m) * m
+    m = triple(m)
+    return np.array(axpy3(dot3(cross3(triple(u), triple(du)), m), m,
+                          cross3(m, triple(dm))))
 
 
 def _trivialized_fd(curve, R):
@@ -66,16 +84,16 @@ def dnat_rho_fd(p, v):
 
 
 def _z_cross(x):
-    """z x x for the pole z = (0, 0, 1)."""
-    x = np.asarray(x, dtype=float).ravel()
-    return np.array([-x[1], x[0], 0.0])
+    """z x x of a triple, for the pole z = (0, 0, 1)."""
+    return -x[1], x[0], 0.0
 
 
 def _eastward(m):
-    """e = z x m and |e|, outside the polar caps of angular radius 1e-2."""
+    """e = z x m and |e| of a triple m, outside the polar caps of angular
+    radius 1e-2."""
     e = _z_cross(m)
-    n = norm(e)
-    if n < np.sin(1e-2):
+    n = math.sqrt(dot3(e, e))
+    if n < _POLAR_CAP:
         raise DomainError("eastward_field: too close to a pole")
     return e, n
 
@@ -83,20 +101,28 @@ def _eastward(m):
 def eastward_field(m):
     """Unit field pointing along increasing longitude, excluding the polar
     caps of angular radius 1e-2."""
-    e, n = _eastward(m)
-    return e / n
+    e, n = _eastward(triple(m))
+    return np.array((e[0] / n, e[1] / n, e[2] / n))
 
 
 def _eastward_derivative(m, w):
     """Derivative of :func:`eastward_field` at m along w: with Y = e/|e|,
     (I - Y Y^T)(z x w)/|e|."""
-    e, n = _eastward(m)
-    y = e / n
-    dz = _z_cross(w)
-    return (dz - (y @ dz) * y) / n
+    e, n = _eastward(triple(m))
+    y = (e[0] / n, e[1] / n, e[2] / n)
+    dz = _z_cross(triple(w))
+    k = dot3(y, dz)
+    return np.array(((dz[0] - k * y[0]) / n, (dz[1] - k * y[1]) / n,
+                     (dz[2] - k * y[2]) / n))
 
 
 eastward_field.derivative = _eastward_derivative
+
+
+def _tangent(m, v):
+    """The projection v - <v, m> m of a triple onto the tangent plane of the
+    sphere at m, as ``So3OnS2.project_tangent``."""
+    return axpy3(-dot3(v, m), m, v)
 
 
 class PartialMovingFrame:
@@ -106,7 +132,8 @@ class PartialMovingFrame:
     the slip map phi_g(m) = phi(g m) phi(m)^(-1), which is a rotation about
     the moved point composed with g.  The derivatives ``dnat_phi`` and
     ``dnat_slip`` are closed forms in the derivative of Y, which they read
-    from ``Y.derivative(m, w)``; a field without one is refused.
+    from ``Y.derivative(m, w)``; a field without one is refused.  Points,
+    tangents and rotations are taken as arrays and computed on as triples.
     """
 
     def __init__(self, Y):
@@ -114,61 +141,72 @@ class PartialMovingFrame:
         self.dY = Y.derivative
         self.action = get_action("so3-on-s2")
 
-    def _field(self, m):
-        m = np.asarray(m, dtype=float).ravel()
-        y = np.asarray(self.Y(m), dtype=float).ravel()
-        if abs(norm(y) - 1.0) > 1e-9 or abs(y @ m) > 1e-9:
+    def _field(self, m, mt):
+        """Y(m) as a triple, after the unit tangent test; ``m`` is the point
+        as an array (what Y takes) and ``mt`` as a triple."""
+        y = triple(self.Y(m))
+        if abs(math.sqrt(dot3(y, y)) - 1.0) > 1e-9 or abs(dot3(y, mt)) > 1e-9:
             raise DomainError("seed field is not unit tangent here")
         return y
 
     def phi(self, m):
         m = np.asarray(m, dtype=float).ravel()
-        return rho_us2(np.concatenate([m, self._field(m)]))
+        mt = triple(m)
+        return _frame(mt, self._field(m, mt))
 
     def dnat_phi(self, m, dm):
         """Closed form m x dm + <Y x (dY dm), m> m for the trivialized
         derivative."""
         m = np.asarray(m, dtype=float).ravel()
-        dm = self.action.project_tangent(m, dm)
-        y = self._field(m)
-        return cross(m, dm) + (cross(y, self.dY(m, dm)) @ m) * m
+        mt = triple(m)
+        d = _tangent(mt, triple(dm))
+        y = self._field(m, mt)
+        dy = triple(self.dY(m, np.array(d)))
+        return np.array(axpy3(dot3(cross3(y, dy), mt), mt, cross3(mt, d)))
 
-    def _slip_frame(self, g, m):
-        """Y(m), the moved point g m and w = g^(-1) Y(g m)."""
-        y = self._field(m)
-        gm = self.action.apply(g, m)
-        return y, gm, np.asarray(g, dtype=float).T @ self._field(gm)
+    def _slip_frame(self, G, m, mt):
+        """Y(m), the moved point g m as an array and w = g^(-1) Y(g m), for
+        the rotation g given as rows G."""
+        y = self._field(m, mt)
+        gmt = matvec3(G, mt)
+        gm = np.array(gmt)
+        return y, gm, rmatvec3(G, self._field(gm, gmt))
 
     def slip_angle(self, g, m):
         """Signed angle from Y(m) to g^(-1) Y(g m) around the axis m."""
         m = np.asarray(m, dtype=float).ravel()
-        y, _, w = self._slip_frame(g, m)
-        return float(np.arctan2(w @ cross(m, y), w @ y))
+        mt = triple(m)
+        y, _, w = self._slip_frame(rows3(g), m, mt)
+        return math.atan2(dot3(w, cross3(mt, y)), dot3(w, y))
 
     def slip(self, g, m):
         """Slip map phi_g(m) = g exp(theta(g, m) hat(m)) in closed form."""
+        g = np.asarray(g, dtype=float)
         m = np.asarray(m, dtype=float).ravel()
-        return np.asarray(g, dtype=float) @ exp_so3(self.slip_angle(g, m) * m)
+        return g @ exp_so3(self.slip_angle(g, m) * m)
 
     def dnat_slip(self, g, m, v):
         """Right-trivialized derivative of m -> phi_g(m) along v, in closed
         form g (theta' m + sin(theta) v + (1 - cos(theta)) m x v).  The
         slip angle is theta = atan2(a, b) with a = <w, m x Y(m)> and
         b = <w, Y(m)>; its derivative theta' reads dY at m and at g m."""
-        g = np.asarray(g, dtype=float)
+        G = rows3(g)
         m = np.asarray(m, dtype=float).ravel()
-        v = self.action.project_tangent(m, v)
-        y, gm, w = self._slip_frame(g, m)
-        dy = self.dY(m, v)
-        dw = g.T @ self.dY(gm, g @ v)
-        my = cross(m, y)
-        a, b = w @ my, w @ y
-        da = dw @ my + w @ (cross(v, y) + cross(m, dy))
-        db = dw @ y + w @ dy
+        mt = triple(m)
+        v = _tangent(mt, triple(v))
+        y, gm, w = self._slip_frame(G, m, mt)
+        dy = triple(self.dY(m, np.array(v)))
+        dw = rmatvec3(G, triple(self.dY(gm, np.array(matvec3(G, v)))))
+        my = cross3(mt, y)
+        a, b = dot3(w, my), dot3(w, y)
+        da = dot3(dw, my) + dot3(w, axpy3(1.0, cross3(v, y), cross3(mt, dy)))
+        db = dot3(dw, y) + dot3(w, dy)
         theta = math.atan2(a, b)
         dtheta = (b * da - a * db) / (a * a + b * b)
-        return g @ (dtheta * m + math.sin(theta) * v
-                    + (1.0 - math.cos(theta)) * cross(m, v))
+        x = (dtheta * mt[0], dtheta * mt[1], dtheta * mt[2])
+        x = axpy3(1.0 - math.cos(theta), cross3(mt, v),
+                  axpy3(math.sin(theta), v, x))
+        return np.array(matvec3(G, x))
 
 
 def pmf_from_field(Y) -> PartialMovingFrame:

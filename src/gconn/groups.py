@@ -5,6 +5,14 @@ transform, adjoint actions and brackets.
 Algebra elements are always handled through real coordinate vectors in a
 fixed ordered basis; the dual space uses the dual basis, so a dual vector's
 i-th coordinate is its value on the i-th basis element.
+
+The per-point 3-vector kernels (the moving frames of :mod:`gconn.frames`
+and the forms of :func:`gconn.connections.mu_q`) work on *triples*, tuples
+of three Python floats, where a dot or cross product is a few float
+operations rather than a numpy dispatch each.  Their helpers live here
+only: :func:`triple` and :func:`rows3` convert arrays (:func:`hat3` and
+``np.array`` convert back), :func:`dot3`, :func:`cross3`, :func:`axpy3`,
+:func:`matvec3` and :func:`rmatvec3` compute on triples.
 """
 
 from __future__ import annotations
@@ -22,14 +30,65 @@ _I3 = np.eye(3)
 _I3.flags.writeable = False
 
 
-def hat(v):
-    """3-vector -> 3x3 skew matrix, so that hat(v) @ y = v x y."""
-    v = np.asarray(v, dtype=float).ravel().tolist()
+def triple(v):
+    """A 3-vector as a triple of Python floats (``ValueError`` for any other
+    size)."""
+    x, y, z = np.asarray(v, dtype=float).ravel().tolist()
+    return x, y, z
+
+
+def dot3(a, b):
+    """<a, b> of two triples."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def cross3(a, b):
+    """a x b of two triples (or sequences of three numbers)."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+
+
+def axpy3(k, x, y):
+    """k x + y of a number and two triples."""
+    return k * x[0] + y[0], k * x[1] + y[1], k * x[2] + y[2]
+
+
+def rows3(R):
+    """A 3x3 matrix as its rows, three triples (``ValueError`` for any other
+    shape)."""
+    R = np.asarray(R, dtype=float)
+    if R.shape != (3, 3):
+        raise ValueError(f"expected a 3x3 matrix, got shape {R.shape}")
+    return R.tolist()
+
+
+def matvec3(R, x):
+    """R x for a 3x3 matrix given as rows (:func:`rows3`) and a triple."""
+    return dot3(R[0], x), dot3(R[1], x), dot3(R[2], x)
+
+
+def rmatvec3(R, x):
+    """R^T x for a 3x3 matrix given as rows and a triple."""
+    r0, r1, r2 = R
+    x0, x1, x2 = x
+    return (r0[0] * x0 + r1[0] * x1 + r2[0] * x2,
+            r0[1] * x0 + r1[1] * x1 + r2[1] * x2,
+            r0[2] * x0 + r1[2] * x1 + r2[2] * x2)
+
+
+def hat3(v):
+    """The skew matrix of a triple, so that hat3(v) @ y = v x y."""
     return np.array([
         [0.0, -v[2], v[1]],
         [v[2], 0.0, -v[0]],
         [-v[1], v[0], 0.0],
     ])
+
+
+def hat(v):
+    """3-vector -> 3x3 skew matrix, so that hat(v) @ y = v x y."""
+    return hat3(np.asarray(v, dtype=float).ravel().tolist())
 
 
 def vee(M):
@@ -40,9 +99,7 @@ def vee(M):
 
 def cross(a, b):
     """Cross product of 3-vectors by its component formula, as np.cross."""
-    a0, a1, a2 = np.asarray(a).tolist()
-    b0, b1, b2 = np.asarray(b).tolist()
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+    return np.array(cross3(np.asarray(a).tolist(), np.asarray(b).tolist()))
 
 
 def exp_so3(v):
@@ -145,9 +202,9 @@ class LieAlgebra:
     # -- algebraic structure ------------------------------------------
 
     def bracket(self, a, b):
-        """[a, b] in coordinates."""
-        A, B = self.matrix(a), self.matrix(b)
-        return self.coords(A @ B - B @ A)
+        """[a, b] in coordinates: ad_a b, from the structure constants that
+        :meth:`ad_matrix` reads."""
+        return self.ad_matrix(a) @ np.asarray(b, dtype=float).ravel()
 
     @cached_property
     def _ad_basis(self):

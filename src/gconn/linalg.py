@@ -126,7 +126,19 @@ class Subspace:
         return norm(v - self.project(v)) <= tol * max(1.0, norm(v))
 
     def contains_subspace(self, other, tol=1e-8):
-        return all(self.contains(other.basis[:, j], tol) for j in range(other.dim))
+        """Whether every basis column v of ``other`` passes :meth:`contains`,
+        |v - P v| <= tol * max(1, |v|), tested with one product."""
+        V = other.basis
+        if not V.shape[1]:
+            return True
+        if V.shape[0] != self.ambient_dim:
+            raise ValueError("dimension mismatch")
+        R = V - self.basis @ (self.basis.T @ V)
+        # squared column norms; few columns, so compared one by one
+        rr = np.add.reduce(R * R, axis=0).tolist()
+        vv = np.add.reduce(V * V, axis=0).tolist()
+        return all(math.sqrt(r) <= tol * max(1.0, math.sqrt(v))
+                   for r, v in zip(rr, vv))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"

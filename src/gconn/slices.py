@@ -70,15 +70,14 @@ def adapted_inertia(mu: DualForm, adaptor: Adaptor, m):
     in the reference isotropy algebra.  ``m`` may be a point evaluation of
     mu (see :func:`gconn.connections.at`).
     """
-    A = mu.action
     pt = at(mu, m)
-    phi = adaptor.phi(pt.m)
-    chi_phi = pt.chi @ A.Ad_group(phi)
+    Ad = pt.Ad_phi(adaptor)
+    chi_phi = pt.chi @ Ad
     # ker chi_phi = Ad_phi^-1 ker chi, from the point's SVD of chi; only a
     # non-trivial kernel needs the inverse
     kern = pt.chi_svd.kernel.basis
     if kern.size:
-        kern = A.Ad_group(A.group_inv(phi)) @ kern
+        kern = np.linalg.inv(Ad) @ kern
     if not all(adaptor.iso0.contains(v, 1e-6) for v in kern.T):
         raise AdaptorContractError(
             "ker chi_phi escapes the reference isotropy algebra")
@@ -146,7 +145,7 @@ def almost_horizontal_basis(mu: DualForm, adaptor: Adaptor, m) -> Subspace:
     A = mu.action
     pt = at(mu, m)
     gam = pt.kernel
-    Adp = A.Ad_group(adaptor.phi(pt.m))
+    Adp = pt.Ad_phi(adaptor)
     K = pt.K
     scale = max(1.0, norm(K))
     gens = [K @ (Adp @ adaptor.iso0.basis[:, j])

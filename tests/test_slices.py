@@ -260,6 +260,33 @@ def test_abel_sample_evaluates_each_point_once(setup, monkeypatch):
     assert all(np.array_equal(p, m) for p in plain_points)
 
 
+def test_abel_sample_evaluates_the_adaptor_once(setup):
+    # adapted_inertia, the two adapted dchi directions and
+    # almost_horizontal_basis read one Ad_phi held by the point evaluation
+    A, mu, g0, adaptor = setup
+    calls = []
+
+    def phi(m):
+        calls.append(1)
+        return A.identity()
+
+    spied = Adaptor(A, g0, phi=phi, dnatL=adaptor.dnatL)
+    rep = abel_involutivity(mu, spied, _pi(), _iota, samples=3,
+                            rng=np.random.default_rng(49))
+    assert rep.all_passed, rep.to_text()
+    assert len(calls) == 3
+
+
+def test_stored_Ad_phi_is_read_only(setup):
+    A, mu, g0, adaptor = setup
+    pt = PointEval(mu, A.retract(g0, np.array([0.1, 0.2, 0.3]), 1.0))
+    Ad = pt.Ad_phi(adaptor)
+    assert pt.Ad_phi(adaptor) is Ad
+    assert np.array_equal(Ad, np.eye(2))
+    with pytest.raises(ValueError):
+        Ad[0, 0] = 2.0
+
+
 def test_reversed_bracket_fails_every_abel_record(monkeypatch):
     # a mutation: field_bracket with the sign of its derivative term b
     # reversed must fail every bracket record of the near-singular check

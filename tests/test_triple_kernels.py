@@ -1,0 +1,323 @@
+"""The so(3) kernels that compute on float triples, and the one-product
+``Subspace.contains_subspace``, against the numpy formulas and the
+per-column loop they replaced, kept here as the reference (the bracket's
+reference is in ``test_exact_derivatives``).
+
+The triple kernels sum dot products in their own order, so a result may
+differ from the numpy one in its last bits; the tolerance is fixed at
+1e-14 * max(1, |ref|) for every kernel but ``mu_q``'s derivative.  That one
+takes a central difference of q at |m|^2, which amplifies a last-bit change
+of |m|^2 by 1/h, so it is held to 1e-9 * max(1, |ref|).  Every error the
+kernels raise is raised at the same condition and threshold.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from gconn.actions import get_action
+from gconn.connections import mu_q
+from gconn.frames import (DomainError, PartialMovingFrame, _sample_off_poles,
+                          dnat_rho, eastward_field, pmf_from_field, rho_us2)
+from gconn.groups import cross, exp_so3
+from gconn.linalg import Subspace, numerics
+
+N = 2000
+TOL = 1e-14
+S2 = get_action("so3-on-s2")
+US2 = get_action("so3-on-us2")
+
+
+def _close(value, ref, tol=TOL):
+    ref = np.asarray(ref, dtype=float)
+    gap = np.linalg.norm(np.asarray(value, dtype=float) - ref)
+    return gap <= tol * max(1.0, np.linalg.norm(ref))
+
+
+# ---------------------------------------------------------------------------
+# the numpy formulas, as they read before the kernels moved to triples
+
+def ref_rho_us2(p):
+    m, u = p[:3], p[3:]
+    return np.array([m, u, np.cross(m, u)]).T
+
+
+def ref_dnat_rho(p, v):
+    m, u, dm, du = p[:3], p[3:], v[:3], v[3:]
+    return np.cross(m, dm) + (np.cross(u, du) @ m) * m
+
+
+def ref_eastward(m):
+    e = np.array([-m[1], m[0], 0.0])
+    return e / np.linalg.norm(e)
+
+
+def ref_eastward_derivative(m, w):
+    e = np.array([-m[1], m[0], 0.0])
+    n = np.linalg.norm(e)
+    y = e / n
+    dz = np.array([-w[1], w[0], 0.0])
+    return (dz - (y @ dz) * y) / n
+
+
+def ref_phi(m):
+    return ref_rho_us2(np.concatenate([m, ref_eastward(m)]))
+
+
+def ref_dnat_phi(m, dm):
+    dm = dm - (dm @ m) * m
+    y = ref_eastward(m)
+    return np.cross(m, dm) + (np.cross(y, ref_eastward_derivative(m, dm))
+                              @ m) * m
+
+
+def ref_slip_angle(g, m):
+    y = ref_eastward(m)
+    w = g.T @ ref_eastward(g @ m)
+    return float(np.arctan2(w @ np.cross(m, y), w @ y))
+
+
+def ref_slip(g, m):
+    return g @ exp_so3(ref_slip_angle(g, m) * m)
+
+
+def ref_dnat_slip(g, m, v):
+    v = v - (v @ m) * m
+    y = ref_eastward(m)
+    gm = g @ m
+    w = g.T @ ref_eastward(gm)
+    dy = ref_eastward_derivative(m, v)
+    dw = g.T @ ref_eastward_derivative(gm, g @ v)
+    my = np.cross(m, y)
+    a, b = w @ my, w @ y
+    da = dw @ my + w @ (np.cross(v, y) + np.cross(m, dy))
+    db = dw @ y + w @ dy
+    theta = math.atan2(a, b)
+    dtheta = (b * da - a * db) / (a * a + b * b)
+    return g @ (dtheta * m + math.sin(theta) * v
+                + (1.0 - math.cos(theta)) * np.cross(m, v))
+
+
+def ref_hat(v):
+    return np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]],
+                     [-v[1], v[0], 0.0]])
+
+
+def ref_mu_q_matrix(q, m):
+    return q(float(m @ m)) * ref_hat(m)
+
+
+def ref_mu_q_dmatrix(q, m, w, h):
+    s = float(m @ m)
+    dq = (q(s + h) - q(s - h)) / (2.0 * h)
+    return ref_hat(2.0 * dq * float(m @ w) * m + q(s) * w)
+
+
+def ref_contains_subspace(S, T, tol):
+    return all(S.contains(T.basis[:, j], tol) for j in range(T.dim))
+
+
+# ---------------------------------------------------------------------------
+# inputs
+
+def _off_pole_points(seed):
+    rng = np.random.default_rng(seed)
+    return [_sample_off_poles(rng) for _ in range(N)]
+
+
+def _slip_inputs(seed):
+    """(g, m, v) with m and g m both off the polar caps."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < N:
+        m = _sample_off_poles(rng)
+        g = S2.random_group(rng)
+        if abs((g @ m)[2]) < math.cos(0.15):
+            out.append((g, m, rng.standard_normal(3)))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# agreement with the reference
+
+def test_groups_cross_is_np_cross():
+    rng = np.random.default_rng(80)
+    for a, b in rng.standard_normal((N, 2, 3)):
+        assert np.array_equal(cross(a, b), np.cross(a, b))
+    assert np.array_equal(cross([1, 2, 3], [4, 5, 6]),
+                          np.cross([1, 2, 3], [4, 5, 6]))
+
+
+def test_frame_on_us2_matches_the_reference():
+    rng = np.random.default_rng(81)
+    for _ in range(N):
+        p = US2.random_point(rng)
+        v = rng.standard_normal(6)
+        R = rho_us2(p)
+        assert R.dtype == float and R.shape == (3, 3)
+        assert _close(R, ref_rho_us2(p))
+        d = dnat_rho(p, v)
+        assert d.dtype == float and d.shape == (3,)
+        assert _close(d, ref_dnat_rho(p, v))
+
+
+def test_eastward_field_and_derivative_match_the_reference():
+    rng = np.random.default_rng(82)
+    for m in _off_pole_points(83):
+        w = rng.standard_normal(3)
+        y, dy = eastward_field(m), eastward_field.derivative(m, w)
+        assert y.shape == dy.shape == (3,)
+        assert _close(y, ref_eastward(m))
+        assert _close(dy, ref_eastward_derivative(m, w))
+
+
+def test_phi_and_dnat_phi_match_the_reference():
+    pmf = pmf_from_field(eastward_field)
+    rng = np.random.default_rng(84)
+    for m in _off_pole_points(85):
+        dm = rng.standard_normal(3)  # not tangent: dnat_phi projects it
+        assert _close(pmf.phi(m), ref_phi(m))
+        assert _close(pmf.dnat_phi(m, dm), ref_dnat_phi(m, dm))
+
+
+def test_slip_and_its_derivative_match_the_reference():
+    pmf = pmf_from_field(eastward_field)
+    for g, m, v in _slip_inputs(86):
+        theta = pmf.slip_angle(g, m)
+        assert isinstance(theta, float)
+        assert abs(theta - ref_slip_angle(g, m)) <= TOL * max(1.0, abs(theta))
+        assert _close(pmf.slip(g, m), ref_slip(g, m))
+        assert _close(pmf.dnat_slip(g, m, v), ref_dnat_slip(g, m, v))
+
+
+@pytest.mark.parametrize("q", [lambda t: t, lambda t: 1.0,
+                               lambda t: 1.0 / (1.0 + t),
+                               lambda t: 2.0 + math.sin(t)])
+def test_mu_q_matches_the_reference(q):
+    mu = mu_q(q)
+    rng = np.random.default_rng(87)
+    for step in (1e-5, 2e-5):
+        with numerics(fd_step=step):
+            for m, w in rng.standard_normal((N // 2, 2, 3)):
+                M = mu.matrix(m)
+                assert M.dtype == float and M.shape == (3, 3)
+                assert _close(M, ref_mu_q_matrix(q, m))
+                assert _close(mu.dmatrix(m, w, None),
+                              ref_mu_q_dmatrix(q, m, w, step), 1e-9)
+
+
+def _with_column_at(S, tol, factor, rng):
+    """A unit vector of S moved off S by tol * factor along a normal."""
+    inside = S.basis @ rng.standard_normal(S.dim)
+    inside /= np.linalg.norm(inside)
+    normal = rng.standard_normal(S.ambient_dim)
+    normal -= S.project(normal)
+    normal /= np.linalg.norm(normal)
+    return inside + tol * factor * normal
+
+
+def test_contains_subspace_is_every_column_contained():
+    rng = np.random.default_rng(89)
+    for _ in range(N // 4):
+        n = int(rng.integers(2, 9))
+        r = int(rng.integers(1, n))
+        k = int(rng.integers(1, n + 1))
+        S = Subspace(list(rng.standard_normal((r, n))))
+        for T in (Subspace(list(rng.standard_normal((k, n)))),
+                  Subspace(list((S.basis @ rng.standard_normal((r, k))).T))):
+            for tol in (1e-8, 1e-6):
+                assert (S.contains_subspace(T, tol)
+                        == ref_contains_subspace(S, T, tol))
+        # a column at the tolerance, on either side of it
+        tol = 1e-6
+        for factor in (1.0 - 1e-6, 1.0 + 1e-6):
+            v = _with_column_at(S, tol, factor, rng)
+            T = Subspace.from_basis(
+                np.column_stack([S.basis[:, 0], v]))
+            assert (S.contains_subspace(T, tol)
+                    == ref_contains_subspace(S, T, tol)
+                    == (factor < 1.0))
+
+
+def test_contains_subspace_keeps_its_dimension_check():
+    S = Subspace([np.ones(3)])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        S.contains_subspace(Subspace([np.ones(4)]))
+    assert S.contains_subspace(Subspace([], ambient_dim=3))
+
+
+# ---------------------------------------------------------------------------
+# every error still raised at the same condition
+
+def test_polar_caps_are_refused_at_the_same_radius():
+    pmf = pmf_from_field(eastward_field)
+    w = np.array([1.0, 0.0, 0.0])
+    g = exp_so3(np.array([0.3, 0.0, 0.0]))
+    for angle, refused in ((1e-2 * (1.0 - 1e-6), True),
+                           (1e-2 * (1.0 + 1e-6), False)):
+        m = np.array([math.sin(angle), 0.0, math.cos(angle)])
+        calls = [lambda: eastward_field(m),
+                 lambda: eastward_field.derivative(m, w),
+                 lambda: pmf.phi(m), lambda: pmf.dnat_phi(m, w),
+                 lambda: pmf.slip_angle(g, m), lambda: pmf.slip(g, m),
+                 lambda: pmf.dnat_slip(g, m, w)]
+        for call in calls:
+            if refused:
+                with pytest.raises(DomainError, match="too close to a pole"):
+                    call()
+            else:
+                call()
+    # the moved point g m in a cap is refused as well
+    m = np.array([0.6, 0.0, 0.8])
+    to_pole = exp_so3(np.array([0.0, -math.atan2(0.6, 0.8), 0.0]))
+    with pytest.raises(DomainError, match="too close to a pole"):
+        pmf.dnat_slip(to_pole, m, w)
+
+
+def _field(scale, tilt=0.0):
+    """The eastward field scaled and tilted towards m."""
+    def Y(m):
+        return scale * eastward_field(m) + tilt * np.asarray(m)
+
+    Y.derivative = eastward_field.derivative
+    return PartialMovingFrame(Y)
+
+
+def test_non_unit_seed_field_is_refused_at_the_same_threshold():
+    m = np.array([0.6, 0.0, 0.8])
+    w = np.array([0.0, 1.0, 0.0])
+    g = exp_so3(np.array([0.1, 0.2, 0.3]))
+    for pmf in (_field(1.0 + 2e-9), _field(1.0, 2e-9)):
+        for call in (lambda: pmf.phi(m), lambda: pmf.dnat_phi(m, w),
+                     lambda: pmf.slip_angle(g, m),
+                     lambda: pmf.dnat_slip(g, m, w)):
+            with pytest.raises(DomainError, match="not unit tangent"):
+                call()
+    # inside the field's 1e-9 but outside the frame's 1e-10: the frame
+    # refuses the pair
+    with pytest.raises(DomainError, match="orthonormal pair"):
+        _field(1.0 + 5e-10).phi(m)
+    _field(1.0 + 5e-11).phi(m)
+
+
+def test_non_orthonormal_pair_and_wrong_sizes_are_refused():
+    m, u = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
+    for bad in (np.concatenate([m * (1.0 + 2e-10), u]),
+                np.concatenate([m, u * (1.0 - 2e-10)]),
+                np.concatenate([m, u + 2e-10 * m])):
+        with pytest.raises(DomainError, match="orthonormal pair"):
+            rho_us2(bad)
+    rho_us2(np.concatenate([m * (1.0 + 5e-11), u + 5e-11 * m]))
+    pmf = pmf_from_field(eastward_field)
+    x = np.array([0.6, 0.0, 0.8])
+    for g in (np.eye(4), np.eye(3)[:2], np.ones((3, 4))):
+        with pytest.raises(ValueError):
+            pmf.slip(g, x)
+        with pytest.raises(ValueError):
+            pmf.dnat_slip(g, x, x)
+    for call in (lambda: rho_us2(np.ones(5)),
+                 lambda: dnat_rho(np.ones(5), np.ones(6)),
+                 lambda: dnat_rho(np.concatenate([m, u]), np.ones(5))):
+        with pytest.raises(ValueError, match="expected a 6-vector"):
+            call()
