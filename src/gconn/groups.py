@@ -13,27 +13,38 @@ operations rather than a numpy dispatch each.  Their helpers live here
 only: :func:`triple` and :func:`rows3` convert arrays (:func:`hat3` and
 ``np.array`` convert back), :func:`dot3`, :func:`cross3`, :func:`axpy3`,
 :func:`matvec3` and :func:`rmatvec3` compute on triples.
+
+The SO(3) group kernels are closed forms on triples as well: Rodrigues'
+formula in :func:`exp_so3`, the Cayley map :func:`cay` and its inverse
+:func:`cay_inv` without a linear solve, and conjugation on so(3),
+g hat(v) g^-1 = hat(g v) for a rotation g, in
+:meth:`LieAlgebra.conjugate_coords` and :meth:`LieAlgebra.Ad_matrix`
+without an inverse or a projection.  Each takes exactly a 3-vector or a
+3x3 matrix (``ValueError`` otherwise); numpy is used only to read the input
+and to build the result.
 """
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
 
-from .linalg import norm
-
 _EPS_AXIS = 1e-12
-
-# The 3x3 identity shared by exp_so3 and cay (read-only).
-_I3 = np.eye(3)
-_I3.flags.writeable = False
+# How far g g^T may be from I (Frobenius) for conjugation by g on so(3) to
+# take the closed form for rotations; anything else takes the general path.
+_ROTATION_TOL = 1e-12
 
 
 def triple(v):
     """A 3-vector as a triple of Python floats (``ValueError`` for any other
     size)."""
-    x, y, z = np.asarray(v, dtype=float).ravel().tolist()
+    try:
+        x, y, z = np.asarray(v, dtype=float).ravel().tolist()
+    except ValueError:
+        raise ValueError(
+            f"expected a 3-vector, got shape {np.shape(v)}") from None
     return x, y, z
 
 
@@ -88,7 +99,7 @@ def hat3(v):
 
 def hat(v):
     """3-vector -> 3x3 skew matrix, so that hat(v) @ y = v x y."""
-    return hat3(np.asarray(v, dtype=float).ravel().tolist())
+    return hat3(triple(v))
 
 
 def vee(M):
@@ -102,34 +113,80 @@ def cross(a, b):
     return np.array(cross3(np.asarray(a).tolist(), np.asarray(b).tolist()))
 
 
+def _rodrigues(v, a, b):
+    """I + a hat(v) + b hat(v)^2 of a triple v, with hat(v)^2 = v v^T -
+    |v|^2 I."""
+    x, y, z = v
+    xx, yy, zz = x * x, y * y, z * z
+    bxy, bxz, byz = b * x * y, b * x * z, b * y * z
+    ax, ay, az = a * x, a * y, a * z
+    return np.array([[1.0 - b * (yy + zz), bxy - az, bxz + ay],
+                     [bxy + az, 1.0 - b * (xx + zz), byz - ax],
+                     [bxz - ay, byz + ax, 1.0 - b * (xx + yy)]])
+
+
 def exp_so3(v):
-    """Rodrigues formula for exp of hat(v)."""
-    v = np.asarray(v, dtype=float).ravel()
-    th = norm(v)
-    A = hat(v)
-    if th < _EPS_AXIS:
-        return _I3 + A + 0.5 * A @ A
-    return (_I3 + (np.sin(th) / th) * A
-            + ((1.0 - np.cos(th)) / th**2) * A @ A)
+    """Rodrigues' formula for exp of hat(v): I + (sin t / t) hat(v) +
+    ((1 - cos t) / t^2) hat(v)^2 with t = |v|, and I + hat(v) + hat(v)^2 / 2
+    below t = 1e-12.  ``ValueError`` unless v is a 3-vector of finite
+    norm."""
+    v = triple(v)
+    t2 = dot3(v, v)
+    t = math.sqrt(t2)
+    if t < _EPS_AXIS:
+        return _rodrigues(v, 1.0, 0.5)
+    if not t < math.inf:
+        raise ValueError(f"exp_so3: |v| = {t} is not finite")
+    return _rodrigues(v, math.sin(t) / t, (1.0 - math.cos(t)) / t2)
 
 
 def cay(eta):
-    """Cayley transform (1 - hat(eta)/2)^(-1) (1 + hat(eta)/2) in SO(3).
+    """Cayley transform (1 - hat(eta)/2)^(-1) (1 + hat(eta)/2) in SO(3), in
+    closed form I + (hat(eta) + hat(eta)^2 / 2) / (1 + |eta|^2 / 4).
 
-    Rotation about eta by angle 2*atan(|eta|/2); cay(0) = I.
+    Rotation about eta by angle 2*atan(|eta|/2); cay(0) = I.  ``ValueError``
+    unless eta is a 3-vector.
     """
-    H = hat(np.asarray(eta, dtype=float) / 2.0)
-    return np.linalg.solve(_I3 - H, _I3 + H)
+    eta = triple(eta)
+    c = 1.0 / (1.0 + 0.25 * dot3(eta, eta))
+    return _rodrigues(eta, c, 0.5 * c)
 
 
 def cay_inv(R):
-    """Inverse of :func:`cay`: eta with hat(eta/2) = (I + R)^(-1) (R - I).
+    """Inverse of :func:`cay` on rotations, in closed form
+    eta = 2 vee(R - R^T) / (1 + tr R).
 
-    Raises ``np.linalg.LinAlgError`` where I + R is singular (R a half
-    turn, outside the image of cay).
+    Raises ``np.linalg.LinAlgError`` where 1 + tr R is 0 (R a half turn,
+    outside the image of cay), and ``ValueError`` unless R is 3x3.
     """
-    R = np.asarray(R, dtype=float)
-    return 2.0 * vee(np.linalg.solve(_I3 + R, R - _I3))
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rows3(R)
+    d = 1.0 + (r00 + r11 + r22)
+    if d == 0.0:
+        raise np.linalg.LinAlgError("cay_inv: 1 + tr R = 0 (a half turn)")
+    k = 2.0 / d
+    return np.array([k * (r21 - r12), k * (r02 - r20), k * (r10 - r01)])
+
+
+def _rotate_so3_stack(g, stack):
+    """Coordinates of g B g^-1 = hat(g vee(B)) for each matrix B of a stack,
+    as columns, or None unless g is a rotation (|g g^T - I| <= 1e-12 and
+    det g > 0) and every B is exactly skew."""
+    G = rows3(g)
+    r0, r1, r2 = G
+    diag = (dot3(r0, r0) - 1.0, dot3(r1, r1) - 1.0, dot3(r2, r2) - 1.0)
+    off = (dot3(r0, r1), dot3(r0, r2), dot3(r1, r2))
+    if not (dot3(diag, diag) + 2.0 * dot3(off, off) <= _ROTATION_TOL ** 2
+            and dot3(r0, cross3(r1, r2)) > 0.0):
+        return None
+    cols = []
+    for (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) in stack.tolist():
+        if (b00 or b11 or b22 or b01 != -b10 or b02 != -b20
+                or b12 != -b21):
+            return None
+        cols.append(matvec3(G, (b21, b02, b10)))
+    C = np.empty((3, len(cols)))
+    C.T[:] = cols
+    return C
 
 
 class LieAlgebra:
@@ -144,6 +201,11 @@ class LieAlgebra:
         self.name = name
         self.basis = [np.asarray(B) for B in basis]
         self.dim = len(self.basis)
+        # so(3) in the hat basis, where coordinates v are the matrix hat(v)
+        # and exp and conjugation take their SO(3) closed forms
+        self._so3 = self.dim == 3 and all(
+            np.array_equal(B, hat(e))
+            for B, e in zip(self.basis, np.eye(3)))
         self._pairing = pairing
         self.gram = np.array([[pairing(a, b) for b in self.basis]
                               for a in self.basis])
@@ -226,10 +288,21 @@ class LieAlgebra:
     def conjugate_coords(self, g, stack):
         """Coordinates of g B g^-1 for each matrix B of a stack, as columns.
 
-        Every conjugate must lie in the span of the basis (checked by
-        :meth:`_coords_columns`).
+        On so(3) a real rotation g (g g^T = I to 1e-12, det g > 0) and an
+        exactly skew stack take the closed form g hat(v) g^-1 = hat(g v):
+        the columns are g times the coordinates of the stack, with no
+        inverse and no projection.  Every other g and stack, and every g
+        on su(3), takes the general path: the conjugates by the inverse of
+        g, each of which must lie in the span of the basis (checked by
+        :meth:`_coords_columns`).  A reflection (det(g) hat(g v)), a scaled
+        rotation (hat(g v) / c) or a shear thus gets the general path's
+        answer or its ``ValueError``.
         """
-        g = np.asarray(g)
+        g, stack = np.asarray(g), np.asarray(stack)
+        if self._so3 and "c" not in (g.dtype.kind, stack.dtype.kind):
+            C = _rotate_so3_stack(g, stack)
+            if C is not None:
+                return C
         return self._coords_columns(g @ stack @ np.linalg.inv(g))
 
     def Ad_matrix(self, g):
@@ -239,10 +312,11 @@ class LieAlgebra:
     def exp(self, coords):
         """Matrix exponential of the algebra element with given coordinates.
 
-        so(3) uses Rodrigues; skew-Hermitian algebras use a unitary
-        eigendecomposition (exact structure at this size).
+        so(3) in the hat basis uses Rodrigues (:func:`exp_so3`); every other
+        algebra is skew-Hermitian and uses a unitary eigendecomposition
+        (exact structure at this size).
         """
-        if self.name == "so3":
+        if self._so3:
             return exp_so3(coords)
         A = np.asarray(self.matrix(coords), dtype=complex)
         H = A / 1j  # Hermitian

@@ -234,8 +234,8 @@ def cayley_slice(sigma, g0, r=1.0) -> SliceCandidate:
     column per column of a matrix of parameter directions; the tangent w at
     g is the velocity hat(w) g.  The chart is the inverse
     Cayley transform of R = g g0^-1, hat(eta/2) = (I + R)^-1 (R - I),
-    projected onto sigma-perp; it is non-finite where I + R is singular
-    (R a half turn).
+    projected onto sigma-perp; it is +inf where I + R is singular (R a half
+    turn), so that it reads as outside every radius.
     """
     sigma = np.asarray(sigma, dtype=float).ravel()
     if abs(norm(sigma) - 1.0) > 1e-10:
@@ -270,7 +270,7 @@ def cayley_slice(sigma, g0, r=1.0) -> SliceCandidate:
         try:
             eta = groups.cay_inv(np.asarray(g, dtype=float) @ g0_inv)
         except np.linalg.LinAlgError:
-            return np.full(2, np.nan)
+            return np.full(2, np.inf)
         return B.T @ eta
 
     return SliceCandidate(np.asarray(g0, dtype=float), psi, tangent, 2, r,

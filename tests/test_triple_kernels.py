@@ -5,10 +5,16 @@ reference is in ``test_exact_derivatives``).
 
 The triple kernels sum dot products in their own order, so a result may
 differ from the numpy one in its last bits; the tolerance is fixed at
-1e-14 * max(1, |ref|) for every kernel but ``mu_q``'s derivative.  That one
-takes a central difference of q at |m|^2, which amplifies a last-bit change
-of |m|^2 by 1/h, so it is held to 1e-9 * max(1, |ref|).  Every error the
-kernels raise is raised at the same condition and threshold.
+1e-14 * max(1, |ref|) for every kernel but ``mu_q``'s derivative and
+``cay_inv``.  ``mu_q``'s derivative takes a central difference of q at
+|m|^2, which amplifies a last-bit change of |m|^2 by 1/h, so it is held to
+1e-9 * max(1, |ref|).  ``cay_inv`` divides by 1 + tr R, which goes to 0 at
+a half turn, so both its formulas lose digits as 1 / (1 + tr R) there: it
+is held to 1e-14 * max(1, |eta|) only where 1 + tr R >= 1 (rotation angles
+up to 2 pi / 3), as the round trip from ``cay`` for |eta| <= 2 and against
+the reference.  Every error the frame kernels raise is raised at the same
+condition and threshold; the group kernels' refusals are tested at their
+stated conditions.
 """
 
 import math
@@ -20,7 +26,8 @@ from gconn.actions import get_action
 from gconn.connections import mu_q
 from gconn.frames import (DomainError, PartialMovingFrame, _sample_off_poles,
                           dnat_rho, eastward_field, pmf_from_field, rho_us2)
-from gconn.groups import cross, exp_so3
+from gconn.groups import (LieAlgebra, cay, cay_inv, cross, exp_so3, hat,
+                          so3_algebra, su3_basis)
 from gconn.linalg import Subspace, numerics
 
 N = 2000
@@ -79,7 +86,7 @@ def ref_slip_angle(g, m):
 
 
 def ref_slip(g, m):
-    return g @ exp_so3(ref_slip_angle(g, m) * m)
+    return g @ ref_exp_so3(ref_slip_angle(g, m) * m)
 
 
 def ref_dnat_slip(g, m, v):
@@ -116,6 +123,35 @@ def ref_mu_q_dmatrix(q, m, w, h):
 
 def ref_contains_subspace(S, T, tol):
     return all(S.contains(T.basis[:, j], tol) for j in range(T.dim))
+
+
+# the SO(3) group kernels, as they read with numpy linear algebra
+
+_I3 = np.eye(3)
+
+
+def ref_exp_so3(v):
+    v = np.asarray(v, dtype=float).ravel()
+    th = np.linalg.norm(v)
+    A = ref_hat(v)
+    if th < 1e-12:
+        return _I3 + A + 0.5 * A @ A
+    return (_I3 + (np.sin(th) / th) * A
+            + ((1.0 - np.cos(th)) / th**2) * A @ A)
+
+
+def ref_cay(eta):
+    H = ref_hat(np.asarray(eta, dtype=float) / 2.0)
+    return np.linalg.solve(_I3 - H, _I3 + H)
+
+
+def ref_cay_inv(R):
+    X = np.linalg.solve(_I3 + R, R - _I3)
+    return 2.0 * np.array([X[2, 1], X[0, 2], X[1, 0]])
+
+
+def ref_conjugate_coords(alg, g, stack):
+    return alg._coords_columns(g @ stack @ np.linalg.inv(g))
 
 
 # ---------------------------------------------------------------------------
@@ -321,3 +357,161 @@ def test_non_orthonormal_pair_and_wrong_sizes_are_refused():
                  lambda: dnat_rho(np.concatenate([m, u]), np.ones(5))):
         with pytest.raises(ValueError, match="expected a 6-vector"):
             call()
+
+
+# ---------------------------------------------------------------------------
+# the SO(3) group kernels in closed form
+
+SO3 = so3_algebra()
+S1S1 = get_action("s1s1-on-so3")
+
+
+def _rotation_vectors(seed):
+    """Seeded rotation vectors over angle scales from the small-angle
+    branch of exp_so3 to several turns."""
+    rng = np.random.default_rng(seed)
+    scales = (1e-13, 1e-7, 1e-2, 1.0, 3.0, 10.0)
+    return [scales[i % len(scales)] * rng.standard_normal(3)
+            for i in range(N)]
+
+
+def test_exp_so3_matches_the_reference():
+    for v in _rotation_vectors(90):
+        R = exp_so3(v)
+        assert R.dtype == float and R.shape == (3, 3)
+        assert _close(R, ref_exp_so3(v))
+
+
+def test_cay_matches_the_reference():
+    for eta in _rotation_vectors(91):
+        R = cay(eta)
+        assert R.dtype == float and R.shape == (3, 3)
+        assert _close(R, ref_cay(eta))
+
+
+def test_cay_inv_inverts_cay_up_to_a_quarter_turn():
+    rng = np.random.default_rng(92)
+    for _ in range(N):
+        eta = rng.standard_normal(3)
+        eta *= 2.0 * rng.random() / np.linalg.norm(eta)   # |eta| <= 2
+        back = cay_inv(cay(eta))
+        assert back.dtype == float and back.shape == (3,)
+        assert _close(back, eta)
+
+
+def test_cay_inv_matches_the_reference_below_two_thirds_of_a_half_turn():
+    rng = np.random.default_rng(93)
+    for _ in range(N):
+        axis = rng.standard_normal(3)
+        R = exp_so3(2.0 * np.pi / 3.0 * rng.random() * axis
+                    / np.linalg.norm(axis))
+        assert 1.0 + np.trace(R) >= 1.0
+        assert _close(cay_inv(R), ref_cay_inv(R))
+
+
+@pytest.mark.parametrize("stack", ["basis", "h"])
+def test_so3_conjugation_matches_the_reference(stack):
+    S = SO3._stacked if stack == "basis" else S1S1._h_stack
+    for v in _rotation_vectors(94):
+        g = exp_so3(v)
+        C = SO3.conjugate_coords(g, S)
+        assert C.dtype == float and C.shape == (3, len(S))
+        assert _close(C, ref_conjugate_coords(SO3, g, S))
+    for v in _rotation_vectors(95)[:N // 4]:
+        g = exp_so3(v)
+        assert _close(SO3.Ad_matrix(g),
+                      ref_conjugate_coords(SO3, g, SO3._stacked))
+
+
+def test_so3_dispatch_reads_the_basis_not_the_name():
+    basis = [hat(e) for e in np.eye(3)]
+    renamed = LieAlgebra("rotations", basis, SO3._pairing)
+    scaled = LieAlgebra("so3", [2.0 * B for B in basis], SO3._pairing)
+    assert SO3._so3 and renamed._so3
+    assert not scaled._so3 and not su3_basis()._so3
+    v = np.array([0.3, -0.7, 1.1])
+    assert np.array_equal(renamed.exp(v), exp_so3(v))
+    # in the scaled basis, coordinates v are the matrix hat(2 v), whose
+    # exponential the eigendecomposition path returns as a complex matrix
+    E = scaled.exp(v)
+    assert np.abs(E.imag).max() <= 1e-12
+    assert _close(E.real, ref_exp_so3(2.0 * v), 1e-12)
+
+
+def test_conjugation_refuses_or_agrees_off_the_rotations():
+    """A shear leaves so(3) and is refused; a reflection conjugates hat(v)
+    to det(g) hat(g v) and a scaled rotation to hat(g v) / c, so each must
+    give the reference's answer or be refused, never another number."""
+    shear = np.eye(3)
+    shear[0, 1] = 1.0
+    with pytest.raises(ValueError, match="not in the span"):
+        SO3.Ad_matrix(shear)
+    with pytest.raises(ValueError, match="not in the span"):
+        S1S1.gen_matrix(shear)
+    R = exp_so3(np.array([0.4, -0.3, 0.9]))
+    for g in (np.diag([1.0, 1.0, -1.0]), 2.0 * np.eye(3), -R, 1.5 * R,
+              R + 1e-9 * np.ones((3, 3))):
+        for S in (SO3._stacked, S1S1._h_stack):
+            try:
+                C = SO3.conjugate_coords(g, S)
+            except ValueError:
+                continue
+            assert np.array_equal(C, ref_conjugate_coords(SO3, g, S))
+    # a complex g or a stack off so(3) is never read as a real rotation
+    for g, S in ((R + 1e-3j * np.eye(3), SO3._stacked),
+                 (R, SO3._stacked + 1e-6 * np.eye(3))):
+        with pytest.raises(ValueError, match="not in the span"):
+            SO3.conjugate_coords(g, S)
+
+
+def test_cay_inv_refuses_a_half_turn():
+    for R in (np.diag([1.0, -1.0, -1.0]), exp_so3(np.array([0.0, np.pi,
+                                                             0.0]))):
+        with pytest.raises(np.linalg.LinAlgError, match="half turn"):
+            cay_inv(R)
+
+
+@pytest.mark.parametrize("bad", [np.arange(6.0), np.ones(2), np.eye(3)])
+def test_so3_kernels_take_exactly_a_3_vector(bad):
+    for kernel in (hat, exp_so3, cay):
+        with pytest.raises(ValueError, match="expected a 3-vector"):
+            kernel(bad)
+
+
+@pytest.mark.parametrize("v", [[np.inf, 0.0, 0.0], [0.0, np.nan, 1.0],
+                               [1e200, 0.0, 0.0]])
+def test_exp_so3_refuses_a_rotation_vector_of_non_finite_norm(v):
+    with pytest.raises(ValueError, match="is not finite"):
+        exp_so3(v)
+
+
+@pytest.mark.parametrize("bad", [np.eye(2), np.eye(4), np.ones(9)])
+def test_cay_inv_takes_exactly_a_3x3_matrix(bad):
+    with pytest.raises(ValueError, match="expected a 3x3 matrix"):
+        cay_inv(bad)
+
+
+def test_so3_kernels_make_no_solve_inverse_or_projection(monkeypatch):
+    calls = []
+
+    def spy(name, f):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return f(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "solve", spy("solve", np.linalg.solve))
+    monkeypatch.setattr(np.linalg, "inv", spy("inv", np.linalg.inv))
+    monkeypatch.setattr(LieAlgebra, "_coords_columns",
+                        spy("_coords_columns", LieAlgebra._coords_columns))
+    rng = np.random.default_rng(96)
+    for _ in range(50):
+        g = exp_so3(rng.standard_normal(3))
+        cay_inv(cay(rng.standard_normal(3)))
+        S1S1.gen_matrix(g)
+        SO3.Ad_matrix(g)
+        SO3.exp(rng.standard_normal(3))
+    assert calls == []
+    # the general path is still the one taken off the rotations
+    SO3.Ad_matrix(2.0 * np.eye(3))
+    assert calls == ["inv", "_coords_columns"]
