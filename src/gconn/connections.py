@@ -10,8 +10,6 @@ is the equivariant projection onto the orbit tangent.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
 from .actions import Action
@@ -25,43 +23,32 @@ class DegeneracyError(ValueError):
 
 class DualForm:
     """A dual-algebra-valued one-form, represented extensionally.  The
-    algebra-valued forms (values in algebra coordinates) of
-    :func:`alpha_so3r3` and :func:`clean_alpha` use the same class.
+    algebra-valued forms of :func:`alpha_so3r3` and :func:`clean_alpha`
+    (values in algebra coordinates) use the same class.
 
-    ``matrix(m)`` returns the (alg_dim x vec_dim) matrix of the pointwise
-    linear map in the action's tangent coordinates and the dual basis.  A
-    form built from the generators (``uses_generators``) is given the
-    generator matrix ``K`` at m as a second argument; ``matrix(m, K)``
-    passes on the one a caller already holds, ``matrix(m)`` evaluates it.
-
-    ``dmatrix(m, w, K)`` is the derivative of ``matrix`` along
-    t -> retract(m, w, t), with K the generator matrix at m; every
-    derivative in :mod:`gconn.curvature` and :mod:`gconn.slices` reads it.
-    A form built without one raises :class:`TypeError` when differentiated;
-    :func:`fd_oracle` gives the same form with a finite-difference
-    ``dmatrix``.
+    Its functions receive only the point evaluation ``pt``
+    (:class:`PointEval`): ``matrix_fn(pt)`` is the (alg_dim x vec_dim)
+    matrix of mu_m in tangent coordinates and the dual basis, read from
+    ``pt.m``, ``pt.K`` and ``pt.of(base)``, another form's evaluation at
+    the point; ``dmatrix(pt, w)`` is its derivative along
+    t -> retract(m, w, t), read from ``pt.dK(w)`` and the derivatives of
+    ``pt.of(base)``.  ``matrix(m, K=None)`` and ``dmatrix(m, w, K)`` are
+    views of one evaluation.  A form built without a derivative raises
+    :class:`TypeError` when differentiated; :func:`fd_oracle` gives the
+    same form with a finite-difference ``dmatrix``.
     """
 
-    def __init__(self, action: Action, matrix_fn, name="mu",
-                 uses_generators=False, dmatrix=None):
+    def __init__(self, action: Action, matrix_fn, name="mu", dmatrix=None):
         self.action = action
         self._matrix_fn = matrix_fn
         self.name = name
-        self.uses_generators = uses_generators
         self._dmatrix_fn = dmatrix
 
     def dmatrix(self, m, w, K):
-        if self._dmatrix_fn is None:
-            raise TypeError(f"the form {self.name} has no dmatrix; "
-                            f"fd_oracle({self.name}) differences its matrix")
-        return self._dmatrix_fn(m, w, K)
+        return PointEval(self, m, K).dM(w)
 
     def matrix(self, m, K=None):
-        if not self.uses_generators:
-            return np.asarray(self._matrix_fn(m), dtype=float)
-        if K is None:
-            K = self.action.gen_matrix(m)
-        return np.asarray(self._matrix_fn(m, K), dtype=float)
+        return PointEval(self, m, K).M
 
     def __call__(self, m, v):
         return self.matrix(m) @ np.asarray(v, dtype=float).ravel()
@@ -72,14 +59,13 @@ def simple_mechanical_mu(action: Action) -> DualForm:
 
     Its derivative is dK^T G: every action's metric G is constant.
     """
-    def matrix(m, K):
-        return K.T @ action.tangent_metric(m)
+    def matrix(pt):
+        return pt.K.T @ action.tangent_metric(pt.m)
 
-    def dmatrix(m, w, K):
-        return action.dgen_matrix(m, w, K).T @ action.tangent_metric(m)
+    def dmatrix(pt, w):
+        return pt.dK(w).T @ action.tangent_metric(pt.m)
 
-    return DualForm(action, matrix, name="mu_mech", uses_generators=True,
-                    dmatrix=dmatrix)
+    return DualForm(action, matrix, name="mu_mech", dmatrix=dmatrix)
 
 
 def fd_oracle(mu: DualForm) -> DualForm:
@@ -88,11 +74,10 @@ def fd_oracle(mu: DualForm) -> DualForm:
     derivatives are checked against."""
     A = mu.action
 
-    def dmatrix(m, w, K):
-        return curve_derivative(lambda t: mu.matrix(A.retract(m, w, t)))
+    def dmatrix(pt, w):
+        return curve_derivative(lambda t: mu.matrix(A.retract(pt.m, w, t)))
 
-    return DualForm(A, mu._matrix_fn, name=mu.name,
-                    uses_generators=mu.uses_generators, dmatrix=dmatrix)
+    return DualForm(A, mu._matrix_fn, name=mu.name, dmatrix=dmatrix)
 
 
 def mu_q(q) -> DualForm:
@@ -112,13 +97,13 @@ def mu_q(q) -> DualForm:
     for t in np.linspace(0.3, 9.0, 30):
         if not q(t) > 0:
             raise ValueError(f"mu_q: q({t}) = {q(t)} is not positive")
-    def matrix(m):
-        x, y, z = triple(m)
+    def matrix(pt):
+        x, y, z = triple(pt.m)
         c = q(x * x + y * y + z * z)
         return hat3((c * x, c * y, c * z))
 
-    def dmatrix(m, w, K):
-        m, w = triple(m), triple(w)
+    def dmatrix(pt, w):
+        m, w = triple(pt.m), triple(w)
         s = dot3(m, m)
         h = fd_step_in_force()
         dq = (q(s + h) - q(s - h)) / (2.0 * h)
@@ -136,55 +121,97 @@ def _read_only(a):
     return a
 
 
+class _once:
+    """An attribute computed on first access and then stored on the
+    instance: :func:`functools.cached_property` without its lock."""
+
+    def __init__(self, fn):
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, pt, owner=None):
+        if pt is None:
+            return self
+        value = pt.__dict__[self.name] = self.fn(pt)
+        return value
+
+
 class PointEval:
     """The geometry of a dual form at one point, evaluated once.
 
     Holds the generator matrix ``K``, the form ``M = mu_m`` and the inertia
-    factor ``chi = M K`` at m, and at most one :class:`SVD` of each, taken
-    on first use.  The SVD of chi feeds the kernel test (ker chi against
-    the isotropy algebra ker K), the projection ``P``, the solve behind the
-    gamma map and the scale of its consistency test (|chi|_2 = s[0]);
-    ``kernel`` is ker mu_m.
+    factor ``chi = M K`` at m, and at most one :class:`SVD` of each, each
+    taken on first use.  The SVD of chi feeds the kernel test (ker chi
+    against the isotropy algebra ker K), the projection ``P``, the solve
+    behind the gamma map and the scale of its consistency test
+    (|chi|_2 = s[0]); ``kernel`` is ker mu_m.
 
-    The derivatives along a direction w are held the same way: ``dM(w)``,
-    the form's ``dmatrix``, and ``dchi(w, adaptor)``, each computed at most
-    once per distinct w (and adaptor) and stored read-only, as is
-    ``Ad_phi(adaptor)``, the adjoint of an adaptor's phi(m).  Nothing
-    outlives the object, which callers build per call with :func:`at`; a
-    caller that already holds ``K`` or ``M`` at m passes it on, and one
-    that holds the derivative of ``M`` passes it as ``dM``, a function of
-    w, in place of the form's ``dmatrix``.
+    The derivatives along a direction w are held the same way: ``dK(w)``,
+    the action's ``dgen_matrix``, ``dM(w)``, the form's ``dmatrix``, and
+    ``dchi(w, adaptor)``, each computed at most once per distinct w (and
+    adaptor) and stored read-only, as is ``Ad_phi(adaptor)``, the adjoint
+    of an adaptor's phi(m).  ``of(base)`` is the evaluation of another form
+    at the same point, made once; it shares ``K`` and the ``dK(w)``.
+    Nothing outlives the object, which callers build with :func:`at`.
     """
 
-    def __init__(self, mu: DualForm, m, K=None, M=None, dM=None):
+    def __init__(self, mu: DualForm, m, K=None):
         self.mu = mu
         self.m = m
-        self.K = mu.action.gen_matrix(m) if K is None else K
-        self.M = mu.matrix(m, self.K) if M is None else M
-        self.chi = self.M @ self.K
-        self._dM_fn = dM
-        self._dM = {}
-        self._dchi = {}
-        self._Ad_phi = {}
+        if K is not None:
+            self.K = K
+        self._dK = {}  # shared with the evaluations of of(base)
+        self.memo = {}  # by direction, adaptor, form (of) or a form's key
+
+    @_once
+    def K(self):
+        return self.mu.action.gen_matrix(self.m)
+
+    @_once
+    def M(self):
+        return np.asarray(self.mu._matrix_fn(self), dtype=float)
+
+    @_once
+    def chi(self):
+        return self.M @ self.K
+
+    def of(self, base: DualForm) -> PointEval:
+        """The evaluation of the form ``base`` at this point."""
+        b = self.memo.get(base)
+        if b is None:
+            b = self.memo[base] = PointEval(base, self.m, self.K)
+            b._dK = self._dK
+        return b
+
+    def dK(self, w):
+        """The derivative of K along w, the action's ``dgen_matrix`` at m."""
+        w = np.asarray(w, dtype=float).ravel()
+        key = w.tobytes()
+        d = self._dK.get(key)
+        if d is None:
+            d = self._dK[key] = _read_only(
+                self.mu.action.dgen_matrix(self.m, w, self.K))
+        return d
 
     def dM(self, w):
         """The derivative of mu_m along w, the form's ``dmatrix`` at m."""
         w = np.asarray(w, dtype=float).ravel()
         key = w.tobytes()
-        d = self._dM.get(key)
+        d = self.memo.get(key)
         if d is None:
-            d = (self.mu.dmatrix(self.m, w, self.K) if self._dM_fn is None
-                 else self._dM_fn(w))
-            self._dM[key] = d = _read_only(d)
+            if self.mu._dmatrix_fn is None:
+                raise TypeError(f"the form {self.mu.name} has no dmatrix; "
+                                f"fd_oracle({self.mu.name}) differences its "
+                                f"matrix")
+            d = self.memo[key] = _read_only(self.mu._dmatrix_fn(self, w))
         return d
 
     def Ad_phi(self, adaptor):
         """Ad_{phi(m)} on acting-algebra coordinates, for the adaptor's
         group-valued map phi."""
-        Ad = self._Ad_phi.get(adaptor)
+        Ad = self.memo.get(adaptor)
         if Ad is None:
             Ad = self.mu.action.Ad_group(adaptor.phi(self.m))
-            self._Ad_phi[adaptor] = Ad = _read_only(Ad)
+            self.memo[adaptor] = Ad = _read_only(Ad)
         return Ad
 
     def dchi(self, w, adaptor=None):
@@ -193,27 +220,25 @@ class PointEval:
         (dM K + M dK) Ad_phi + chi Ad_phi ad_{dnatL(m, w)}."""
         w = np.asarray(w, dtype=float).ravel()
         key = (w.tobytes(), adaptor)
-        d = self._dchi.get(key)
+        d = self.memo.get(key)
         if d is None:
-            A = self.mu.action
-            d = self.dM(w) @ self.K + self.M @ A.dgen_matrix(self.m, w,
-                                                             self.K)
+            d = self.dM(w) @ self.K + self.M @ self.dK(w)
             if adaptor is not None:
                 Ad = self.Ad_phi(adaptor)
-                d = d @ Ad + self.chi @ Ad @ A.algebra.ad_matrix(
+                d = d @ Ad + self.chi @ Ad @ self.mu.action.algebra.ad_matrix(
                     adaptor.dnatL(self.m, w))
-            self._dchi[key] = d = _read_only(d)
+            self.memo[key] = d = _read_only(d)
         return d
 
-    @cached_property
+    @_once
     def chi_svd(self) -> SVD:
         return SVD(self.chi)
 
-    @cached_property
+    @_once
     def M_svd(self) -> SVD:
         return SVD(self.M)
 
-    @cached_property
+    @_once
     def K_svd(self) -> SVD:
         return SVD(self.K)
 
@@ -222,7 +247,7 @@ class PointEval:
         """ker mu_m, the horizontal space of the form at m."""
         return self.M_svd.kernel
 
-    @cached_property
+    @_once
     def _degeneracy(self):
         """Why ker chi(m) differs from the isotropy algebra ker K, or None."""
         kern = self.chi_svd.kernel
@@ -245,7 +270,7 @@ class PointEval:
             raise DegeneracyError(self._degeneracy)
         return self.chi
 
-    @cached_property
+    @_once
     def P(self):
         """Matrix of the projection gamma o mu onto the orbit tangent."""
         chi = self.inertia()
@@ -311,8 +336,8 @@ def alpha_so3r3(f) -> DualForm:
     from .actions import get_action
     from .groups import hat
     action = get_action("so3-on-r3")
-    def matrix(m):
-        m = np.asarray(m, dtype=float).ravel()
+    def matrix(pt):
+        m = np.asarray(pt.m, dtype=float).ravel()
         n2 = float(m @ m)
         if n2 == 0.0:
             return np.zeros((3, 3))
@@ -322,9 +347,9 @@ def alpha_so3r3(f) -> DualForm:
 
 def clean_alpha(alpha: DualForm) -> DualForm:
     """Compose alpha with its own projection, removing isotropy components."""
-    def matrix(m):
-        A = alpha.matrix(m)
-        return A @ alpha.action.gen_matrix(m) @ A
+    def matrix(pt):
+        A = pt.of(alpha).M
+        return A @ pt.K @ A
     return DualForm(alpha.action, matrix, name=alpha.name + "_clean")
 
 
@@ -386,16 +411,16 @@ def pair_check(alpha: DualForm, chi_field, samples=20, rng=None,
     A = alpha.action
     rng = np.random.default_rng(0) if rng is None else rng
     rep = VerificationReport(scenario="pair_check")
-    mu = DualForm(A, lambda m: np.asarray(chi_field(m)) @ alpha.matrix(m),
+    mu = DualForm(A, lambda pt: chi_field(pt.m) @ alpha.matrix(pt.m),
                   name="chi*alpha")
     for i in range(samples):
-        m = A.random_point(rng)
+        pt = at(mu, A.random_point(rng))
         g = A.random_group(rng)
-        v = A.random_tangent(rng, m)
+        v = A.random_tangent(rng, pt.m)
         rep.add("mu-equivariance", "chi.alpha transforms like a dual form",
-                equivariance_residual(mu, g, m, v), tol_eq, f"sample {i}")
+                equivariance_residual(mu, g, pt, v), tol_eq, f"sample {i}")
         rep.add_bool("nondegenerate", "ker chi_mu = isotropy",
-                     at(mu, m).nondegenerate, f"sample {i}")
+                     pt.nondegenerate, f"sample {i}")
     for p in (singular_points if singular_points is not None else []):
         p = np.asarray(p, dtype=float)
         M0 = mu.matrix(p)

@@ -7,12 +7,12 @@ right-invariant fields; on embedded manifolds the frozen coordinates are
 extended by pointwise tangent projection.  Both choices are legitimate
 because the exterior derivative of a one-form is tensorial.
 
-Every derivative here reads the form's ``dmatrix`` (see
-:class:`gconn.connections.DualForm`) through the point evaluation's
-``dM(w)`` and ``dchi(w)``, taken once per direction, the action's
-``dgen_matrix`` and ``dproject_tangent`` and a field's
-``derivative(m, w)``, so d mu, d chi, brackets and horizontal-field
-derivatives are linear algebra at the one point.
+Every derivative here reads the point evaluation's ``dM(w)`` (the form's
+``dmatrix``, see :class:`gconn.connections.DualForm`), ``dK(w)`` (the
+action's ``dgen_matrix``) and ``dchi(w)``, taken once per direction, the
+action's ``dproject_tangent`` and a field's ``derivative(m, w)``, so
+d mu, d chi, brackets and horizontal-field derivatives are linear algebra
+at the one point.
 :func:`gconn.connections.fd_oracle` gives a form whose ``dmatrix`` is a
 central difference, checked through the same code.
 """
@@ -25,10 +25,6 @@ from .actions import Action
 from .connections import DualForm, PointEval, at
 from .linalg import SVD, norm
 from .report import VerificationReport
-
-
-def _is_group_manifold(action: Action):
-    return action.manifold_alg is not None
 
 
 def d_oneform(mu: DualForm, m, u, v):
@@ -47,7 +43,7 @@ def d_oneform(mu: DualForm, m, u, v):
     u = np.asarray(u, dtype=float).ravel()
     v = np.asarray(v, dtype=float).ravel()
     d = pt.dM(u) @ v - pt.dM(v) @ u
-    if _is_group_manifold(A):
+    if A.manifold_alg is not None:
         return d + pt.M @ A.manifold_alg.bracket(u, v)
     return d
 
@@ -64,7 +60,7 @@ def field_bracket(action: Action, X, Y, m):
     p = m.m if isinstance(m, PointEval) else m
     Xm, Ym = X(m), Y(m)
     b = Y.derivative(m, Xm) - X.derivative(m, Ym)
-    if _is_group_manifold(action):
+    if action.manifold_alg is not None:
         return b - action.manifold_alg.bracket(Xm, Ym)
     return action.project_tangent(p, b)
 
@@ -114,26 +110,24 @@ def tame(mu: DualForm) -> DualForm:
 
     Requires chi(m) symmetric wherever evaluated (checked); the result has
     the same kernel as mu pointwise and the same curvature wherever both
-    are docile.  Its derivative follows from mu's by the product rule.
+    are docile.  Both read mu's evaluation at the point, b = pt.of(mu):
+    the matrix is b.chi sharp b.M, and its derivative, by the product
+    rule, b.dchi(w) sharp b.M + b.chi sharp b.dM(w).
     """
-    A = mu.action
+    sharp = mu.action.algebra.gram_inv
 
-    def matrix(m, K):
-        M = mu.matrix(m, K)
-        chi = M @ K
+    def matrix(pt):
+        b = pt.of(mu)
+        chi = b.chi
         if norm(chi - chi.T) > 1e-8 * max(1.0, norm(chi)):
             raise ValueError("tame: inertia factor is not symmetric here")
-        return chi @ A.algebra.gram_inv @ M
+        return chi @ sharp @ b.M
 
-    def dmatrix(m, w, K):
-        # d chi = dM K + M dK and d(chi # M) = d chi # M + chi # dM
-        M = mu.matrix(m, K)
-        dM = mu.dmatrix(m, w, K)
-        dchi = dM @ K + M @ A.dgen_matrix(m, w, K)
-        sharp = A.algebra.gram_inv
-        return dchi @ sharp @ M + (M @ K) @ sharp @ dM
+    def dmatrix(pt, w):
+        b = pt.of(mu)
+        return b.dchi(w) @ sharp @ b.M + b.chi @ sharp @ b.dM(w)
 
-    return DualForm(A, matrix, name=mu.name + "_tamed", uses_generators=True,
+    return DualForm(mu.action, matrix, name=mu.name + "_tamed",
                     dmatrix=dmatrix)
 
 
@@ -240,7 +234,7 @@ def horizontal_field(mu: DualForm, c):
     P = K chi+ M and xi = chi+ M z (so X = z - K xi),
     dX(w) = (1 - P)(dz - dK xi) - K chi+ dM (z - K xi), which holds where
     the rank of chi is locally constant and reuses the point's SVD of chi
-    and its ``dM(w)``.
+    and its ``dM(w)`` and ``dK(w)``.
     """
     A = mu.action
 
@@ -254,7 +248,7 @@ def horizontal_field(mu: DualForm, c):
         pinv = pt.chi_svd.pinv
         z = A.project_tangent(pt.m, c)
         xi = pinv @ (pt.M @ z)
-        a = A.dproject_tangent(pt.m, w, c) - A.dgen_matrix(pt.m, w, pt.K) @ xi
+        a = A.dproject_tangent(pt.m, w, c) - pt.dK(w) @ xi
         dM_X = pt.dM(w) @ (z - pt.K @ xi)
         return a - pt.P @ a - pt.K @ (pinv @ dM_X)
 

@@ -218,13 +218,6 @@ class LieAlgebra:
         self._flat = np.array(flat).T  # (2 n^2) x dim
         self._flat_pinv = np.linalg.pinv(self._flat)  # dim x (2 n^2)
         self._stacked = np.array(self.basis)  # dim x n x n
-        # a real basis has an all-zero imaginary half, which real input
-        # skips: the real half of the flattened basis and its columns of
-        # the pseudo-inverse
-        self._real = not np.iscomplexobj(self._stacked)
-        nn = self._stacked[0].size
-        self._flat_re = self._flat[:nn]
-        self._flat_pinv_re = np.ascontiguousarray(self._flat_pinv[:, :nn])
 
     # -- coordinates ---------------------------------------------------
 
@@ -239,18 +232,11 @@ class LieAlgebra:
 
         One product with the precomputed pseudo-inverse of the flattened
         basis; every column must reproduce its matrix to 1e-9 relative.
-        Real matrices on a real basis skip the imaginary half.
         """
-        Ms = np.asarray(Ms)
-        if self._real and Ms.dtype.kind != "c":
-            rhs = np.asarray(Ms, dtype=float).reshape(len(Ms), -1).T
-            C = self._flat_pinv_re @ rhs
-            d = self._flat_re @ C - rhs
-        else:
-            Mc = np.asarray(Ms, dtype=complex).reshape(len(Ms), -1)
-            rhs = np.concatenate([Mc.real, Mc.imag], axis=1).T  # (2 n^2) x k
-            C = self._flat_pinv @ rhs
-            d = self._flat @ C - rhs
+        Mc = np.asarray(Ms, dtype=complex).reshape(len(Ms), -1)
+        rhs = np.concatenate([Mc.real, Mc.imag], axis=1).T  # (2 n^2) x k
+        C = self._flat_pinv @ rhs
+        d = self._flat @ C - rhs
         # column norms by np.linalg.norm's formula for real input
         resid = np.sqrt(np.add.reduce(d * d, axis=0))
         scale = np.sqrt(np.add.reduce(rhs * rhs, axis=0))

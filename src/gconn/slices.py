@@ -6,9 +6,9 @@ isotropy algebras, which lets the form be corrected to constant rank: the
 adapted form's kernel is the almost-horizontal system
 Xi = Gamma + (Ad_phi g_m0)~; it carries its derivative, so brackets of
 Xi-valued fields are exact up to one difference, of the caller's iota.
-:func:`abel_involutivity` builds the adapted point evaluation from the
-plain one at each sample, so chi_phi, iota(m) and each derivative along a
-direction are taken once per point.
+The adapted form reads the plain form's evaluation at the same point, so
+chi_phi, iota(m) and each derivative along a direction are taken once per
+point.
 
 The concrete slice construction here is the Cayley-parametrized slice for
 the two-sided circle action on SO(3); its tangent evaluator takes a matrix
@@ -84,31 +84,22 @@ def adapted_inertia(mu: DualForm, adaptor: Adaptor, m):
     return chi_phi
 
 
-def _adapted_eval(adaptor: Adaptor, pi, iota, pt: PointEval):
-    """The adapted form at m, from the point evaluation pt of mu there.
-
-    Takes chi_phi (one :func:`adapted_inertia`, with its kernel test) and
-    iota(m), checked to be a restricted pseudo-inverse, once.  Returns
-    iota(m), M_t = chi_phi . pi . iota(m) . mu_m, and dM_t(w) by the product
-    rule d chi_phi pi iota M + chi_phi pi (d iota M + iota dM), with
-    d chi_phi and dM read from pt and d iota one central difference of
-    iota along the retraction.
-    """
-    A = pt.mu.action
-    chi_phi = adapted_inertia(pt.mu, adaptor, pt)
-    im = np.asarray(iota(pt.m), dtype=float)
-    resid = norm(pi - pi @ im @ chi_phi)
-    if resid > 1e-8 * max(1.0, norm(pi)):
-        raise ValueError(
-            f"iota is not a restricted pseudo-inverse here "
-            f"(residual {resid:.3e})")
-
-    def dM(w):
-        dim = curve_derivative(lambda t: iota(A.retract(pt.m, w, t)))
-        return (pt.dchi(w, adaptor) @ pi @ im @ pt.M
-                + chi_phi @ pi @ (dim @ pt.M + im @ pt.dM(w)))
-
-    return im, chi_phi @ pi @ im @ pt.M, dM
+def _adapted_parts(mu: DualForm, adaptor: Adaptor, pi, iota, pt_t: PointEval):
+    """At the point of the adapted form's evaluation pt_t: mu's evaluation
+    b, chi_phi (:func:`adapted_inertia` of b, with its kernel test) and
+    iota(m), checked to be a restricted pseudo-inverse; once per point."""
+    parts = pt_t.memo.get(_adapted_parts)
+    if parts is None:
+        b = pt_t.of(mu)
+        chi_phi = adapted_inertia(mu, adaptor, b)
+        im = np.asarray(iota(b.m), dtype=float)
+        resid = norm(pi - pi @ im @ chi_phi)
+        if resid > 1e-8 * max(1.0, norm(pi)):
+            raise ValueError(
+                f"iota is not a restricted pseudo-inverse here "
+                f"(residual {resid:.3e})")
+        parts = pt_t.memo[_adapted_parts] = b, chi_phi, im
+    return parts
 
 
 def adapted_dual_form(mu: DualForm, adaptor: Adaptor, pi, iota) -> DualForm:
@@ -117,23 +108,27 @@ def adapted_dual_form(mu: DualForm, adaptor: Adaptor, pi, iota) -> DualForm:
     ``pi`` is a fixed projection matrix on the acting algebra with kernel
     the reference isotropy algebra; ``iota`` maps a point to a restricted
     pseudo-inverse of chi_phi, i.e. pi = pi . iota(m) . chi_phi(m) must hold
-    on the domain (checked at every evaluation).  Its derivative is
-    d chi_phi pi iota M + chi_phi pi (d iota M + iota dM); d iota, not known
-    in closed form, is a central difference of ``iota`` along the
-    retraction.  ``matrix`` and ``dmatrix`` evaluate mu afresh at m;
-    :func:`abel_involutivity` builds the adapted point evaluation from the
-    one of mu it holds, by the same formula.
+    on the domain (checked once per point).  Its matrix
+    M_t = chi_phi . pi . iota(m) . M and its derivative
+    d chi_phi pi iota M + chi_phi pi (d iota M + iota dM) read mu's
+    evaluation b at the point (M, dM and d chi_phi from b); d iota, not
+    known in closed form, is a central difference of ``iota`` along the
+    retraction.
     """
+    A = mu.action
     pi = np.asarray(pi, dtype=float)
 
-    def matrix(m, K):
-        return _adapted_eval(adaptor, pi, iota, PointEval(mu, m, K=K))[1]
+    def matrix(pt):
+        b, chi_phi, im = _adapted_parts(mu, adaptor, pi, iota, pt)
+        return chi_phi @ pi @ im @ b.M
 
-    def dmatrix(m, w, K):
-        return _adapted_eval(adaptor, pi, iota, PointEval(mu, m, K=K))[2](w)
+    def dmatrix(pt, w):
+        b, chi_phi, im = _adapted_parts(mu, adaptor, pi, iota, pt)
+        dim = curve_derivative(lambda t: iota(A.retract(pt.m, w, t)))
+        return (b.dchi(w, adaptor) @ pi @ im @ b.M
+                + chi_phi @ pi @ (dim @ b.M + im @ b.dM(w)))
 
-    return DualForm(mu.action, matrix, name=mu.name + "_adapted",
-                    uses_generators=True, dmatrix=dmatrix)
+    return DualForm(A, matrix, name=mu.name + "_adapted", dmatrix=dmatrix)
 
 
 def almost_horizontal_basis(mu: DualForm, adaptor: Adaptor, m) -> Subspace:
@@ -358,12 +353,12 @@ def abel_involutivity(mu: DualForm, adaptor: Adaptor, pi, iota, samples=20,
 
     For fields X, Y valued in Xi = ker(adapted form) checks that the adapted
     form annihilates [X, Y], that [X, Y] stays in Xi, and that the
-    inertia-derivative correction terms vanish for horizontal inputs.  The
-    adapted point evaluation is built from the one of mu at each sample
-    (:func:`_adapted_eval`), and the fields (:func:`_xi_field`) carry their
-    derivative, read from its ``dM(w)`` and its SVD of M_t, so the bracket
-    is exact up to iota's difference; the correction terms reuse iota(m)
-    and the d chi_phi that the bracket took.
+    inertia-derivative correction terms vanish for horizontal inputs.  At
+    each sample the adapted form is evaluated once, reading mu's evaluation
+    there, and the fields (:func:`_xi_field`) carry their derivative, read
+    from its ``dM(w)`` and its SVD of M_t, so the bracket is exact up to
+    iota's difference; the correction terms reuse iota(m) and the
+    d chi_phi that the bracket took.
     """
     A = mu.action
     rng = np.random.default_rng(0) if rng is None else rng
@@ -377,9 +372,8 @@ def abel_involutivity(mu: DualForm, adaptor: Adaptor, pi, iota, samples=20,
         m = A.retract(adaptor.m0, v, 0.25 * rng.random())
         ci, cj = rng.choice(A.vec_dim, size=2, replace=False)
         X, Y = _xi_field(mu_t, E[ci]), _xi_field(mu_t, E[cj])
-        pt = PointEval(mu, m)
-        im, M_t, dM_t = _adapted_eval(adaptor, pi, iota, pt)
-        pt_t = PointEval(mu_t, m, K=pt.K, M=M_t, dM=dM_t)
+        pt_t = at(mu_t, m)
+        pt, _, im = _adapted_parts(mu, adaptor, pi, iota, pt_t)
         br = field_bracket(A, X, Y, pt_t)
         scale = max(1.0, norm(br))
         rep.add("xi-involutive", "adapted form annihilates [X, Y]",

@@ -9,16 +9,28 @@ from gconn.linalg import curve_derivative
 ALL = ["so3-on-r3", "so3-on-s2", "so3-on-us2", "hxh-on-su3", "s1s1-on-so3"]
 
 
+def _general_generators(A, g):
+    """[h, -Ad_g h] by the general path of conjugate_coords: the conjugates
+    by inv(g), projected onto the basis."""
+    return np.hstack([A.algebra.h, -A.manifold_alg._coords_columns(
+        g @ A._h_stack @ np.linalg.inv(g))])
+
+
 @pytest.mark.parametrize("name, tol", [("hxh-on-su3", 0.0),
-                                       ("s1s1-on-so3", 2.3e-16)])
+                                       ("s1s1-on-so3", 1e-15)])
 def test_torus_generators_conjugate_h_only(monkeypatch, name, tol):
     A = get_action(name)
     H = A.algebra.h
     alg = type(A.manifold_alg)
     rng = np.random.default_rng(14)
     points = [A.random_point(rng) for _ in range(2000)]
-    expected = [np.hstack([H, -A.manifold_alg.Ad_matrix(g) @ H])
-                for g in points]
+    # hxh: bit for bit against Ad_matrix, the general path on su(3); s1s1:
+    # the so(3) closed form against the general path (4.4e-16 measured)
+    if name == "hxh-on-su3":
+        expected = [np.hstack([H, -A.manifold_alg.Ad_matrix(g) @ H])
+                    for g in points]
+    else:
+        expected = [_general_generators(A, g) for g in points]
     calls = []
     Ad_matrix = alg.Ad_matrix
 

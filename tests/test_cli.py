@@ -8,6 +8,7 @@ import pytest
 
 from gconn import linalg, slices
 from gconn.cli import SCENARIOS, ScenarioConfig, main, run_scenario
+from gconn.connections import DegeneracyError
 from gconn.frames import FRAME_STEP
 from gconn.linalg import (FD_STEP, SVD, TOL_RANK, InconsistentSystemError,
                           curve_derivative)
@@ -193,7 +194,7 @@ def test_differences_come_only_from_the_oracles(monkeypatch, tmp_path):
         main(["--scenario", scenario, "--seed", "1", "--samples", "2",
               "--out", str(tmp_path / "r.json")])
     assert callers == {"fd_oracle.<locals>.dmatrix", "_trivialized_fd",
-                       "_adapted_eval.<locals>.dM"}
+                       "adapted_dual_form.<locals>.dmatrix"}
 
 
 def _in_force():
@@ -251,3 +252,44 @@ def test_rank_flag_reaches_the_adapted_kernel_test(monkeypatch, tmp_path):
     # per sample: abel_involutivity's adapted form at m, and the oracle
     # record's exact derivative at m and its two difference points
     assert seen == [1e-9] * 8
+
+
+# The pass/fail record of every scenario at the default flags and seeds
+# 0-5: a run that raises is pinned by its exception type and message, every
+# other run by its failing check ids, one per failing record.  The table
+# records fail at each of their three angles (ROADMAP items 1 and 2).
+_TABLE = ["table-25"] * 3 + ["table-35"] * 3 + ["table-36"] * 3
+_SINGULAR = ("ker chi has dim 1, isotropy dim 0 at this point "
+             "(cond {}, gap {})")
+_RAISES = {
+    ("hxh-su3-curvature", 0): (DegeneracyError,
+                               _SINGULAR.format("4.619e+07", "2.454e-02")),
+    ("hxh-su3-curvature", 2): (DegeneracyError,
+                               _SINGULAR.format("8.624e+07", "5.368e-02")),
+    ("hxh-su3-curvature", 3): (InconsistentSystemError,
+                               "solve_consistent: b not in range(A) "
+                               "(residual 7.654e-06, cond 3.000e+00, "
+                               "gap 2.515e-11)"),
+    ("property-suite-all", 2): (DegeneracyError,
+                                _SINGULAR.format("8.624e+07", "5.368e-02")),
+}
+_FAILING = {
+    "hxh-su3-curvature": ["closed-vs-fd", *_TABLE],
+    "property-suite-all": [f"hxh-su3-curvature/{c}" for c in _TABLE],
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_pass_fail_inventory(scenario):
+    seen, expected = {}, {}
+    for seed in range(6):
+        try:
+            rep = run_scenario(ScenarioConfig(scenario, seed=seed))
+        except Exception as exc:
+            seen[seed] = (type(exc), str(exc))
+        else:
+            seen[seed] = sorted(c.check_id for c in rep.checks
+                                if not c.passed)
+        expected[seed] = _RAISES.get((scenario, seed),
+                                     _FAILING.get(scenario, []))
+    assert seen == expected

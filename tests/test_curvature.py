@@ -114,9 +114,9 @@ def test_tame_preserves_kernel():
 def test_tame_requires_symmetric_inertia():
     A = get_action("so3-on-r3")
     # an artificial form whose inertia factor is not symmetric
-    skew = DualForm(A, lambda m: np.array([[0.0, 1, 0], [0, 0, 1],
-                                           [1, 0, 0]]) @ ((m @ m) *
-                                          np.eye(3)), name="skewed")
+    skew = DualForm(A, lambda pt: np.array([[0.0, 1, 0], [0, 0, 1],
+                                            [1, 0, 0]]) @ ((pt.m @ pt.m) *
+                                           np.eye(3)), name="skewed")
     nu = tame(skew)
     with pytest.raises(ValueError):
         nu.matrix(np.array([1.0, 0.2, -0.4]))

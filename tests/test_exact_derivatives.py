@@ -510,23 +510,37 @@ def test_structure_residual_holds_near_the_origin(radius):
 def test_structure_residual_differentiates_once_per_direction(monkeypatch):
     # d mu, d chi and the covariant derivative read the point's dM: the
     # tamed hxh form is differentiated along u, v and their horizontal
-    # parts u - P u, v - P v, once each
+    # parts u - P u, v - P v, once each; it reads its base form's
+    # evaluation at the point, which shares K and each dK(w), so the base
+    # form is evaluated once and dgen_matrix runs once per direction
     A = get_action("hxh-on-su3")
-    tamed = tame(simple_mechanical_mu(A))
+    mu = simple_mechanical_mu(A)
+    tamed = tame(mu)
     rng = np.random.default_rng(90)
     m = _regular_point(A, tamed, rng)
     u, v = A.random_tangent(rng, m), A.random_tangent(rng, m)
-    directions = []
-    dmatrix = connections.DualForm.dmatrix
+    directions, dgen_calls, base_calls = [], [], []
+    dmatrix, matrix = tamed._dmatrix_fn, mu._matrix_fn
+    dgen_matrix = type(A).dgen_matrix
 
-    def counted(self, m, w, K):
-        if self is tamed:
-            directions.append(np.asarray(w, dtype=float).tobytes())
-        return dmatrix(self, m, w, K)
+    def counted(pt, w):
+        directions.append(np.asarray(w, dtype=float).tobytes())
+        return dmatrix(pt, w)
 
-    monkeypatch.setattr(connections.DualForm, "dmatrix", counted)
+    def counted_dgen(self, *args):
+        dgen_calls.append(1)
+        return dgen_matrix(self, *args)
+
+    def counted_matrix(*args):
+        base_calls.append(1)
+        return matrix(*args)
+
+    monkeypatch.setattr(tamed, "_dmatrix_fn", counted)
+    monkeypatch.setattr(type(A), "dgen_matrix", counted_dgen)
+    monkeypatch.setattr(mu, "_matrix_fn", counted_matrix)
     assert structure_residual(tamed, m, u / norm(u), v / norm(v)) < 1e-5
     assert len(directions) == len(set(directions)) == 4
+    assert (len(dgen_calls), len(base_calls)) == (4, 1)
 
 
 def test_point_derivatives_are_stored_once_and_read_only():

@@ -4,7 +4,7 @@ import pytest
 from gconn.actions import get_action
 from gconn import curvature
 from gconn.cli import ScenarioConfig, run_scenario
-from gconn.connections import DualForm, PointEval, simple_mechanical_mu
+from gconn.connections import PointEval, simple_mechanical_mu
 from gconn.groups import cay, exp_so3
 from gconn import slices
 from gconn.linalg import central_difference
@@ -227,7 +227,7 @@ def test_abel_sample_evaluates_each_point_once(setup, monkeypatch):
     A, mu, g0, adaptor = setup
     gen_calls, adapted_calls, plain_points = [], [], []
     gen_matrix = type(A).gen_matrix
-    matrix = DualForm.matrix
+    matrix = mu._matrix_fn
 
     def counted_gen(self, m):
         gen_calls.append(1)
@@ -237,19 +237,18 @@ def test_abel_sample_evaluates_each_point_once(setup, monkeypatch):
         adapted_calls.append(1)
         return adapted_inertia(*args, **kwargs)
 
-    def counted_matrix(self, m, K=None):
-        if self is mu:
-            plain_points.append(m)
-        return matrix(self, m, K)
+    def counted_matrix(pt):
+        plain_points.append(pt.m)
+        return matrix(pt)
 
     monkeypatch.setattr(type(A), "gen_matrix", counted_gen)
     monkeypatch.setattr(slices, "adapted_inertia", counted_adapted)
-    monkeypatch.setattr(DualForm, "matrix", counted_matrix)
+    monkeypatch.setattr(mu, "_matrix_fn", counted_matrix)
     rng = np.random.default_rng(48)
     rep = abel_involutivity(mu, adaptor, _pi(), _iota, samples=1, rng=rng)
     assert rep.all_passed, rep.to_text()
     # the adapted form at m once: the derivatives of the exact bracket
-    # read the adapted point evaluation built from the plain one
+    # read the adapted point evaluation, which reads the plain one
     assert len(adapted_calls) == 1
     # the generators only at m: every derivative is taken there
     assert len(gen_calls) == 1
