@@ -9,7 +9,8 @@ share with acceptance criteria 02, 07, 08 and 09 (criterion 03 runs
 ``so3-r3-docility``); each appends its records to ``rep`` and draws only
 from the caller's ``rng``, with the caller's sample count and, where callers
 differ, point sampler or example data.  Criterion 01 reads only
-``_SU3_TABLE``.
+``_SU3_TABLE``.  A record over sampled residuals holds the largest of them,
+or NaN if any sample gave NaN (see ``VerificationReport.add_worst``).
 """
 
 from __future__ import annotations
@@ -71,13 +72,12 @@ def scenario_so3_r3_basics(cfg: ScenarioConfig) -> VerificationReport:
     alpha = connections.alpha_so3r3(lambda m: 0.3 * np.exp(-(m @ m)))
     alpha0 = connections.alpha_so3r3(lambda m: 0.0)
     clean = connections.clean_alpha(alpha)
-    worst = 0.0
+    gaps = []
     for _ in range(cfg.samples):
-        m = A.random_point(rng)
-        v = rng.standard_normal(3)
-        worst = max(worst, np.linalg.norm(clean(m, v) - alpha0(m, v)))
-    rep.add("clean-form", "cleaning removes the radial isotropy component",
-            worst, 1e-9)
+        m, v = A.random_point(rng), rng.standard_normal(3)
+        gaps.append(np.linalg.norm(clean(m, v) - alpha0(m, v)))
+    rep.add_worst("clean-form",
+                  "cleaning removes the radial isotropy component", gaps, 1e-9)
     # discontinuity witness at the origin
     lim = np.linalg.norm(alpha0.matrix(1e-6 * np.eye(3)[2]))
     rep.add_bool("alpha-discontinuous",
@@ -87,7 +87,7 @@ def scenario_so3_r3_basics(cfg: ScenarioConfig) -> VerificationReport:
     rep.extend(connections.pair_check(alpha0, chi_field,
                                       samples=cfg.samples, rng=rng,
                                       singular_points=[np.zeros(3)]))
-    check_d_exact_vs_fd(rep, cfg, cfg.rng(), cfg.samples, mu)
+    check_d_exact_vs_fd(rep, cfg.rng(), cfg.samples, mu)
     return rep
 
 
@@ -156,47 +156,45 @@ def scenario_hxh_su3_curvature(cfg: ScenarioConfig) -> VerificationReport:
         rep.add_bool("range", "curvature range is the d1/s3 plane",
                      target.contains_subspace(rng_sub, 1e-8)
                      and rng_sub.contains_subspace(target, 1e-8), tag)
-    check_closed_vs_fd(rep, cfg, cfg.rng(), cfg.samples)
-    check_d_exact_vs_fd(rep, cfg, cfg.rng(), cfg.samples,
+    check_closed_vs_fd(rep, cfg.rng(), cfg.samples)
+    check_d_exact_vs_fd(rep, cfg.rng(), cfg.samples,
                         curvature.tame(connections.simple_mechanical_mu(A)))
     return rep
 
 
-def check_closed_vs_fd(rep, cfg, rng, samples, sample_point=None):
+def check_closed_vs_fd(rep, rng, samples, sample_point=None):
     """Closed-form vs finite-difference curvature of tamed hxh-on-su3."""
     A = actions.get_action("hxh-on-su3")
     nu = connections.fd_oracle(
         curvature.tame(connections.simple_mechanical_mu(A)))
     sample_point = sample_point or A.random_point
-    worst = 0.0
+    gaps = []
     for _ in range(samples):
         g = sample_point(rng)
-        u = rng.standard_normal(8)
-        v = rng.standard_normal(8)
+        u, v = rng.standard_normal(8), rng.standard_normal(8)
         cf = curvature.curvature_leftright_closed(A, g, u, v)
-        fd = curvature.curvature(nu, g, u, v)
-        worst = max(worst, float(np.max(np.abs(cf - fd))))
-    rep.add("closed-vs-fd", "closed form agrees with finite differences",
-            worst, 1e-5)
+        gaps.append(np.max(np.abs(cf - curvature.curvature(nu, g, u, v))))
+    rep.add_worst("closed-vs-fd", "closed form agrees with finite differences",
+                  gaps, 1e-5)
 
 
-def check_d_exact_vs_fd(rep, cfg, rng, samples, mu, sample_point=None,
+def check_d_exact_vs_fd(rep, rng, samples, mu, sample_point=None,
                         check_id="d-exact-vs-fd"):
     """The exact derivative ``dmatrix`` of mu against that of its
     ``fd_oracle``, at random points and directions."""
     A = mu.action
     oracle = connections.fd_oracle(mu)
     sample_point = sample_point or A.random_point
-    worst = 0.0
+    gaps = []
     for _ in range(samples):
         m = sample_point(rng)
         w = A.random_tangent(rng, m)
         K = A.gen_matrix(m)
-        worst = max(worst, np.linalg.norm(
+        gaps.append(np.linalg.norm(
             mu.dmatrix(m, w, K) - oracle.dmatrix(m, w, K)))
-    rep.add(check_id,
-            "exact derivative of the form matches finite differences",
-            worst, 1e-6)
+    rep.add_worst(check_id,
+                  "exact derivative of the form matches finite differences",
+                  gaps, 1e-6)
 
 
 SIGMA = np.array([0.0, 0.0, 1.0])  # axis of both circles of s1s1-on-so3
@@ -209,22 +207,22 @@ def scenario_s1s1_so3_slice(cfg: ScenarioConfig) -> VerificationReport:
     A = actions.get_action("s1s1-on-so3")
     check_chi_eigen(rep, rng, cfg.samples)
     # curvature identically zero
-    worst = 0.0
+    norms = []
     for _ in range(cfg.samples):
         g = A.random_point(rng)
         u, v = rng.standard_normal(3), rng.standard_normal(3)
-        worst = max(worst, np.linalg.norm(
+        norms.append(np.linalg.norm(
             curvature.curvature_leftright_closed(A, g, u, v)))
-    rep.add("flat", "closed-form curvature vanishes identically", worst,
-            1e-7)
-    check_slice(rep, cfg, rng, cfg.samples)
-    mu_t = check_abel_involutivity(rep, cfg, rng, cfg.samples)
-    check_d_exact_vs_fd(rep, cfg, cfg.rng(), cfg.samples,
+    rep.add_worst("flat", "closed-form curvature vanishes identically",
+                  norms, 1e-7)
+    check_slice(rep, rng, cfg.samples)
+    mu_t = check_abel_involutivity(rep, rng, cfg.samples, cfg.tol_struct)
+    check_d_exact_vs_fd(rep, cfg.rng(), cfg.samples,
                         connections.simple_mechanical_mu(A))
     # the adapted form's derivative at abel_involutivity's point draw
     g0 = np.eye(3)
     check_d_exact_vs_fd(
-        rep, cfg, cfg.rng(), cfg.samples, mu_t,
+        rep, cfg.rng(), cfg.samples, mu_t,
         sample_point=lambda rg: A.retract(g0, A.random_tangent(rg, g0),
                                           0.25 * rg.random()),
         check_id="adapted-d-exact-vs-fd")
@@ -237,19 +235,18 @@ def check_chi_eigen(rep, rng, samples):
     mu = connections.simple_mechanical_mu(A)
     nup = np.array([1.0, 1.0]) / np.sqrt(2)
     num = np.array([1.0, -1.0]) / np.sqrt(2)
-    worst = 0.0
+    gaps = []
     for _ in range(samples):
         g = A.random_point(rng)
         chi = connections.at(mu, g).chi
         r = float(SIGMA @ (g @ SIGMA))
-        worst = max(worst,
-                    np.linalg.norm(chi @ nup - (1 - r) * nup),
-                    np.linalg.norm(chi @ num - (1 + r) * num))
-    rep.add("chi-eigen", "inertia eigenvalues are 1 -+ <sigma, g sigma>",
-            worst, 1e-10)
+        gaps += [np.linalg.norm(chi @ nup - (1 - r) * nup),
+                 np.linalg.norm(chi @ num - (1 + r) * num)]
+    rep.add_worst("chi-eigen", "inertia eigenvalues are 1 -+ <sigma, g sigma>",
+                  gaps, 1e-10)
 
 
-def check_slice(rep, cfg, rng, samples):
+def check_slice(rep, rng, samples):
     """``slice_verify`` and tangency of the s1s1-on-so3 Cayley slice."""
     A = actions.get_action("s1s1-on-so3")
     g0 = np.eye(3)
@@ -269,18 +266,16 @@ def check_slice(rep, cfg, rng, samples):
                                    stabilizer_sampler=stab,
                                    nearby_sampler=nearby))
     # tangency reduces to orthogonality against the axis
-    worst = 0.0
+    dots = []
     for _ in range(samples):
         p = 0.4 * rng.standard_normal(2)
-        g = sl.psi(p)
-        w = SIGMA + g @ SIGMA
-        for dp in np.eye(2):
-            worst = max(worst, abs(float(sl.tangent(p, dp) @ w)))
-    rep.add("tangency", "slice tangents annihilate sigma + g sigma",
-            worst, 1e-8)
+        w = SIGMA + sl.psi(p) @ SIGMA
+        dots += [abs(sl.tangent(p, dp) @ w) for dp in np.eye(2)]
+    rep.add_worst("tangency", "slice tangents annihilate sigma + g sigma",
+                  dots, 1e-8)
 
 
-def check_abel_involutivity(rep, cfg, rng, samples):
+def check_abel_involutivity(rep, rng, samples, tol):
     """Involutivity near the identity of s1s1-on-so3, trivial adaptor;
     returns the adapted form."""
     A = actions.get_action("s1s1-on-so3")
@@ -294,8 +289,7 @@ def check_abel_involutivity(rep, cfg, rng, samples):
 
     adaptor = slices.trivial_adaptor(A, g0)
     rep.extend(slices.abel_involutivity(mu, adaptor, pi, iota,
-                                        samples=samples, rng=rng,
-                                        tol=cfg.tol_struct))
+                                        samples=samples, rng=rng, tol=tol))
     return slices.adapted_dual_form(mu, adaptor, pi, iota)
 
 
@@ -309,20 +303,19 @@ def scenario_us2_moving_frame(cfg: ScenarioConfig) -> VerificationReport:
 def check_us2_frame(rep, rng, samples):
     """Equivariance and the closed-form derivative of the US^2 frame."""
     A = actions.get_action("so3-on-us2")
-    worst_eq = worst_d = 0.0
+    eq_gaps, d_gaps = [], []
     for _ in range(samples):
-        p = A.random_point(rng)
-        g = A.random_group(rng)
-        worst_eq = max(worst_eq, np.linalg.norm(
-            frames.rho_us2(A.apply(g, p))
-            - np.asarray(g) @ frames.rho_us2(p)))
+        p, g = A.random_point(rng), A.random_group(rng)
+        eq_gaps.append(np.linalg.norm(frames.rho_us2(A.apply(g, p))
+                                      - np.asarray(g) @ frames.rho_us2(p)))
         v = A.random_tangent(rng, p)
-        worst_d = max(worst_d, np.linalg.norm(
+        d_gaps.append(np.linalg.norm(
             frames.dnat_rho(p, v) - frames.dnat_rho_fd(p, v)))
-    rep.add("rho-equivariance", "frame is left equivariant", worst_eq, 1e-10)
-    rep.add("dnat-closed-form",
-            "trivialized derivative matches finite differences", worst_d,
-            1e-6)
+    rep.add_worst("rho-equivariance", "frame is left equivariant", eq_gaps,
+                  1e-10)
+    rep.add_worst("dnat-closed-form",
+                  "trivialized derivative matches finite differences",
+                  d_gaps, 1e-6)
 
 
 def scenario_s2_pmf_beta(cfg: ScenarioConfig) -> VerificationReport:
@@ -333,14 +326,14 @@ def scenario_s2_pmf_beta(cfg: ScenarioConfig) -> VerificationReport:
     rep.extend(frames.beta_equivariance_check(pmf, samples=cfg.samples,
                                               rng=rng, tol=cfg.tol_struct))
     # invariant cross-section
-    worst = 0.0
+    gaps = []
     for _ in range(cfg.samples):
-        m = frames._sample_off_poles(rng)
-        g = pmf.action.random_group(rng)
-        worst = max(worst, np.linalg.norm(
+        m, g = frames._sample_off_poles(rng), pmf.action.random_group(rng)
+        gaps.append(np.linalg.norm(
             frames.cross_section(pmf, np.asarray(g) @ m)
             - frames.cross_section(pmf, m)))
-    rep.add("cross-section", "phi(m)^-1 . m is orbit invariant", worst, 1e-8)
+    rep.add_worst("cross-section", "phi(m)^-1 . m is orbit invariant", gaps,
+                  1e-8)
     check_latitude_curvature(rep, pmf, (0.6, 1.0, 1.4),
                              np.linspace(0.0, 2.0, 5))
     check_frame_d_exact_vs_fd(rep, pmf, cfg.rng(), cfg.samples)
@@ -351,7 +344,7 @@ def check_frame_d_exact_vs_fd(rep, pmf, rng, samples):
     """The closed-form ``dnat_phi`` and ``dnat_slip`` against trivialized
     central differences of phi and of the slip map along the retraction."""
     A = pmf.action
-    worst = 0.0
+    gaps = []
     for _ in range(samples):
         m = frames._sample_off_poles(rng)
         g = A.random_group(rng)
@@ -360,26 +353,25 @@ def check_frame_d_exact_vs_fd(rep, pmf, rng, samples):
             lambda t: pmf.phi(A.retract(m, v, t)), pmf.phi(m))
         fd_slip = frames._trivialized_fd(
             lambda t: pmf.slip(g, A.retract(m, v, t)), pmf.slip(g, m))
-        worst = max(worst, np.linalg.norm(pmf.dnat_phi(m, v) - fd_phi),
-                    np.linalg.norm(pmf.dnat_slip(g, m, v) - fd_slip))
-    rep.add("frame-d-exact-vs-fd",
-            "closed-form frame and slip derivatives match finite "
-            "differences", worst, 1e-6)
+        gaps += [np.linalg.norm(pmf.dnat_phi(m, v) - fd_phi),
+                 np.linalg.norm(pmf.dnat_slip(g, m, v) - fd_slip)]
+    rep.add_worst("frame-d-exact-vs-fd",
+                  "closed-form frame and slip derivatives match finite "
+                  "differences", gaps, 1e-6)
 
 
 def check_latitude_curvature(rep, pmf, thetas, ts):
     """Latitude geodesic curvature at polar angles ``thetas``, times ``ts``."""
-    worst = 0.0
+    gaps = []
     for theta0 in thetas:
         pt, vel = frames.latitude_curve(theta0)
         for t in ts:
             m, dm = pt(t), vel(t)
-            d = pmf.dnat_phi(m, dm)
             pred = cross(m, dm) + m / np.tan(theta0)
-            worst = max(worst, np.linalg.norm(d - pred))
-    rep.add("latitude-curvature",
-            "frame derivative along latitudes carries the cot(theta0) "
-            "geodesic curvature", worst, 1e-5)
+            gaps.append(np.linalg.norm(pmf.dnat_phi(m, dm) - pred))
+    rep.add_worst("latitude-curvature",
+                  "frame derivative along latitudes carries the cot(theta0) "
+                  "geodesic curvature", gaps, 1e-5)
 
 
 def scenario_property_suite_all(cfg: ScenarioConfig) -> VerificationReport:

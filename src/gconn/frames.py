@@ -287,7 +287,7 @@ def _sample_off_poles(rng, cap=0.15):
 
 def latitude_curve(theta0):
     """Unit-speed parametrization of the latitude circle at polar angle
-    theta0, with its velocity and acceleration."""
+    theta0 and its velocity, as two functions of t."""
     s = np.sin(theta0)
 
     def point(t):

@@ -30,6 +30,9 @@ import numpy as np
 # 1 -+ r), so this default is robust.
 TOL_RANK = 1e-8
 
+# Relative residual up to which SVD.solve takes b to lie in range(A).
+TOL_CONSIST = 1e-8
+
 # Default central-difference step: truncation ~h^2 = 1e-10 balances roundoff
 # ~eps/h = 1e-11.
 FD_STEP = 1e-5
@@ -203,7 +206,7 @@ class SVD:
         r = self.rank
         return self.Vt[:r].T @ ((1.0 / self.s[:r])[:, None] * self.U[:, :r].T)
 
-    def solve(self, b, *, tol_consist=1e-8):
+    def solve(self, b, *, tol_consist=TOL_CONSIST):
         """Minimum-norm solution of A x = b, requiring b in range(A).
 
         A non-finite ``b`` raises ``ValueError``.  Raises
@@ -239,7 +242,7 @@ def range_space(A):
     return SVD(A).range
 
 
-def solve_consistent(A, b, *, tol_consist=1e-8):
+def solve_consistent(A, b, *, tol_consist=TOL_CONSIST):
     """Minimum-norm solution of A x = b, requiring b in range(A); see
     :meth:`SVD.solve`."""
     return SVD(A).solve(b, tol_consist=tol_consist)

@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, asdict
 
+import numpy as np
+
 
 @dataclass
 class CheckRecord:
@@ -39,6 +41,11 @@ class VerificationReport:
         rec = CheckRecord.make(check_id, detail, residual, tolerance, point)
         self.checks.append(rec)
         return rec
+
+    def add_worst(self, check_id, detail, residuals, tolerance, point=""):
+        """Record the largest residual, or NaN (which fails) if any is NaN."""
+        worst = np.max(np.fromiter(residuals, dtype=float), initial=0.0)
+        return self.add(check_id, detail, worst, tolerance, point)
 
     def add_bool(self, check_id, detail, ok, point=""):
         """Record a yes/no check as residual 0/1 against tolerance 0.5."""

@@ -316,8 +316,7 @@ def slice_verify(S: SliceCandidate, action: Action, m0, samples=50,
         if nearby_sampler is not None:
             g = nearby_sampler(rng)
             gm = action.apply(g, m)
-            moved = norm(np.asarray(gm, dtype=float).ravel()
-                         - np.asarray(m, dtype=float).ravel())
+            moved = norm(np.subtract(gm, m))
             if moved > 1e-7:
                 rep.add_bool("slice-iii-off", "non-stabilizer leaves S",
                              not S.contains(gm, tol), f"sample {i}")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import gconn
+from gconn.connections import at
 from gconn.linalg import norm
 
 
@@ -63,3 +64,17 @@ def is_special_unitary(g, tol=1e-10):
     g = np.asarray(g, dtype=complex)
     return (np.linalg.norm(g.conj().T @ g - np.eye(g.shape[0])) < tol
             and abs(np.linalg.det(g) - 1.0) < tol)
+
+
+def regular_point(action, form, rng, cond=1e-2):
+    """Sample a point whose inertia factor is safely full-rank on the
+    complement of the isotropy (stays off the singular set)."""
+    for _ in range(10_000):
+        m = action.random_point(rng)
+        pt = at(form, m)
+        s = pt.chi_svd.s
+        # rank of the generator map: algebra dim minus isotropy dim
+        r = pt.K_svd.rank
+        if r > 0 and s[r - 1] > cond * s[0]:
+            return m
+    raise RuntimeError(f"no regular point of {action.name} in 10000 tries")

@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 
+from conftest import regular_point
 from gconn.actions import get_action, isotropy_algebra, orbit_tangent
 from gconn.cli import (_SU3_TABLE, SIGMA, ScenarioConfig,
                        check_abel_involutivity, check_chi_eigen,
@@ -44,20 +45,6 @@ def _unit(v):
 
 def _worst(rep, check_id):
     return max(c.residual for c in rep.checks if c.check_id == check_id)
-
-
-def _regular_point(action, form, rng, cond=1e-2):
-    """Sample a point whose inertia factor is safely full-rank on the
-    complement of the isotropy (stays off the singular set)."""
-    for _ in range(10_000):
-        m = action.random_point(rng)
-        pt = at(form, m)
-        s = pt.chi_svd.s
-        # rank of the generator map: algebra dim minus isotropy dim
-        r = pt.K_svd.rank
-        if r > 0 and s[r - 1] > cond * s[0]:
-            return m
-    raise RuntimeError(f"no regular point of {action.name} in 10000 tries")
 
 
 def _su3_setup():
@@ -104,8 +91,7 @@ def test_criterion_02_closed_vs_fd_curvature():
     rng = np.random.default_rng(102)
     rep = VerificationReport("criterion 02")
     t0 = time.time()
-    check_closed_vs_fd(rep, ScenarioConfig("hxh-su3-curvature"), rng, 50,
-                       lambda rg: _regular_point(A, mu, rg))
+    check_closed_vs_fd(rep, rng, 50, lambda rg: regular_point(A, mu, rg))
     dt = time.time() - t0
     worst = _worst(rep, "closed-vs-fd")
     _line(2, "closed-vs-fd-curvature", worst < 1e-5 and dt < 10.0,
@@ -136,7 +122,7 @@ def test_criterion_04_structure_equation():
     worst = 0.0
     for A, mu, n in forms:
         for _ in range(n):
-            m = _regular_point(A, mu, rng)
+            m = regular_point(A, mu, rng)
             u = _unit(A.random_tangent(rng, m))
             v = _unit(A.random_tangent(rng, m))
             worst = max(worst, structure_residual(mu, m, u, v))
@@ -157,7 +143,7 @@ def test_criterion_05_projection_suite():
     for name, mu in cases:
         A = get_action(name)
         for _ in range(1000):
-            m = _regular_point(A, mu, rng, cond=1e-3)
+            m = regular_point(A, mu, rng, cond=1e-3)
             P = projection_P_mu(mu, m)
             worst_idem = max(worst_idem, np.linalg.norm(P @ P - P))
             g = A.random_group(rng)
@@ -192,7 +178,7 @@ def test_criterion_06_interior_product_and_annihilator():
     worst_ip = 0.0
     for A, mu in forms:
         for _ in range(200):
-            m = _regular_point(A, mu, rng)
+            m = regular_point(A, mu, rng)
             eta = _unit(rng.standard_normal(A.algebra.dim))
             v = _unit(A.random_tangent(rng, m))
             worst_ip = max(worst_ip, interior_product_residual(mu, m, eta, v))
@@ -220,7 +206,7 @@ def test_criterion_07_slice_verification():
     mu = simple_mechanical_mu(A)
     rng = np.random.default_rng(107)
     rep = VerificationReport("criterion 07")
-    check_slice(rep, ScenarioConfig("s1s1-so3-slice"), rng, 50)
+    check_slice(rep, rng, 50)
     check_chi_eigen(rep, rng, 50)
     conditions = [c for c in rep.checks if c.check_id.startswith("slice-")]
     passed = sum(c.passed for c in conditions)
@@ -230,7 +216,7 @@ def test_criterion_07_slice_verification():
     nu = tame(mu)
     worst_cur = 0.0
     for _ in range(100):
-        g = _regular_point(A, mu, rng, cond=1e-3)
+        g = regular_point(A, mu, rng, cond=1e-3)
         u, v = rng.standard_normal(3), rng.standard_normal(3)
         worst_cur = max(worst_cur, np.linalg.norm(curvature(nu, g, u, v)))
     ok = (passed == len(conditions) and worst_tan < 1e-8
@@ -257,7 +243,7 @@ def test_criterion_08_involutivity():
     for A, mu, npairs in cases:
         passed = total = 0
         for _ in range(50):
-            m = _regular_point(A, mu, rng, cond=1e-3)
+            m = regular_point(A, mu, rng, cond=1e-3)
             pairs = None
             if npairs is not None:
                 E = np.eye(A.vec_dim)
@@ -271,7 +257,7 @@ def test_criterion_08_involutivity():
         details.append(f"{A.name}:{passed}/{total}")
     # involutivity near the singular base point via the adapted form
     rep = VerificationReport("criterion 08")
-    check_abel_involutivity(rep, ScenarioConfig("s1s1-so3-slice"), rng, 50)
+    check_abel_involutivity(rep, rng, 50, ScenarioConfig.tol_struct)
     ok &= rep.all_passed
     details.append(f"near-singular:{rep.summary['passed']}"
                    f"/{rep.summary['total']}")

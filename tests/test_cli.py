@@ -6,8 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gconn import linalg, slices
-from gconn.cli import SCENARIOS, ScenarioConfig, main, run_scenario
+from gconn import curvature, frames, linalg, slices
+from gconn.cli import (SCENARIOS, ScenarioConfig, check_closed_vs_fd, main,
+                       run_scenario)
 from gconn.connections import DegeneracyError
 from gconn.frames import FRAME_STEP
 from gconn.linalg import (FD_STEP, SVD, TOL_RANK, InconsistentSystemError,
@@ -293,3 +294,39 @@ def test_pass_fail_inventory(scenario):
         expected[seed] = _RAISES.get((scenario, seed),
                                      _FAILING.get(scenario, []))
     assert seen == expected
+
+
+def _nan_of(fn):
+    """``fn`` with every entry of its result replaced by NaN."""
+    def nan(*args, **kwargs):
+        return np.full(np.shape(fn(*args, **kwargs)), np.nan)
+    return nan
+
+
+def _closed_vs_fd():
+    rep = VerificationReport("closed-vs-fd")
+    check_closed_vs_fd(rep, np.random.default_rng(1), 4)
+    return rep
+
+
+@pytest.mark.parametrize("owner, name, run, check_ids", [
+    (curvature, "curvature_leftright_closed",
+     lambda: run_scenario(ScenarioConfig("s1s1-so3-slice", seed=1)),
+     ["flat"]),
+    (curvature, "curvature_leftright_closed", _closed_vs_fd,
+     ["closed-vs-fd"]),
+    (frames, "dnat_rho",
+     lambda: run_scenario(ScenarioConfig("us2-moving-frame", seed=1)),
+     ["dnat-closed-form"]),
+    (frames.PartialMovingFrame, "dnat_phi",
+     lambda: run_scenario(ScenarioConfig("s2-pmf-beta", seed=1)),
+     ["latitude-curvature", "frame-d-exact-vs-fd"]),
+], ids=["flat", "closed-vs-fd", "dnat-closed-form", "dnat-phi"])
+def test_nan_sample_fails_its_worst_of_record(monkeypatch, owner, name, run,
+                                              check_ids):
+    # max(0.0, nan) is 0.0, so a running max would pass these records
+    monkeypatch.setattr(owner, name, _nan_of(getattr(owner, name)))
+    records = {c.check_id: c for c in run().checks}
+    for check_id in check_ids:
+        assert np.isnan(records[check_id].residual), check_id
+        assert not records[check_id].passed, check_id

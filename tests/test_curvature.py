@@ -4,11 +4,11 @@ import pytest
 from gconn.actions import get_action
 from gconn.connections import (DualForm, at, fd_oracle, mu_q,
                                simple_mechanical_mu)
-from gconn.curvature import (covariant_derivative, curvature,
-                             curvature_leftright_closed, d_oneform, docile,
-                             field_bracket, good_chi_residual,
-                             horizontal_field, interior_product_residual,
-                             involutivity_check, structure_residual, tame)
+from gconn.curvature import (curvature, curvature_leftright_closed,
+                             d_oneform, docile, field_bracket,
+                             good_chi_residual, horizontal_field,
+                             interior_product_residual, involutivity_check,
+                             structure_residual, tame)
 from gconn.linalg import InconsistentSystemError
 
 

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import fd_reference
+from conftest import regular_point
 from gconn import connections, frames, linalg
 from gconn import curvature as curvature_module
 from gconn.actions import get_action
@@ -38,16 +39,6 @@ def _h2_ratio(exact, curve, h=1e-3):
     far = norm(curve_derivative(curve, h) - exact)
     near = norm(curve_derivative(curve, h / 2) - exact)
     return far / near, near / max(1.0, norm(exact))
-
-
-def _regular_point(A, mu, rng, cond=1e-2):
-    for _ in range(1000):
-        m = A.random_point(rng)
-        pt = at(mu, m)
-        r = pt.K_svd.rank
-        if pt.chi_svd.s[r - 1] > cond * pt.chi_svd.s[0]:
-            return m
-    raise RuntimeError("no regular point")
 
 
 def _forms(name):
@@ -108,7 +99,7 @@ def test_horizontal_field_derivative_follows_the_h2_law(name):
     rng = np.random.default_rng(63)
     for mu in _forms(name):
         for _ in range(3):
-            m = _regular_point(A, mu, rng)
+            m = regular_point(A, mu, rng)
             X = horizontal_field(mu, rng.standard_normal(A.vec_dim))
             w = A.random_tangent(rng, m)
             ratio, gap = _h2_ratio(X.derivative(at(mu, m), w),
@@ -201,7 +192,7 @@ def test_exact_curvature_matches_the_oracle(name):
     oracle = fd_oracle(nu)
     rng = np.random.default_rng(66)
     for _ in range(5):
-        g = _regular_point(A, nu, rng)
+        g = regular_point(A, nu, rng)
         u, v = rng.standard_normal(A.vec_dim), rng.standard_normal(A.vec_dim)
         om = curvature(nu, g, u, v)
         assert np.max(np.abs(om - curvature(oracle, g, u, v))) < 1e-6
@@ -214,7 +205,7 @@ def test_exact_field_bracket_matches_the_oracle(name):
     rng = np.random.default_rng(68)
     for mu in _forms(name):
         for _ in range(3):
-            m = _regular_point(A, mu, rng)
+            m = regular_point(A, mu, rng)
             a, b = rng.standard_normal((2, A.vec_dim))
             X, Y = horizontal_field(mu, a), horizontal_field(mu, b)
             br = field_bracket(A, X, Y, at(mu, m))
@@ -228,7 +219,7 @@ def test_exact_involutivity_matches_the_oracle(name):
     rng = np.random.default_rng(67)
     for mu in _forms(name):
         for _ in range(2):
-            m = _regular_point(A, mu, rng, cond=1e-3)
+            m = regular_point(A, mu, rng, cond=1e-3)
             # every pair of basis fields; the reference run takes d mu and
             # the bracket by differencing values
             exact = involutivity_check(mu, m)
@@ -443,7 +434,7 @@ def test_r3_horizontal_field_derivative_follows_the_h2_law():
     rng = np.random.default_rng(79)
     for mu in (mu_q(lambda t: 1.0 + np.exp(-t)), simple_mechanical_mu(A)):
         for _ in range(3):
-            m = _regular_point(A, mu, rng)
+            m = regular_point(A, mu, rng)
             X = horizontal_field(mu, rng.standard_normal(3))
             w = A.random_tangent(rng, m)
             ratio, gap = _h2_ratio(X.derivative(at(mu, m), w),
@@ -517,7 +508,7 @@ def test_structure_residual_differentiates_once_per_direction(monkeypatch):
     mu = simple_mechanical_mu(A)
     tamed = tame(mu)
     rng = np.random.default_rng(90)
-    m = _regular_point(A, tamed, rng)
+    m = regular_point(A, tamed, rng)
     u, v = A.random_tangent(rng, m), A.random_tangent(rng, m)
     directions, dgen_calls, base_calls = [], [], []
     dmatrix, matrix = tamed._dmatrix_fn, mu._matrix_fn

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import is_special_orthogonal, is_special_unitary
-from gconn.groups import (LieAlgebra, cay, cross, exp_so3, hat, vee,
-                          so3_algebra, su3_basis)
+from gconn.groups import (cay, cross, exp_so3, hat, so3_algebra, su3_basis,
+                          vee)
 
 
 def test_hat_vee_roundtrip():

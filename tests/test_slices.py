@@ -5,7 +5,7 @@ from gconn.actions import get_action
 from gconn import curvature
 from gconn.cli import ScenarioConfig, run_scenario
 from gconn.connections import PointEval, simple_mechanical_mu
-from gconn.groups import cay, exp_so3
+from gconn.groups import exp_so3
 from gconn import slices
 from gconn.linalg import central_difference
 from gconn.slices import (Adaptor, AdaptorContractError, SliceCandidate,
