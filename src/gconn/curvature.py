@@ -135,40 +135,37 @@ def tame(mu: DualForm) -> DualForm:
 # closed-form curvature for two-sided torus actions on a group
 
 def curvature_leftright_closed(action, g, xi, omega):
-    """Curvature of the tamed two-sided-torus form, by exact linear algebra.
+    """Right-trivialized curvature of the tamed two-sided-torus form.
 
-    For the action (h, k) . g = h g k^(-1) of H x H on G the ingredients of
-    the curvature are all explicit: project the right-trivialized inputs
-    onto the metric complement of h + Ad_g h, bracket them in the ambient
-    algebra, pair the result against the generators to obtain the covariant
-    derivative, and solve the (always consistent) tamed inertia system.
-    Returns the right-trivialized coordinates of the curvature vector.
+    For (h, k) . g = h g k^(-1) on G, K = [H, -Ad_g H] spans h + Ad_g h, and
+    one SVD R K = U diag(s) V^T (gram G = R^T R, ``gram_factor``; U_r, s_r, V_r
+    at the cutoff in force) serves three steps.  The inputs are projected onto
+    the metric complement of range K by I - K (K^T G K)^+ K^T G =
+    I - R^-1 U_r U_r^T R, as A (A^T A)^+ A^T is the orthogonal projector
+    U_r U_r^T onto range A, A = R K.  Their bracket b gives the covariant
+    derivative on h x h, nab = [H^T G b; (Ad_g H)^T G b] (Ad_g is isometric).
+    The tamed system chi # chi zeta = chi # nab, chi = K^T G K, is the normal
+    equations of min |#^(1/2) (chi zeta - nab)|: with c = s_r^2 V_r^T zeta it
+    is (V_r^T # V_r) c = V_r^T # nab, and K zeta = R^-1 U_r (c / s_r).  chi and
+    chi # chi are never formed, so roundoff grows with cond(R K), not its
+    fourth power, and the r x r system is invertible for every nab: there is
+    no consistency test.  Non-finite input raises ``ValueError``.
     """
     alg = action.manifold_alg
-    act = action.algebra
-    G = alg.gram
-    H = act.h                                # ambient coords of h basis
-    K = action.gen_matrix(g)                 # [H, -Ad_g H]
-    # ambient coords of Ad_g h; C order keeps the products below bit-equal
-    # to those of alg.Ad_matrix(g) @ H on hxh-on-su3
-    AdH = np.ascontiguousarray(-K[:, H.shape[1]:])
-    S = np.hstack([H, AdH])                  # spans h + Ad_g h
-
-    # metric-orthogonal projection of xi and omega onto (h + Ad_g h)^perp
+    R, R_inv = alg.gram_factor
+    K = action.gen_matrix(g)
     W = np.column_stack([np.asarray(xi, dtype=float).ravel(),
                          np.asarray(omega, dtype=float).ravel()])
-    StG = S.T @ G
-    xi_h, om_h = (W - S @ (SVD(StG @ S).pinv @ (StG @ W))).T
-    b = alg.bracket(xi_h, om_h)
-
-    # covariant derivative on h x h; Ad_g is isometric, so the second half
-    # pairs h with Ad_g^-1 b as <Ad_g h, b>
-    nab = np.concatenate([H.T @ G @ b, AdH.T @ G @ b])
-
-    chi = K.T @ G @ K
-    sharp = act.gram_inv
-    zeta = SVD(chi @ sharp @ chi).solve(chi @ sharp @ nab, tol_consist=1e-6)
-    return K @ zeta
+    if not np.isfinite(W).all():
+        raise ValueError("curvature_leftright_closed: non-finite input")
+    svd = SVD(R @ K)
+    U, s, V = svd.U[:, :svd.rank], svd.s[:svd.rank], svd.Vt[:svd.rank].T
+    xi_h, om_h = (W - R_inv @ (U @ (U.T @ (R @ W)))).T
+    nab = K.T @ (alg.gram @ alg.bracket(xi_h, om_h))
+    nab[K.shape[1] // 2:] *= -1.0
+    sharp_V = action.algebra.gram_inv @ V
+    c = np.linalg.solve(V.T @ sharp_V, sharp_V.T @ nab)
+    return R_inv @ (U @ (c / s))
 
 
 # ---------------------------------------------------------------------------

@@ -210,14 +210,11 @@ class LieAlgebra:
         self.gram = np.array([[pairing(a, b) for b in self.basis]
                               for a in self.basis])
         self.gram_inv = np.linalg.inv(self.gram)
-        # flatten basis matrices (real + imag parts) for coordinate recovery
-        flat = []
-        for B in self.basis:
-            Bc = np.asarray(B, dtype=complex)
-            flat.append(np.concatenate([Bc.real.ravel(), Bc.imag.ravel()]))
-        self._flat = np.array(flat).T  # (2 n^2) x dim
-        self._flat_pinv = np.linalg.pinv(self._flat)  # dim x (2 n^2)
         self._stacked = np.array(self.basis)  # dim x n x n
+        # basis matrices as columns of real, then imaginary parts: 2n^2 x dim
+        flat = self._stacked.astype(complex).reshape(self.dim, -1)
+        self._flat = np.concatenate([flat.real, flat.imag], axis=1).T
+        self._flat_pinv = np.linalg.pinv(self._flat)  # dim x (2 n^2)
 
     # -- coordinates ---------------------------------------------------
 
@@ -265,6 +262,12 @@ class LieAlgebra:
         # C[:, i * d + j] = coords [B_i, B_j], the column j of ad_{B_i}
         return np.ascontiguousarray(
             C.reshape(d, d, d).transpose(1, 0, 2).reshape(d, d * d))
+
+    @cached_property
+    def gram_factor(self):
+        """(R, R^-1), gram = R^T R with R upper triangular; on first use."""
+        R = np.linalg.cholesky(self.gram).T
+        return R, np.linalg.inv(R)
 
     def ad_matrix(self, a):
         """Matrix of ad_a = [a, .] on coordinates."""

@@ -3,12 +3,16 @@
 A report is an ordered list of check records; each record states which
 identity was tested, at which sample point, the residual obtained and the
 tolerance it was held to.  Serialization is deterministic (sorted keys,
-records kept in insertion order) so identical runs give identical bytes.
+records kept in insertion order) so identical runs give identical bytes,
+and strict JSON: a non-finite residual is written as the string "NaN",
+"Infinity" or "-Infinity", which :meth:`VerificationReport.from_json`
+reads back as the float.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -74,7 +78,12 @@ class VerificationReport:
         }
 
     def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        data = self.to_dict()
+        for c in data["checks"]:
+            if not math.isfinite(c["residual"]):
+                c["residual"] = json.dumps(c["residual"])  # "NaN", ...
+        return json.dumps(data, sort_keys=True, indent=2,
+                          allow_nan=False) + "\n"
 
     @staticmethod
     def from_json(text: str) -> "VerificationReport":
@@ -84,7 +93,7 @@ class VerificationReport:
         for c in data.get("checks", []):
             rep.checks.append(CheckRecord(
                 check_id=c["check_id"], detail=c["detail"], point=c["point"],
-                residual=c["residual"], tolerance=c["tolerance"],
+                residual=float(c["residual"]), tolerance=c["tolerance"],
                 passed=c["passed"]))
         return rep
 

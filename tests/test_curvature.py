@@ -189,14 +189,28 @@ def test_curvature_evaluates_generators_once_per_point(monkeypatch, name):
     assert len(calls) == 1
 
 
-def test_closed_curvature_decomposes_twice(decompositions):
-    A = get_action("hxh-on-su3")
+@pytest.mark.parametrize("name", ["hxh-on-su3", "s1s1-on-so3"])
+def test_closed_curvature_decomposes_once(monkeypatch, decompositions, name):
+    A = get_action(name)
     rng = np.random.default_rng(46)
     g = A.random_point(rng)
-    curvature_leftright_closed(A, g, rng.standard_normal(8),
-                               rng.standard_normal(8))
-    # one SVD projects xi and omega together, one solves the tamed system
-    assert decompositions == {"svd": 2}
+    u, v = rng.standard_normal(A.vec_dim), rng.standard_normal(A.vec_dim)
+    curvature_leftright_closed(A, g, u, v)   # takes the gram factor once
+    # K is taken before the spies: on su(3) gen_matrix's conjugation
+    # inverts g, and its one call per point is pinned below
+    K = A.gen_matrix(g)
+    monkeypatch.setattr(type(A), "gen_matrix", lambda self, m: K)
+    decompositions.clear()
+    for fn in ("cholesky", "inv", "solve"):
+        def counted(a, *args, _fn=fn, _f=getattr(np.linalg, fn)):
+            decompositions[_fn, np.shape(a)] += 1
+            return _f(a, *args)
+        monkeypatch.setattr(np.linalg, fn, counted)
+    curvature_leftright_closed(A, g, u, v)
+    # one SVD of R K projects xi and omega and solves the tamed system,
+    # with one r x r solve (r = 2 dim h at a point without isotropy)
+    r = K.shape[1]
+    assert decompositions == {"svd": 1, ("solve", (r, r)): 1}
 
 
 def test_closed_curvature_computes_Ad_once(monkeypatch):
