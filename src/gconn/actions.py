@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import groups
+from . import groups, linalg
 from .linalg import Subspace, norm, rank_nullspace, range_space
 
 
@@ -72,7 +72,7 @@ class Action:
         raise NotImplementedError
 
     def group_inv(self, g):
-        return np.linalg.inv(g)
+        return linalg.inv(g)
 
     def Ad_group(self, g):
         """Adjoint of the acting group on acting-algebra coordinates."""
@@ -229,7 +229,7 @@ class So3OnUS2(So3OnVectors):
         C[2, :3] = u
         C[2, 3:] = m
         v = np.asarray(v, float).ravel()
-        lam = np.linalg.solve(C @ C.T, C @ v)
+        lam = linalg.solve(C @ C.T, C @ v)
         return v - C.T @ lam
 
     def dproject_tangent(self, p, w, v):  # no check differentiates on US^2
@@ -286,14 +286,14 @@ class TorusSquareOnGroup(Action):
 
     def group_inv(self, g):
         h, k = g
-        return (np.linalg.inv(h), np.linalg.inv(k))
+        return (linalg.inv(h), linalg.inv(k))
 
     def Ad_group(self, g):
         return np.eye(self.algebra.dim)  # torus: abelian
 
     def apply(self, g, m):
         h, k = g
-        return h @ m @ np.linalg.inv(k)
+        return h @ m @ linalg.inv(k)
 
     def gen_matrix(self, m):
         # [h, -Ad_m h] in F order: the products that consume K round by

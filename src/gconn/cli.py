@@ -24,7 +24,7 @@ import numpy as np
 
 from . import actions, connections, curvature, frames, slices
 from .groups import cross, exp_so3
-from .linalg import FD_STEP, SVD, TOL_RANK, Subspace, numerics
+from .linalg import FD_STEP, SVD, TOL_RANK, Subspace, norm, numerics
 from .report import VerificationReport
 
 
@@ -67,7 +67,7 @@ def scenario_so3_r3_basics(cfg: ScenarioConfig) -> VerificationReport:
         m = A.random_point(rng)
         P = connections.projection_P_mu(mu, m)
         rep.add("P-idempotent", "P_mu squares to itself",
-                np.linalg.norm(P @ P - P), 1e-9, f"sample {i}")
+                norm(P @ P - P), 1e-9, f"sample {i}")
     # clean form of the singular partial connection form
     alpha = connections.alpha_so3r3(lambda m: 0.3 * np.exp(-(m @ m)))
     alpha0 = connections.alpha_so3r3(lambda m: 0.0)
@@ -75,11 +75,11 @@ def scenario_so3_r3_basics(cfg: ScenarioConfig) -> VerificationReport:
     gaps = []
     for _ in range(cfg.samples):
         m, v = A.random_point(rng), rng.standard_normal(3)
-        gaps.append(np.linalg.norm(clean(m, v) - alpha0(m, v)))
+        gaps.append(norm(clean(m, v) - alpha0(m, v)))
     rep.add_worst("clean-form",
                   "cleaning removes the radial isotropy component", gaps, 1e-9)
     # discontinuity witness at the origin
-    lim = np.linalg.norm(alpha0.matrix(1e-6 * np.eye(3)[2]))
+    lim = norm(alpha0.matrix(1e-6 * np.eye(3)[2]))
     rep.add_bool("alpha-discontinuous",
                  "partial connection form stays bounded away from its value "
                  "at the singular point", lim > 0.5)
@@ -105,13 +105,13 @@ def scenario_so3_r3_docility(cfg: ScenarioConfig) -> VerificationReport:
         u, v, val = witness
         rep.add("witness-value",
                 "exterior derivative at 0 is twice the weighted cross "
-                "product", np.linalg.norm(val - 2.0 * cross(u, v)), 1e-6)
+                "product", norm(val - 2.0 * cross(u, v)), 1e-6)
     ok_t, _ = curvature.docile(mut, origin)
     rep.add_bool("docile", "vanishing-weight form is docile at 0", ok_t)
     u, v = rng.standard_normal(3), rng.standard_normal(3)
     om = curvature.curvature(mut, origin, u, v)
     rep.add("zero-curvature", "curvature at the origin vanishes",
-            np.linalg.norm(om), 1e-7)
+            norm(om), 1e-7)
     return rep
 
 
@@ -142,11 +142,11 @@ def scenario_hxh_su3_curvature(cfg: ScenarioConfig) -> VerificationReport:
                 if want is not None:
                     rep.add(f"table-{i}{j}",
                             "closed-form curvature matches the tabulated "
-                            "value", np.linalg.norm(om - want), 1e-9, tag)
+                            "value", norm(om - want), 1e-9, tag)
                 else:
                     rep.add(f"zero-{i}{j}",
                             "curvature vanishes on this basis pair",
-                            np.linalg.norm(om), 1e-9, tag)
+                            norm(om), 1e-9, tag)
         svd = SVD(np.array(vals))
         s = svd.s
         rep.add_bool("rank-two", "curvature has numerical rank two",
@@ -190,8 +190,7 @@ def check_d_exact_vs_fd(rep, rng, samples, mu, sample_point=None,
         m = sample_point(rng)
         w = A.random_tangent(rng, m)
         K = A.gen_matrix(m)
-        gaps.append(np.linalg.norm(
-            mu.dmatrix(m, w, K) - oracle.dmatrix(m, w, K)))
+        gaps.append(norm(mu.dmatrix(m, w, K) - oracle.dmatrix(m, w, K)))
     rep.add_worst(check_id,
                   "exact derivative of the form matches finite differences",
                   gaps, 1e-6)
@@ -211,8 +210,7 @@ def scenario_s1s1_so3_slice(cfg: ScenarioConfig) -> VerificationReport:
     for _ in range(cfg.samples):
         g = A.random_point(rng)
         u, v = rng.standard_normal(3), rng.standard_normal(3)
-        norms.append(np.linalg.norm(
-            curvature.curvature_leftright_closed(A, g, u, v)))
+        norms.append(norm(curvature.curvature_leftright_closed(A, g, u, v)))
     rep.add_worst("flat", "closed-form curvature vanishes identically",
                   norms, 1e-7)
     check_slice(rep, rng, cfg.samples)
@@ -240,8 +238,8 @@ def check_chi_eigen(rep, rng, samples):
         g = A.random_point(rng)
         chi = connections.at(mu, g).chi
         r = float(SIGMA @ (g @ SIGMA))
-        gaps += [np.linalg.norm(chi @ nup - (1 - r) * nup),
-                 np.linalg.norm(chi @ num - (1 + r) * num)]
+        gaps += [norm(chi @ nup - (1 - r) * nup),
+                 norm(chi @ num - (1 + r) * num)]
     rep.add_worst("chi-eigen", "inertia eigenvalues are 1 -+ <sigma, g sigma>",
                   gaps, 1e-10)
 
@@ -306,11 +304,10 @@ def check_us2_frame(rep, rng, samples):
     eq_gaps, d_gaps = [], []
     for _ in range(samples):
         p, g = A.random_point(rng), A.random_group(rng)
-        eq_gaps.append(np.linalg.norm(frames.rho_us2(A.apply(g, p))
-                                      - np.asarray(g) @ frames.rho_us2(p)))
+        eq_gaps.append(norm(frames.rho_us2(A.apply(g, p))
+                            - np.asarray(g) @ frames.rho_us2(p)))
         v = A.random_tangent(rng, p)
-        d_gaps.append(np.linalg.norm(
-            frames.dnat_rho(p, v) - frames.dnat_rho_fd(p, v)))
+        d_gaps.append(norm(frames.dnat_rho(p, v) - frames.dnat_rho_fd(p, v)))
     rep.add_worst("rho-equivariance", "frame is left equivariant", eq_gaps,
                   1e-10)
     rep.add_worst("dnat-closed-form",
@@ -329,9 +326,8 @@ def scenario_s2_pmf_beta(cfg: ScenarioConfig) -> VerificationReport:
     gaps = []
     for _ in range(cfg.samples):
         m, g = frames._sample_off_poles(rng), pmf.action.random_group(rng)
-        gaps.append(np.linalg.norm(
-            frames.cross_section(pmf, np.asarray(g) @ m)
-            - frames.cross_section(pmf, m)))
+        gaps.append(norm(frames.cross_section(pmf, np.asarray(g) @ m)
+                         - frames.cross_section(pmf, m)))
     rep.add_worst("cross-section", "phi(m)^-1 . m is orbit invariant", gaps,
                   1e-8)
     check_latitude_curvature(rep, pmf, (0.6, 1.0, 1.4),
@@ -353,8 +349,8 @@ def check_frame_d_exact_vs_fd(rep, pmf, rng, samples):
             lambda t: pmf.phi(A.retract(m, v, t)), pmf.phi(m))
         fd_slip = frames._trivialized_fd(
             lambda t: pmf.slip(g, A.retract(m, v, t)), pmf.slip(g, m))
-        gaps += [np.linalg.norm(pmf.dnat_phi(m, v) - fd_phi),
-                 np.linalg.norm(pmf.dnat_slip(g, m, v) - fd_slip)]
+        gaps += [norm(pmf.dnat_phi(m, v) - fd_phi),
+                 norm(pmf.dnat_slip(g, m, v) - fd_slip)]
     rep.add_worst("frame-d-exact-vs-fd",
                   "closed-form frame and slip derivatives match finite "
                   "differences", gaps, 1e-6)
@@ -368,7 +364,7 @@ def check_latitude_curvature(rep, pmf, thetas, ts):
         for t in ts:
             m, dm = pt(t), vel(t)
             pred = cross(m, dm) + m / np.tan(theta0)
-            gaps.append(np.linalg.norm(pmf.dnat_phi(m, dm) - pred))
+            gaps.append(norm(pmf.dnat_phi(m, dm) - pred))
     rep.add_worst("latitude-curvature",
                   "frame derivative along latitudes carries the cot(theta0) "
                   "geodesic curvature", gaps, 1e-5)

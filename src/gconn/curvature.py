@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import linalg
 from .actions import Action
 from .connections import DualForm, PointEval, at
 from .linalg import SVD, norm
@@ -164,7 +165,7 @@ def curvature_leftright_closed(action, g, xi, omega):
     nab = K.T @ (alg.gram @ alg.bracket(xi_h, om_h))
     nab[K.shape[1] // 2:] *= -1.0
     sharp_V = action.algebra.gram_inv @ V
-    c = np.linalg.solve(V.T @ sharp_V, sharp_V.T @ nab)
+    c = linalg.solve(V.T @ sharp_V, sharp_V.T @ nab)
     return R_inv @ (U @ (c / s))
 
 

@@ -31,6 +31,8 @@ from functools import cached_property
 
 import numpy as np
 
+from . import linalg
+
 _EPS_AXIS = 1e-12
 # How far g g^T may be from I (Frobenius) for conjugation by g on so(3) to
 # take the closed form for rotations; anything else takes the general path.
@@ -292,7 +294,7 @@ class LieAlgebra:
             C = _rotate_so3_stack(g, stack)
             if C is not None:
                 return C
-        return self._coords_columns(g @ stack @ np.linalg.inv(g))
+        return self._coords_columns(g @ stack @ linalg.inv(g))
 
     def Ad_matrix(self, g):
         """Matrix of Ad_g on coordinates: columns are coords(g B_i g^-1)."""
@@ -309,7 +311,7 @@ class LieAlgebra:
             return exp_so3(coords)
         A = np.asarray(self.matrix(coords), dtype=complex)
         H = A / 1j  # Hermitian
-        w, V = np.linalg.eigh(H)
+        w, V = linalg.eigh(H)
         return (V * np.exp(1j * w)) @ V.conj().T
 
     def __repr__(self):

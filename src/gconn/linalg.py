@@ -11,6 +11,15 @@ decomposition.  :func:`rank_nullspace`, :func:`range_space`,
 of it.  :func:`norm` is the Euclidean norm of a real array by numpy's own
 formula, without ``np.linalg.norm``'s dispatch.
 
+This is the one module that calls LAPACK for the per-point work.
+:func:`svd`, :func:`inv`, :func:`solve` and :func:`eigh` call the gufuncs
+that ``np.linalg`` wraps, with the signatures it passes, so their results
+are bit-equal to ``np.linalg``'s; on matrices this small, ``np.linalg``'s
+per-call dispatch (array wrapping, type resolution, an ``errstate``
+context, casts of the results) costs more than the routine itself.  Code
+that runs once per algebra or action, at construction, keeps
+``np.linalg``.
+
 The rank cutoff and the first-difference step have one source, the
 setting that :func:`numerics` makes for a block (the CLI for a scenario);
 :class:`SVD` records the cutoff it used, the differences take the step
@@ -24,6 +33,8 @@ from contextlib import contextmanager
 from functools import cached_property
 
 import numpy as np
+from numpy.linalg import LinAlgError
+from numpy.linalg import _umath_linalg as _lapack
 
 # Relative singular-value threshold for rank decisions.  The spectra arising
 # from the built-in group actions are well separated (eigenvalues like 0 and
@@ -85,6 +96,54 @@ def norm(x):
         raise TypeError("norm: complex input")
     x = np.asarray(x, dtype=float).ravel(order="K")
     return math.sqrt(x.dot(x))
+
+
+def _nan_free(x, message):
+    """``x``, unless it holds a NaN: then ``LinAlgError(message)``.
+
+    A LAPACK routine that fails fills its output with NaN and flags an
+    invalid value, which numpy reports as a ``RuntimeWarning`` before this
+    raises (``np.linalg``'s ``errstate`` raises at the flag instead).  A NaN
+    in the input raises here too, where ``np.linalg`` may return NaN.
+    """
+    if math.isnan(np.vdot(x, x).real):
+        raise LinAlgError(message)
+    return x
+
+
+def svd(a):
+    """Full SVD ``(U, s, Vt)`` of a real matrix, bit-equal to
+    ``np.linalg.svd(a)``; ``LinAlgError`` where it did not converge."""
+    U, s, Vt = _lapack.svd_f(a, signature="d->ddd")
+    _nan_free(s, "SVD did not converge")
+    return U, s, Vt
+
+
+def inv(a):
+    """Inverse of a real or complex square matrix, bit-equal to
+    ``np.linalg.inv(a)``; ``LinAlgError`` if singular, the gufunc's
+    ``ValueError`` if not square."""
+    a = np.asarray(a)
+    sig = "D->D" if a.dtype.kind == "c" else "d->d"
+    return _nan_free(_lapack.inv(a, signature=sig), "Singular matrix")
+
+
+def solve(a, b):
+    """Solution of the real square system a x = b, for a 1-d or a 2-d
+    ``b``, bit-equal to ``np.linalg.solve(a, b)``; ``LinAlgError`` if a is
+    singular."""
+    b = np.asarray(b)
+    gufunc = _lapack.solve1 if b.ndim == 1 else _lapack.solve
+    return _nan_free(gufunc(a, b, signature="dd->d"), "Singular matrix")
+
+
+def eigh(a):
+    """Eigenvalues ``w`` (ascending) and eigenvectors of a complex Hermitian
+    matrix from its lower triangle, bit-equal to ``np.linalg.eigh(a)``;
+    ``LinAlgError`` where it did not converge."""
+    w, V = _lapack.eigh_lo(a, signature="D->dD")
+    _nan_free(w, "Eigenvalues did not converge")
+    return w, V
 
 
 class Subspace:
@@ -165,7 +224,7 @@ class SVD:
         if not np.isfinite(self.A).all():
             raise ValueError("SVD: non-finite entries")
         self.tol_rank = _tol_rank
-        self.U, self.s, self.Vt = np.linalg.svd(self.A)
+        self.U, self.s, self.Vt = svd(self.A)
         s = self.s.tolist()
         cutoff = self.tol_rank * s[0] if s and s[0] > 0 else 0.0
         self.rank = sum(x > cutoff for x in s)

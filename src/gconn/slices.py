@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import groups
+from . import groups, linalg
 from .actions import Action, isotropy_algebra, orbit_tangent
 from .connections import DualForm, PointEval, at
 from .curvature import field_bracket
@@ -77,7 +77,7 @@ def adapted_inertia(mu: DualForm, adaptor: Adaptor, m):
     # non-trivial kernel needs the inverse
     kern = pt.chi_svd.kernel.basis
     if kern.size:
-        kern = np.linalg.inv(Ad) @ kern
+        kern = linalg.inv(Ad) @ kern
     if not all(adaptor.iso0.contains(v, 1e-6) for v in kern.T):
         raise AdaptorContractError(
             "ker chi_phi escapes the reference isotropy algebra")
@@ -259,7 +259,7 @@ def cayley_slice(sigma, g0, r=1.0) -> SliceCandidate:
     def velocity(g, w):
         return groups.hat(w) @ g
 
-    g0_inv = np.linalg.inv(g0)
+    g0_inv = linalg.inv(g0)
 
     def chart(g):
         try:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import gconn
+from gconn import linalg
 from gconn.connections import at
 from gconn.linalg import norm
 
@@ -23,11 +24,11 @@ def cli_imports_this_tree():
 
 @pytest.fixture
 def decompositions(monkeypatch):
-    """Counts of the numpy.linalg entry points that decompose a matrix:
-    ``svd``, ``lstsq``, ``pinv`` and the spectral norm ``norm(A, 2)`` of a
-    2-d A."""
+    """Counts of the entry points that decompose a matrix: the package's
+    one SVD, ``gconn.linalg.svd``, and numpy.linalg's ``lstsq``, ``pinv``
+    and spectral norm ``norm(A, 2)`` of a 2-d A."""
     counts = Counter()
-    svd, lstsq = np.linalg.svd, np.linalg.lstsq
+    svd, lstsq = linalg.svd, np.linalg.lstsq
     pinv, norm = np.linalg.pinv, np.linalg.norm
 
     def counted_svd(*args, **kwargs):
@@ -47,7 +48,7 @@ def decompositions(monkeypatch):
             counts["spectral_norm"] += 1
         return norm(x, ord, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(linalg, "svd", counted_svd)
     monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
     monkeypatch.setattr(np.linalg, "pinv", counted_pinv)
     monkeypatch.setattr(np.linalg, "norm", counted_norm)

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from gconn.linalg import (FD_STEP, SVD, TOL_RANK, InconsistentSystemError,
                           Subspace, central_difference, curve_derivative,
-                          norm, numerics, range_space, rank_nullspace,
-                          solve_consistent)
+                          eigh, inv, norm, numerics, range_space,
+                          rank_nullspace, solve, solve_consistent, svd)
 
 finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 
@@ -230,3 +230,98 @@ def test_norm_is_numpys_norm_bit_for_bit():
     # an imaginary part is never dropped
     with pytest.raises(TypeError):
         norm(np.array([1.0, 1j]))
+
+
+# every matrix shape the package decomposes, and the square ones it inverts
+# and solves with
+SHAPES = [(1, 3), (2, 2), (2, 3), (3, 2), (3, 3), (4, 3), (4, 4), (8, 4),
+          (9, 2)]
+SQUARE = [shape for shape in SHAPES if shape[0] == shape[1]]
+
+
+def _layouts(rng, shape):
+    """A float matrix of ``shape`` as a C-ordered, an F-ordered and a
+    strided array, and an int matrix."""
+    A = rng.standard_normal(shape)
+    big = rng.standard_normal((2 * shape[0], shape[1] + 1))
+    return [A, np.asfortranarray(A), big[::2, 1:],
+            rng.integers(-9, 10, size=shape)]
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_svd_is_numpys_svd_bit_for_bit(shape):
+    rng = np.random.default_rng(31)
+    for A in _layouts(rng, shape):
+        want, d = np.linalg.svd(A), SVD(A)
+        assert all(map(_same_bits, svd(A), want))
+        assert all(map(_same_bits, (d.U, d.s, d.Vt), want))
+
+
+@pytest.mark.parametrize("shape", SQUARE)
+def test_inv_solve_eigh_are_numpys_bit_for_bit(shape):
+    rng = np.random.default_rng(32)
+    n = shape[0]
+    for A in _layouts(rng, shape):
+        assert _same_bits(inv(A), np.linalg.inv(A))
+        for b in (rng.standard_normal(n), rng.standard_normal((n, 2)),
+                  np.asfortranarray(rng.standard_normal((n, n)))):
+            assert _same_bits(solve(A, b), np.linalg.solve(A, b))
+        H = (A + A.T) + 1j * (A - A.T)  # Hermitian
+        assert all(map(_same_bits, eigh(H), np.linalg.eigh(H)))
+
+
+def test_complex_inv_and_hermitian_eigh_are_numpys_bit_for_bit():
+    rng = np.random.default_rng(33)
+    Z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    H = Z + Z.conj().T
+    for M in (Z, np.asfortranarray(Z), Z.T):
+        assert _same_bits(inv(M), np.linalg.inv(M))
+    for M in (H, np.asfortranarray(H), H.T):
+        assert all(map(_same_bits, eigh(M), np.linalg.eigh(M)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda S: inv(S),
+    lambda S: solve(S, np.ones(2)),
+    lambda S: solve(S, np.ones((2, 3))),
+], ids=["inv", "solve-1d", "solve-2d"])
+def test_singular_system_raises_linalg_error(call):
+    S = np.array([[1.0, 2.0], [2.0, 4.0]])
+    # without np.linalg's errstate numpy warns first; the entry then raises
+    with pytest.warns(RuntimeWarning, match="invalid value"), \
+            pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        call(S)
+
+
+def test_nan_result_raises_linalg_error():
+    N = np.full((2, 2), np.nan)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="SVD did not converge"):
+            svd(N)
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="Eigenvalues did not converge"):
+            eigh(N + 0j)
+
+
+def test_non_square_input_raises_value_error():
+    with pytest.raises(ValueError) as exc:
+        inv(np.ones((2, 3)))
+    assert not isinstance(exc.value, np.linalg.LinAlgError)
+    with pytest.raises(ValueError):
+        solve(np.ones((2, 3)), np.ones(2))
+    with pytest.raises(ValueError):
+        eigh(np.ones((3, 2)))
+
+
+def test_svd_refuses_non_finite_input_before_decomposing(decompositions):
+    with pytest.raises(ValueError, match="SVD: non-finite entries") as exc:
+        SVD(np.array([[1.0, np.inf], [0.0, 1.0]]))
+    assert type(exc.value) is ValueError
+    assert decompositions == {}

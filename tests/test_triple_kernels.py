@@ -22,6 +22,7 @@ import math
 import numpy as np
 import pytest
 
+from gconn import linalg
 from gconn.actions import get_action
 from gconn.connections import mu_q
 from gconn.frames import (DomainError, PartialMovingFrame, _sample_off_poles,
@@ -500,8 +501,10 @@ def test_so3_kernels_make_no_solve_inverse_or_projection(monkeypatch):
             return f(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(np.linalg, "solve", spy("solve", np.linalg.solve))
-    monkeypatch.setattr(np.linalg, "inv", spy("inv", np.linalg.inv))
+    for module, prefix in [(linalg, ""), (np.linalg, "np.linalg.")]:
+        for fn in ("solve", "inv"):
+            monkeypatch.setattr(module, fn,
+                                spy(prefix + fn, getattr(module, fn)))
     monkeypatch.setattr(LieAlgebra, "_coords_columns",
                         spy("_coords_columns", LieAlgebra._coords_columns))
     rng = np.random.default_rng(96)
