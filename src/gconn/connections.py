@@ -14,7 +14,7 @@ import numpy as np
 
 from .actions import Action
 from .linalg import (SVD, TOL_CONSIST, Subspace, curve_derivative,
-                     fd_step_in_force, norm)
+                     fd_step_in_force, norm, once)
 from .report import VerificationReport
 
 
@@ -122,20 +122,6 @@ def _read_only(a):
     return a
 
 
-class _once:
-    """An attribute computed on first access and then stored on the
-    instance: :func:`functools.cached_property` without its lock."""
-
-    def __init__(self, fn):
-        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
-
-    def __get__(self, pt, owner=None):
-        if pt is None:
-            return self
-        value = pt.__dict__[self.name] = self.fn(pt)
-        return value
-
-
 class PointEval:
     """The geometry of a dual form at one point, evaluated once.
 
@@ -163,15 +149,15 @@ class PointEval:
         self._dK = {}  # shared with the evaluations of of(base)
         self.memo = {}  # by direction, adaptor, form (of) or a form's key
 
-    @_once
+    @once
     def K(self):
         return self.mu.action.gen_matrix(self.m)
 
-    @_once
+    @once
     def M(self):
         return np.asarray(self.mu._matrix_fn(self), dtype=float)
 
-    @_once
+    @once
     def chi(self):
         return self.M @ self.K
 
@@ -231,15 +217,15 @@ class PointEval:
             self.memo[key] = d = _read_only(d)
         return d
 
-    @_once
+    @once
     def chi_svd(self) -> SVD:
         return SVD(self.chi)
 
-    @_once
+    @once
     def M_svd(self) -> SVD:
         return SVD(self.M)
 
-    @_once
+    @once
     def K_svd(self) -> SVD:
         return SVD(self.K)
 
@@ -248,7 +234,7 @@ class PointEval:
         """ker mu_m, the horizontal space of the form at m."""
         return self.M_svd.kernel
 
-    @_once
+    @once
     def _degeneracy(self):
         """Why ker chi(m) differs from the isotropy algebra ker K, or None."""
         kern = self.chi_svd.kernel
@@ -271,7 +257,7 @@ class PointEval:
             raise DegeneracyError(self._degeneracy)
         return self.chi
 
-    @_once
+    @once
     def P(self):
         """Matrix of the projection gamma o mu onto the orbit tangent."""
         chi = self.inertia()
@@ -412,7 +398,7 @@ def pair_check(alpha: DualForm, chi_field, samples=20, rng=None,
     A = alpha.action
     rng = np.random.default_rng(0) if rng is None else rng
     rep = VerificationReport(scenario="pair_check")
-    mu = DualForm(A, lambda pt: chi_field(pt.m) @ alpha.matrix(pt.m),
+    mu = DualForm(A, lambda pt: chi_field(pt.m) @ pt.of(alpha).M,
                   name="chi*alpha")
     for i in range(samples):
         pt = at(mu, A.random_point(rng))

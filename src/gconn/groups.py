@@ -27,7 +27,6 @@ and to build the result.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 
 import numpy as np
 
@@ -253,7 +252,7 @@ class LieAlgebra:
         :meth:`ad_matrix` reads."""
         return self.ad_matrix(a) @ np.asarray(b, dtype=float).ravel()
 
-    @cached_property
+    @linalg.once
     def _ad_basis(self):
         """Structure constants as a dim x (dim * dim) matrix: row i holds
         the matrix of ad_{B_i}, flattened.  Taken on first use."""
@@ -265,7 +264,7 @@ class LieAlgebra:
         return np.ascontiguousarray(
             C.reshape(d, d, d).transpose(1, 0, 2).reshape(d, d * d))
 
-    @cached_property
+    @linalg.once
     def gram_factor(self):
         """(R, R^-1), gram = R^T R with R upper triangular; on first use."""
         R = np.linalg.cholesky(self.gram).T

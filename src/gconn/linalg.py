@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from functools import cached_property
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -146,6 +145,20 @@ def eigh(a):
     return w, V
 
 
+class once:
+    """An attribute computed on first access and then stored on the
+    instance: :func:`functools.cached_property` without its lock."""
+
+    def __init__(self, fn):
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 class Subspace:
     """A linear subspace of R^n stored as an orthonormal column basis.
 
@@ -245,19 +258,19 @@ class SVD:
             return math.inf
         return self.s[r] / self.s[r - 1] if r < self.s.size else 0.0
 
-    @cached_property
+    @once
     def kernel(self) -> Subspace:
         return Subspace.from_basis(self.Vt[self.rank:].T)
 
-    @cached_property
+    @once
     def range(self) -> Subspace:
         return Subspace.from_basis(self.U[:, :self.rank])
 
-    @cached_property
+    @once
     def row_space(self) -> Subspace:
         return Subspace.from_basis(self.Vt[:self.rank].T)
 
-    @cached_property
+    @once
     def pinv(self):
         """numpy's pseudo-inverse formula over the singular values above the
         cutoff; bit-equal to ``np.linalg.pinv(A, tol_rank)`` for a square

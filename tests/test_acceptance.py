@@ -47,13 +47,8 @@ def _worst(rep, check_id):
     return max(c.residual for c in rep.checks if c.check_id == check_id)
 
 
-def _su3_setup():
-    A = get_action("hxh-on-su3")
-    return A, simple_mechanical_mu(A)
-
-
 def test_criterion_01_su3_curvature_table():
-    A, mu = _su3_setup()
+    A = get_action("hxh-on-su3")
     E = np.eye(8)
     table = _SU3_TABLE
     t0 = time.time()
@@ -87,11 +82,10 @@ def test_criterion_01_su3_curvature_table():
 
 
 def test_criterion_02_closed_vs_fd_curvature():
-    A, mu = _su3_setup()
     rng = np.random.default_rng(102)
     rep = VerificationReport("criterion 02")
     t0 = time.time()
-    check_closed_vs_fd(rep, rng, 50, lambda rg: regular_point(A, mu, rg))
+    check_closed_vs_fd(rep, rng, 50)
     dt = time.time() - t0
     worst = _worst(rep, "closed-vs-fd")
     _line(2, "closed-vs-fd-curvature", worst < 1e-5 and dt < 10.0,

@@ -205,18 +205,24 @@ def _in_force():
     return SVD(np.eye(2)).tol_rank, steps[0]
 
 
-@pytest.mark.parametrize("scenario, seed, error", [
-    ("hxh-su3-curvature", 3, DegeneracyError),
-    ("so3-r3-docility", 0, None),
-])
-def test_scenario_restores_the_numerics(scenario, seed, error):
+def _singular(*args):
+    raise DegeneracyError("ker chi has dim 1, isotropy dim 0 at this point")
+
+
+@pytest.mark.parametrize("scenario, raises", [
+    ("hxh-su3-curvature", True),
+    ("so3-r3-docility", False),
+], ids=["hxh-su3-curvature-raises", "so3-r3-docility"])
+def test_scenario_restores_the_numerics(monkeypatch, scenario, raises):
     assert _in_force() == (TOL_RANK, FD_STEP)
-    cfg = ScenarioConfig(scenario, seed=seed, tol_rank=1e-9, fd_step=2e-5)
-    if error is None:
-        run_scenario(cfg)
-    else:
-        with pytest.raises(error):
+    cfg = ScenarioConfig(scenario, tol_rank=1e-9, fd_step=2e-5)
+    if raises:
+        monkeypatch.setattr(curvature, "curvature_leftright_closed",
+                            _singular)
+        with pytest.raises(DegeneracyError):
             run_scenario(cfg)
+    else:
+        run_scenario(cfg)
     assert _in_force() == (TOL_RANK, FD_STEP)
 
 
@@ -255,45 +261,22 @@ def test_rank_flag_reaches_the_adapted_kernel_test(monkeypatch, tmp_path):
     assert seen == [1e-9] * 8
 
 
-# The pass/fail record of every scenario at the default flags and seeds
-# 0-5: a run that raises is pinned by its exception type and message, every
-# other run by its failing check ids, one per failing record.  The table
-# records fail at each of their three angles (ROADMAP items 1 and 2).
+# The failing check ids of every scenario at the default flags and seeds
+# 0-5, one per failing record: the table records fail at each of their three
+# angles (ROADMAP item 2), and no run raises.
 _TABLE = ["table-25"] * 3 + ["table-35"] * 3 + ["table-36"] * 3
-_SINGULAR = ("ker chi has dim {}, isotropy dim 0 at this point "
-             "(cond {}, gap {})")
-_RAISES = {
-    ("hxh-su3-curvature", 0): (DegeneracyError,
-                               _SINGULAR.format(1, "4.619e+07", "2.454e-02")),
-    ("hxh-su3-curvature", 2): (DegeneracyError,
-                               _SINGULAR.format(1, "8.624e+07", "5.368e-02")),
-    # the closed form solves this draw; the difference oracle's tamed form
-    # then finds its chi singular (ROADMAP item 1)
-    ("hxh-su3-curvature", 3): (DegeneracyError,
-                               _SINGULAR.format(2, "3.000e+00", "2.515e-11")),
-    ("property-suite-all", 2): (DegeneracyError,
-                                _SINGULAR.format(1, "8.624e+07", "5.368e-02")),
-}
 _FAILING = {
-    "hxh-su3-curvature": ["closed-vs-fd", *_TABLE],
+    "hxh-su3-curvature": _TABLE,
     "property-suite-all": [f"hxh-su3-curvature/{c}" for c in _TABLE],
 }
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 def test_pass_fail_inventory(scenario):
-    seen, expected = {}, {}
     for seed in range(6):
-        try:
-            rep = run_scenario(ScenarioConfig(scenario, seed=seed))
-        except Exception as exc:
-            seen[seed] = (type(exc), str(exc))
-        else:
-            seen[seed] = sorted(c.check_id for c in rep.checks
-                                if not c.passed)
-        expected[seed] = _RAISES.get((scenario, seed),
-                                     _FAILING.get(scenario, []))
-    assert seen == expected
+        rep = run_scenario(ScenarioConfig(scenario, seed=seed))
+        failing = sorted(c.check_id for c in rep.checks if not c.passed)
+        assert failing == _FAILING.get(scenario, []), f"seed {seed}"
 
 
 def _nan_of(fn):
@@ -361,10 +344,7 @@ def test_scenarios_reach_lapack_only_through_gconn_linalg(monkeypatch):
             monkeypatch.setattr(module, fn,
                                 spy(prefix + fn, getattr(module, fn)))
     for scenario in sorted(SCENARIOS):
-        try:
-            run_scenario(ScenarioConfig(scenario, seed=0))
-        except DegeneracyError:  # hxh-su3-curvature at seed 0
-            pass
+        run_scenario(ScenarioConfig(scenario, seed=0))
     # no np.linalg call, and every entry of gconn.linalg reached
     assert sorted(calls) == ["eigh", "inv", "solve", "svd"]
 

@@ -8,6 +8,7 @@ import pytest
 from closed_reference import curvature_leftright_normal
 from gconn import curvature
 from gconn.actions import get_action
+from gconn.connections import fd_oracle, simple_mechanical_mu
 from gconn.cli import ScenarioConfig, check_closed_vs_fd, run_scenario
 from gconn.curvature import curvature_leftright_closed
 from gconn.report import VerificationReport
@@ -90,12 +91,29 @@ def _extended_reference(A, g, u, v):
                          ids=[f"seed{s}-{i}" for s, i in _ILL_CONDITIONED])
 def test_ill_conditioned_draw_matches_the_extended_precision_reference(
         seed, index):
-    # measured: at most 8.3e-13, at (3, 18) with cond(chi) 9.3e5
+    # measured: the closed form at most 8.3e-13, at (3, 18) with cond(chi)
+    # 9.3e5; closed-vs-fd's oracle, differences of the untamed form, at most
+    # 9.3e-8, at (2, 7).  Differences of the tamed form raise
+    # DegeneracyError at (0, 13), (2, 3), (2, 7) and (3, 18).
     A = get_action("hxh-on-su3")
     g, u, v = _closed_vs_fd_draws(seed)[index]
     want = _extended_reference(A, g, u, v)
     got = curvature_leftright_closed(A, g, u, v)
     assert np.max(np.abs(got - want)) <= 1e-11
+    oracle = curvature.curvature(fd_oracle(simple_mechanical_mu(A)), g, u, v)
+    assert np.max(np.abs(oracle - want)) <= 1e-6
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_closed_vs_fd_catches_a_scaled_closed_form(monkeypatch, seed):
+    # a (1 + 1e-6) scaling: measured closed-vs-fd residuals 4.1e-5 to
+    # 2.2e-4 at seeds 0-5, against the record's 1e-5
+    closed = curvature.curvature_leftright_closed
+    monkeypatch.setattr(curvature, "curvature_leftright_closed",
+                        lambda *args: closed(*args) * (1 + 1e-6))
+    rep = run_scenario(ScenarioConfig("hxh-su3-curvature", seed=seed))
+    [record] = [c for c in rep.checks if c.check_id == "closed-vs-fd"]
+    assert not record.passed
 
 
 _PAIRS = [(i, j) for i in range(8) for j in range(i + 1, 8)]
