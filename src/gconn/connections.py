@@ -13,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from .actions import Action
-from .linalg import (SVD, TOL_CONSIST, Subspace, curve_derivative,
-                     fd_step_in_force, norm, once)
+from .linalg import (SVD, Subspace, curve_derivative, fd_step_in_force,
+                     norm, once)
 from .report import VerificationReport
 
 
@@ -263,20 +263,20 @@ class PointEval:
         chi = self.inertia()
         X = self.chi_svd.pinv @ self.M
         resid = norm(chi @ X - self.M)
-        scale = max(norm(self.M), 1e-300)
-        if resid > 1e-6 * scale:
+        if resid > 1e-6 * max(norm(self.M), 1e-300):
             raise DegeneracyError(
-                f"range mu exceeds range chi (residual {resid:.2e})")
+                f"range mu exceeds range chi (residual {resid:.2e}, "
+                f"cond {self.chi_svd.cond:.3e}, gap {self.chi_svd.gap:.3e})")
         return self.K @ X
 
-    def solve(self, nu, *, tol_consist=TOL_CONSIST):
+    def solve(self, nu):
         """Minimum-norm xi with chi(m) xi = nu, after the kernel test."""
         self.inertia()
-        return self.chi_svd.solve(nu, tol_consist=tol_consist)
+        return self.chi_svd.solve(nu)
 
-    def gamma(self, nu, *, tol_consist=TOL_CONSIST):
+    def gamma(self, nu):
         """Solve chi(m) xi = nu and return the generator xi_M(m)."""
-        return self.K @ self.solve(nu, tol_consist=tol_consist)
+        return self.K @ self.solve(nu)
 
 
 def at(mu: DualForm, m) -> PointEval:
@@ -298,14 +298,14 @@ def inertia_factor(mu: DualForm, m):
     return at(mu, m).inertia()
 
 
-def gamma_apply(mu: DualForm, m, nu, *, tol_consist=TOL_CONSIST):
+def gamma_apply(mu: DualForm, m, nu):
     """Solve chi(m) xi = nu and return the generator xi_M(m).
 
     Well defined because ker chi = ker of the generator map; inconsistency
     (nu outside range chi) raises and is exactly the docility-failure
     signal.
     """
-    return at(mu, m).gamma(nu, tol_consist=tol_consist)
+    return at(mu, m).gamma(nu)
 
 
 def projection_P_mu(mu: DualForm, m):
@@ -388,7 +388,7 @@ def dual_form_verify(mu: DualForm, samples=25, rng=None,
 
 
 def pair_check(alpha: DualForm, chi_field, samples=20, rng=None,
-               singular_points=None, tol_eq=1e-6) -> VerificationReport:
+               singular_points=None) -> VerificationReport:
     """Classify (alpha, chi) as a partial connection pair by sampling.
 
     ``chi_field`` maps a point to an inertia-factor matrix.  Checks that
@@ -405,7 +405,7 @@ def pair_check(alpha: DualForm, chi_field, samples=20, rng=None,
         g = A.random_group(rng)
         v = A.random_tangent(rng, pt.m)
         rep.add("mu-equivariance", "chi.alpha transforms like a dual form",
-                equivariance_residual(mu, g, pt, v), tol_eq, f"sample {i}")
+                equivariance_residual(mu, g, pt, v), 1e-6, f"sample {i}")
         rep.add_bool("nondegenerate", "ker chi_mu = isotropy",
                      pt.nondegenerate, f"sample {i}")
     for p in (singular_points if singular_points is not None else []):

@@ -94,16 +94,16 @@ def docile(mu: DualForm, m, probes=None, *, tol=1e-7):
     return True, None
 
 
-def curvature(mu: DualForm, m, u, v, *, tol_consist=1e-6):
+def curvature(mu: DualForm, m, u, v):
     """Curvature value gamma(m)(covariant derivative of mu at m on u, v).
 
     The result is a tangent vector in the orbit tangent space.  A docility
-    failure surfaces as an :class:`InconsistentSystemError` carrying the
-    unresolvable residual.
+    failure, a covariant derivative outside range chi(m) at
+    ``linalg.TOL_CONSIST``, surfaces as an :class:`InconsistentSystemError`
+    carrying the unresolvable residual.
     """
     pt = at(mu, m)
-    return pt.gamma(covariant_derivative(mu, pt, u, v),
-                    tol_consist=tol_consist)
+    return pt.gamma(covariant_derivative(mu, pt, u, v))
 
 
 def tame(mu: DualForm) -> DualForm:
@@ -180,21 +180,21 @@ def structure_residual(mu: DualForm, m, u, v):
         Omega(u, v) + [xi, eta]_M  =  gamma( d mu(u, v)
                                              - d chi(u) eta + d chi(v) xi )
 
-    Both sides are tangent vectors; the Euclidean norm of the difference in
-    tangent coordinates is returned.
+    Returns the norm of the difference of the two tangent vectors; every
+    solve in it tests consistency at ``linalg.TOL_CONSIST``.
     """
     A = mu.action
     pt = at(mu, m)
     u = np.asarray(u, dtype=float).ravel()
     v = np.asarray(v, dtype=float).ravel()
-    xi = pt.solve(pt.M @ u, tol_consist=1e-6)
-    eta = pt.solve(pt.M @ v, tol_consist=1e-6)
+    xi = pt.solve(pt.M @ u)
+    eta = pt.solve(pt.M @ v)
 
     lhs = curvature(mu, pt, u, v) + pt.K @ A.algebra.bracket(xi, eta)
 
     dmu = d_oneform(mu, pt, u, v)
     corr = pt.dchi(u) @ eta - pt.dchi(v) @ xi
-    rhs = pt.gamma(dmu - corr, tol_consist=1e-4)
+    rhs = pt.gamma(dmu - corr)
     return norm(lhs - rhs)
 
 
@@ -254,13 +254,13 @@ def horizontal_field(mu: DualForm, c):
     return X
 
 
-def involutivity_check(mu: DualForm, m, pairs=None,
-                       tol=1e-5) -> VerificationReport:
+def involutivity_check(mu: DualForm, m, pairs=None) -> VerificationReport:
     """At a regular point: curvature measures the bracket's vertical part.
 
-    For horizontal fields X, Y checks that mu annihilates
-    Omega(X,Y) + [X,Y] and that Omega(X,Y) = (P_Gamma - 1)[X,Y].
+    For horizontal fields X, Y checks that mu annihilates Omega(X,Y) + [X,Y]
+    and that Omega(X,Y) = (P_Gamma - 1)[X,Y], to 1e-5 x max(1, |[X,Y]|).
     """
+    tol = 1e-5
     A = mu.action
     rep = VerificationReport(scenario="involutivity_check")
     if pairs is None:

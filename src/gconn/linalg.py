@@ -40,7 +40,7 @@ from numpy.linalg import _umath_linalg as _lapack
 # 1 -+ r), so this default is robust.
 TOL_RANK = 1e-8
 
-# Relative residual up to which SVD.solve takes b to lie in range(A).
+# The one consistency tolerance: SVD.solve takes b to lie in range(A) up to it.
 TOL_CONSIST = 1e-8
 
 # Default central-difference step: truncation ~h^2 = 1e-10 balances roundoff
@@ -278,12 +278,12 @@ class SVD:
         r = self.rank
         return self.Vt[:r].T @ ((1.0 / self.s[:r])[:, None] * self.U[:, :r].T)
 
-    def solve(self, b, *, tol_consist=TOL_CONSIST):
+    def solve(self, b):
         """Minimum-norm solution of A x = b, requiring b in range(A).
 
         A non-finite ``b`` raises ``ValueError``.  Raises
         :class:`InconsistentSystemError` when the least-squares residual
-        exceeds ``tol_consist * max(|A||x|, |b|)``.
+        exceeds both ``TOL_CONSIST * max(|A||x|, |b|)`` and ``TOL_CONSIST``.
         """
         b = np.asarray(b, dtype=float).ravel()
         if not np.isfinite(b).all():
@@ -291,11 +291,9 @@ class SVD:
         x = self.pinv @ b
         resid = norm(self.A @ x - b)
         norm_A = self.s[0] if self.s.size else 0.0
-        scale = max(norm_A * norm(x), norm(b), 1e-300)
-        if resid > tol_consist * scale and resid > tol_consist:
+        if resid > TOL_CONSIST * max(norm_A * norm(x), norm(b), 1.0):
             raise InconsistentSystemError(
-                "solve_consistent: b not in range(A)", resid, self.cond,
-                self.gap)
+                "SVD.solve: b not in range(A)", resid, self.cond, self.gap)
         return x
 
 
@@ -314,10 +312,10 @@ def range_space(A):
     return SVD(A).range
 
 
-def solve_consistent(A, b, *, tol_consist=TOL_CONSIST):
+def solve_consistent(A, b):
     """Minimum-norm solution of A x = b, requiring b in range(A); see
     :meth:`SVD.solve`."""
-    return SVD(A).solve(b, tol_consist=tol_consist)
+    return SVD(A).solve(b)
 
 
 def central_difference(f, x, h=None):

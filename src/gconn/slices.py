@@ -215,9 +215,10 @@ class SliceCandidate:
         resid = np.asarray(self.psi(p), dtype=float).ravel() - target
         return p, norm(resid)
 
-    def contains(self, m, tol=1e-8):
+    def contains(self, m):
+        """Whether :meth:`locate` reaches m to 1e-8 inside the radius."""
         p, r = self.locate(m)
-        return r <= tol and norm(p) < self.radius
+        return r <= 1e-8 and norm(p) < self.radius
 
 
 def cayley_slice(sigma, g0, r=1.0) -> SliceCandidate:
@@ -273,14 +274,14 @@ def cayley_slice(sigma, g0, r=1.0) -> SliceCandidate:
 
 
 def slice_verify(S: SliceCandidate, action: Action, m0, samples=50,
-                 rng=None, stabilizer_sampler=None, nearby_sampler=None,
-                 tol=1e-8) -> VerificationReport:
+                 rng=None, stabilizer_sampler=None,
+                 nearby_sampler=None) -> VerificationReport:
     """Sampled verification of the three defining slice conditions.
 
     (i) T_m0 M splits as T_m0 S + orbit tangent, directly;
     (ii) T_m S + orbit tangent spans T_m M at sampled m in S;
-    (iii) stabilizer elements of m0 map sampled m in S back into S, while
-    nearby non-stabilizer elements move them off S (unless fixed).
+    (iii) stabilizer elements of m0 map sampled m in S back into S (to 1e-8),
+    while nearby non-stabilizer elements move them off S (unless fixed).
     """
     rng = np.random.default_rng(0) if rng is None else rng
     rep = VerificationReport(scenario="slice_verify")
@@ -311,7 +312,7 @@ def slice_verify(S: SliceCandidate, action: Action, m0, samples=50,
             h = stabilizer_sampler(rng)
             _, resid = S.locate(action.apply(h, m))
             rep.add("slice-iii-stab", "stabilizer of m0 maps S into S",
-                    resid, tol, f"sample {i}")
+                    resid, 1e-8, f"sample {i}")
         # ... and nearby non-stabilizer elements leave it
         if nearby_sampler is not None:
             g = nearby_sampler(rng)
@@ -319,7 +320,7 @@ def slice_verify(S: SliceCandidate, action: Action, m0, samples=50,
             moved = norm(np.subtract(gm, m))
             if moved > 1e-7:
                 rep.add_bool("slice-iii-off", "non-stabilizer leaves S",
-                             not S.contains(gm, tol), f"sample {i}")
+                             not S.contains(gm), f"sample {i}")
     return rep
 
 

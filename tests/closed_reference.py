@@ -11,7 +11,7 @@ cond(chi)^2 * eps, and they state the tamed system literally.
 
 import numpy as np
 
-from gconn.linalg import SVD
+from gconn.linalg import SVD, InconsistentSystemError, norm
 
 
 def curvature_leftright_normal(action, g, xi, omega, sharp=None):
@@ -37,5 +37,16 @@ def curvature_leftright_normal(action, g, xi, omega, sharp=None):
 
     chi = K.T @ G @ K
     sharp = act.gram_inv if sharp is None else sharp
-    zeta = SVD(chi @ sharp @ chi).solve(chi @ sharp @ nab, tol_consist=1e-6)
-    return K @ zeta
+    return K @ _consistent_solve(chi @ sharp @ chi, chi @ sharp @ nab)
+
+
+def _consistent_solve(A, b):
+    """``SVD(A).solve(b)`` with this reference's own consistency tolerance,
+    1e-6, relative with an absolute floor, in place of the package's."""
+    svd = SVD(A)
+    x = svd.pinv @ b
+    resid = norm(A @ x - b)
+    if resid > 1e-6 * max(svd.s[0] * norm(x), norm(b), 1.0):
+        raise InconsistentSystemError("closed_reference: b not in range(A)",
+                                      resid, svd.cond, svd.gap)
+    return x

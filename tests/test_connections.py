@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gconn.actions import get_action, isotropy_algebra, orbit_tangent
-from gconn.connections import (DegeneracyError, alpha_so3r3, at,
+from gconn.connections import (DegeneracyError, DualForm, alpha_so3r3, at,
                                clean_alpha, dual_form_verify,
                                equivariance_residual, gamma_apply,
                                inertia_factor, mu_q, pair_check,
@@ -64,6 +64,21 @@ def test_point_evaluation_degenerate_raises(zero_form):
         pt.P
     with pytest.raises(DegeneracyError):
         pt.gamma(np.zeros(3))
+
+
+def test_projection_range_failure_names_its_conditioning():
+    """mu = identity on rotating R^3 passes the kernel test (ker chi is the
+    axis through m) but its range, all of R^3, exceeds range chi = m-perp."""
+    mu = DualForm(get_action("so3-on-r3"), lambda pt: np.eye(3), name="id")
+    pt = at(mu, [0.3, -1.2, 0.5])
+    assert pt.nondegenerate
+    svd = pt.chi_svd
+    with pytest.raises(DegeneracyError) as exc:
+        pt.P
+    assert str(exc.value) == (f"range mu exceeds range chi (residual "
+                              f"1.00e+00, cond {svd.cond:.3e}, "
+                              f"gap {svd.gap:.3e})")
+    assert svd.cond == pytest.approx(1.0) and svd.gap < 1e-15
 
 
 def test_point_evaluation_is_shared(mu_t):

@@ -99,6 +99,16 @@ def test_curvature_raises_on_docility_failure():
         curvature(mu, np.zeros(3), u, v)
 
 
+def test_curvature_reads_the_one_consistency_tolerance(monkeypatch):
+    """curvature has no tolerance of its own: at a TOL_CONSIST loose enough
+    to accept the docility failure above, it returns the minimum-norm
+    solution, zero, since chi(0) = 0."""
+    monkeypatch.setattr(linalg, "TOL_CONSIST", 10.0)
+    e = np.eye(3)
+    om = curvature(mu_q(lambda t: 1.0), np.zeros(3), e[0], e[1])
+    assert np.array_equal(om, np.zeros(3))
+
+
 def test_tame_preserves_kernel():
     A = get_action("hxh-on-su3")
     mu = simple_mechanical_mu(A)

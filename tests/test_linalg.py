@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -124,7 +127,8 @@ def test_svd_answers_share_one_cutoff():
 def test_inconsistent_solve_names_its_cond():
     svd = SVD(np.diag([1.0, 1e-3, 0.0]))
     with pytest.raises(InconsistentSystemError,
-                       match=r"cond 1\.000e\+03, gap 0\.000e\+00\)$"):
+                       match=r"^SVD\.solve: .*"
+                             r"cond 1\.000e\+03, gap 0\.000e\+00\)$"):
         svd.solve(np.array([0.0, 0.0, 1.0]))
     assert SVD(np.zeros((2, 2))).cond == np.inf
     assert SVD(np.zeros((2, 3))).gap == np.inf
@@ -135,6 +139,19 @@ def test_inconsistent_solve_names_its_cond():
                        match=r"cond 1\.000e\+03, gap 1\.000e-06\)$") as exc:
         svd.solve(np.array([0.0, 0.0, 1.0]))
     assert (exc.value.cond, exc.value.gap) == (svd.cond, svd.gap)
+
+
+def test_no_solve_takes_its_own_consistency_tolerance():
+    """linalg.TOL_CONSIST is the one consistency tolerance: no function of
+    the package has a ``tol_consist`` parameter."""
+    src = Path(__file__).resolve().parents[1] / "src" / "gconn"
+    found = [f"{path.name}:{node.name}"
+             for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for arg in ast.walk(node.args)
+             if isinstance(arg, ast.arg) and arg.arg == "tol_consist"]
+    assert found == []
 
 
 def test_central_difference_jacobian():
