@@ -33,8 +33,6 @@ class ScenarioConfig:
     scenario: str
     seed: int = 0
     tol_rank: float = TOL_RANK
-    tol_eq: float = 1e-8
-    tol_struct: float = 1e-5
     fd_step: float = FD_STEP
     samples: int = 20
     out: str | None = None
@@ -61,8 +59,7 @@ def scenario_so3_r3_basics(cfg: ScenarioConfig) -> VerificationReport:
     rng = cfg.rng()
     A = actions.get_action("so3-on-r3")
     mu = connections.mu_q(lambda t: t)
-    rep.extend(connections.dual_form_verify(mu, samples=cfg.samples, rng=rng,
-                                            tol_eq=cfg.tol_eq))
+    rep.extend(connections.dual_form_verify(mu, cfg.samples, rng))
     for i in range(cfg.samples):
         m = A.random_point(rng)
         P = connections.projection_P_mu(mu, m)
@@ -84,9 +81,8 @@ def scenario_so3_r3_basics(cfg: ScenarioConfig) -> VerificationReport:
                  "partial connection form stays bounded away from its value "
                  "at the singular point", lim > 0.5)
     chi_field = lambda m: connections.at(mu, m).chi
-    rep.extend(connections.pair_check(alpha0, chi_field,
-                                      samples=cfg.samples, rng=rng,
-                                      singular_points=[np.zeros(3)]))
+    rep.extend(connections.pair_check(alpha0, chi_field, cfg.samples, rng,
+                                      [np.zeros(3)]))
     check_d_exact_vs_fd(rep, cfg.rng(), cfg.samples, mu)
     return rep
 
@@ -215,7 +211,7 @@ def scenario_s1s1_so3_slice(cfg: ScenarioConfig) -> VerificationReport:
     rep.add_worst("flat", "closed-form curvature vanishes identically",
                   norms, 1e-7)
     check_slice(rep, rng, cfg.samples)
-    mu_t = check_abel_involutivity(rep, rng, cfg.samples, cfg.tol_struct)
+    mu_t = check_abel_involutivity(rep, rng, cfg.samples)
     check_d_exact_vs_fd(rep, cfg.rng(), cfg.samples,
                         connections.simple_mechanical_mu(A))
     # the adapted form's derivative at abel_involutivity's point draw
@@ -261,9 +257,7 @@ def check_slice(rep, rng, samples):
             a, b = 0.2 * rg.standard_normal(2)
         return (exp_so3(a * SIGMA), exp_so3(b * SIGMA))
 
-    rep.extend(slices.slice_verify(sl, A, g0, samples=samples, rng=rng,
-                                   stabilizer_sampler=stab,
-                                   nearby_sampler=nearby))
+    rep.extend(slices.slice_verify(sl, A, g0, samples, rng, stab, nearby))
     # tangency reduces to orthogonality against the axis
     dots = []
     for _ in range(samples):
@@ -274,7 +268,7 @@ def check_slice(rep, rng, samples):
                   dots, 1e-8)
 
 
-def check_abel_involutivity(rep, rng, samples, tol):
+def check_abel_involutivity(rep, rng, samples):
     """Involutivity near the identity of s1s1-on-so3, trivial adaptor;
     returns the adapted form."""
     A = actions.get_action("s1s1-on-so3")
@@ -287,8 +281,8 @@ def check_abel_involutivity(rep, rng, samples, tol):
         return np.eye(2) / (1.0 + r)
 
     adaptor = slices.trivial_adaptor(A, g0)
-    rep.extend(slices.abel_involutivity(mu, adaptor, pi, iota,
-                                        samples=samples, rng=rng, tol=tol))
+    rep.extend(slices.abel_involutivity(mu, adaptor, pi, iota, samples,
+                                        rng))
     return slices.adapted_dual_form(mu, adaptor, pi, iota)
 
 
@@ -321,8 +315,7 @@ def scenario_s2_pmf_beta(cfg: ScenarioConfig) -> VerificationReport:
     rep = _report(cfg)
     rng = cfg.rng()
     pmf = frames.pmf_from_field(frames.eastward_field)
-    rep.extend(frames.beta_equivariance_check(pmf, samples=cfg.samples,
-                                              rng=rng, tol=cfg.tol_struct))
+    rep.extend(frames.beta_equivariance_check(pmf, cfg.samples, rng))
     # invariant cross-section
     gaps = []
     for _ in range(cfg.samples):
@@ -429,15 +422,12 @@ def main(argv=None):
                     "non-free group actions",
         argument_default=argparse.SUPPRESS)
     p.add_argument("--scenario", required=True)
-    positive = _checked(float, lambda x: 0.0 < x < math.inf,
-                        "must be a finite number > 0")
     p.add_argument("--seed", type=_checked(
         int, lambda n: n >= 0, "must be at least 0"))
     p.add_argument("--tol-rank", type=_checked(
         float, lambda x: 0.0 < x < 1.0, "must lie in (0, 1)"))
-    p.add_argument("--tol-eq", type=positive)
-    p.add_argument("--tol-struct", type=positive)
-    p.add_argument("--fd-step", type=positive)
+    p.add_argument("--fd-step", type=_checked(
+        float, lambda x: 0.0 < x < math.inf, "must be a finite number > 0"))
     p.add_argument("--samples", type=_checked(
         int, lambda n: n >= 1, "must be at least 1"))
     p.add_argument("--out")

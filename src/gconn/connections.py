@@ -13,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from .actions import Action
-from .linalg import (SVD, Subspace, curve_derivative, fd_step_in_force,
-                     norm, once)
+from .linalg import (SVD, TOL_CONSIST, Subspace, curve_derivative,
+                     fd_step_in_force, norm, once)
 from .report import VerificationReport
 
 
@@ -259,11 +259,13 @@ class PointEval:
 
     @once
     def P(self):
-        """Matrix of the projection gamma o mu onto the orbit tangent."""
+        """Matrix of the projection gamma o mu onto the orbit tangent, after
+        the kernel test and the test range mu in range chi, at
+        ``linalg.TOL_CONSIST`` relative to |mu_m|."""
         chi = self.inertia()
         X = self.chi_svd.pinv @ self.M
         resid = norm(chi @ X - self.M)
-        if resid > 1e-6 * max(norm(self.M), 1e-300):
+        if resid > TOL_CONSIST * max(norm(self.M), 1e-300):
             raise DegeneracyError(
                 f"range mu exceeds range chi (residual {resid:.2e}, "
                 f"cond {self.chi_svd.cond:.3e}, gap {self.chi_svd.gap:.3e})")
@@ -351,16 +353,16 @@ def equivariance_residual(mu: DualForm, g, m, v):
     return norm(lhs - rhs)
 
 
-def dual_form_verify(mu: DualForm, samples=25, rng=None,
-                     tol_eq=1e-8) -> VerificationReport:
-    """Check the defining properties of a dual connection form by sampling.
+def dual_form_verify(mu: DualForm, samples, rng) -> VerificationReport:
+    """Check the defining properties of a dual connection form at
+    ``samples`` points drawn from ``rng``.
 
     At each sampled point: the tangent space splits as orbit-tangent plus
     kernel; ker chi equals the isotropy algebra; range chi equals range mu;
-    and the pullback equivariance identity holds at a random group element.
+    and the pullback equivariance identity holds at a random group element,
+    to 1e-8.
     """
     A = mu.action
-    rng = np.random.default_rng(0) if rng is None else rng
     rep = VerificationReport(scenario=f"dual_form_verify[{mu.name}]")
     for i in range(samples):
         m = A.random_point(rng)
@@ -383,20 +385,20 @@ def dual_form_verify(mu: DualForm, samples=25, rng=None,
         g = A.random_group(rng)
         v = A.random_tangent(rng, m)
         rep.add("equivariance", "pullback of mu matches coadjoint twist",
-                equivariance_residual(mu, g, pt, v), tol_eq, tag)
+                equivariance_residual(mu, g, pt, v), 1e-8, tag)
     return rep
 
 
-def pair_check(alpha: DualForm, chi_field, samples=20, rng=None,
-               singular_points=None) -> VerificationReport:
-    """Classify (alpha, chi) as a partial connection pair by sampling.
+def pair_check(alpha: DualForm, chi_field, samples, rng,
+               singular_points) -> VerificationReport:
+    """Classify (alpha, chi) as a partial connection pair at ``samples``
+    points drawn from ``rng``.
 
     ``chi_field`` maps a point to an inertia-factor matrix.  Checks that
     mu := chi . alpha is equivariant and nondegenerate at random points and
-    continuous along rays into each supplied singular point.
+    continuous along rays into each of the ``singular_points``.
     """
     A = alpha.action
-    rng = np.random.default_rng(0) if rng is None else rng
     rep = VerificationReport(scenario="pair_check")
     mu = DualForm(A, lambda pt: chi_field(pt.m) @ pt.of(alpha).M,
                   name="chi*alpha")
@@ -408,7 +410,7 @@ def pair_check(alpha: DualForm, chi_field, samples=20, rng=None,
                 equivariance_residual(mu, g, pt, v), 1e-6, f"sample {i}")
         rep.add_bool("nondegenerate", "ker chi_mu = isotropy",
                      pt.nondegenerate, f"sample {i}")
-    for p in (singular_points if singular_points is not None else []):
+    for p in singular_points:
         p = np.asarray(p, dtype=float)
         M0 = mu.matrix(p)
         gaps = []

@@ -75,8 +75,9 @@ def covariant_derivative(mu: DualForm, m, u, v):
     return d_oneform(mu, pt, u - P @ u, v - P @ v)
 
 
-def docile(mu: DualForm, m, probes=None, *, tol=1e-7):
-    """Range test: is every covariant-derivative value inside range(mu_m)?
+def docile(mu: DualForm, m, probes=None):
+    """Range test: is every covariant-derivative value inside range(mu_m),
+    to 1e-7?
 
     Returns ``(flag, witness)`` where the witness is a violating
     ``(u, v, value)`` triple, or None.
@@ -89,7 +90,7 @@ def docile(mu: DualForm, m, probes=None, *, tol=1e-7):
     for i in range(len(probes)):
         for j in range(i + 1, len(probes)):
             val = covariant_derivative(mu, pt, probes[i], probes[j])
-            if not rng_mu.contains(val, tol):
+            if not rng_mu.contains(val, 1e-7):
                 return False, (probes[i], probes[j], val)
     return True, None
 

@@ -273,17 +273,18 @@ def cayley_slice(sigma, g0, r=1.0) -> SliceCandidate:
                           velocity, chart)
 
 
-def slice_verify(S: SliceCandidate, action: Action, m0, samples=50,
-                 rng=None, stabilizer_sampler=None,
-                 nearby_sampler=None) -> VerificationReport:
-    """Sampled verification of the three defining slice conditions.
+def slice_verify(S: SliceCandidate, action: Action, m0, samples, rng,
+                 stabilizer_sampler, nearby_sampler) -> VerificationReport:
+    """Verification of the three defining slice conditions at ``samples``
+    slice points drawn from ``rng``.
 
     (i) T_m0 M splits as T_m0 S + orbit tangent, directly;
     (ii) T_m S + orbit tangent spans T_m M at sampled m in S;
-    (iii) stabilizer elements of m0 map sampled m in S back into S (to 1e-8),
-    while nearby non-stabilizer elements move them off S (unless fixed).
+    (iii) stabilizer elements of m0, drawn by ``stabilizer_sampler(rng)``,
+    map sampled m in S back into S (to 1e-8), while nearby non-stabilizer
+    elements, drawn by ``nearby_sampler(rng)``, move them off S (unless
+    fixed).
     """
-    rng = np.random.default_rng(0) if rng is None else rng
     rep = VerificationReport(scenario="slice_verify")
 
     def sample_params():
@@ -308,19 +309,17 @@ def slice_verify(S: SliceCandidate, action: Action, m0, samples=50,
         rep.add_bool("slice-ii", "T_m S + orbit tangent spans T_m M",
                      span.dim == action.vec_dim, f"sample {i}")
         # (iii) stabilizer stays on the slice ...
-        if stabilizer_sampler is not None:
-            h = stabilizer_sampler(rng)
-            _, resid = S.locate(action.apply(h, m))
-            rep.add("slice-iii-stab", "stabilizer of m0 maps S into S",
-                    resid, 1e-8, f"sample {i}")
+        h = stabilizer_sampler(rng)
+        _, resid = S.locate(action.apply(h, m))
+        rep.add("slice-iii-stab", "stabilizer of m0 maps S into S",
+                resid, 1e-8, f"sample {i}")
         # ... and nearby non-stabilizer elements leave it
-        if nearby_sampler is not None:
-            g = nearby_sampler(rng)
-            gm = action.apply(g, m)
-            moved = norm(np.subtract(gm, m))
-            if moved > 1e-7:
-                rep.add_bool("slice-iii-off", "non-stabilizer leaves S",
-                             not S.contains(gm), f"sample {i}")
+        g = nearby_sampler(rng)
+        gm = action.apply(g, m)
+        moved = norm(np.subtract(gm, m))
+        if moved > 1e-7:
+            rep.add_bool("slice-iii-off", "non-stabilizer leaves S",
+                         not S.contains(gm), f"sample {i}")
     return rep
 
 
@@ -346,22 +345,22 @@ def _xi_field(mu_t: DualForm, c):
     return X
 
 
-def abel_involutivity(mu: DualForm, adaptor: Adaptor, pi, iota, samples=20,
-                      rng=None, tol=1e-5) -> VerificationReport:
+def abel_involutivity(mu: DualForm, adaptor: Adaptor, pi, iota, samples,
+                      rng) -> VerificationReport:
     """Involutivity of the almost-horizontal system near an abelian-stabilizer
-    singular point, via the adapted form.
+    singular point, via the adapted form, at ``samples`` points drawn from
+    ``rng``.
 
-    For fields X, Y valued in Xi = ker(adapted form) checks that the adapted
-    form annihilates [X, Y], that [X, Y] stays in Xi, and that the
-    inertia-derivative correction terms vanish for horizontal inputs.  At
-    each sample the adapted form is evaluated once, reading mu's evaluation
-    there, and the fields (:func:`_xi_field`) carry their derivative, read
-    from its ``dM(w)`` and its SVD of M_t, so the bracket is exact up to
-    iota's difference; the correction terms reuse iota(m) and the
-    d chi_phi that the bracket took.
+    For fields X, Y valued in Xi = ker(adapted form) checks, each to 1e-5,
+    that the adapted form annihilates [X, Y], that [X, Y] stays in Xi, and
+    that the inertia-derivative correction terms vanish for horizontal
+    inputs.  At each sample the adapted form is evaluated once, reading
+    mu's evaluation there, and the fields (:func:`_xi_field`) carry their
+    derivative, read from its ``dM(w)`` and its SVD of M_t, so the bracket
+    is exact up to iota's difference; the correction terms reuse iota(m)
+    and the d chi_phi that the bracket took.
     """
     A = mu.action
-    rng = np.random.default_rng(0) if rng is None else rng
     rep = VerificationReport(scenario="abel_involutivity")
     mu_t = adapted_dual_form(mu, adaptor, pi, iota)
     pi = np.asarray(pi, dtype=float)
@@ -377,10 +376,10 @@ def abel_involutivity(mu: DualForm, adaptor: Adaptor, pi, iota, samples=20,
         br = field_bracket(A, X, Y, pt_t)
         scale = max(1.0, norm(br))
         rep.add("xi-involutive", "adapted form annihilates [X, Y]",
-                norm(pt_t.M @ br) / scale, tol, f"sample {i}")
+                norm(pt_t.M @ br) / scale, 1e-5, f"sample {i}")
         xi_sub = almost_horizontal_basis(mu, adaptor, pt)
         rep.add("bracket-tangent", "[X, Y] stays inside Xi",
-                norm(br - xi_sub.project(br)) / scale, tol,
+                norm(br - xi_sub.project(br)) / scale, 1e-5,
                 f"sample {i}")
         # correction terms of the relative structure equation
         Xm, Ym = X(pt_t), Y(pt_t)
@@ -391,6 +390,6 @@ def abel_involutivity(mu: DualForm, adaptor: Adaptor, pi, iota, samples=20,
         rep.add("corrections-vanish",
                 "d chi_phi(u) pi eta - d chi_phi(v) pi xi = 0 for horizontal "
                 "inputs",
-                norm(dchi_u @ eta_c - dchi_v @ xi_c), tol,
+                norm(dchi_u @ eta_c - dchi_v @ xi_c), 1e-5,
                 f"sample {i}")
     return rep

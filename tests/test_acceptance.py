@@ -251,7 +251,7 @@ def test_criterion_08_involutivity():
         details.append(f"{A.name}:{passed}/{total}")
     # involutivity near the singular base point via the adapted form
     rep = VerificationReport("criterion 08")
-    check_abel_involutivity(rep, rng, 50, ScenarioConfig.tol_struct)
+    check_abel_involutivity(rep, rng, 50)
     ok &= rep.all_passed
     details.append(f"near-singular:{rep.summary['passed']}"
                    f"/{rep.summary['total']}")

@@ -101,12 +101,29 @@ def test_main_returns_exit_code(tmp_path):
 
 
 def test_flags_are_recorded():
+    # so3-r3-docility applies each of these flags: the seed draws the
+    # curvature's directions, the cutoff ranks mu at the origin and the
+    # step differences q in the derivative of mu_q
     r = run_cli(["--scenario", "so3-r3-docility", "--seed", "3",
-                 "--tol-struct", "1e-4", "--samples", "9"])
+                 "--tol-rank", "1e-11", "--fd-step", "2e-6"])
     data = json.loads(r.stdout)
     assert data["config"]["seed"] == 3
-    assert data["config"]["tol_struct"] == 1e-4
-    assert data["config"]["samples"] == 9
+    assert data["config"]["tol_rank"] == 1e-11
+    assert data["config"]["fd_step"] == 2e-6
+
+
+def test_config_echoes_the_flags_and_nothing_else():
+    assert list(ScenarioConfig("so3-r3-docility").echo()) == [
+        "scenario", "seed", "tol_rank", "fd_step", "samples", "fmt"]
+
+
+@pytest.mark.parametrize("flag", ["--tol-eq", "--tol-struct"])
+def test_record_thresholds_are_not_flags(capsys, flag):
+    # each record's threshold is fixed at the record
+    with pytest.raises(SystemExit) as exc:
+        main(["--scenario", "s1s1-so3-slice", flag, "1e-3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_property_suite_prefixes_check_ids():
@@ -231,9 +248,7 @@ def test_scenario_restores_the_numerics(monkeypatch, scenario, raises):
     ("--tol-rank", "1"), ("--tol-rank", "2"), ("--tol-rank", "inf"),
     ("--fd-step", "0"), ("--fd-step", "-1e-5"), ("--fd-step", "nan"),
     ("--fd-step", "inf"), ("--samples", "0"), ("--samples", "-5"),
-    ("--tol-eq", "inf"), ("--tol-eq", "nan"), ("--tol-eq", "0"),
-    ("--tol-eq", "-1e-8"), ("--tol-struct", "inf"), ("--tol-struct", "nan"),
-    ("--tol-struct", "0"), ("--tol-struct", "-1e-5"), ("--seed", "-1"),
+    ("--seed", "-1"),
 ])
 def test_bad_numeric_flags_are_rejected(capsys, flag, value):
     with pytest.raises(SystemExit) as exc:

@@ -81,6 +81,25 @@ def test_projection_range_failure_names_its_conditioning():
     assert svd.cond == pytest.approx(1.0) and svd.gap < 1e-15
 
 
+@pytest.mark.parametrize("eps, raises", [(1e-7, True), (1e-10, False)])
+def test_projection_tests_range_at_the_consistency_tolerance(eps, raises):
+    """hat(m) plus eps times the radial projector keeps ker chi the axis
+    through m but puts an eps-relative part of range mu outside
+    range chi = m-perp: linalg.TOL_CONSIST (1e-8) refuses 1e-7 and
+    accepts 1e-10."""
+    mu = DualForm(get_action("so3-on-r3"),
+                  lambda pt: hat(pt.m) + eps * np.outer(pt.m, pt.m)
+                  / (pt.m @ pt.m), name="tilted")
+    m = np.array([0.3, -1.2, 0.5])
+    if not raises:
+        assert np.isfinite(projection_P_mu(mu, m)).all()
+        return
+    with pytest.raises(DegeneracyError) as exc:
+        projection_P_mu(mu, m)
+    assert str(exc.value).startswith(
+        "range mu exceeds range chi (residual 1.00e-07, cond 1.000e+00")
+
+
 def test_point_evaluation_is_shared(mu_t):
     m = np.array([0.4, -1.0, 0.3])
     pt = at(mu_t, m)

@@ -141,9 +141,9 @@ def test_untamed_su3_form_fails_docility_at_vertical_rotation():
     g = A.manifold_alg.exp(0.8 * np.eye(8)[7])
     E = np.eye(8)
     probes = [E[2], E[5]]
-    flag, _ = docile(mu, g, probes=probes, tol=1e-4)
+    flag, _ = docile(mu, g, probes=probes)
     assert not flag
-    flag_tamed, _ = docile(tame(mu), g, probes=probes, tol=1e-4)
+    flag_tamed, _ = docile(tame(mu), g, probes=probes)
     assert flag_tamed
 
 

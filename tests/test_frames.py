@@ -161,19 +161,6 @@ def test_custom_field_rejected_when_not_unit():
         pmf.phi(np.array([1.0, 0.0, 0.0]))
 
 
-class _NoDraws:
-    """A generator stand-in that fails the test if it is ever drawn from."""
-
-    def standard_normal(self, size):
-        raise AssertionError("sampler drew a point for an invalid cap")
-
-
-@pytest.mark.parametrize("cap", [np.pi / 2, 2.0, -0.1, np.nan])
-def test_sample_off_poles_rejects_bad_cap(cap):
-    with pytest.raises(ValueError):
-        _sample_off_poles(_NoDraws(), cap)
-
-
 def test_sample_off_poles_gives_up_at_the_poles():
     class Pole:
         def standard_normal(self, size):

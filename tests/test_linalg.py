@@ -141,17 +141,39 @@ def test_inconsistent_solve_names_its_cond():
     assert (exc.value.cond, exc.value.gap) == (svd.cond, svd.gap)
 
 
-def test_no_solve_takes_its_own_consistency_tolerance():
-    """linalg.TOL_CONSIST is the one consistency tolerance: no function of
-    the package has a ``tol_consist`` parameter."""
+def _parameters():
+    """(file:function, parameter, default or None) of every function of the
+    package."""
     src = Path(__file__).resolve().parents[1] / "src" / "gconn"
-    found = [f"{path.name}:{node.name}"
-             for path in sorted(src.glob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text()))
-             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-             for arg in ast.walk(node.args)
-             if isinstance(arg, ast.arg) and arg.arg == "tol_consist"]
-    assert found == []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            positional = a.posonlyargs + a.args
+            defaults = [None] * (len(positional) - len(a.defaults))
+            for arg, default in zip(positional + a.kwonlyargs,
+                                    defaults + a.defaults + a.kw_defaults):
+                yield f"{path.name}:{node.name}", arg.arg, default
+
+
+def test_no_solve_takes_its_own_consistency_tolerance():
+    """linalg.TOL_CONSIST is the one consistency tolerance and every
+    record's threshold is fixed at the record: no function of the package
+    has a ``tol_consist`` or ``tol_eq`` parameter, and only the two
+    containment tests of ``Subspace``, which callers use at 1e-6 and at
+    1e-8, take a ``tol``."""
+    found = [(where, name) for where, name, _ in _parameters()
+             if name in ("tol_consist", "tol_eq", "tol")]
+    assert found == [("linalg.py:contains", "tol"),
+                     ("linalg.py:contains_subspace", "tol")]
+
+
+def test_no_generator_has_a_default():
+    """Every draw comes from the caller's generator: no ``rng`` parameter
+    has a default, which would draw from a seed the caller never chose."""
+    assert [where for where, name, default in _parameters()
+            if name == "rng" and default is not None] == []
 
 
 def test_central_difference_jacobian():
