@@ -265,6 +265,12 @@ def test_dual_form_verify_passes(name, make):
     assert rep.all_passed, rep.to_text()
 
 
+def test_dual_form_verify_holds_equivariance_to_1e_8(mu_t):
+    rep = dual_form_verify(mu_t, samples=2, rng=np.random.default_rng(23))
+    assert [c.tolerance for c in rep.checks
+            if c.check_id == "equivariance"] == [1e-8, 1e-8]
+
+
 def test_alpha_projection_is_orthogonal():
     alpha = alpha_so3r3(lambda m: 0.0)
     rng = np.random.default_rng(24)

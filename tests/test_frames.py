@@ -102,6 +102,15 @@ def test_beta_equivariance_report():
     assert rep.all_passed, rep.to_text()
 
 
+def test_beta_equivariance_records_hold_to_1e_5():
+    pmf = pmf_from_field(eastward_field)
+    rep = beta_equivariance_check(pmf, samples=2,
+                                  rng=np.random.default_rng(54))
+    tols = {(c.check_id, c.tolerance) for c in rep.checks
+            if c.check_id in ("product-rule", "generator-difference")}
+    assert tols == {("product-rule", 1e-5), ("generator-difference", 1e-5)}
+
+
 def test_frames_do_not_call_np_cross(monkeypatch):
     A = get_action("so3-on-us2")
     rng = np.random.default_rng(55)
@@ -168,3 +177,18 @@ def test_sample_off_poles_gives_up_at_the_poles():
 
     with pytest.raises(ValueError):
         _sample_off_poles(Pole())
+
+
+@pytest.mark.parametrize("pole", [1.0, -1.0])
+def test_sample_off_poles_keeps_polar_distance_above_0_15(pole):
+    # draws at polar distance 0.14 and then 0.16 from the pole: the first
+    # is rejected and the second returned
+    class Draws:
+        points = [np.array([np.sin(a), 0.0, pole * np.cos(a)])
+                  for a in (0.14, 0.16)]
+
+        def standard_normal(self, size):
+            return self.points.pop(0).copy()
+
+    m = _sample_off_poles(Draws())
+    assert m == pytest.approx([np.sin(0.16), 0.0, pole * np.cos(0.16)])

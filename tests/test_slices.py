@@ -223,6 +223,15 @@ def test_abel_involutivity(setup):
     assert rep.all_passed, rep.to_text()
 
 
+def test_abel_involutivity_records_hold_to_1e_5(setup):
+    A, mu, g0, adaptor = setup
+    rep = abel_involutivity(mu, adaptor, _pi(), _iota, samples=2,
+                            rng=np.random.default_rng(44))
+    assert {(c.check_id, c.tolerance) for c in rep.checks} == {
+        ("xi-involutive", 1e-5), ("bracket-tangent", 1e-5),
+        ("corrections-vanish", 1e-5)}
+
+
 def test_abel_sample_evaluates_each_point_once(setup, monkeypatch):
     A, mu, g0, adaptor = setup
     gen_calls, adapted_calls, plain_points = [], [], []
