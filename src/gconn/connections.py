@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import linalg
 from .actions import Action
-from .linalg import (SVD, TOL_CONSIST, Subspace, curve_derivative,
-                     fd_step_in_force, norm, once)
+from .linalg import SVD, TOL_CONSIST, Subspace, curve_derivative, norm, once
 from .report import VerificationReport
 
 
@@ -71,7 +71,7 @@ def simple_mechanical_mu(action: Action) -> DualForm:
 
 def fd_oracle(mu: DualForm) -> DualForm:
     """The same form whose ``dmatrix`` is a central difference of its matrix
-    along the retraction, at the step in force: the oracle that the exact
+    along the retraction, at ``linalg.FD_STEP``: the oracle that the exact
     derivatives are checked against."""
     A = mu.action
 
@@ -87,10 +87,10 @@ def mu_q(q) -> DualForm:
     ``q`` must be smooth and strictly positive on the sampled positive axis.
     The form carries its derivative along m + t w,
     2 q'(|m|^2) <m, w> hat(m) + q(|m|^2) hat(w), in which q' is the one
-    part not known in closed form: a central difference of ``q`` at the
-    step in force, so ``q`` must also be defined a step below |m|^2.  Both
-    compute on triples (the helpers of :mod:`gconn.groups`) and return
-    3x3 float arrays.
+    part not known in closed form: a central difference of ``q`` at
+    ``linalg.FD_STEP``, read at each call, so ``q`` must also be defined a
+    step below |m|^2.  Both compute on triples (the helpers of
+    :mod:`gconn.groups`) and return 3x3 float arrays.
     """
     from .actions import get_action
     from .groups import axpy3, dot3, hat3, triple
@@ -106,7 +106,7 @@ def mu_q(q) -> DualForm:
     def dmatrix(pt, w):
         m, w = triple(pt.m), triple(w)
         s = dot3(m, m)
-        h = fd_step_in_force()
+        h = linalg.FD_STEP
         dq = (q(s + h) - q(s - h)) / (2.0 * h)
         qs = q(s)
         # hat is linear

@@ -141,7 +141,7 @@ def curvature_leftright_closed(action, g, xi, omega):
 
     For (h, k) . g = h g k^(-1) on G, K = [H, -Ad_g H] spans h + Ad_g h, and
     one SVD R K = U diag(s) V^T (gram G = R^T R, ``gram_factor``; U_r, s_r, V_r
-    at the cutoff in force) serves three steps.  The inputs are projected onto
+    at the cutoff TOL_RANK) serves three steps.  The inputs are projected onto
     the metric complement of range K by I - K (K^T G K)^+ K^T G =
     I - R^-1 U_r U_r^T R, as A (A^T A)^+ A^T is the orthogonal projector
     U_r U_r^T onto range A, A = R K.  Their bracket b gives the covariant

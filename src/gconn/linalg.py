@@ -5,7 +5,7 @@ tests) reduces to rank/nullspace decisions, minimum-norm consistent solves
 and central differences on matrices of dimension <= 16, so these helpers are
 kept deliberately simple and SVD-based.  :class:`SVD` is the one place that
 decomposes a matrix: every rank, kernel, range and minimum-norm solve in the
-package keeps the singular values ``s > tol_rank * s[0]`` of that one
+package keeps the singular values ``s > TOL_RANK * s[0]`` of that one
 decomposition.  :func:`rank_nullspace`, :func:`range_space`,
 :func:`solve_consistent` and the reduction in :class:`Subspace` are views
 of it.  :func:`norm` is the Euclidean norm of a real array by numpy's own
@@ -20,16 +20,15 @@ context, casts of the results) costs more than the routine itself.  Code
 that runs once per algebra or action, at construction, keeps
 ``np.linalg``.
 
-The rank cutoff and the first-difference step have one source, the
-setting that :func:`numerics` makes for a block (the CLI for a scenario);
-:class:`SVD` records the cutoff it used, the differences take the step
-unless given one, and :func:`fd_step_in_force` reads it for the rest.
+The rank cutoff ``TOL_RANK`` and the first-difference step ``FD_STEP`` are
+constants of this module, read when a decomposition or a difference is
+taken: :class:`SVD` cuts at the one, and the differences take the other
+unless given a step.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -37,7 +36,7 @@ from numpy.linalg import _umath_linalg as _lapack
 
 # Relative singular-value threshold for rank decisions.  The spectra arising
 # from the built-in group actions are well separated (eigenvalues like 0 and
-# 1 -+ r), so this default is robust.
+# 1 -+ r), so this cutoff is robust.
 TOL_RANK = 1e-8
 
 # The one consistency tolerance: SVD.solve takes b to lie in range(A) up to it.
@@ -46,26 +45,6 @@ TOL_CONSIST = 1e-8
 # Default central-difference step: truncation ~h^2 = 1e-10 balances roundoff
 # ~eps/h = 1e-11.
 FD_STEP = 1e-5
-
-_tol_rank, _fd_step = TOL_RANK, FD_STEP  # in force; see numerics
-
-
-@contextmanager
-def numerics(tol_rank=TOL_RANK, fd_step=FD_STEP):
-    """Set the rank cutoff and the first-difference step for a block, and
-    restore the ones in force on exit, also when the block raises."""
-    global _tol_rank, _fd_step
-    saved = _tol_rank, _fd_step
-    _tol_rank, _fd_step = tol_rank, fd_step
-    try:
-        yield
-    finally:
-        _tol_rank, _fd_step = saved
-
-
-def fd_step_in_force():
-    """The first-difference step in force (see :func:`numerics`)."""
-    return _fd_step
 
 
 class InconsistentSystemError(ValueError):
@@ -164,7 +143,7 @@ class Subspace:
 
     ``vectors`` may be any spanning set (rows or a list of 1-d arrays);
     linearly dependent input is reduced to the row space of their
-    :class:`SVD` at the rank cutoff in force.  :meth:`from_basis` takes a
+    :class:`SVD` at the rank cutoff ``TOL_RANK``.  :meth:`from_basis` takes a
     basis that is already orthonormal.
     """
 
@@ -223,11 +202,10 @@ class SVD:
     """One full singular value decomposition A = U diag(s) Vt.
 
     The matrix is checked for non-finite entries once (``ValueError``).
-    ``rank`` counts the singular values above tol_rank * s[0] at the cutoff
-    in force (:func:`numerics`), which ``tol_rank`` records, and every other
-    answer reads that one cutoff: the ``kernel`` (the last rows of the full
-    Vt, so a wide A has one), the ``range``, the ``row_space``, the
-    pseudo-inverse and the minimum-norm consistent solve.  The spectral
+    ``rank`` counts the singular values above ``TOL_RANK * s[0]``, and
+    every other answer reads that one cutoff: the ``kernel`` (the last rows
+    of the full Vt, so a wide A has one), the ``range``, the ``row_space``,
+    the pseudo-inverse and the minimum-norm consistent solve.  The spectral
     norm |A|_2 is s[0].
     """
 
@@ -236,10 +214,9 @@ class SVD:
         self.A = A if A.ndim == 2 else np.atleast_2d(A)
         if not np.isfinite(self.A).all():
             raise ValueError("SVD: non-finite entries")
-        self.tol_rank = _tol_rank
         self.U, self.s, self.Vt = svd(self.A)
         s = self.s.tolist()
-        cutoff = self.tol_rank * s[0] if s and s[0] > 0 else 0.0
+        cutoff = TOL_RANK * s[0] if s and s[0] > 0 else 0.0
         self.rank = sum(x > cutoff for x in s)
 
     @property
@@ -273,7 +250,7 @@ class SVD:
     @once
     def pinv(self):
         """numpy's pseudo-inverse formula over the singular values above the
-        cutoff; bit-equal to ``np.linalg.pinv(A, tol_rank)`` for a square
+        cutoff; bit-equal to ``np.linalg.pinv(A, TOL_RANK)`` for a square
         A (numpy decomposes a non-square one in reduced form)."""
         r = self.rank
         return self.Vt[:r].T @ ((1.0 / self.s[:r])[:, None] * self.U[:, :r].T)
@@ -320,10 +297,10 @@ def solve_consistent(A, b):
 
 def central_difference(f, x, h=None):
     """Jacobian of ``f`` at ``x`` by central differences with step ``h``
-    (if None, the step in force), column by column.  ``f`` maps a 1-d array
+    (if None, ``FD_STEP``), column by column.  ``f`` maps a 1-d array
     to a 1-d array (scalars are promoted).  Exact for polynomials of degree
     <= 2 up to roundoff."""
-    h = _fd_step if h is None else h
+    h = FD_STEP if h is None else h
     x = np.asarray(x, dtype=float).ravel()
     cols = []
     for j in range(x.size):
@@ -337,8 +314,8 @@ def central_difference(f, x, h=None):
 
 def curve_derivative(f, h=None):
     """Derivative at t = 0 of a curve t -> array, by a central difference
-    with step ``h`` (if None, the step in force)."""
-    h = _fd_step if h is None else h
+    with step ``h`` (if None, ``FD_STEP``)."""
+    h = FD_STEP if h is None else h
     fp = np.asarray(f(h), dtype=float)
     fm = np.asarray(f(-h), dtype=float)
     return (fp - fm) / (2.0 * h)

@@ -7,12 +7,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gconn import actions, curvature, frames, linalg, slices
+from gconn import actions, curvature, frames, linalg
 from gconn.cli import (SCENARIOS, ScenarioConfig, check_closed_vs_fd, main,
                        run_scenario)
-from gconn.connections import DegeneracyError
 from gconn.frames import FRAME_STEP
-from gconn.linalg import FD_STEP, SVD, TOL_RANK, curve_derivative
 from gconn.report import VerificationReport
 
 
@@ -35,8 +33,42 @@ def test_run_scenario_unknown_name():
 
 def test_unknown_scenario_exits_nonzero():
     r = run_cli(["--scenario", "bogus"])
-    assert r.returncode != 0
-    assert "bogus" in r.stderr
+    assert r.returncode == 2
+    assert "invalid choice: 'bogus'" in r.stderr
+
+
+def test_scenario_is_required(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--seed", "1"])
+    assert exc.value.code == 2
+    assert ("the following arguments are required: --scenario"
+            in capsys.readouterr().err)
+
+
+def test_unknown_format_is_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--scenario", "so3-r3-docility", "--format", "yaml"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --format: invalid choice: 'yaml'" in err
+
+
+def test_key_error_inside_a_scenario_is_not_a_usage_error(monkeypatch):
+    # only an unknown --scenario is a usage error; a KeyError that a
+    # scenario raises propagates with its traceback
+    def lookup(cfg):
+        return actions.get_action("no-such-action")
+
+    monkeypatch.setitem(SCENARIOS, "so3-r3-docility", lookup)
+    with pytest.raises(KeyError, match="no-such-action"):
+        main(["--scenario", "so3-r3-docility"])
+
+
+def test_out_dash_writes_the_report_to_stdout(capsys):
+    assert main(["--scenario", "so3-r3-docility", "--out", "-"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["scenario"] == "so3-r3-docility"
+    assert data["summary"]["failed"] == 0
 
 
 def test_docility_scenario_passes(tmp_path):
@@ -100,26 +132,32 @@ def test_main_returns_exit_code(tmp_path):
     assert out.exists()
 
 
+def test_text_format_writes_to_the_out_file(tmp_path, capsys):
+    out = tmp_path / "r.txt"
+    assert main(["--scenario", "so3-r3-docility", "--format", "text",
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == run_scenario(
+        ScenarioConfig("so3-r3-docility", fmt="text")).to_text()
+
+
 def test_flags_are_recorded():
-    # so3-r3-docility applies each of these flags: the seed draws the
-    # curvature's directions, the cutoff ranks mu at the origin and the
-    # step differences q in the derivative of mu_q
-    r = run_cli(["--scenario", "so3-r3-docility", "--seed", "3",
-                 "--tol-rank", "1e-11", "--fd-step", "2e-6"])
+    # so3-r3-docility applies the seed: it draws the curvature's directions
+    r = run_cli(["--scenario", "so3-r3-docility", "--seed", "3"])
     data = json.loads(r.stdout)
     assert data["config"]["seed"] == 3
-    assert data["config"]["tol_rank"] == 1e-11
-    assert data["config"]["fd_step"] == 2e-6
 
 
 def test_config_echoes_the_flags_and_nothing_else():
     assert list(ScenarioConfig("so3-r3-docility").echo()) == [
-        "scenario", "seed", "tol_rank", "fd_step", "samples", "fmt"]
+        "scenario", "seed", "samples", "fmt"]
 
 
-@pytest.mark.parametrize("flag", ["--tol-eq", "--tol-struct"])
+@pytest.mark.parametrize("flag", ["--tol-eq", "--tol-struct", "--tol-rank",
+                                  "--fd-step"])
 def test_record_thresholds_are_not_flags(capsys, flag):
-    # each record's threshold is fixed at the record
+    # each record's threshold is fixed at the record, and the rank cutoff
+    # and the difference step are constants of gconn.linalg
     with pytest.raises(SystemExit) as exc:
         main(["--scenario", "s1s1-so3-slice", flag, "1e-3"])
     assert exc.value.code == 2
@@ -153,17 +191,10 @@ def test_property_suite_is_its_scenarios_at_a_quarter_of_the_samples():
         assert inner == alone.checks, name
 
 
-def test_rank_and_step_flags_reach_the_checks(monkeypatch, tmp_path):
-    # every SVD of every scenario decides rank at the flag's cutoff, every
-    # difference not given a step takes the flag's, and the rest take the
-    # frame oracles' named step
-    cutoffs, steps, given = [], [], []
-    svd_init = linalg.SVD.__init__
-
-    def spied_svd(self, *args, **kwargs):
-        svd_init(self, *args, **kwargs)
-        cutoffs.append(self.tol_rank)
-
+def test_differences_read_the_step_when_called(monkeypatch, tmp_path):
+    # every difference not given a step takes linalg.FD_STEP at the time of
+    # the call, and the rest take the frame oracles' named step
+    steps, given = [], []
     original = linalg.curve_derivative
 
     def spied_difference(f, h=None):
@@ -177,17 +208,14 @@ def test_rank_and_step_flags_reach_the_checks(monkeypatch, tmp_path):
 
         return original(probed)
 
-    monkeypatch.setattr(linalg.SVD, "__init__", spied_svd)
+    monkeypatch.setattr(linalg, "FD_STEP", 2e-5)
     for name, module in list(sys.modules.items()):
         if (name.split(".")[0] == "gconn"
                 and getattr(module, "curve_derivative", None) is original):
             monkeypatch.setattr(module, "curve_derivative", spied_difference)
     for scenario in sorted(SCENARIOS):
         main(["--scenario", scenario, "--seed", "1", "--samples", "2",
-              "--tol-rank", "1e-9", "--fd-step", "2e-5",
               "--out", str(tmp_path / "r.json")])
-    stray = [c for c in cutoffs if c != 1e-9]
-    assert cutoffs and not stray, f"{len(stray)} of {len(cutoffs)} SVDs"
     assert steps and set(steps) == {2e-5}
     assert given and set(given) <= {FRAME_STEP}
 
@@ -215,40 +243,9 @@ def test_differences_come_only_from_the_oracles(monkeypatch, tmp_path):
                        "adapted_dual_form.<locals>.dmatrix"}
 
 
-def _in_force():
-    """The rank cutoff and the difference step in force."""
-    steps = []
-    curve_derivative(lambda t: steps.append(abs(t)) or 0.0)
-    return SVD(np.eye(2)).tol_rank, steps[0]
-
-
-def _singular(*args):
-    raise DegeneracyError("ker chi has dim 1, isotropy dim 0 at this point")
-
-
-@pytest.mark.parametrize("scenario, raises", [
-    ("hxh-su3-curvature", True),
-    ("so3-r3-docility", False),
-], ids=["hxh-su3-curvature-raises", "so3-r3-docility"])
-def test_scenario_restores_the_numerics(monkeypatch, scenario, raises):
-    assert _in_force() == (TOL_RANK, FD_STEP)
-    cfg = ScenarioConfig(scenario, tol_rank=1e-9, fd_step=2e-5)
-    if raises:
-        monkeypatch.setattr(curvature, "curvature_leftright_closed",
-                            _singular)
-        with pytest.raises(DegeneracyError):
-            run_scenario(cfg)
-    else:
-        run_scenario(cfg)
-    assert _in_force() == (TOL_RANK, FD_STEP)
-
-
 @pytest.mark.parametrize("flag, value", [
-    ("--tol-rank", "nan"), ("--tol-rank", "0"), ("--tol-rank", "-1"),
-    ("--tol-rank", "1"), ("--tol-rank", "2"), ("--tol-rank", "inf"),
-    ("--fd-step", "0"), ("--fd-step", "-1e-5"), ("--fd-step", "nan"),
-    ("--fd-step", "inf"), ("--samples", "0"), ("--samples", "-5"),
-    ("--seed", "-1"),
+    ("--samples", "0"), ("--samples", "-5"), ("--samples", "2.5"),
+    ("--samples", "nan"), ("--seed", "-1"), ("--seed", "1.5"),
 ])
 def test_bad_numeric_flags_are_rejected(capsys, flag, value):
     with pytest.raises(SystemExit) as exc:
@@ -256,24 +253,6 @@ def test_bad_numeric_flags_are_rejected(capsys, flag, value):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {flag}: " in err and repr(value) in err
-
-
-def test_rank_flag_reaches_the_adapted_kernel_test(monkeypatch, tmp_path):
-    # every kernel test of chi_phi, in abel_involutivity and in the
-    # adapted-d-exact-vs-fd oracle, decides rank at the flag's cutoff
-    seen = []
-    adapted_inertia = slices.adapted_inertia
-
-    def spied(mu, adaptor, m, *args, **kwargs):
-        seen.append(m.chi_svd.tol_rank)
-        return adapted_inertia(mu, adaptor, m, *args, **kwargs)
-
-    monkeypatch.setattr(slices, "adapted_inertia", spied)
-    main(["--scenario", "s1s1-so3-slice", "--samples", "2", "--tol-rank",
-          "1e-9", "--out", str(tmp_path / "r.json")])
-    # per sample: abel_involutivity's adapted form at m, and the oracle
-    # record's exact derivative at m and its two difference points
-    assert seen == [1e-9] * 8
 
 
 # The failing check ids of every scenario at the default flags and seeds

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from closed_reference import curvature_leftright_normal
-from gconn import curvature
+from gconn import curvature, linalg
 from gconn.actions import get_action
 from gconn.connections import fd_oracle, simple_mechanical_mu
 from gconn.cli import ScenarioConfig, check_closed_vs_fd, run_scenario
@@ -174,14 +174,14 @@ def test_agrees_with_normal_equations_at_well_conditioned_points(name):
     assert checked >= 30
 
 
-def test_flat_record_does_not_depend_on_the_rank_cutoff():
+def test_flat_record_does_not_depend_on_the_rank_cutoff(monkeypatch):
     # chi sharp chi squared the conditioning of chi, and the s1s1 record read
     # 5.0e-12, 1.7e-10 and 1.7e-10 at these cutoffs; R K keeps the one
     # decision at all three (4.2e-14)
     flat = set()
     for tol_rank in (1e-8, 1e-9, 1e-10):
-        rep = run_scenario(ScenarioConfig("s1s1-so3-slice", seed=1,
-                                          tol_rank=tol_rank))
+        monkeypatch.setattr(linalg, "TOL_RANK", tol_rank)
+        rep = run_scenario(ScenarioConfig("s1s1-so3-slice", seed=1))
         flat |= {c.residual for c in rep.checks if c.check_id == "flat"}
     assert len(flat) == 1 and flat.pop() < 1e-12
 

@@ -27,7 +27,7 @@ from gconn.curvature import (curvature, d_oneform, docile, field_bracket,
 from gconn.frames import (FRAME_STEP, PartialMovingFrame, _sample_off_poles,
                           eastward_field, pmf_from_field)
 from gconn.groups import hat
-from gconn.linalg import curve_derivative, norm, numerics
+from gconn.linalg import curve_derivative, norm
 from gconn.slices import _xi_field, adapted_dual_form, trivial_adaptor
 
 TORUS = ["hxh-on-su3", "s1s1-on-so3"]
@@ -291,7 +291,7 @@ def test_mu_q_dmatrix_follows_the_h2_law(q):
         assert 3.9 < ratio < 4.1 and gap < 1e-5
 
 
-def test_mu_q_differences_q_at_the_step_in_force():
+def test_mu_q_differences_q_at_linalg_fd_step(monkeypatch):
     seen = []
 
     def q(t):
@@ -302,8 +302,8 @@ def test_mu_q_differences_q_at_the_step_in_force():
     m, w = np.array([0.3, -0.4, 1.2]), np.array([1.0, 0.5, -0.2])
     s = float(m @ m)
     seen.clear()
-    with numerics(fd_step=2e-5):
-        mu.dmatrix(m, w, None)
+    monkeypatch.setattr(linalg, "FD_STEP", 2e-5)
+    mu.dmatrix(m, w, None)
     assert sorted(seen) == sorted([s + 2e-5, s - 2e-5, s])
 
 

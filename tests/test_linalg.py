@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gconn.linalg import (FD_STEP, SVD, TOL_RANK, InconsistentSystemError,
-                          Subspace, central_difference, curve_derivative,
-                          eigh, inv, norm, numerics, range_space,
-                          rank_nullspace, solve, solve_consistent, svd)
+from gconn import linalg
+from gconn.linalg import (FD_STEP, SVD, InconsistentSystemError, Subspace,
+                          central_difference, curve_derivative, eigh, inv,
+                          norm, range_space, rank_nullspace, solve,
+                          solve_consistent, svd)
 
 finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 
@@ -124,6 +125,17 @@ def test_svd_answers_share_one_cutoff():
     assert SVD(np.diag([2.0, 1.0])).gap == 0.0
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_rank_cutoff_is_1e_8_of_the_largest_singular_value(scale):
+    assert SVD(np.diag([scale, 1.01e-8 * scale])).rank == 2
+    assert SVD(np.diag([scale, 0.99e-8 * scale])).rank == 1
+
+
+def test_default_step_is_1e_5():
+    assert _steps(curve_derivative) == {1e-5}
+    assert _steps(lambda f: central_difference(f, np.zeros(1))) == {1e-5}
+
+
 def test_inconsistent_solve_names_its_cond():
     svd = SVD(np.diag([1.0, 1e-3, 0.0]))
     with pytest.raises(InconsistentSystemError,
@@ -167,6 +179,14 @@ def test_no_solve_takes_its_own_consistency_tolerance():
              if name in ("tol_consist", "tol_eq", "tol")]
     assert found == [("linalg.py:contains", "tol"),
                      ("linalg.py:contains_subspace", "tol")]
+
+
+def test_no_function_takes_a_rank_cutoff_or_a_step_size():
+    """linalg.TOL_RANK is the one rank cutoff and linalg.FD_STEP the one
+    default difference step: no function of the package has a
+    ``tol_rank`` or ``fd_step`` parameter."""
+    assert [(where, name) for where, name, _ in _parameters()
+            if name in ("tol_rank", "fd_step")] == []
 
 
 def test_no_generator_has_a_default():
@@ -228,28 +248,20 @@ def _steps(difference):
     return set(seen)
 
 
-def test_numerics_sets_cutoff_and_step_for_a_block():
+def test_cutoff_and_step_are_read_at_each_call(monkeypatch):
     A = np.diag([1.0, 1e-3])
-    wide = lambda: _steps(lambda f: central_difference(f, np.zeros(1)))
-    assert SVD(A).tol_rank == TOL_RANK and SVD(A).rank == 2
+
+    def wide(h=None):
+        return _steps(lambda f: central_difference(f, np.zeros(1), h))
+
+    assert SVD(A).rank == Subspace(A).dim == range_space(A).dim == 2
     assert _steps(curve_derivative) == wide() == {FD_STEP}
-    with numerics(tol_rank=1e-2, fd_step=2e-5):
-        assert SVD(A).tol_rank == 1e-2 and SVD(A).rank == 1
-        assert Subspace(A).dim == range_space(A).dim == 1
-        assert _steps(curve_derivative) == wide() == {2e-5}
-        # a step given explicitly wins, and an inner block restores the
-        # outer one's setting
-        assert _steps(lambda f: curve_derivative(f, 1e-3)) == {1e-3}
-        with numerics(fd_step=1e-4):
-            assert SVD(A).tol_rank == TOL_RANK
-            assert _steps(curve_derivative) == {1e-4}
-        assert SVD(A).tol_rank == 1e-2
-        assert _steps(curve_derivative) == {2e-5}
-    with pytest.raises(RuntimeError):
-        with numerics(tol_rank=1e-2, fd_step=2e-5):
-            raise RuntimeError
-    assert SVD(A).tol_rank == TOL_RANK
-    assert _steps(curve_derivative) == {FD_STEP}
+    monkeypatch.setattr(linalg, "TOL_RANK", 1e-2)
+    monkeypatch.setattr(linalg, "FD_STEP", 2e-5)
+    assert SVD(A).rank == Subspace(A).dim == range_space(A).dim == 1
+    assert _steps(curve_derivative) == wide() == {2e-5}
+    # a step given explicitly wins
+    assert _steps(lambda f: curve_derivative(f, 1e-3)) == wide(1e-3) == {1e-3}
 
 
 def test_norm_is_numpys_norm_bit_for_bit():
