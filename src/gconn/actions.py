@@ -64,9 +64,6 @@ class Action:
     vec_dim = 0             # length of tangent coordinate vectors
 
     # group element handling -------------------------------------------
-    def identity(self):
-        raise NotImplementedError
-
     def group_exp(self, xi):
         """Exponential of an acting-algebra element to a group element."""
         raise NotImplementedError
@@ -132,9 +129,6 @@ class So3OnVectors(Action):
 
     def __init__(self):
         self.algebra = groups.so3_algebra()
-
-    def identity(self):
-        return np.eye(3)
 
     def group_exp(self, xi):
         return groups.exp_so3(xi)
@@ -272,11 +266,6 @@ class TorusSquareOnGroup(Action):
         H = self.algebra.h
         self._h_stack = np.array([manifold_alg.matrix(H[:, j])
                                   for j in range(H.shape[1])])
-
-    def identity(self):
-        n = self.manifold_alg.basis[0].shape[0]
-        return (np.eye(n, dtype=self.manifold_alg.basis[0].dtype),
-                np.eye(n, dtype=self.manifold_alg.basis[0].dtype))
 
     def group_exp(self, xi):
         a, b = self.algebra.split(xi)

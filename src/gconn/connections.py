@@ -134,11 +134,10 @@ class PointEval:
 
     The derivatives along a direction w are held the same way: ``dK(w)``,
     the action's ``dgen_matrix``, ``dM(w)``, the form's ``dmatrix``, and
-    ``dchi(w, adaptor)``, each computed at most once per distinct w (and
-    adaptor) and stored read-only, as is ``Ad_phi(adaptor)``, the adjoint
-    of an adaptor's phi(m).  ``of(base)`` is the evaluation of another form
-    at the same point, made once; it shares ``K`` and the ``dK(w)``.
-    Nothing outlives the object, which callers build with :func:`at`.
+    ``dchi(w)``, each computed at most once per distinct w and stored
+    read-only.  ``of(base)`` is the evaluation of another form at the same
+    point, made once; it shares ``K`` and the ``dK(w)``.  Nothing outlives
+    the object, which callers build with :func:`at`.
     """
 
     def __init__(self, mu: DualForm, m, K=None):
@@ -147,7 +146,7 @@ class PointEval:
         if K is not None:
             self.K = K
         self._dK = {}  # shared with the evaluations of of(base)
-        self.memo = {}  # by direction, adaptor, form (of) or a form's key
+        self.memo = {}  # by direction, form (of) or a form's key
 
     @once
     def K(self):
@@ -192,29 +191,14 @@ class PointEval:
             d = self.memo[key] = _read_only(self.mu._dmatrix_fn(self, w))
         return d
 
-    def Ad_phi(self, adaptor):
-        """Ad_{phi(m)} on acting-algebra coordinates, for the adaptor's
-        group-valued map phi."""
-        Ad = self.memo.get(adaptor)
-        if Ad is None:
-            Ad = self.mu.action.Ad_group(adaptor.phi(self.m))
-            self.memo[adaptor] = Ad = _read_only(Ad)
-        return Ad
-
-    def dchi(self, w, adaptor=None):
-        """The derivative of chi along w, dM K + M dK; with an adaptor phi,
-        that of the adapted inertia factor chi Ad_phi:
-        (dM K + M dK) Ad_phi + chi Ad_phi ad_{dnatL(m, w)}."""
+    def dchi(self, w):
+        """The derivative of chi along w, dM K + M dK."""
         w = np.asarray(w, dtype=float).ravel()
-        key = (w.tobytes(), adaptor)
+        key = ("dchi", w.tobytes())
         d = self.memo.get(key)
         if d is None:
-            d = self.dM(w) @ self.K + self.M @ self.dK(w)
-            if adaptor is not None:
-                Ad = self.Ad_phi(adaptor)
-                d = d @ Ad + self.chi @ Ad @ self.mu.action.algebra.ad_matrix(
-                    adaptor.dnatL(self.m, w))
-            self.memo[key] = d = _read_only(d)
+            d = self.memo[key] = _read_only(
+                self.dM(w) @ self.K + self.M @ self.dK(w))
         return d
 
     @once

@@ -1,14 +1,14 @@
 """Adaptors, adapted dual forms, almost-horizontal systems and slices.
 
-Near a singular point m0 the kernel of a dual form jumps in dimension.  An
-adaptor phi conjugates the reference isotropy algebra over the nearby
-isotropy algebras, which lets the form be corrected to constant rank: the
-adapted form's kernel is the almost-horizontal system
-Xi = Gamma + (Ad_phi g_m0)~; it carries its derivative, so brackets of
-Xi-valued fields are exact up to one difference, of the caller's iota.
-The adapted form reads the plain form's evaluation at the same point, so
-chi_phi, iota(m) and each derivative along a direction are taken once per
-point.
+Near a singular point m0 the kernel of a dual form jumps in dimension; an
+adaptor corrects the form to constant rank.  Every action here needs only
+the trivial adaptor (the torus groups are abelian, and the isotropy of
+SO(3)'s one singular point, the origin of R^3, is all of so(3)), so
+chi_phi = chi and the adapted form's kernel is the almost-horizontal system
+Xi = Gamma + g_m0~; it carries its derivative, so brackets of Xi-valued
+fields are exact up to one difference, of the caller's iota.  The adapted
+form reads the plain form's evaluation at the same point, so chi, iota(m)
+and each derivative along a direction are taken once per point.
 
 The concrete slice construction here is the Cayley-parametrized slice for
 the two-sided circle action on SO(3); its tangent evaluator takes a matrix
@@ -33,29 +33,14 @@ class AdaptorContractError(ValueError):
 
 
 class Adaptor:
-    """A group-valued map phi with phi(m0) in the stabilizer of m0 that
-    conjugates the reference isotropy algebra over nearby isotropy algebras.
-
-    ``phi`` maps a manifold point to an acting-group element; ``dnatL`` is
-    the left-trivialized derivative evaluator (m, tangent coords) -> acting
-    algebra, identically zero for the trivial adaptor (no ``phi``).  A
-    ``phi`` given without its ``dnatL`` raises :class:`TypeError`.  Whether
-    Ad_phi g_m0 covers the isotropy algebra g_m is tested where it is used:
-    :func:`adapted_inertia` raises :class:`AdaptorContractError` at every
-    point where it fails.
+    """The trivial adaptor at m0, with the reference isotropy algebra
+    ``iso0`` = g_m0.  Whether g_m0 covers the isotropy algebra g_m is tested
+    where it is used: :func:`adapted_inertia` raises
+    :class:`AdaptorContractError` at every point where it fails.
     """
 
-    def __init__(self, action: Action, m0, phi=None, dnatL=None):
-        self.action = action
+    def __init__(self, action: Action, m0):
         self.m0 = m0
-        if phi is None:
-            phi = lambda m: action.identity()
-            if dnatL is None:
-                dnatL = lambda m, v: np.zeros(action.algebra.dim)
-        elif dnatL is None:
-            raise TypeError("Adaptor: a phi needs its derivative dnatL")
-        self.phi = phi
-        self.dnatL = dnatL
         self.iso0 = isotropy_algebra(action, m0)
 
 
@@ -64,24 +49,18 @@ def trivial_adaptor(action: Action, m0) -> Adaptor:
 
 
 def adapted_inertia(mu: DualForm, adaptor: Adaptor, m):
-    """chi_phi(m) = chi(m) composed with Ad_{phi(m)}.
+    """chi_phi(m), which for the trivial adaptor is chi(m).
 
-    Raises :class:`AdaptorContractError` when ker chi_phi is not contained
-    in the reference isotropy algebra.  ``m`` may be a point evaluation of
-    mu (see :func:`gconn.connections.at`).
+    Raises :class:`AdaptorContractError` when ker chi, from the point's SVD
+    of chi, is not contained in the reference isotropy algebra.  ``m`` may
+    be a point evaluation of mu (see :func:`gconn.connections.at`).
     """
     pt = at(mu, m)
-    Ad = pt.Ad_phi(adaptor)
-    chi_phi = pt.chi @ Ad
-    # ker chi_phi = Ad_phi^-1 ker chi, from the point's SVD of chi; only a
-    # non-trivial kernel needs the inverse
-    kern = pt.chi_svd.kernel.basis
-    if kern.size:
-        kern = linalg.inv(Ad) @ kern
-    if not all(adaptor.iso0.contains(v, 1e-6) for v in kern.T):
+    if not all(adaptor.iso0.contains(v, 1e-6)
+               for v in pt.chi_svd.kernel.basis.T):
         raise AdaptorContractError(
             "ker chi_phi escapes the reference isotropy algebra")
-    return chi_phi
+    return pt.chi
 
 
 def _adapted_parts(mu: DualForm, adaptor: Adaptor, pi, iota, pt_t: PointEval):
@@ -103,15 +82,15 @@ def _adapted_parts(mu: DualForm, adaptor: Adaptor, pi, iota, pt_t: PointEval):
 
 
 def adapted_dual_form(mu: DualForm, adaptor: Adaptor, pi, iota) -> DualForm:
-    """The constant-rank correction (chi_phi . pi . iota) . mu of mu.
+    """The constant-rank correction (chi . pi . iota) . mu of mu, for the
+    trivial adaptor (chi_phi = chi).
 
     ``pi`` is a fixed projection matrix on the acting algebra with kernel
     the reference isotropy algebra; ``iota`` maps a point to a restricted
-    pseudo-inverse of chi_phi, i.e. pi = pi . iota(m) . chi_phi(m) must hold
-    on the domain (checked once per point).  Its matrix
-    M_t = chi_phi . pi . iota(m) . M and its derivative
-    d chi_phi pi iota M + chi_phi pi (d iota M + iota dM) read mu's
-    evaluation b at the point (M, dM and d chi_phi from b); d iota, not
+    pseudo-inverse of chi, i.e. pi = pi . iota(m) . chi(m) must hold on the
+    domain (checked once per point).  Its matrix M_t = chi . pi . iota(m) . M
+    and its derivative d chi pi iota M + chi pi (d iota M + iota dM) read
+    mu's evaluation b at the point (M, dM and d chi from b); d iota, not
     known in closed form, is a central difference of ``iota`` along the
     retraction.
     """
@@ -125,14 +104,14 @@ def adapted_dual_form(mu: DualForm, adaptor: Adaptor, pi, iota) -> DualForm:
     def dmatrix(pt, w):
         b, chi_phi, im = _adapted_parts(mu, adaptor, pi, iota, pt)
         dim = curve_derivative(lambda t: iota(A.retract(pt.m, w, t)))
-        return (b.dchi(w, adaptor) @ pi @ im @ b.M
+        return (b.dchi(w) @ pi @ im @ b.M
                 + chi_phi @ pi @ (dim @ b.M + im @ b.dM(w)))
 
     return DualForm(A, matrix, name=mu.name + "_adapted", dmatrix=dmatrix)
 
 
 def almost_horizontal_basis(mu: DualForm, adaptor: Adaptor, m) -> Subspace:
-    """Basis of Xi|_m = ker mu_m + generators of Ad_phi(m) applied to g_m0.
+    """Basis of Xi|_m = ker mu_m + the generators of g_m0 at m.
 
     The sum is verified to be direct (ranks add); a failure raises
     :class:`AdaptorContractError`.  ``m`` may be a point evaluation of mu.
@@ -140,18 +119,16 @@ def almost_horizontal_basis(mu: DualForm, adaptor: Adaptor, m) -> Subspace:
     A = mu.action
     pt = at(mu, m)
     gam = pt.kernel
-    Adp = pt.Ad_phi(adaptor)
     K = pt.K
     scale = max(1.0, norm(K))
-    gens = [K @ (Adp @ adaptor.iso0.basis[:, j])
-            for j in range(adaptor.iso0.dim)]
+    gens = [K @ adaptor.iso0.basis[:, j] for j in range(adaptor.iso0.dim)]
     # generators may vanish identically at the base point itself; drop the
     # pure-roundoff vectors before the relative-rank reduction
     gens = [g for g in gens if norm(g) > 1e-10 * scale]
     gen_sub = Subspace(gens, ambient_dim=A.vec_dim)
     xi = Subspace([*gam.basis.T, *gen_sub.basis.T], ambient_dim=A.vec_dim)
     if xi.dim != gam.dim + gen_sub.dim:
-        raise AdaptorContractError("Gamma + (Ad_phi g_m0)~ is not direct")
+        raise AdaptorContractError("Gamma + g_m0~ is not direct")
     return xi
 
 
@@ -221,9 +198,12 @@ class SliceCandidate:
         return r <= 1e-8 and norm(p) < self.radius
 
 
-def cayley_slice(sigma, g0, r=1.0) -> SliceCandidate:
+CAYLEY_RADIUS = 1.0
+
+
+def cayley_slice(sigma, g0) -> SliceCandidate:
     """Slice eta -> cay(eta) g0 through g0, restricted to eta orthogonal to
-    the rotation axis sigma.
+    the rotation axis sigma, for |eta| < ``CAYLEY_RADIUS``.
 
     Tangents are returned in right-trivialized so(3) coordinates using the
     closed form for the trivialized derivative of the Cayley transform, one
@@ -236,8 +216,6 @@ def cayley_slice(sigma, g0, r=1.0) -> SliceCandidate:
     sigma = np.asarray(sigma, dtype=float).ravel()
     if abs(norm(sigma) - 1.0) > 1e-10:
         raise ValueError("cayley_slice: sigma must be a unit vector")
-    if not r < 2.0:
-        raise ValueError("cayley_slice: radius must be < 2")
     g0 = np.asarray(g0, dtype=float)
     # orthonormal basis of sigma-perp
     aux = np.eye(3)[np.argmin(np.abs(sigma))]
@@ -269,8 +247,8 @@ def cayley_slice(sigma, g0, r=1.0) -> SliceCandidate:
             return np.full(2, np.inf)
         return B.T @ eta
 
-    return SliceCandidate(np.asarray(g0, dtype=float), psi, tangent, 2, r,
-                          velocity, chart)
+    return SliceCandidate(np.asarray(g0, dtype=float), psi, tangent, 2,
+                          CAYLEY_RADIUS, velocity, chart)
 
 
 def slice_verify(S: SliceCandidate, action: Action, m0, samples, rng,
@@ -385,8 +363,8 @@ def abel_involutivity(mu: DualForm, adaptor: Adaptor, pi, iota, samples,
         Xm, Ym = X(pt_t), Y(pt_t)
         xi_c = pi @ im @ (pt.M @ Xm)
         eta_c = pi @ im @ (pt.M @ Ym)
-        dchi_u = pt.dchi(Xm, adaptor)
-        dchi_v = pt.dchi(Ym, adaptor)
+        dchi_u = pt.dchi(Xm)
+        dchi_v = pt.dchi(Ym)
         rep.add("corrections-vanish",
                 "d chi_phi(u) pi eta - d chi_phi(v) pi xi = 0 for horizontal "
                 "inputs",

@@ -194,5 +194,5 @@ def test_apply_is_group_action():
         lhs = np.asarray(A.apply(gh, m))
         rhs = np.asarray(A.apply(g, A.apply(h, m)))
         assert np.linalg.norm(lhs - rhs) < 1e-10
-        e = A.identity()
+        e = A.group_exp(np.zeros(A.algebra.dim))
         assert np.linalg.norm(np.asarray(A.apply(e, m)) - np.asarray(m)) < 1e-12

@@ -148,6 +148,26 @@ def test_flags_are_recorded():
     assert data["config"]["seed"] == 3
 
 
+@pytest.mark.parametrize("samples", [1, 7])
+def test_docility_draws_one_curvature_per_sample(monkeypatch, tmp_path,
+                                                 samples):
+    # so3-r3-docility reads --samples: zero-curvature is the worst of that
+    # many curvature evaluations at the origin
+    points = []
+    original = curvature.curvature
+
+    def spied(mu, m, u, v):
+        points.append(np.array(m, dtype=float))
+        return original(mu, m, u, v)
+
+    monkeypatch.setattr(curvature, "curvature", spied)
+    out = tmp_path / "report.json"
+    assert main(["--scenario", "so3-r3-docility", "--samples", str(samples),
+                 "--out", str(out)]) == 0
+    assert len(points) == samples
+    assert not any(p.any() for p in points)
+
+
 def test_config_echoes_the_flags_and_nothing_else():
     assert list(ScenarioConfig("so3-r3-docility").echo()) == [
         "scenario", "seed", "samples", "fmt"]

@@ -19,6 +19,7 @@ from conftest import regular_point
 from gconn import connections, frames, linalg
 from gconn import curvature as curvature_module
 from gconn.actions import get_action
+from gconn.cli import ScenarioConfig, run_scenario
 from gconn.connections import (alpha_so3r3, at, clean_alpha, fd_oracle, mu_q,
                                pair_check, simple_mechanical_mu)
 from gconn.curvature import (curvature, d_oneform, docile, field_bracket,
@@ -307,6 +308,29 @@ def test_mu_q_differences_q_at_linalg_fd_step(monkeypatch):
     assert sorted(seen) == sorted([s + 2e-5, s - 2e-5, s])
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_d_exact_vs_fd_catches_a_halved_radial_term(monkeypatch, seed):
+    # a mutation that the identity records cannot see: mu_q's derivative
+    # keeping half of its radial term 2 q'(|m|^2) <m, w> hat(m); measured
+    # d-exact-vs-fd residuals 6.9 to 22.5 at seeds 0-5, against 1e-6
+    def halved(q):
+        mu = mu_q(q)
+
+        def dmatrix(pt, w):
+            m, w = np.asarray(pt.m, dtype=float), np.asarray(w, dtype=float)
+            s, h = m @ m, linalg.FD_STEP
+            dq = (q(s + h) - q(s - h)) / (2.0 * h)
+            return hat(dq * (m @ w) * m + q(s) * w)
+
+        return connections.DualForm(mu.action, mu._matrix_fn, name=mu.name,
+                                    dmatrix=dmatrix)
+
+    monkeypatch.setattr(connections, "mu_q", halved)
+    rep = run_scenario(ScenarioConfig("so3-r3-basics", seed=seed))
+    [record] = [c for c in rep.checks if c.check_id == "d-exact-vs-fd"]
+    assert not record.passed
+
+
 def test_eastward_field_derivative_follows_the_h2_law():
     rng = np.random.default_rng(72)
     for _ in range(3):
@@ -538,20 +562,18 @@ def test_structure_residual_differentiates_once_per_direction(monkeypatch):
 def test_point_derivatives_are_stored_once_and_read_only():
     A = get_action("s1s1-on-so3")
     mu = simple_mechanical_mu(A)
-    adaptor = trivial_adaptor(A, np.eye(3))
     rng = np.random.default_rng(91)
     m = A.random_point(rng)
     w = A.random_tangent(rng, m)
     pt = at(mu, m)
-    stored = [pt.dM(w), pt.dchi(w), pt.dchi(w, adaptor)]
+    stored = [pt.dM(w), pt.dchi(w)]
     for d in stored:
         assert not d.flags.writeable
         with pytest.raises(ValueError):
             d[0, 0] = 1.0
-    # an equal direction reads the stored array; the adaptor is its own key
+    # an equal direction reads the stored array
     assert pt.dM(w.copy()) is stored[0]
     assert pt.dchi(list(w)) is stored[1]
-    assert pt.dchi(w, adaptor) is stored[2] and stored[2] is not stored[1]
     assert np.array_equal(stored[0], mu.dmatrix(m, w, pt.K))
     assert np.array_equal(stored[1], stored[0] @ pt.K
                           + pt.M @ A.dgen_matrix(m, w, pt.K))

@@ -4,11 +4,11 @@ import pytest
 from gconn.actions import get_action
 from gconn import curvature
 from gconn.cli import ScenarioConfig, run_scenario
-from gconn.connections import PointEval, simple_mechanical_mu
+from gconn.connections import simple_mechanical_mu
 from gconn.groups import exp_so3
 from gconn import slices
 from gconn.linalg import central_difference
-from gconn.slices import (Adaptor, AdaptorContractError, SliceCandidate,
+from gconn.slices import (AdaptorContractError, SliceCandidate,
                           abel_involutivity, adapted_dual_form,
                           adapted_inertia, almost_horizontal_basis,
                           cayley_slice, slice_verify, trivial_adaptor)
@@ -87,8 +87,6 @@ def test_almost_horizontal_dimension(setup):
 def test_cayley_slice_input_validation():
     with pytest.raises(ValueError):
         cayley_slice(2 * SIGMA, np.eye(3))
-    with pytest.raises(ValueError):
-        cayley_slice(SIGMA, np.eye(3), r=2.5)
 
 
 def test_cayley_slice_geometry():
@@ -268,33 +266,6 @@ def test_abel_sample_evaluates_each_point_once(setup, monkeypatch):
     assert all(np.array_equal(p, m) for p in plain_points)
 
 
-def test_abel_sample_evaluates_the_adaptor_once(setup):
-    # adapted_inertia, the two adapted dchi directions and
-    # almost_horizontal_basis read one Ad_phi held by the point evaluation
-    A, mu, g0, adaptor = setup
-    calls = []
-
-    def phi(m):
-        calls.append(1)
-        return A.identity()
-
-    spied = Adaptor(A, g0, phi=phi, dnatL=adaptor.dnatL)
-    rep = abel_involutivity(mu, spied, _pi(), _iota, samples=3,
-                            rng=np.random.default_rng(49))
-    assert rep.all_passed, rep.to_text()
-    assert len(calls) == 3
-
-
-def test_stored_Ad_phi_is_read_only(setup):
-    A, mu, g0, adaptor = setup
-    pt = PointEval(mu, A.retract(g0, np.array([0.1, 0.2, 0.3]), 1.0))
-    Ad = pt.Ad_phi(adaptor)
-    assert pt.Ad_phi(adaptor) is Ad
-    assert np.array_equal(Ad, np.eye(2))
-    with pytest.raises(ValueError):
-        Ad[0, 0] = 2.0
-
-
 def test_reversed_bracket_fails_every_abel_record(monkeypatch):
     # a mutation: field_bracket with the sign of its derivative term b
     # reversed must fail every bracket record of the near-singular check
@@ -315,25 +286,6 @@ def test_reversed_bracket_fails_every_abel_record(monkeypatch):
     records = run()
     assert len(records) == 40
     assert not any(c.passed for c in records)
-
-
-def test_adaptor_without_dnatL_reports_an_unknown_derivative(setup):
-    A, mu, g0, adaptor = setup
-    m = A.retract(g0, np.array([0.2, -0.1, 0.3]), 1.0)
-    w = np.array([0.4, 0.1, -0.2])
-    # the trivial adaptor's zero derivative is exact
-    assert np.array_equal(adaptor.dnatL(m, w), np.zeros(2))
-    pt = PointEval(mu, m)
-    assert np.array_equal(pt.dchi(w, adaptor), pt.dchi(w))
-    # a phi without dnatL has no derivative, and is refused
-    with pytest.raises(TypeError, match="dnatL"):
-        Adaptor(A, g0, phi=lambda m: A.identity())
-    # a given dnatL is read
-    seen = []
-    known = Adaptor(A, g0, phi=lambda m: A.identity(),
-                    dnatL=lambda m, v: seen.append(v) or np.zeros(2))
-    assert np.array_equal(pt.dchi(w, known), pt.dchi(w))
-    assert len(seen) == 1
 
 
 def test_tangent_matrix_form_equals_the_per_column_calls():
