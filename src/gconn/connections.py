@@ -14,7 +14,7 @@ import numpy as np
 
 from . import linalg
 from .actions import Action
-from .linalg import SVD, TOL_CONSIST, Subspace, curve_derivative, norm, once
+from .linalg import SVD, Subspace, curve_derivative, norm, once
 from .report import VerificationReport
 
 
@@ -33,8 +33,8 @@ class DualForm:
     ``pt.m``, ``pt.K`` and ``pt.of(base)``, another form's evaluation at
     the point; ``dmatrix(pt, w)`` is its derivative along
     t -> retract(m, w, t), read from ``pt.dK(w)`` and the derivatives of
-    ``pt.of(base)``.  ``matrix(m, K=None)`` and ``dmatrix(m, w, K)`` are
-    views of one evaluation.  A form built without a derivative raises
+    ``pt.of(base)``.  ``matrix(m)`` and ``dmatrix(m, w)`` are views of one
+    evaluation at m.  A form built without a derivative raises
     :class:`TypeError` when differentiated; :func:`fd_oracle` gives the
     same form with a finite-difference ``dmatrix``.
     """
@@ -45,11 +45,11 @@ class DualForm:
         self.name = name
         self._dmatrix_fn = dmatrix
 
-    def dmatrix(self, m, w, K):
-        return PointEval(self, m, K).dM(w)
+    def dmatrix(self, m, w):
+        return PointEval(self, m).dM(w)
 
-    def matrix(self, m, K=None):
-        return PointEval(self, m, K).M
+    def matrix(self, m):
+        return PointEval(self, m).M
 
     def __call__(self, m, v):
         return self.matrix(m) @ np.asarray(v, dtype=float).ravel()
@@ -125,9 +125,10 @@ def _read_only(a):
 class PointEval:
     """The geometry of a dual form at one point, evaluated once.
 
-    Holds the generator matrix ``K``, the form ``M = mu_m`` and the inertia
-    factor ``chi = M K`` at m, and at most one :class:`SVD` of each, each
-    taken on first use.  The SVD of chi feeds the kernel test (ker chi
+    Built from the form and the point alone, it holds the generator matrix
+    ``K`` (the action's ``gen_matrix(m)``), the form ``M = mu_m`` and the
+    inertia factor ``chi = M K`` at m, and at most one :class:`SVD` of each,
+    each taken on first use.  The SVD of chi feeds the kernel test (ker chi
     against the isotropy algebra ker K), the projection ``P``, the solve
     behind the gamma map and the scale of its consistency test
     (|chi|_2 = s[0]); ``kernel`` is ker mu_m.
@@ -140,11 +141,9 @@ class PointEval:
     the object, which callers build with :func:`at`.
     """
 
-    def __init__(self, mu: DualForm, m, K=None):
+    def __init__(self, mu: DualForm, m):
         self.mu = mu
         self.m = m
-        if K is not None:
-            self.K = K
         self._dK = {}  # shared with the evaluations of of(base)
         self.memo = {}  # by direction, form (of) or a form's key
 
@@ -164,8 +163,8 @@ class PointEval:
         """The evaluation of the form ``base`` at this point."""
         b = self.memo.get(base)
         if b is None:
-            b = self.memo[base] = PointEval(base, self.m, self.K)
-            b._dK = self._dK
+            b = self.memo[base] = PointEval(base, self.m)
+            b.K, b._dK = self.K, self._dK
         return b
 
     def dK(self, w):
@@ -249,7 +248,7 @@ class PointEval:
         chi = self.inertia()
         X = self.chi_svd.pinv @ self.M
         resid = norm(chi @ X - self.M)
-        if resid > TOL_CONSIST * max(norm(self.M), 1e-300):
+        if resid > linalg.TOL_CONSIST * max(norm(self.M), 1e-300):
             raise DegeneracyError(
                 f"range mu exceeds range chi (residual {resid:.2e}, "
                 f"cond {self.chi_svd.cond:.3e}, gap {self.chi_svd.gap:.3e})")

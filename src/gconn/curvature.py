@@ -110,7 +110,8 @@ def curvature(mu: DualForm, m, u, v):
 def tame(mu: DualForm) -> DualForm:
     """Compose mu with its own raised inertia factor: chi . sharp . mu.
 
-    Requires chi(m) symmetric wherever evaluated (checked); the result has
+    Requires chi(m) symmetric wherever evaluated (checked at
+    ``linalg.TOL_CONSIST`` relative to max(1, |chi|)); the result has
     the same kernel as mu pointwise and the same curvature wherever both
     are docile.  Both read mu's evaluation at the point, b = pt.of(mu):
     the matrix is b.chi sharp b.M, and its derivative, by the product
@@ -121,7 +122,7 @@ def tame(mu: DualForm) -> DualForm:
     def matrix(pt):
         b = pt.of(mu)
         chi = b.chi
-        if norm(chi - chi.T) > 1e-8 * max(1.0, norm(chi)):
+        if norm(chi - chi.T) > linalg.TOL_CONSIST * max(1.0, norm(chi)):
             raise ValueError("tame: inertia factor is not symmetric here")
         return chi @ sharp @ b.M
 

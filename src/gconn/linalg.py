@@ -297,19 +297,12 @@ def solve_consistent(A, b):
 
 def central_difference(f, x, h=None):
     """Jacobian of ``f`` at ``x`` by central differences with step ``h``
-    (if None, ``FD_STEP``), column by column.  ``f`` maps a 1-d array
-    to a 1-d array (scalars are promoted).  Exact for polynomials of degree
-    <= 2 up to roundoff."""
-    h = FD_STEP if h is None else h
+    (if None, ``FD_STEP``): column j is :func:`curve_derivative` along the
+    j-th unit axis.  ``f`` maps a 1-d array to a 1-d array (scalars are
+    promoted).  Exact for polynomials of degree <= 2 up to roundoff."""
     x = np.asarray(x, dtype=float).ravel()
-    cols = []
-    for j in range(x.size):
-        e = np.zeros_like(x)
-        e[j] = h
-        fp = np.asarray(f(x + e), dtype=float).ravel()
-        fm = np.asarray(f(x - e), dtype=float).ravel()
-        cols.append((fp - fm) / (2.0 * h))
-    return np.array(cols).T
+    return np.array([curve_derivative(lambda t: np.ravel(f(x + t * e)), h)
+                     for e in np.eye(x.size)]).T
 
 
 def curve_derivative(f, h=None):

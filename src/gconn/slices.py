@@ -10,10 +10,10 @@ fields are exact up to one difference, of the caller's iota.  The adapted
 form reads the plain form's evaluation at the same point, so chi, iota(m)
 and each derivative along a direction are taken once per point.
 
-The concrete slice construction here is the Cayley-parametrized slice for
-the two-sided circle action on SO(3); its tangent evaluator takes a matrix
-of parameter directions, so the Gauss-Newton Jacobian of
-:meth:`SliceCandidate.locate` comes from one call.
+The one slice here, :class:`SliceCandidate`, is the Cayley slice of the
+two-sided circle action on SO(3), fixed by its axis and base point; its
+tangent evaluator takes a matrix of parameter directions, so the
+Gauss-Newton Jacobian of :meth:`SliceCandidate.locate` comes from one call.
 """
 
 from __future__ import annotations
@@ -66,14 +66,15 @@ def adapted_inertia(mu: DualForm, adaptor: Adaptor, m):
 def _adapted_parts(mu: DualForm, adaptor: Adaptor, pi, iota, pt_t: PointEval):
     """At the point of the adapted form's evaluation pt_t: mu's evaluation
     b, chi_phi (:func:`adapted_inertia` of b, with its kernel test) and
-    iota(m), checked to be a restricted pseudo-inverse; once per point."""
+    iota(m), checked to be a restricted pseudo-inverse at
+    ``linalg.TOL_CONSIST`` relative to max(1, |pi|); once per point."""
     parts = pt_t.memo.get(_adapted_parts)
     if parts is None:
         b = pt_t.of(mu)
         chi_phi = adapted_inertia(mu, adaptor, b)
         im = np.asarray(iota(b.m), dtype=float)
         resid = norm(pi - pi @ im @ chi_phi)
-        if resid > 1e-8 * max(1.0, norm(pi)):
+        if resid > linalg.TOL_CONSIST * max(1.0, norm(pi)):
             raise ValueError(
                 f"iota is not a restricted pseudo-inverse here "
                 f"(residual {resid:.3e})")
@@ -135,28 +136,66 @@ def almost_horizontal_basis(mu: DualForm, adaptor: Adaptor, m) -> Subspace:
 # ---------------------------------------------------------------------------
 # the Cayley slice on SO(3)
 
-class SliceCandidate:
-    """A parametrized submanifold through m0, with tangent evaluator and a
-    Gauss-Newton membership test.
+CAYLEY_RADIUS = 1.0
 
-    ``tangent(params, dparams)`` gives the tangent coordinates of the
-    slice along one parameter direction, or, for a (param_dim x k) matrix
-    of directions, a matrix with one column per direction;
-    :meth:`tangent_basis` takes all of them in one call.  ``chart`` maps a
-    manifold point to the parameters of a nearby slice point (exactly
-    inverting ``psi`` on the slice); Gauss-Newton starts there when it is
-    finite and inside ``radius``, at 0 otherwise.
+
+class SliceCandidate:
+    """The Cayley slice eta -> cay(eta) g0 through m0 = g0, for eta
+    orthogonal to the unit rotation axis sigma and |eta| < ``radius``,
+    with its tangent evaluator and a Gauss-Newton membership test.
+
+    ``psi`` maps the ``param_dim`` = 2 coordinates of eta in an orthonormal
+    basis B of sigma-perp to the group element.  ``tangent(params,
+    dparams)`` gives the right-trivialized so(3) coordinates of the slice
+    along one parameter direction, or, for a (2 x k) matrix of directions,
+    one column per direction, by the closed form of the trivialized
+    derivative of the Cayley transform; :meth:`tangent_basis` takes all of
+    them in one call.  The tangent w at g is the ``velocity`` hat(w) g.
+    ``chart`` is the inverse Cayley transform of R = g g0^-1, hat(eta/2) =
+    (I + R)^-1 (R - I), projected onto sigma-perp: it inverts ``psi`` on
+    the slice, and is +inf where I + R is singular (R a half turn), so that
+    it reads as outside the radius.  Gauss-Newton starts at the chart value
+    when it is finite and inside the radius, at 0 otherwise.
     """
 
-    def __init__(self, m0, psi, tangent, param_dim, radius, velocity, chart):
-        self.m0 = m0
-        self.psi = psi              # params -> manifold point
-        self.tangent = tangent      # (params, dparams) -> tangent coords
-        self.param_dim = param_dim
-        self.radius = radius
-        self.velocity = velocity    # (point, tangent coords) -> d point
-        self.chart = chart          # manifold point -> params
-        self._eye = np.eye(param_dim)
+    param_dim = 2
+    radius = CAYLEY_RADIUS
+
+    def __init__(self, sigma, g0):
+        sigma = np.asarray(sigma, dtype=float).ravel()
+        if abs(norm(sigma) - 1.0) > 1e-10:
+            raise ValueError("cayley_slice: sigma must be a unit vector")
+        self.m0 = np.asarray(g0, dtype=float)
+        self._g0_inv = linalg.inv(self.m0)
+        # orthonormal basis of sigma-perp
+        aux = np.eye(3)[np.argmin(np.abs(sigma))]
+        b1 = groups.cross(sigma, aux)
+        b1 /= norm(b1)
+        b2 = groups.cross(sigma, b1)
+        self.B = np.array([b1, b2]).T  # 3 x 2
+        self._eye = np.eye(self.param_dim)
+
+    def psi(self, params):
+        return (groups.cay(self.B @ np.asarray(params, dtype=float).ravel())
+                @ self.m0)
+
+    def tangent(self, params, dparams):
+        # T holds the tangents along the parameter axes; T @ e_j is exactly
+        # column j, so the identity and one call per axis agree bit for bit
+        B = self.B
+        eta = B @ np.asarray(params, dtype=float).ravel()
+        T = (B + 0.5 * groups.hat(eta) @ B) / (1.0 + (eta @ eta) / 4.0)
+        return T @ np.asarray(dparams, dtype=float)
+
+    def velocity(self, g, w):
+        return groups.hat(w) @ g
+
+    def chart(self, g):
+        try:
+            eta = groups.cay_inv(np.asarray(g, dtype=float) @ self._g0_inv)
+        except np.linalg.LinAlgError:
+            return np.full(2, np.inf)
+        return self.B.T @ eta
 
     def tangent_basis(self, params):
         """The slice tangents along the parameter axes, from one call of
@@ -198,57 +237,9 @@ class SliceCandidate:
         return r <= 1e-8 and norm(p) < self.radius
 
 
-CAYLEY_RADIUS = 1.0
-
-
 def cayley_slice(sigma, g0) -> SliceCandidate:
-    """Slice eta -> cay(eta) g0 through g0, restricted to eta orthogonal to
-    the rotation axis sigma, for |eta| < ``CAYLEY_RADIUS``.
-
-    Tangents are returned in right-trivialized so(3) coordinates using the
-    closed form for the trivialized derivative of the Cayley transform, one
-    column per column of a matrix of parameter directions; the tangent w at
-    g is the velocity hat(w) g.  The chart is the inverse
-    Cayley transform of R = g g0^-1, hat(eta/2) = (I + R)^-1 (R - I),
-    projected onto sigma-perp; it is +inf where I + R is singular (R a half
-    turn), so that it reads as outside every radius.
-    """
-    sigma = np.asarray(sigma, dtype=float).ravel()
-    if abs(norm(sigma) - 1.0) > 1e-10:
-        raise ValueError("cayley_slice: sigma must be a unit vector")
-    g0 = np.asarray(g0, dtype=float)
-    # orthonormal basis of sigma-perp
-    aux = np.eye(3)[np.argmin(np.abs(sigma))]
-    b1 = groups.cross(sigma, aux)
-    b1 /= norm(b1)
-    b2 = groups.cross(sigma, b1)
-    B = np.array([b1, b2]).T  # 3 x 2
-
-    def psi(params):
-        return groups.cay(B @ np.asarray(params, dtype=float).ravel()) @ g0
-
-    def tangent(params, dparams):
-        # T holds the tangents along the parameter axes; T @ e_j is
-        # exactly column j, so the identity and one call per axis agree
-        # bit for bit
-        eta = B @ np.asarray(params, dtype=float).ravel()
-        T = (B + 0.5 * groups.hat(eta) @ B) / (1.0 + (eta @ eta) / 4.0)
-        return T @ np.asarray(dparams, dtype=float)
-
-    def velocity(g, w):
-        return groups.hat(w) @ g
-
-    g0_inv = linalg.inv(g0)
-
-    def chart(g):
-        try:
-            eta = groups.cay_inv(np.asarray(g, dtype=float) @ g0_inv)
-        except np.linalg.LinAlgError:
-            return np.full(2, np.inf)
-        return B.T @ eta
-
-    return SliceCandidate(np.asarray(g0, dtype=float), psi, tangent, 2,
-                          CAYLEY_RADIUS, velocity, chart)
+    """The :class:`SliceCandidate` through g0 about the unit axis sigma."""
+    return SliceCandidate(sigma, g0)
 
 
 def slice_verify(S: SliceCandidate, action: Action, m0, samples, rng,

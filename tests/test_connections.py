@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gconn import linalg
 from gconn.actions import get_action, isotropy_algebra, orbit_tangent
 from gconn.connections import (DegeneracyError, DualForm, alpha_so3r3, at,
                                clean_alpha, dual_form_verify,
@@ -81,12 +82,19 @@ def test_projection_range_failure_names_its_conditioning():
     assert svd.cond == pytest.approx(1.0) and svd.gap < 1e-15
 
 
-@pytest.mark.parametrize("eps, raises", [(1e-7, True), (1e-10, False)])
-def test_projection_tests_range_at_the_consistency_tolerance(eps, raises):
+@pytest.mark.parametrize("eps, tol_consist, raises", [
+    pytest.param(1e-7, None, True, id="1e-07-True"),
+    pytest.param(1e-10, None, False, id="1e-10-False"),
+    pytest.param(1e-7, 1e-6, False, id="1e-07-False-at-1e-06")])
+def test_projection_tests_range_at_the_consistency_tolerance(
+        monkeypatch, eps, tol_consist, raises):
     """hat(m) plus eps times the radial projector keeps ker chi the axis
     through m but puts an eps-relative part of range mu outside
     range chi = m-perp: linalg.TOL_CONSIST (1e-8) refuses 1e-7 and
-    accepts 1e-10."""
+    accepts 1e-10, and the constant is read at each call, so patched to
+    1e-6 it accepts 1e-7."""
+    if tol_consist is not None:
+        monkeypatch.setattr(linalg, "TOL_CONSIST", tol_consist)
     mu = DualForm(get_action("so3-on-r3"),
                   lambda pt: hat(pt.m) + eps * np.outer(pt.m, pt.m)
                   / (pt.m @ pt.m), name="tilted")

@@ -133,6 +133,28 @@ def test_tame_requires_symmetric_inertia():
         nu.matrix(np.array([1.0, 0.2, -0.4]))
 
 
+@pytest.mark.parametrize("tol_consist", [None, 1e-6])
+def test_tame_tests_symmetry_at_the_consistency_tolerance(monkeypatch,
+                                                          tol_consist):
+    """At m = e3 the mechanical form plus 1e-7 e3 e1^T has an inertia
+    factor 1e-7 (relative to |chi|) off symmetric: linalg.TOL_CONSIST
+    refuses it, and accepts it when patched to 1e-6."""
+    A = get_action("so3-on-r3")
+    m = np.array([0.0, 0.0, 1.0])
+    tilt = 1e-7 * np.outer(np.eye(3)[2], np.eye(3)[0])
+    tilted = DualForm(A, lambda pt: pt.K.T + tilt, name="tilted")
+    chi = at(tilted, m).chi
+    assert np.linalg.norm(chi - chi.T) == pytest.approx(
+        1e-7 * np.linalg.norm(chi))
+    nu = tame(tilted)
+    if tol_consist is None:
+        with pytest.raises(ValueError, match="not symmetric"):
+            nu.matrix(m)
+        return
+    monkeypatch.setattr(linalg, "TOL_CONSIST", tol_consist)
+    assert np.isfinite(nu.matrix(m)).all()
+
+
 def test_untamed_su3_form_fails_docility_at_vertical_rotation():
     """At rotations inside the torus the raw mechanical form is not docile;
     taming repairs it."""

@@ -88,7 +88,7 @@ def test_dmatrix_of_both_forms_follows_the_h2_law(name):
         for _ in range(3):
             m = A.random_point(rng)
             w = A.random_tangent(rng, m)
-            dM = mu.dmatrix(m, w, A.gen_matrix(m))
+            dM = mu.dmatrix(m, w)
             ratio, gap = _h2_ratio(
                 dM, lambda t: mu.matrix(A.retract(m, w, t)))
             assert 3.9 < ratio < 4.1 and gap < 1e-5, mu.name
@@ -117,15 +117,14 @@ def test_forms_without_exact_generators_keep_finite_differences():
         A = get_action(name)
         m = A.random_point(rng)
         w = A.random_tangent(rng, m)
-        K = A.gen_matrix(m)
         for mu in (simple_mechanical_mu(A), tame(simple_mechanical_mu(A))):
-            assert norm(mu.dmatrix(m, w, K)
-                        - fd_oracle(mu).dmatrix(m, w, K)) < 1e-8, mu.name
+            assert norm(mu.dmatrix(m, w)
+                        - fd_oracle(mu).dmatrix(m, w)) < 1e-8, mu.name
     alpha = alpha_so3r3(lambda m: 0.3 * np.exp(-(m @ m)))
     m, w = rng.standard_normal((2, 3))
     with pytest.raises(TypeError):
-        alpha.dmatrix(m, w, None)
-    assert np.isfinite(fd_oracle(alpha).dmatrix(m, w, None)).all()
+        alpha.dmatrix(m, w)
+    assert np.isfinite(fd_oracle(alpha).dmatrix(m, w)).all()
 
 
 def test_fd_oracle_is_the_same_form_without_its_derivative():
@@ -137,12 +136,11 @@ def test_fd_oracle_is_the_same_form_without_its_derivative():
     rng = np.random.default_rng(64)
     g = A.random_point(rng)
     w = A.random_tangent(rng, g)
-    K = A.gen_matrix(g)
     assert oracle.name == nu.name
     assert np.array_equal(oracle.matrix(g), nu.matrix(g))
     fd = curve_derivative(lambda t: nu.matrix(A.retract(g, w, t)))
-    assert np.array_equal(oracle.dmatrix(g, w, K), fd)
-    assert not np.array_equal(fd, nu.dmatrix(g, w, K))
+    assert np.array_equal(oracle.dmatrix(g, w), fd)
+    assert not np.array_equal(fd, nu.dmatrix(g, w))
 
 
 def test_forms_without_a_derivative_raise_a_typed_error(monkeypatch):
@@ -287,7 +285,7 @@ def test_mu_q_dmatrix_follows_the_h2_law(q):
     rng = np.random.default_rng(71)
     for _ in range(3):
         m, w = rng.standard_normal((2, 3))
-        dM = mu.dmatrix(m, w, A.gen_matrix(m))
+        dM = mu.dmatrix(m, w)
         ratio, gap = _h2_ratio(dM, lambda t: mu.matrix(A.retract(m, w, t)))
         assert 3.9 < ratio < 4.1 and gap < 1e-5
 
@@ -304,7 +302,7 @@ def test_mu_q_differences_q_at_linalg_fd_step(monkeypatch):
     s = float(m @ m)
     seen.clear()
     monkeypatch.setattr(linalg, "FD_STEP", 2e-5)
-    mu.dmatrix(m, w, None)
+    mu.dmatrix(m, w)
     assert sorted(seen) == sorted([s + 2e-5, s - 2e-5, s])
 
 
@@ -496,7 +494,7 @@ def test_adapted_dmatrix_follows_the_h2_law():
     rng = np.random.default_rng(81)
     for mu_t, m, w in _near_singular_points(rng, 3):
         A = mu_t.action
-        ratio, gap = _h2_ratio(mu_t.dmatrix(m, w, A.gen_matrix(m)),
+        ratio, gap = _h2_ratio(mu_t.dmatrix(m, w),
                                lambda t: mu_t.matrix(A.retract(m, w, t)))
         assert 3.9 < ratio < 4.1 and gap < 1e-5
 
@@ -574,6 +572,6 @@ def test_point_derivatives_are_stored_once_and_read_only():
     # an equal direction reads the stored array
     assert pt.dM(w.copy()) is stored[0]
     assert pt.dchi(list(w)) is stored[1]
-    assert np.array_equal(stored[0], mu.dmatrix(m, w, pt.K))
+    assert np.array_equal(stored[0], mu.dmatrix(m, w))
     assert np.array_equal(stored[1], stored[0] @ pt.K
                           + pt.M @ A.dgen_matrix(m, w, pt.K))

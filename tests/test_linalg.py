@@ -189,6 +189,15 @@ def test_no_function_takes_a_rank_cutoff_or_a_step_size():
             if name in ("tol_rank", "fd_step")] == []
 
 
+def test_no_function_takes_a_generator_matrix():
+    """A form and its point evaluation are read from the point alone: the
+    one function of the package with a ``K`` parameter is the actions'
+    ``dgen_matrix`` (with its overrides), the derivative of the generator
+    matrix K that the point evaluation holds."""
+    assert {where for where, name, _ in _parameters()
+            if name == "K"} == {"actions.py:dgen_matrix"}
+
+
 def test_no_generator_has_a_default():
     """Every draw comes from the caller's generator: no ``rng`` parameter
     has a default, which would draw from a seed the caller never chose."""

@@ -6,12 +6,12 @@ from gconn import curvature
 from gconn.cli import ScenarioConfig, run_scenario
 from gconn.connections import simple_mechanical_mu
 from gconn.groups import exp_so3
-from gconn import slices
+from gconn import linalg, slices
 from gconn.linalg import central_difference
-from gconn.slices import (AdaptorContractError, SliceCandidate,
-                          abel_involutivity, adapted_dual_form,
-                          adapted_inertia, almost_horizontal_basis,
-                          cayley_slice, slice_verify, trivial_adaptor)
+from gconn.slices import (AdaptorContractError, abel_involutivity,
+                          adapted_dual_form, adapted_inertia,
+                          almost_horizontal_basis, cayley_slice,
+                          slice_verify, trivial_adaptor)
 
 SIGMA = np.array([0.0, 0.0, 1.0])
 
@@ -72,6 +72,23 @@ def test_adapted_form_rejects_wrong_iota(setup):
         mu_t.matrix(g0)
 
 
+@pytest.mark.parametrize("tol_consist", [None, 1e-6])
+def test_iota_is_tested_at_the_consistency_tolerance(setup, monkeypatch,
+                                                     tol_consist):
+    """iota scaled by 1 + 1e-7 misses pi = pi iota chi by 1e-7 at g0
+    (|pi| = 1): linalg.TOL_CONSIST refuses it, and accepts it when
+    patched to 1e-6."""
+    A, mu, g0, adaptor = setup
+    mu_t = adapted_dual_form(mu, adaptor, _pi(),
+                             lambda g: (1.0 + 1e-7) * _iota(g))
+    if tol_consist is None:
+        with pytest.raises(ValueError, match="residual 1.000e-07"):
+            mu_t.matrix(g0)
+        return
+    monkeypatch.setattr(linalg, "TOL_CONSIST", tol_consist)
+    assert np.isfinite(mu_t.matrix(g0)).all()
+
+
 def test_almost_horizontal_dimension(setup):
     A, mu, g0, adaptor = setup
     rng = np.random.default_rng(42)
@@ -130,8 +147,9 @@ def test_locate_jacobian_is_exact():
 
 def _zero_start(S):
     """The same slice with Gauss-Newton always started at 0."""
-    return SliceCandidate(S.m0, S.psi, S.tangent, S.param_dim, S.radius,
-                          S.velocity, lambda m: np.zeros(S.param_dim))
+    Z = cayley_slice(SIGMA, S.m0)
+    Z.chart = lambda m: np.zeros(Z.param_dim)
+    return Z
 
 
 def test_locate_on_the_slice_evaluates_psi_twice():

@@ -240,7 +240,7 @@ def test_mu_q_matches_the_reference(monkeypatch, q):
             M = mu.matrix(m)
             assert M.dtype == float and M.shape == (3, 3)
             assert _close(M, ref_mu_q_matrix(q, m))
-            assert _close(mu.dmatrix(m, w, None),
+            assert _close(mu.dmatrix(m, w),
                           ref_mu_q_dmatrix(q, m, w, step), 1e-9)
 
 
