@@ -13,7 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .actions import Action
+from .actions import Action, get_action
+from .groups import axpy3, dot3, hat, hat3, triple
 from .linalg import SVD, Subspace, curve_derivative, norm, once
 from .report import VerificationReport
 
@@ -92,8 +93,6 @@ def mu_q(q) -> DualForm:
     step below |m|^2.  Both compute on triples (the helpers of
     :mod:`gconn.groups`) and return 3x3 float arrays.
     """
-    from .actions import get_action
-    from .groups import axpy3, dot3, hat3, triple
     action = get_action("so3-on-r3")
     for t in np.linspace(0.3, 9.0, 30):
         if not q(t) > 0:
@@ -305,8 +304,6 @@ def alpha_so3r3(f) -> DualForm:
     of f; its projection is the orthogonal projection onto the orbit
     tangent away from 0.
     """
-    from .actions import get_action
-    from .groups import hat
     action = get_action("so3-on-r3")
     def matrix(pt):
         m = np.asarray(pt.m, dtype=float).ravel()

@@ -30,6 +30,9 @@ from .groups import (axpy3, cross3, dot3, exp_so3, matvec3, rmatvec3, rows3,
 from .linalg import curve_derivative, norm
 from .report import VerificationReport
 
+# Not linalg.FD_STEP (1e-5): at seeds 0-5 and 11 the oracles read 6e-11 to
+# 9e-11 (dnat-closed-form) and 1e-10 to 5e-10 (frame-d-exact-vs-fd) at 1e-6,
+# but 8e-10 to 2e-9 and 6e-10 to 3e-8 at 1e-5, 10 to 100 times weaker.
 FRAME_STEP = 1e-6
 
 # Y = z x m / |z x m| is refused where |z x m| < sin(1e-2): the polar caps

@@ -175,11 +175,11 @@ class Subspace:
             raise ValueError("dimension mismatch")
         return self.basis @ (self.basis.T @ v)
 
-    def contains(self, v, tol=1e-8):
+    def contains(self, v, tol):
         v = np.asarray(v, dtype=float).ravel()
         return norm(v - self.project(v)) <= tol * max(1.0, norm(v))
 
-    def contains_subspace(self, other, tol=1e-8):
+    def contains_subspace(self, other, tol):
         """Whether every basis column v of ``other`` passes :meth:`contains`,
         |v - P v| <= tol * max(1, |v|), tested with one product."""
         V = other.basis

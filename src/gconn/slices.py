@@ -12,8 +12,9 @@ and each derivative along a direction are taken once per point.
 
 The one slice here, :class:`SliceCandidate`, is the Cayley slice of the
 two-sided circle action on SO(3), fixed by its axis and base point; its
-tangent evaluator takes a matrix of parameter directions, so the
-Gauss-Newton Jacobian of :meth:`SliceCandidate.locate` comes from one call.
+chart, the inverse Cayley transform projected onto the slice's parameter
+plane, is the nearest slice point in closed form, so
+:meth:`SliceCandidate.locate` evaluates the slice once.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from . import groups, linalg
 from .actions import Action, isotropy_algebra, orbit_tangent
 from .connections import DualForm, PointEval, at
 from .curvature import field_bracket
-from .linalg import SVD, Subspace, curve_derivative, norm
+from .linalg import Subspace, curve_derivative, norm
 from .report import VerificationReport
 
 
@@ -142,7 +143,7 @@ CAYLEY_RADIUS = 1.0
 class SliceCandidate:
     """The Cayley slice eta -> cay(eta) g0 through m0 = g0, for eta
     orthogonal to the unit rotation axis sigma and |eta| < ``radius``,
-    with its tangent evaluator and a Gauss-Newton membership test.
+    with its tangent evaluator and a closed-form membership test.
 
     ``psi`` maps the ``param_dim`` = 2 coordinates of eta in an orthonormal
     basis B of sigma-perp to the group element.  ``tangent(params,
@@ -150,12 +151,12 @@ class SliceCandidate:
     along one parameter direction, or, for a (2 x k) matrix of directions,
     one column per direction, by the closed form of the trivialized
     derivative of the Cayley transform; :meth:`tangent_basis` takes all of
-    them in one call.  The tangent w at g is the ``velocity`` hat(w) g.
-    ``chart`` is the inverse Cayley transform of R = g g0^-1, hat(eta/2) =
-    (I + R)^-1 (R - I), projected onto sigma-perp: it inverts ``psi`` on
-    the slice, and is +inf where I + R is singular (R a half turn), so that
-    it reads as outside the radius.  Gauss-Newton starts at the chart value
-    when it is finite and inside the radius, at 0 otherwise.
+    them in one call.  ``chart`` is the inverse Cayley transform of
+    R = g g0^-1, hat(eta/2) = (I + R)^-1 (R - I), projected onto
+    sigma-perp, and is +inf where I + R is singular (R a half turn), so
+    that it reads as outside the radius.  It is the slice point nearest g:
+    as unit quaternions |Q - R|_F^2 = 8 (1 - (q.r)^2), and its quaternion
+    is r, normalized after projection onto {(q0, v) : v . sigma = 0}.
     """
 
     param_dim = 2
@@ -187,9 +188,6 @@ class SliceCandidate:
         T = (B + 0.5 * groups.hat(eta) @ B) / (1.0 + (eta @ eta) / 4.0)
         return T @ np.asarray(dparams, dtype=float)
 
-    def velocity(self, g, w):
-        return groups.hat(w) @ g
-
     def chart(self, g):
         try:
             eta = groups.cay_inv(np.asarray(g, dtype=float) @ self._g0_inv)
@@ -202,37 +200,18 @@ class SliceCandidate:
         ``tangent`` with the identity."""
         return list(self.tangent(params, self._eye).T)
 
-    def jacobian(self, params, point):
-        """Derivative of the flattened psi at params, where psi(params) is
-        ``point``: column j is the velocity of the j-th slice tangent."""
-        return np.array([self.velocity(point, t).ravel()
-                         for t in self.tangent_basis(params)]).T
-
-    def _start(self, m):
-        """Gauss-Newton's starting parameters: chart(m) if it is finite and
-        inside the radius, else 0."""
-        p = np.asarray(self.chart(m), dtype=float).ravel()
-        if np.isfinite(p).all() and norm(p) < self.radius:
-            return p
-        return np.zeros(self.param_dim)
-
     def locate(self, m):
-        """Gauss-Newton inversion of psi from :meth:`_start`, at most 25
-        steps; returns (params, residual)."""
-        target = np.asarray(m, dtype=float).ravel()
-        p = self._start(m)
-        for _ in range(25):
-            point = np.asarray(self.psi(p), dtype=float)
-            J = self.jacobian(p, point)
-            step = SVD(J).pinv @ (point.ravel() - target)
-            p = p - step
-            if norm(step) < 1e-14:
-                break
-        resid = np.asarray(self.psi(p), dtype=float).ravel() - target
-        return p, norm(resid)
+        """The nearest slice point to m, (params, residual) with params =
+        ``chart(m)`` and residual |psi(params) - m|, inf where the chart is
+        not finite."""
+        p = self.chart(m)
+        if not np.isfinite(p).all():
+            return p, np.inf
+        return p, norm(self.psi(p) - np.asarray(m, dtype=float))
 
     def contains(self, m):
-        """Whether :meth:`locate` reaches m to 1e-8 inside the radius."""
+        """Whether the nearest slice point is within 1e-8 of m and inside
+        the radius."""
         p, r = self.locate(m)
         return r <= 1e-8 and norm(p) < self.radius
 

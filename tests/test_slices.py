@@ -7,7 +7,6 @@ from gconn.cli import ScenarioConfig, run_scenario
 from gconn.connections import simple_mechanical_mu
 from gconn.groups import exp_so3
 from gconn import linalg, slices
-from gconn.linalg import central_difference
 from gconn.slices import (AdaptorContractError, abel_involutivity,
                           adapted_dual_form, adapted_inertia,
                           almost_horizontal_basis, cayley_slice,
@@ -134,25 +133,16 @@ def test_locate_and_contains():
     assert not S.contains(exp_so3(0.5 * SIGMA))
 
 
-def test_locate_jacobian_is_exact():
+def test_locate_inverts_psi_at_a_tilted_base():
     S = cayley_slice(SIGMA, exp_so3(np.array([0.2, -0.1, 0.4])))
     for p0 in ([0.0, 0.0], [0.3, -0.2], [-0.55, 0.4]):
         p0 = np.array(p0)
-        fd = central_difference(lambda q: S.psi(q).ravel(), p0, 1e-6)
-        assert np.max(np.abs(S.jacobian(p0, S.psi(p0)) - fd)) < 1e-8
         p, resid = S.locate(S.psi(p0))
         assert resid <= 1e-12
         assert np.linalg.norm(p - p0) < 1e-10
 
 
-def _zero_start(S):
-    """The same slice with Gauss-Newton always started at 0."""
-    Z = cayley_slice(SIGMA, S.m0)
-    Z.chart = lambda m: np.zeros(Z.param_dim)
-    return Z
-
-
-def test_locate_on_the_slice_evaluates_psi_twice():
+def test_locate_on_the_slice_evaluates_psi_once():
     S = cayley_slice(SIGMA, exp_so3(np.array([0.2, -0.1, 0.4])))
     psi, calls = S.psi, []
 
@@ -165,53 +155,61 @@ def test_locate_on_the_slice_evaluates_psi_twice():
         p0 = np.array(p0)
         calls.clear()
         p, resid = S.locate(psi(p0))
-        # one Gauss-Newton step from the chart, below 1e-14, and the final
-        # residual
-        assert len(calls) == 2
+        # the chart, and psi once for the residual
+        assert len(calls) == 1
         assert resid <= 1e-15
         assert np.linalg.norm(p - p0) <= 1e-15
 
 
-def test_locate_steps_by_the_svd_pseudo_inverse(decompositions):
+def test_locate_decomposes_no_matrix(decompositions):
     S = cayley_slice(SIGMA, exp_so3(np.array([0.2, -0.1, 0.4])))
     p0 = np.array([0.3, -0.2])
     p, resid = S.locate(S.psi(p0))
     assert resid <= 1e-15
-    # one Gauss-Newton step from the chart: one SVD of its Jacobian, and
-    # no lstsq with a cutoff of its own
-    assert decompositions == {"svd": 1}
+    # the chart is closed form: no SVD, lstsq or pseudo-inverse
+    assert decompositions == {}
 
 
-def test_chart_start_matches_zero_start():
-    S = cayley_slice(SIGMA, np.eye(3))
-    Z = _zero_start(S)
+@pytest.mark.parametrize("g0", [np.eye(3), exp_so3([0.2, -0.1, 0.4])],
+                         ids=["identity", "tilted"])
+def test_locate_is_the_least_squares_point(g0):
+    """locate gives the residual of a least-squares fit of psi to the
+    target, started at 0, to 1e-12: at slice points conjugated by rotations
+    about sigma, at nearby images of slice points, and at rotations whose
+    chart is inside the radius."""
+    least_squares = pytest.importorskip("scipy.optimize").least_squares
+    S = cayley_slice(SIGMA, g0)
     rng = np.random.default_rng(49)
-    for _ in range(300):
+    targets = []
+    for _ in range(100):
         p = rng.standard_normal(2)
         m = S.psi(0.6 * rng.random() * p / np.linalg.norm(p))
         R = exp_so3(2 * np.pi * rng.random() * SIGMA)
         a, b = 0.2 * rng.standard_normal(2)
-        nearby = exp_so3(a * SIGMA) @ m @ exp_so3(-b * SIGMA)
-        for target in (R @ m @ R.T, nearby):
-            pc, rc = S.locate(target)
-            pz, rz = Z.locate(target)
-            assert np.linalg.norm(pc - pz) <= 1e-14
-            assert abs(rc - rz) <= 1e-14
+        targets += [R @ m @ R.T, exp_so3(a * SIGMA) @ m @ exp_so3(-b * SIGMA)]
+        g = exp_so3(0.6 * rng.standard_normal(3)) @ g0
+        if np.linalg.norm(S.chart(g)) < S.radius:
+            targets.append(g)
+    assert len(targets) >= 250
+    for target in targets:
+        _, resid = S.locate(target)
+        fit = least_squares(lambda p: (S.psi(p) - target).ravel(),
+                            np.zeros(2), method="lm", xtol=1e-15,
+                            ftol=1e-15, gtol=1e-15)
+        assert abs(resid - np.linalg.norm(fit.fun)) <= 1e-12
 
 
-def test_locate_falls_back_to_the_zero_start():
+def test_locate_reads_a_half_turn_as_off_the_slice():
     S = cayley_slice(SIGMA, np.eye(3))
-    Z = _zero_start(S)
     half_turn = np.diag([1.0, -1.0, -1.0])       # I + R exactly singular
-    assert not np.isfinite(S.chart(half_turn)).all()
+    p, resid = S.locate(half_turn)
+    assert np.array_equal(p, [np.inf, np.inf]) and resid == np.inf
     near_half_turn = exp_so3(np.pi * np.array([1.0, 0.0, 0.0]))
     outside = S.psi(np.array([1.2, -0.9]))       # chart value |p| = 1.5
     for m in (near_half_turn, outside):
         assert np.linalg.norm(S.chart(m)) >= S.radius
     for m in (half_turn, near_half_turn, outside):
-        pc, rc = S.locate(m)
-        pz, rz = Z.locate(m)
-        assert np.array_equal(pc, pz) and rc == rz
+        assert not S.contains(m)
 
 
 def test_slice_verify(setup):

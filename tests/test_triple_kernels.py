@@ -280,8 +280,8 @@ def test_contains_subspace_is_every_column_contained():
 def test_contains_subspace_keeps_its_dimension_check():
     S = Subspace([np.ones(3)])
     with pytest.raises(ValueError, match="dimension mismatch"):
-        S.contains_subspace(Subspace([np.ones(4)]))
-    assert S.contains_subspace(Subspace([], ambient_dim=3))
+        S.contains_subspace(Subspace([np.ones(4)]), 1e-8)
+    assert S.contains_subspace(Subspace([], ambient_dim=3), 1e-8)
 
 
 # ---------------------------------------------------------------------------
