@@ -14,19 +14,18 @@ import numpy as np
 
 from conftest import regular_point
 from gconn.actions import get_action, isotropy_algebra, orbit_tangent
-from gconn.cli import (_SU3_TABLE, SIGMA, ScenarioConfig,
-                       check_abel_involutivity, check_chi_eigen,
-                       check_closed_vs_fd, check_latitude_curvature,
-                       check_slice, check_us2_frame, run_scenario)
+from gconn.cli import (SIGMA, ScenarioConfig, check_abel_involutivity,
+                       check_chi_eigen, check_closed_vs_fd,
+                       check_latitude_curvature, check_slice,
+                       check_su3_table, check_us2_frame, run_scenario)
 from gconn.connections import (at, mu_q, projection_P_mu,
                                simple_mechanical_mu)
-from gconn.curvature import (curvature, curvature_leftright_closed,
-                             good_chi_residual, interior_product_residual,
-                             involutivity_check, structure_residual, tame)
+from gconn.curvature import (curvature, good_chi_residual,
+                             interior_product_residual, involutivity_check,
+                             structure_residual, tame)
 from gconn.frames import (beta_equivariance_check, eastward_field,
                           pmf_from_field)
 from gconn.groups import exp_so3
-from gconn.linalg import range_space
 from gconn.report import VerificationReport
 
 
@@ -48,36 +47,20 @@ def _worst(rep, check_id):
 
 
 def test_criterion_01_su3_curvature_table():
-    A = get_action("hxh-on-su3")
-    E = np.eye(8)
-    table = _SU3_TABLE
+    # every record holds an entry to 1e-9, or rank two (1e-10/1e-6) or the
+    # range (both containments at 1e-8) at one angle
+    rep = VerificationReport("criterion 01")
     t0 = time.time()
-    failures = []
-    worst = 0.0
-    for theta in (np.pi / 5, np.pi / 3, 1.0):
-        g = A.manifold_alg.exp(theta * E[7])
-        vals = []
-        for i in range(8):
-            for j in range(i + 1, 8):
-                om = curvature_leftright_closed(A, g, E[i], E[j])
-                vals.append(om)
-                want = table.get((i, j), np.zeros(8))
-                r = np.linalg.norm(om - want)
-                worst = max(worst, r)
-                if r > 1e-9:
-                    failures.append(f"({i},{j})@theta={theta:.3f}:{r:.2e}")
-        V = np.array(vals)
-        s = np.linalg.svd(V, compute_uv=False)
-        if not (s[1] > 1e-6 * s[0] and s[2] < 1e-10 * s[0]):
-            failures.append(f"rank@theta={theta:.3f}")
-        R = range_space(V.T)
-        if not (R.contains(E[0], 1e-8) and R.contains(E[4], 1e-8)):
-            failures.append(f"range@theta={theta:.3f}")
+    check_su3_table(rep, None, None)
     dt = time.time() - t0
+    failures = [f"{c.check_id}@{c.point}:{c.residual:.2e}"
+                for c in rep.checks if not c.passed]
     if dt >= 1.0:
         failures.append(f"runtime {dt:.2f}s")
+    worst = max(c.residual for c in rep.checks
+                if c.check_id.startswith(("table-", "zero-")))
     _line(1, "su3-curvature-table", not failures,
-          f"worst entry {worst:.2e}; " + (", ".join(failures[:6])
+          f"worst entry {worst:.2e}; " + (", ".join(failures)
                                           if failures else f"{dt:.2f}s"))
 
 
@@ -262,9 +245,9 @@ def test_criterion_09_moving_frames():
     rng = np.random.default_rng(109)
     rep = VerificationReport("criterion 09")
     check_us2_frame(rep, rng, 1000)
-    pmf = pmf_from_field(eastward_field)
-    check_latitude_curvature(rep, pmf, (0.5, 0.9, 1.3),
+    check_latitude_curvature(rep, rng, None, (0.5, 0.9, 1.3),
                              np.linspace(0.0, 3.0, 7))
+    pmf = pmf_from_field(eastward_field)
     worst_eq = _worst(rep, "rho-equivariance")
     worst_d = _worst(rep, "dnat-closed-form")
     worst_lat = _worst(rep, "latitude-curvature")
