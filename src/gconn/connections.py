@@ -132,72 +132,71 @@ class PointEval:
     behind the gamma map and the scale of its consistency test
     (|chi|_2 = s[0]); ``kernel`` is ker mu_m.
 
-    The derivatives along a direction w are held the same way: ``dK(w)``,
-    the action's ``dgen_matrix``, ``dM(w)``, the form's ``dmatrix``, and
-    ``dchi(w)``, each computed at most once per distinct w and stored
-    read-only.  ``of(base)`` is the evaluation of another form at the same
-    point, made once; it shares ``K`` and the ``dK(w)``.  Nothing outlives
-    the object, which callers build with :func:`at`.
+    Every value is taken once and kept read-only.  :meth:`kept` is the one
+    memo: it serves ``K``, ``dK(w)``, the action's ``dgen_matrix``,
+    ``dM(w)``, the form's ``dmatrix``, and ``dchi(w)``, once per distinct
+    direction w, ``of(base)``, the evaluation of another form at the same
+    point (it shares ``K`` and the ``dK(w)``), and the values a form keeps
+    per point under a key of its own.  Nothing outlives the object, which
+    callers build with :func:`at`.
     """
 
-    def __init__(self, mu: DualForm, m):
+    def __init__(self, mu: DualForm, m, _at=None):
         self.mu = mu
         self.m = m
-        self._dK = {}  # shared with the evaluations of of(base)
-        self.memo = {}  # by direction, form (of) or a form's key
+        self._memo = {}  # by direction, form (of) or a form's own key
+        self._at = {} if _at is None else _at  # K, dK: shared with of(base)
+
+    def kept(self, key, make, memo=None):
+        """``make()``, taken once at this point and kept under ``key`` (in
+        this evaluation's memo unless ``memo`` is given); an array is kept
+        read-only."""
+        memo = self._memo if memo is None else memo
+        value = memo.get(key)
+        if value is None:
+            value = make()
+            if isinstance(value, np.ndarray):
+                value = _read_only(value)
+            memo[key] = value
+        return value
 
     @once
     def K(self):
-        return self.mu.action.gen_matrix(self.m)
+        return self.kept("K", lambda: self.mu.action.gen_matrix(self.m),
+                         self._at)
 
     @once
     def M(self):
-        return np.asarray(self.mu._matrix_fn(self), dtype=float)
+        return _read_only(self.mu._matrix_fn(self))
 
     @once
     def chi(self):
-        return self.M @ self.K
+        return _read_only(self.M @ self.K)
 
     def of(self, base: DualForm) -> PointEval:
         """The evaluation of the form ``base`` at this point."""
-        b = self.memo.get(base)
-        if b is None:
-            b = self.memo[base] = PointEval(base, self.m)
-            b.K, b._dK = self.K, self._dK
-        return b
+        return self.kept(base, lambda: PointEval(base, self.m, self._at))
 
     def dK(self, w):
         """The derivative of K along w, the action's ``dgen_matrix`` at m."""
         w = np.asarray(w, dtype=float).ravel()
-        key = w.tobytes()
-        d = self._dK.get(key)
-        if d is None:
-            d = self._dK[key] = _read_only(
-                self.mu.action.dgen_matrix(self.m, w, self.K))
-        return d
+        return self.kept(w.tobytes(), lambda: self.mu.action.dgen_matrix(
+            self.m, w, self.K), self._at)
 
     def dM(self, w):
         """The derivative of mu_m along w, the form's ``dmatrix`` at m."""
+        if self.mu._dmatrix_fn is None:
+            name = self.mu.name
+            raise TypeError(f"the form {name} has no dmatrix; "
+                            f"fd_oracle({name}) differences its matrix")
         w = np.asarray(w, dtype=float).ravel()
-        key = w.tobytes()
-        d = self.memo.get(key)
-        if d is None:
-            if self.mu._dmatrix_fn is None:
-                raise TypeError(f"the form {self.mu.name} has no dmatrix; "
-                                f"fd_oracle({self.mu.name}) differences its "
-                                f"matrix")
-            d = self.memo[key] = _read_only(self.mu._dmatrix_fn(self, w))
-        return d
+        return self.kept(w.tobytes(), lambda: self.mu._dmatrix_fn(self, w))
 
     def dchi(self, w):
         """The derivative of chi along w, dM K + M dK."""
         w = np.asarray(w, dtype=float).ravel()
-        key = ("dchi", w.tobytes())
-        d = self.memo.get(key)
-        if d is None:
-            d = self.memo[key] = _read_only(
-                self.dM(w) @ self.K + self.M @ self.dK(w))
-        return d
+        return self.kept(("dchi", w.tobytes()),
+                         lambda: self.dM(w) @ self.K + self.M @ self.dK(w))
 
     @once
     def chi_svd(self) -> SVD:
@@ -369,18 +368,17 @@ def dual_form_verify(mu: DualForm, samples, rng) -> VerificationReport:
     return rep
 
 
-def pair_check(alpha: DualForm, chi_field, samples, rng,
+def pair_check(alpha: DualForm, inertia: DualForm, samples, rng,
                singular_points) -> VerificationReport:
     """Classify (alpha, chi) as a partial connection pair at ``samples``
-    points drawn from ``rng``.
-
-    ``chi_field`` maps a point to an inertia-factor matrix.  Checks that
-    mu := chi . alpha is equivariant and nondegenerate at random points and
-    continuous along rays into each of the ``singular_points``.
+    points drawn from ``rng``, chi the inertia factor of the form
+    ``inertia``: mu := chi . alpha, read from the evaluations of both forms
+    at mu's point, must be equivariant and nondegenerate at random points
+    and continuous along rays into each of the ``singular_points``.
     """
     A = alpha.action
     rep = VerificationReport(scenario="pair_check")
-    mu = DualForm(A, lambda pt: chi_field(pt.m) @ pt.of(alpha).M,
+    mu = DualForm(A, lambda pt: pt.of(inertia).chi @ pt.of(alpha).M,
                   name="chi*alpha")
     for i in range(samples):
         pt = at(mu, A.random_point(rng))

@@ -24,7 +24,7 @@ import numpy as np
 from . import linalg
 from .actions import Action
 from .connections import DualForm, PointEval, at
-from .linalg import SVD, norm
+from .linalg import SVD, InconsistentSystemError, norm
 from .report import VerificationReport
 
 
@@ -111,19 +111,23 @@ def tame(mu: DualForm) -> DualForm:
     """Compose mu with its own raised inertia factor: chi . sharp . mu.
 
     Requires chi(m) symmetric wherever evaluated (checked at
-    ``linalg.TOL_CONSIST`` relative to max(1, |chi|)); the result has
-    the same kernel as mu pointwise and the same curvature wherever both
-    are docile.  Both read mu's evaluation at the point, b = pt.of(mu):
-    the matrix is b.chi sharp b.M, and its derivative, by the product
-    rule, b.dchi(w) sharp b.M + b.chi sharp b.dM(w).
+    ``linalg.TOL_CONSIST`` relative to max(1, |chi|), else
+    :class:`InconsistentSystemError`); the result has the same kernel as
+    mu pointwise and the same curvature wherever both are docile.  Both
+    read mu's evaluation at the point, b = pt.of(mu): the matrix is
+    b.chi sharp b.M, and its derivative, by the product rule,
+    b.dchi(w) sharp b.M + b.chi sharp b.dM(w).
     """
     sharp = mu.action.algebra.gram_inv
 
     def matrix(pt):
         b = pt.of(mu)
         chi = b.chi
-        if norm(chi - chi.T) > linalg.TOL_CONSIST * max(1.0, norm(chi)):
-            raise ValueError("tame: inertia factor is not symmetric here")
+        resid = norm(chi - chi.T)
+        if resid > linalg.TOL_CONSIST * max(1.0, norm(chi)):
+            raise InconsistentSystemError(
+                "tame: inertia factor is not symmetric here", resid,
+                b.chi_svd.cond, b.chi_svd.gap)
         return chi @ sharp @ b.M
 
     def dmatrix(pt, w):

@@ -23,13 +23,13 @@ import numpy as np
 
 from . import groups, linalg
 from .actions import Action, isotropy_algebra, orbit_tangent
-from .connections import DualForm, PointEval, at
+from .connections import DegeneracyError, DualForm, PointEval, at
 from .curvature import field_bracket
-from .linalg import Subspace, curve_derivative, norm
+from .linalg import InconsistentSystemError, Subspace, curve_derivative, norm
 from .report import VerificationReport
 
 
-class AdaptorContractError(ValueError):
+class AdaptorContractError(DegeneracyError):
     """The candidate adaptor fails a defining containment/equivariance test."""
 
 
@@ -66,21 +66,22 @@ def adapted_inertia(mu: DualForm, adaptor: Adaptor, m):
 
 def _adapted_parts(mu: DualForm, adaptor: Adaptor, pi, iota, pt_t: PointEval):
     """At the point of the adapted form's evaluation pt_t: mu's evaluation
-    b, chi_phi (:func:`adapted_inertia` of b, with its kernel test) and
-    iota(m), checked to be a restricted pseudo-inverse at
-    ``linalg.TOL_CONSIST`` relative to max(1, |pi|); once per point."""
-    parts = pt_t.memo.get(_adapted_parts)
-    if parts is None:
-        b = pt_t.of(mu)
-        chi_phi = adapted_inertia(mu, adaptor, b)
+    b and iota(m), kept once per point after the kernel test of
+    :func:`adapted_inertia` (so chi_phi is b.chi) and the test that iota(m)
+    is a restricted pseudo-inverse at ``linalg.TOL_CONSIST`` relative to
+    max(1, |pi|), which raises :class:`InconsistentSystemError`."""
+    b = pt_t.of(mu)
+
+    def checked_iota():
         im = np.asarray(iota(b.m), dtype=float)
-        resid = norm(pi - pi @ im @ chi_phi)
+        resid = norm(pi - pi @ im @ adapted_inertia(mu, adaptor, b))
         if resid > linalg.TOL_CONSIST * max(1.0, norm(pi)):
-            raise ValueError(
-                f"iota is not a restricted pseudo-inverse here "
-                f"(residual {resid:.3e})")
-        parts = pt_t.memo[_adapted_parts] = b, chi_phi, im
-    return parts
+            raise InconsistentSystemError(
+                "iota is not a restricted pseudo-inverse here", resid,
+                b.chi_svd.cond, b.chi_svd.gap)
+        return im
+
+    return b, pt_t.kept(_adapted_parts, checked_iota)
 
 
 def adapted_dual_form(mu: DualForm, adaptor: Adaptor, pi, iota) -> DualForm:
@@ -100,14 +101,14 @@ def adapted_dual_form(mu: DualForm, adaptor: Adaptor, pi, iota) -> DualForm:
     pi = np.asarray(pi, dtype=float)
 
     def matrix(pt):
-        b, chi_phi, im = _adapted_parts(mu, adaptor, pi, iota, pt)
-        return chi_phi @ pi @ im @ b.M
+        b, im = _adapted_parts(mu, adaptor, pi, iota, pt)
+        return b.chi @ pi @ im @ b.M
 
     def dmatrix(pt, w):
-        b, chi_phi, im = _adapted_parts(mu, adaptor, pi, iota, pt)
+        b, im = _adapted_parts(mu, adaptor, pi, iota, pt)
         dim = curve_derivative(lambda t: iota(A.retract(pt.m, w, t)))
         return (b.dchi(w) @ pi @ im @ b.M
-                + chi_phi @ pi @ (dim @ b.M + im @ b.dM(w)))
+                + b.chi @ pi @ (dim @ b.M + im @ b.dM(w)))
 
     return DualForm(A, matrix, name=mu.name + "_adapted", dmatrix=dmatrix)
 
@@ -146,12 +147,11 @@ class SliceCandidate:
     with its tangent evaluator and a closed-form membership test.
 
     ``psi`` maps the ``param_dim`` = 2 coordinates of eta in an orthonormal
-    basis B of sigma-perp to the group element.  ``tangent(params,
-    dparams)`` gives the right-trivialized so(3) coordinates of the slice
-    along one parameter direction, or, for a (2 x k) matrix of directions,
-    one column per direction, by the closed form of the trivialized
-    derivative of the Cayley transform; :meth:`tangent_basis` takes all of
-    them in one call.  ``chart`` is the inverse Cayley transform of
+    basis B of sigma-perp to the group element.  ``tangent(params)`` is the
+    3 x 2 matrix whose column j holds the right-trivialized so(3)
+    coordinates of the slice along parameter axis j, by the closed form of
+    the trivialized derivative of the Cayley transform, so its product with
+    a parameter direction is the tangent along it.  ``chart`` is the inverse Cayley transform of
     R = g g0^-1, hat(eta/2) = (I + R)^-1 (R - I), projected onto
     sigma-perp, and is +inf where I + R is singular (R a half turn), so
     that it reads as outside the radius.  It is the slice point nearest g:
@@ -174,19 +174,15 @@ class SliceCandidate:
         b1 /= norm(b1)
         b2 = groups.cross(sigma, b1)
         self.B = np.array([b1, b2]).T  # 3 x 2
-        self._eye = np.eye(self.param_dim)
 
     def psi(self, params):
         return (groups.cay(self.B @ np.asarray(params, dtype=float).ravel())
                 @ self.m0)
 
-    def tangent(self, params, dparams):
-        # T holds the tangents along the parameter axes; T @ e_j is exactly
-        # column j, so the identity and one call per axis agree bit for bit
+    def tangent(self, params):
         B = self.B
         eta = B @ np.asarray(params, dtype=float).ravel()
-        T = (B + 0.5 * groups.hat(eta) @ B) / (1.0 + (eta @ eta) / 4.0)
-        return T @ np.asarray(dparams, dtype=float)
+        return (B + 0.5 * groups.hat(eta) @ B) / (1.0 + (eta @ eta) / 4.0)
 
     def chart(self, g):
         try:
@@ -194,11 +190,6 @@ class SliceCandidate:
         except np.linalg.LinAlgError:
             return np.full(2, np.inf)
         return self.B.T @ eta
-
-    def tangent_basis(self, params):
-        """The slice tangents along the parameter axes, from one call of
-        ``tangent`` with the identity."""
-        return list(self.tangent(params, self._eye).T)
 
     def locate(self, m):
         """The nearest slice point to m, (params, residual) with params =
@@ -240,20 +231,20 @@ def slice_verify(S: SliceCandidate, action: Action, m0, samples, rng,
         return 0.6 * S.radius * rng.random() * p / norm(p)
 
     # (i) direct sum at the base point
-    t0 = S.tangent_basis(np.zeros(S.param_dim))
+    t0 = S.tangent(np.zeros(S.param_dim))
     orb0 = orbit_tangent(action, m0)
-    stacked = Subspace([*t0, *orb0.basis.T], ambient_dim=action.vec_dim)
+    stacked = Subspace([*t0.T, *orb0.basis.T], ambient_dim=action.vec_dim)
     rep.add_bool("slice-i", "T_m0 M = T_m0 S (+) orbit tangent (direct)",
-                 stacked.dim == len(t0) + orb0.dim
+                 stacked.dim == S.param_dim + orb0.dim
                  and stacked.dim == action.vec_dim)
 
     for i in range(samples):
         p = sample_params()
         m = S.psi(p)
         # (ii) spanning away from the base point
-        tb = S.tangent_basis(p)
         orb = orbit_tangent(action, m)
-        span = Subspace([*tb, *orb.basis.T], ambient_dim=action.vec_dim)
+        span = Subspace([*S.tangent(p).T, *orb.basis.T],
+                        ambient_dim=action.vec_dim)
         rep.add_bool("slice-ii", "T_m S + orbit tangent spans T_m M",
                      span.dim == action.vec_dim, f"sample {i}")
         # (iii) stabilizer stays on the slice ...
@@ -320,7 +311,7 @@ def abel_involutivity(mu: DualForm, adaptor: Adaptor, pi, iota, samples,
         ci, cj = rng.choice(A.vec_dim, size=2, replace=False)
         X, Y = _xi_field(mu_t, E[ci]), _xi_field(mu_t, E[cj])
         pt_t = at(mu_t, m)
-        pt, _, im = _adapted_parts(mu, adaptor, pi, iota, pt_t)
+        pt, im = _adapted_parts(mu, adaptor, pi, iota, pt_t)
         br = field_bracket(A, X, Y, pt_t)
         scale = max(1.0, norm(br))
         rep.add("xi-involutive", "adapted form annihilates [X, Y]",

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import gconn
-from gconn import linalg
+from gconn import actions, linalg
 from gconn.connections import at
 from gconn.linalg import norm
 
@@ -52,6 +52,25 @@ def decompositions(monkeypatch):
     monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
     monkeypatch.setattr(np.linalg, "pinv", counted_pinv)
     monkeypatch.setattr(np.linalg, "norm", counted_norm)
+    return counts
+
+
+@pytest.fixture
+def generator_evaluations(monkeypatch):
+    """Counts of the calls of every action's ``gen_matrix``, by the point
+    they are made at (the bytes of its array)."""
+    counts = Counter()
+
+    def counted(gen_matrix):
+        def wrapper(self, m):
+            counts[np.asarray(m).tobytes()] += 1
+            return gen_matrix(self, m)
+        return wrapper
+
+    for cls in vars(actions).values():
+        if isinstance(cls, type) and "gen_matrix" in vars(cls):
+            monkeypatch.setattr(cls, "gen_matrix",
+                                counted(vars(cls)["gen_matrix"]))
     return counts
 
 

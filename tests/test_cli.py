@@ -7,11 +7,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gconn import actions, curvature, frames, linalg
+from gconn import actions, connections, curvature, frames, linalg, slices
 from gconn.cli import (SCENARIOS, ScenarioConfig, check_closed_vs_fd,
                        check_frame_d_exact_vs_fd, check_us2_frame, main,
                        run_scenario)
 from gconn.frames import FRAME_STEP
+from gconn.groups import exp_so3
 from gconn.report import VerificationReport
 
 
@@ -82,6 +83,64 @@ def test_a_typed_numerical_error_is_a_failing_record(monkeypatch, tmp_path):
     assert "cond 7.373e+03, gap 1.064e-01" in detail
     # the fresh builder after it still runs
     assert checks[-1]["check_id"] == "d-exact-vs-fd"
+
+
+@pytest.mark.parametrize("seed", [0, 1, 11])
+def test_a_consistency_failure_is_a_failing_record(monkeypatch, seed):
+    # below roundoff every consistency test fails; tame's symmetry test and
+    # the adapted form's iota test raise InconsistentSystemError, with the
+    # cond and gap of the base form's chi, so every scenario gives a report
+    monkeypatch.setattr(linalg, "TOL_CONSIST", 1e-20)
+    details = {}
+    for name in SCENARIOS:
+        rep = run_scenario(ScenarioConfig(name, seed=seed))
+        details.update({(name, c.check_id): c.detail
+                        for c in rep.checks if not c.passed})
+    for key, builder, message in [
+            (("hxh-su3-curvature", "tamed-d-exact-vs-fd"),
+             "check_tamed_d_exact_vs_fd",
+             "tame: inertia factor is not symmetric here"),
+            (("s1s1-so3-slice", "abel-involutivity"),
+             "check_abel_involutivity",
+             "iota is not a restricted pseudo-inverse here"),
+            (("s1s1-so3-slice", "adapted-d-exact-vs-fd"),
+             "check_adapted_d_exact_vs_fd",
+             "iota is not a restricted pseudo-inverse here")]:
+        assert details[key].startswith(
+            f"{builder} raised InconsistentSystemError: {message} "
+            f"(residual "), details[key]
+        assert ", cond " in details[key] and ", gap " in details[key]
+
+
+def test_an_adaptor_contract_failure_is_a_failing_record(monkeypatch):
+    # an adaptor anchored at a regular point fails its contract at the
+    # identity; AdaptorContractError is a DegeneracyError
+    def check_bad_adaptor(rep, rng, samples):
+        A = actions.get_action("s1s1-on-so3")
+        bad = slices.trivial_adaptor(A, exp_so3(np.array([0.5, 0.2, -0.1])))
+        slices.adapted_inertia(connections.simple_mechanical_mu(A), bad,
+                               np.eye(3))
+
+    monkeypatch.setitem(SCENARIOS, "so3-r3-docility",
+                        ((check_bad_adaptor,), ()))
+    [c] = run_scenario(ScenarioConfig("so3-r3-docility")).checks
+    assert (c.check_id, c.passed) == ("bad-adaptor", False)
+    assert c.detail == ("check_bad_adaptor raised AdaptorContractError: ker "
+                        "chi_phi escapes the reference isotropy algebra")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 11])
+def test_each_form_evaluates_the_generators_once_per_point(
+        generator_evaluations, seed):
+    # so3-r3-basics draws 117 points, each evaluated by the forms there
+    # through one point evaluation; so3-r3-docility evaluates its two forms
+    # once each at the origin
+    run_scenario(ScenarioConfig("so3-r3-basics", seed=seed))
+    assert len(generator_evaluations) == 117
+    assert set(generator_evaluations.values()) == {1}
+    generator_evaluations.clear()
+    run_scenario(ScenarioConfig("so3-r3-docility", seed=seed))
+    assert generator_evaluations == {np.zeros(3).tobytes(): 2}
 
 
 @pytest.mark.parametrize("builder, scenario, seed", [
@@ -190,12 +249,13 @@ def test_flags_are_recorded():
 def test_docility_draws_one_curvature_per_sample(monkeypatch, tmp_path,
                                                  samples):
     # so3-r3-docility reads --samples: zero-curvature is the worst of that
-    # many curvature evaluations at the origin
+    # many curvature evaluations at the origin (passed as a point
+    # evaluation)
     points = []
     original = curvature.curvature
 
     def spied(mu, m, u, v):
-        points.append(np.array(m, dtype=float))
+        points.append(np.array(getattr(m, "m", m), dtype=float))
         return original(mu, m, u, v)
 
     monkeypatch.setattr(curvature, "curvature", spied)

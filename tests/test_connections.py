@@ -303,10 +303,8 @@ def test_clean_alpha_kills_radial_term():
 
 def test_pair_check_passes_for_compatible_pair():
     mu = mu_q(lambda t: t)
-    A = mu.action
     alpha = alpha_so3r3(lambda m: 0.0)
-    chi_field = lambda m: mu.matrix(m) @ A.gen_matrix(m)
-    rep = pair_check(alpha, chi_field, samples=8,
+    rep = pair_check(alpha, mu, samples=8,
                      rng=np.random.default_rng(26),
                      singular_points=[np.zeros(3)])
     assert rep.all_passed, rep.to_text()

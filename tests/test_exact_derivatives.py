@@ -154,7 +154,7 @@ def test_forms_without_a_derivative_raise_a_typed_error(monkeypatch):
         return original(mu, *args)
 
     monkeypatch.setattr(connections, "equivariance_residual", caught)
-    pair_check(alpha_so3r3(lambda m: 0.0), lambda m: np.eye(3), samples=1,
+    pair_check(alpha_so3r3(lambda m: 0.0), mu_q(lambda t: t), samples=1,
                rng=np.random.default_rng(0), singular_points=[])
     assert forms[2].name == "chi*alpha"
     rng = np.random.default_rng(69)
