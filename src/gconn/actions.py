@@ -254,8 +254,9 @@ class TorusSquareOnGroup(Action):
 
     Group elements of the acting group are pairs (h, k) of matrices; tangent
     vectors on G are right-trivialized: (eta, zeta)_G(g) = eta - Ad_g zeta.
-    The generators need Ad_g on h only: the basis matrices of h are stacked
-    once, and only they are conjugated by g.
+    The generators need Ad_g on h only: only the coordinate columns of h
+    are conjugated by g.  The inverse of h or k is its conjugate transpose
+    where it is unitary (:func:`gconn.groups.inverse`).
     """
 
     def __init__(self, name, manifold_alg, h_coords):
@@ -263,9 +264,6 @@ class TorusSquareOnGroup(Action):
         self.manifold_alg = manifold_alg
         self.algebra = TorusSquareAlgebra(manifold_alg, h_coords)
         self.vec_dim = manifold_alg.dim
-        H = self.algebra.h
-        self._h_stack = np.array([manifold_alg.matrix(H[:, j])
-                                  for j in range(H.shape[1])])
 
     def group_exp(self, xi):
         a, b = self.algebra.split(xi)
@@ -275,19 +273,19 @@ class TorusSquareOnGroup(Action):
 
     def group_inv(self, g):
         h, k = g
-        return (linalg.inv(h), linalg.inv(k))
+        return (groups.inverse(h), groups.inverse(k))
 
     def Ad_group(self, g):
         return np.eye(self.algebra.dim)  # torus: abelian
 
     def apply(self, g, m):
         h, k = g
-        return h @ m @ linalg.inv(k)
+        return h @ m @ groups.inverse(k)
 
     def gen_matrix(self, m):
         # [h, -Ad_m h] in F order: the products that consume K round by
         # its layout, and callers' results are pinned in this one
-        AdH = self.manifold_alg.conjugate_coords(m, self._h_stack)
+        AdH = self.manifold_alg.Ad(m, self.algebra.h)
         k = AdH.shape[1]
         K = np.empty((self.vec_dim, 2 * k), order="F")
         K[:, :k] = self.algebra.h
@@ -298,11 +296,11 @@ class TorusSquareOnGroup(Action):
         """Derivative of :meth:`gen_matrix` along t -> exp(t w) m.
 
         Ad_{exp(t w) m} = Ad_{exp(t w)} Ad_m, so the h columns stay constant
-        and the -Ad_m h columns of K move by ad_w: dK = [0, ad_w K[:, k:]].
+        and the -Ad_m h columns of K move by ad_w: dK = [0, [w, K[:, k:]]].
         """
         k = K.shape[1] // 2
         dK = np.zeros(K.shape, order="F")
-        dK[:, k:] = self.manifold_alg.ad_matrix(w) @ K[:, k:]
+        dK[:, k:] = self.manifold_alg.bracket(w, K[:, k:])
         return dK
 
     def retract(self, m, v, t=1.0):

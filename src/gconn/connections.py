@@ -10,6 +10,8 @@ is the equivariant projection onto the orbit tangent.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import linalg
@@ -130,7 +132,11 @@ class PointEval:
     each taken on first use.  The SVD of chi feeds the kernel test (ker chi
     against the isotropy algebra ker K), the projection ``P``, the solve
     behind the gamma map and the scale of its consistency test
-    (|chi|_2 = s[0]); ``kernel`` is ker mu_m.
+    (|chi|_2 = s[0]); ``kernel`` is ker mu_m.  The kernel test is decided
+    from chi's SVD and the norms of M, K and K V (V the kernel basis of
+    chi) where they certify it (:meth:`_kernel_certified`), so a regular
+    point takes one SVD; elsewhere, and for ``dual_form_verify``'s orbit
+    tangent, the SVD of K is taken.
 
     Every value is taken once and kept read-only.  :meth:`kept` is the one
     memo: it serves ``K``, ``dK(w)``, the action's ``dgen_matrix``,
@@ -215,9 +221,41 @@ class PointEval:
         """ker mu_m, the horizontal space of the form at m."""
         return self.M_svd.kernel
 
+    def _kernel_certified(self):
+        """Whether ker chi(m) = ker K follows from chi's SVD alone.
+
+        With r = rank chi, s its singular values and V its kernel basis
+        (d = n - r columns): sigma_r(K) >= s_r / |M|_2, sigma_{r+1}(K) <=
+        |K V|_2, and each unit v in ker chi lies within 2 |K V|_2 /
+        sigma_r(K) of ker K.  So K has rank r at the cutoff ``TOL_RANK``
+        and ker chi lies in ker K to 1e-6 when s_r > 2 TOL_RANK |M| |K|,
+        |K V| <= TOL_RANK |K| / (2 sqrt(n)) and 2 |K V| |M| / s_r <=
+        1e-6 / 2 (Frobenius norms); each bound holds with a factor 2 to
+        spare, which keeps the answer clear of the roundoff in the
+        decompositions.  False at r = 0.
+        """
+        svd = self.chi_svd
+        r = svd.rank
+        if r == 0:
+            return False
+        s_r = float(svd.s[r - 1])
+        nM, nK = norm(self.M), norm(self.K)
+        if not s_r > 2.0 * linalg.TOL_RANK * nM * nK:
+            return False
+        V = svd.kernel.basis
+        KV = norm(self.K @ V)
+        return (KV <= 0.5 * linalg.TOL_RANK * nK / math.sqrt(V.shape[0])
+                and 2.0 * KV * nM / s_r <= 0.5e-6)
+
     @once
     def _degeneracy(self):
-        """Why ker chi(m) differs from the isotropy algebra ker K, or None."""
+        """Why ker chi(m) differs from the isotropy algebra ker K, or None.
+
+        Decided from chi's SVD where :meth:`_kernel_certified` holds, else
+        by the SVD of K: ker chi must have the dimension of ker K and lie in
+        it to 1e-6."""
+        if self._kernel_certified():
+            return None
         kern = self.chi_svd.kernel
         iso = self.K_svd.kernel
         if kern.dim == iso.dim and iso.contains_subspace(kern, 1e-6):

@@ -278,7 +278,8 @@ def involutivity_check(mu: DualForm, m, pairs=None) -> VerificationReport:
         X = horizontal_field(mu, ci)
         Y = horizontal_field(mu, cj)
         br = field_bracket(A, X, Y, pt)
-        om = curvature(mu, pt, X(pt), Y(pt))
+        # X and Y are horizontal already: Omega(X, Y) = gamma(d mu(X, Y))
+        om = pt.gamma(d_oneform(mu, pt, X(pt), Y(pt)))
         scale = max(1.0, norm(br))
         rep.add("horizontal-bracket",
                 "mu annihilates Omega(X,Y) + [X,Y]",

@@ -16,12 +16,18 @@ only: :func:`triple` and :func:`rows3` convert arrays (:func:`hat3` and
 
 The SO(3) group kernels are closed forms on triples as well: Rodrigues'
 formula in :func:`exp_so3`, the Cayley map :func:`cay` and its inverse
-:func:`cay_inv` without a linear solve, and conjugation on so(3),
-g hat(v) g^-1 = hat(g v) for a rotation g, in
-:meth:`LieAlgebra.conjugate_coords` and :meth:`LieAlgebra.Ad_matrix`
-without an inverse or a projection.  Each takes exactly a 3-vector or a
+:func:`cay_inv` without a linear solve.  Each takes exactly a 3-vector or a
 3x3 matrix (``ValueError`` otherwise); numpy is used only to read the input
 and to build the result.
+
+:meth:`LieAlgebra.Ad` conjugates coordinate columns by a group element g
+without an inverse where g is known to keep the algebra: on so(3) a
+rotation takes hat(v) to hat(g v), so the result is g times the
+coordinates; on an algebra that is all of su(n) a unitary g keeps su(n),
+so the conjugates by g^H are projected onto the basis with no span test.
+Any other g takes the general path, the conjugates by inv(g), each of
+which must lie in the span of the basis.  :func:`inverse` of a unitary
+(or real orthogonal) matrix is its conjugate transpose.
 """
 
 from __future__ import annotations
@@ -33,9 +39,11 @@ import numpy as np
 from . import linalg
 
 _EPS_AXIS = 1e-12
-# How far g g^T may be from I (Frobenius) for conjugation by g on so(3) to
-# take the closed form for rotations; anything else takes the general path.
-_ROTATION_TOL = 1e-12
+# How far g g^H may be from I (Frobenius) for g to count as unitary: its
+# inverse is then g^H, and conjugation by g takes the closed form on so(3)
+# (for a real g with det g > 0) or skips the span test on su(n); anything
+# else takes the general path.
+_UNITARY_TOL = 1e-12
 
 
 def triple(v):
@@ -168,26 +176,33 @@ def cay_inv(R):
     return np.array([k * (r21 - r12), k * (r02 - r20), k * (r10 - r01)])
 
 
-def _rotate_so3_stack(g, stack):
-    """Coordinates of g B g^-1 = hat(g vee(B)) for each matrix B of a stack,
-    as columns, or None unless g is a rotation (|g g^T - I| <= 1e-12 and
-    det g > 0) and every B is exactly skew."""
-    G = rows3(g)
-    r0, r1, r2 = G
+def _is_rotation(g):
+    """Whether the real 3x3 matrix g is a rotation, |g g^T - I| <= 1e-12
+    and det g > 0 (``ValueError`` for any other shape)."""
+    r0, r1, r2 = rows3(g)
     diag = (dot3(r0, r0) - 1.0, dot3(r1, r1) - 1.0, dot3(r2, r2) - 1.0)
     off = (dot3(r0, r1), dot3(r0, r2), dot3(r1, r2))
-    if not (dot3(diag, diag) + 2.0 * dot3(off, off) <= _ROTATION_TOL ** 2
-            and dot3(r0, cross3(r1, r2)) > 0.0):
+    return (dot3(diag, diag) + 2.0 * dot3(off, off) <= _UNITARY_TOL ** 2
+            and dot3(r0, cross3(r1, r2)) > 0.0)
+
+
+def _unitary_inverse(g):
+    """g^H if g is square and |g g^H - I| <= 1e-12 (unitary, or real
+    orthogonal), else None."""
+    if g.ndim != 2 or g.shape[0] != g.shape[1]:
         return None
-    cols = []
-    for (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) in stack.tolist():
-        if (b00 or b11 or b22 or b01 != -b10 or b02 != -b20
-                or b12 != -b21):
-            return None
-        cols.append(matvec3(G, (b21, b02, b10)))
-    C = np.empty((3, len(cols)))
-    C.T[:] = cols
-    return C
+    gh = g.conj().T
+    d = np.dot(g, gh)
+    d.ravel()[::len(d) + 1] -= 1.0  # g g^H - I, in place
+    return gh if np.vdot(d, d).real <= _UNITARY_TOL ** 2 else None
+
+
+def inverse(g):
+    """The inverse of a square matrix: g^H where g passes the unitarity
+    test (|g g^H - I| <= 1e-12), else ``linalg.inv(g)``."""
+    g = np.asarray(g)
+    gh = _unitary_inverse(g)
+    return linalg.inv(g) if gh is None else gh
 
 
 class LieAlgebra:
@@ -212,10 +227,21 @@ class LieAlgebra:
                               for a in self.basis])
         self.gram_inv = np.linalg.inv(self.gram)
         self._stacked = np.array(self.basis)  # dim x n x n
+        # the basis matrices flattened, as rows: dim x n^2
+        self._rows = self._stacked.reshape(self.dim, -1)
+        # all of su(n): n^2 - 1 skew-Hermitian, traceless basis matrices,
+        # so that conjugation by a unitary keeps the span
+        n = self._stacked.shape[1]
+        self._su_n = self.dim == n * n - 1 and all(
+            np.array_equal(B.conj().T, -B) and np.trace(B) == 0
+            for B in self.basis)
         # basis matrices as columns of real, then imaginary parts: 2n^2 x dim
-        flat = self._stacked.astype(complex).reshape(self.dim, -1)
-        self._flat = np.concatenate([flat.real, flat.imag], axis=1).T
+        self._flat = self._realified(self._rows)
         self._flat_pinv = np.linalg.pinv(self._flat)  # dim x (2 n^2)
+        # Re(_pinv_complex z) = _flat_pinv [Re z; Im z] for a complex z
+        self._pinv_complex = (self._flat_pinv[:, :n * n]
+                              - 1j * self._flat_pinv[:, n * n:])
+        self._eye = np.eye(self.dim)
 
     # -- coordinates ---------------------------------------------------
 
@@ -225,14 +251,20 @@ class LieAlgebra:
         return np.add.reduce(coords[:, None, None] * self._stacked, axis=0,
                              initial=0.0)
 
+    @staticmethod
+    def _realified(Ms):
+        """A stack of k matrices as the columns of their real, then
+        imaginary parts: (2 n^2) x k."""
+        Mc = np.asarray(Ms, dtype=complex).reshape(len(Ms), -1)
+        return np.concatenate([Mc.real, Mc.imag], axis=1).T
+
     def _coords_columns(self, Ms):
         """Coordinates of a stack of k matrices, as a dim x k matrix.
 
         One product with the precomputed pseudo-inverse of the flattened
         basis; every column must reproduce its matrix to 1e-9 relative.
         """
-        Mc = np.asarray(Ms, dtype=complex).reshape(len(Ms), -1)
-        rhs = np.concatenate([Mc.real, Mc.imag], axis=1).T  # (2 n^2) x k
+        rhs = self._realified(Ms)
         C = self._flat_pinv @ rhs
         d = self._flat @ C - rhs
         # column norms by np.linalg.norm's formula for real input
@@ -248,9 +280,18 @@ class LieAlgebra:
     # -- algebraic structure ------------------------------------------
 
     def bracket(self, a, b):
-        """[a, b] in coordinates: ad_a b, from the structure constants that
-        :meth:`ad_matrix` reads."""
-        return self.ad_matrix(a) @ np.asarray(b, dtype=float).ravel()
+        """[a, b] in coordinates, for a vector b or for each column of a
+        matrix b: the cross product a x b on so(3) in the hat basis, else
+        ad_a b from the structure constants that :meth:`ad_matrix` reads."""
+        b = np.asarray(b, dtype=float)
+        if self._so3:
+            a = triple(a)
+            if b.ndim == 1:
+                return np.array(cross3(a, triple(b)))
+            out = np.empty(b.shape)
+            out.T[:] = [cross3(a, col) for col in b.T.tolist()]
+            return out
+        return self.ad_matrix(a) @ (b if b.ndim == 2 else b.ravel())
 
     @linalg.once
     def _ad_basis(self):
@@ -271,33 +312,51 @@ class LieAlgebra:
         return R, np.linalg.inv(R)
 
     def ad_matrix(self, a):
-        """Matrix of ad_a = [a, .] on coordinates."""
+        """Matrix of ad_a = [a, .] on coordinates: hat(a) on so(3) in the
+        hat basis."""
+        if self._so3:
+            return hat(a)
         a = np.asarray(a, dtype=float).ravel()
         return (a @ self._ad_basis).reshape(self.dim, self.dim)
 
-    def conjugate_coords(self, g, stack):
-        """Coordinates of g B g^-1 for each matrix B of a stack, as columns.
+    def Ad(self, g, C):
+        """Coordinates of g X g^-1 for the element X of each column of the
+        dim x k coordinate matrix C, as the columns of a dim x k matrix.
 
-        On so(3) a real rotation g (g g^T = I to 1e-12, det g > 0) and an
-        exactly skew stack take the closed form g hat(v) g^-1 = hat(g v):
-        the columns are g times the coordinates of the stack, with no
-        inverse and no projection.  Every other g and stack, and every g
-        on su(3), takes the general path: the conjugates by the inverse of
-        g, each of which must lie in the span of the basis (checked by
+        On so(3) a real rotation g (g g^T = I to 1e-12, det g > 0) takes
+        the closed form g hat(v) g^-1 = hat(g v): the result is g @ C.  On
+        an algebra that is all of su(n) (``_su_n``) a unitary g
+        (g g^H = I to 1e-12) keeps the algebra, so the conjugates g X g^H
+        are projected onto the basis with no span test.  Every other g
+        takes the general path: the conjugates by the inverse of g, each of
+        which must lie in the span of the basis (checked by
         :meth:`_coords_columns`).  A reflection (det(g) hat(g v)), a scaled
         rotation (hat(g v) / c) or a shear thus gets the general path's
         answer or its ``ValueError``.
         """
-        g, stack = np.asarray(g), np.asarray(stack)
-        if self._so3 and "c" not in (g.dtype.kind, stack.dtype.kind):
-            C = _rotate_so3_stack(g, stack)
-            if C is not None:
-                return C
-        return self._coords_columns(g @ stack @ linalg.inv(g))
+        g = np.asarray(g)
+        C = np.asarray(C, dtype=float)
+        if self._so3 and g.dtype.kind != "c" and _is_rotation(g):
+            return g @ C
+        if self._su_n:
+            gh = _unitary_inverse(g)
+            if gh is not None:
+                # row-major, vec(g X g^H) = (g kron conj(g)) vec(X), so Ad_g
+                # is Re(_pinv_complex (g kron conj(g)) _rows^T); formed in
+                # full, so that Ad(g, C) is Ad_matrix(g) @ C bit for bit
+                n = len(g)
+                G = (g[:, None, :, None] * gh.T[None, :, None, :]).reshape(
+                    n * n, n * n)
+                Ad = np.dot(np.dot(self._pinv_complex, G), self._rows.T)
+                return np.dot(Ad.real, C)
+        # the matrices X, one product of C^T and the flattened basis
+        X = np.dot(C.T, self._rows).reshape(-1, *self._stacked.shape[1:])
+        return self._coords_columns(g @ X @ linalg.inv(g))
 
     def Ad_matrix(self, g):
-        """Matrix of Ad_g on coordinates: columns are coords(g B_i g^-1)."""
-        return self.conjugate_coords(g, self._stacked)
+        """Matrix of Ad_g on coordinates: ``Ad(g, I)``, whose columns are
+        coords(g B_i g^-1)."""
+        return self.Ad(g, self._eye)
 
     def exp(self, coords):
         """Matrix exponential of the algebra element with given coordinates.

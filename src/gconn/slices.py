@@ -150,8 +150,10 @@ class SliceCandidate:
     basis B of sigma-perp to the group element.  ``tangent(params)`` is the
     3 x 2 matrix whose column j holds the right-trivialized so(3)
     coordinates of the slice along parameter axis j, by the closed form of
-    the trivialized derivative of the Cayley transform, so its product with
-    a parameter direction is the tangent along it.  ``chart`` is the inverse Cayley transform of
+    the trivialized derivative of the Cayley transform,
+    (b_j + eta x b_j / 2) / (1 + |eta|^2 / 4) on triples, so its product
+    with a parameter direction is the tangent along it.  ``chart`` is the
+    inverse Cayley transform of
     R = g g0^-1, hat(eta/2) = (I + R)^-1 (R - I), projected onto
     sigma-perp, and is +inf where I + R is singular (R a half turn), so
     that it reads as outside the radius.  It is the slice point nearest g:
@@ -174,15 +176,19 @@ class SliceCandidate:
         b1 /= norm(b1)
         b2 = groups.cross(sigma, b1)
         self.B = np.array([b1, b2]).T  # 3 x 2
+        self._b = (groups.triple(b1), groups.triple(b2))
 
     def psi(self, params):
         return (groups.cay(self.B @ np.asarray(params, dtype=float).ravel())
                 @ self.m0)
 
     def tangent(self, params):
-        B = self.B
-        eta = B @ np.asarray(params, dtype=float).ravel()
-        return (B + 0.5 * groups.hat(eta) @ B) / (1.0 + (eta @ eta) / 4.0)
+        eta = groups.triple(self.B @ np.asarray(params, dtype=float).ravel())
+        d = 1.0 + groups.dot3(eta, eta) / 4.0
+        T = np.empty((3, 2))
+        T.T[:] = [groups.axpy3(0.5, groups.cross3(eta, b), b)
+                  for b in self._b]
+        return T / d
 
     def chart(self, g):
         try:

@@ -74,6 +74,13 @@ def generator_evaluations(monkeypatch):
     return counts
 
 
+def general_Ad(alg, g, C):
+    """Ad(g, C) by the general path: the conjugates of the matrices of the
+    columns of C by inv(g), projected onto the basis with the span test."""
+    stack = np.array([alg.matrix(c) for c in np.asarray(C).T])
+    return alg._coords_columns(g @ stack @ np.linalg.inv(g))
+
+
 def is_special_orthogonal(g, tol=1e-10):
     g = np.asarray(g, dtype=float)
     return (norm(g.T @ g - np.eye(g.shape[0])) < tol

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import general_Ad
+from gconn import linalg
 from gconn.actions import (action_names, get_action, isotropy_algebra,
                            orbit_tangent)
 from gconn.groups import exp_so3
@@ -10,10 +12,9 @@ ALL = ["so3-on-r3", "so3-on-s2", "so3-on-us2", "hxh-on-su3", "s1s1-on-so3"]
 
 
 def _general_generators(A, g):
-    """[h, -Ad_g h] by the general path of conjugate_coords: the conjugates
-    by inv(g), projected onto the basis."""
-    return np.hstack([A.algebra.h, -A.manifold_alg._coords_columns(
-        g @ A._h_stack @ np.linalg.inv(g))])
+    """[h, -Ad_g h] by the general path of Ad."""
+    H = A.algebra.h
+    return np.hstack([H, -general_Ad(A.manifold_alg, g, H)])
 
 
 @pytest.mark.parametrize("name, tol", [("hxh-on-su3", 0.0),
@@ -24,7 +25,7 @@ def test_torus_generators_conjugate_h_only(monkeypatch, name, tol):
     alg = type(A.manifold_alg)
     rng = np.random.default_rng(14)
     points = [A.random_point(rng) for _ in range(2000)]
-    # hxh: bit for bit against Ad_matrix, the general path on su(3); s1s1:
+    # hxh: bit for bit against Ad_matrix, the unitary path on su(3); s1s1:
     # the so(3) closed form against the general path (4.4e-16 measured)
     if name == "hxh-on-su3":
         expected = [np.hstack([H, -A.manifold_alg.Ad_matrix(g) @ H])
@@ -56,11 +57,42 @@ def test_torus_generators_keep_the_transposed_vstack_layout(name):
     for _ in range(200):
         g = A.random_point(rng)
         K = A.gen_matrix(g)
-        AdH = A.manifold_alg.conjugate_coords(g, A._h_stack)
+        AdH = A.manifold_alg.Ad(g, A.algebra.h)
         ref = np.vstack([A.algebra.h.T, -AdH.T]).T
         assert K.flags.f_contiguous and not K.flags.c_contiguous
         assert K.dtype == ref.dtype and K.shape == ref.shape
         assert np.array_equal(K.view(np.int64), ref.view(np.int64))
+
+
+@pytest.mark.parametrize("name", ["hxh-on-su3", "s1s1-on-so3"])
+def test_torus_inverse_is_the_conjugate_transpose(monkeypatch, name):
+    """The group elements of the torus actions are unitary (rotations on
+    SO(3)): apply and group_inv take their conjugate transposes, with no
+    linalg.inv, and agree with it to rounding; any other matrix is
+    inverted."""
+    A = get_action(name)
+    rng = np.random.default_rng(17)
+    draws = [(A.random_group(rng), A.random_point(rng)) for _ in range(200)]
+    inverted = []
+    inv = linalg.inv
+
+    def counted(a):
+        inverted.append(1)
+        return inv(a)
+
+    monkeypatch.setattr(linalg, "inv", counted)
+    for (h, k), m in draws:
+        hi, ki = A.group_inv((h, k))
+        assert np.array_equal(hi, h.conj().T)
+        assert np.array_equal(ki, k.conj().T)
+        assert np.max(np.abs(A.apply((h, k), m)
+                             - h @ m @ np.linalg.inv(k))) <= 1e-15
+    assert inverted == []
+    shear = np.eye(len(m))
+    shear[0, 1] = 1.0
+    assert np.array_equal(A.group_inv((shear, shear))[0],
+                          np.linalg.inv(shear))
+    assert inverted == [1, 1]
 
 
 def test_registry():

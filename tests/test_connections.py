@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from gconn import linalg
+from conftest import regular_point
+from gconn import cli, linalg, slices
 from gconn.actions import get_action, isotropy_algebra, orbit_tangent
 from gconn.connections import (DegeneracyError, DualForm, alpha_so3r3, at,
                                clean_alpha, dual_form_verify,
@@ -149,8 +150,9 @@ def test_tamed_point_decomposes_chi_once(decompositions):
     P = pt.P
     target = pt.chi @ rng.standard_normal(A.algebra.dim)
     w = pt.gamma(target)
-    # one SVD of chi (kernel test, P, the solve and its scale) and one of K
-    assert decompositions == {"svd": 2}
+    # one SVD of chi: the kernel test (certified from chi's spectrum), P,
+    # the solve and its scale
+    assert decompositions == {"svd": 1}
     chi_pinv = np.linalg.pinv(pt.chi, rcond=TOL_RANK)
     assert np.array_equal(P, pt.K @ (chi_pinv @ pt.M))
     assert np.linalg.norm(w - pt.K @ (chi_pinv @ target)) <= 1e-15 * max(
@@ -318,3 +320,140 @@ def test_mechanical_mu_on_s2_annihilates_normal():
     iso = isotropy_algebra(A, m)
     chi = inertia_factor(mu, m)
     assert np.linalg.norm(chi @ iso.basis) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the kernel test, certified from chi's SVD
+
+def _kernel_answers(pt):
+    """(whether chi's SVD certifies ker chi = ker K, the answer of K's SVD:
+    ker chi has the dimension of ker K and lies in it to 1e-6)."""
+    kern, iso = pt.chi_svd.kernel, pt.K_svd.kernel
+    return (pt._kernel_certified(),
+            kern.dim == iso.dim and iso.contains_subspace(kern, 1e-6))
+
+
+def _forms_and_draws():
+    """(label, form, draw) for every action x form: the mechanical and
+    tamed forms of each action, mu_q on R^3, and the adapted form of
+    s1s1-on-so3 near its singular point."""
+    out = []
+    for name in ["so3-on-r3", "so3-on-s2", "so3-on-us2", "hxh-on-su3",
+                 "s1s1-on-so3"]:
+        A = get_action(name)
+        mu = simple_mechanical_mu(A)
+        out += [(f"{name} mechanical", mu, A.random_point),
+                (f"{name} tamed", tame(mu), A.random_point)]
+    R3 = get_action("so3-on-r3")
+    out += [("so3-on-r3 mu_q(t)", mu_q(lambda t: t), R3.random_point),
+            ("so3-on-r3 mu_q(1)", mu_q(lambda t: 1.0), R3.random_point)]
+    mu, adaptor, pi, iota = cli._abel_data()
+    A = mu.action
+
+    def near_identity(rng):
+        v = A.random_tangent(rng, adaptor.m0)
+        return A.retract(adaptor.m0, v, 0.25 * rng.random())
+
+    out.append(("s1s1-on-so3 adapted",
+                slices.adapted_dual_form(mu, adaptor, pi, iota),
+                near_identity))
+    return out
+
+
+@pytest.mark.parametrize("label, form, draw", _forms_and_draws(),
+                         ids=lambda x: x if isinstance(x, str) else "")
+def test_a_certified_kernel_test_is_the_svd_of_K_answer(label, form, draw):
+    rng = np.random.default_rng(32)
+    certified = nondegenerate = 0
+    for _ in range(500):
+        pt = at(form, draw(rng))
+        cert, answer = _kernel_answers(pt)
+        assert answer or not cert, label
+        assert pt.nondegenerate == answer
+        certified += cert
+        nondegenerate += answer
+    if label.endswith("adapted"):
+        # constant rank 1 where K has rank 2: degenerate, never certified
+        assert certified == nondegenerate == 0
+    else:
+        assert nondegenerate and certified >= 0.9 * nondegenerate
+
+
+def _approach(A, form, points):
+    """The kernel answers at each point of a curve into a singular point."""
+    answers = []
+    for m in points:
+        pt = at(form, m)
+        cert, answer = _kernel_answers(pt)
+        assert answer or not cert
+        assert pt.nondegenerate == answer
+        answers.append((cert, answer))
+    return answers
+
+
+T_APPROACH = [10.0 ** -k for k in range(1, 10)]
+
+
+def test_certificate_along_approach_curves():
+    rng = np.random.default_rng(33)
+    hxh = get_action("hxh-on-su3")
+    x = rng.standard_normal(8)
+    x /= np.linalg.norm(x)
+    r3 = get_action("so3-on-r3")
+    u = rng.standard_normal(3)
+    u /= np.linalg.norm(u)
+    s1s1 = get_action("s1s1-on-so3")
+    y = np.array([0.6, -0.8, 0.3])
+    curves = [
+        # exp(t x) -> I on hxh: chi loses rank (its small singular values
+        # fall like t^2) before K does, so K's SVD decides in between
+        (hxh, [hxh.manifold_alg.exp(t * x) for t in T_APPROACH]),
+        # m -> 0 on R^3: chi = 0 at the origin, where nothing is certified
+        (r3, [t * u for t in T_APPROACH] + [np.zeros(3)]),
+        # g -> I on s1s1
+        (s1s1, [exp_so3(t * y) for t in T_APPROACH] + [np.eye(3)]),
+    ]
+    for A, points in curves:
+        forms = [simple_mechanical_mu(A), tame(simple_mechanical_mu(A))]
+        if A is r3:
+            forms += [mu_q(lambda t: t), mu_q(lambda t: 1.0)]
+        for form in forms:
+            answers = _approach(A, form, points)
+            # far from the singular point, certified
+            assert answers[0] == (True, True)
+            if A is r3:
+                assert answers[-1] == (False, True)
+                assert all(a == (True, True) for a in answers[:-1])
+            else:
+                # degenerate somewhere on the way in, never certified there
+                assert (False, False) in answers
+
+
+@pytest.mark.parametrize("label, form",
+                         [case[:2] for case in _forms_and_draws()[:-1]],
+                         ids=lambda x: x if isinstance(x, str) else "")
+def test_one_svd_per_regular_point_evaluation(monkeypatch, label, form):
+    rng = np.random.default_rng(34)
+    points = [regular_point(form.action, form, rng) for _ in range(20)]
+    calls = []
+    svd = linalg.svd
+
+    def counted(a):
+        calls.append(a.shape)
+        return svd(a)
+
+    monkeypatch.setattr(linalg, "svd", counted)
+    for m in points:
+        pt = at(form, m)
+        pt.P
+        assert pt.nondegenerate
+        # chi's, which P needs anyway
+        assert calls == [pt.chi.shape], label
+        calls.clear()
+
+
+def test_the_origin_of_r3_falls_back_to_the_svd_of_K(decompositions, mu_t):
+    pt = at(mu_t, np.zeros(3))
+    assert not pt._kernel_certified()
+    assert pt.nondegenerate  # ker chi = so(3) = the isotropy algebra
+    assert decompositions == {"svd": 2}

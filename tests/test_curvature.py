@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import regular_point
+
 from gconn import linalg
 from gconn.actions import get_action
 from gconn.connections import (DualForm, at, fd_oracle, mu_q,
@@ -338,3 +340,31 @@ def test_involutivity_pair_evaluates_each_point_once(monkeypatch,
     # g once: the bracket and d_oneform are exact at g
     assert len(calls) == 1
     assert decompositions["pinv"] == 0
+
+
+@pytest.mark.parametrize("name", ["so3-on-r3", "s1s1-on-so3", "hxh-on-su3"])
+def test_involutivity_differentiates_along_the_two_fields_only(monkeypatch,
+                                                               name):
+    """Omega(X, Y) is gamma(d mu(X, Y)) of the horizontal X(m), Y(m): the
+    derivatives are taken along those two directions, which the bracket's
+    field derivatives take as well, so one pair differentiates the
+    generators twice."""
+    A = get_action(name)
+    mu = simple_mechanical_mu(A)
+    m = regular_point(A, mu, np.random.default_rng(48))
+    E = np.eye(A.vec_dim)
+    directions = []
+
+    def counting(cls, attr):
+        original = getattr(cls, attr)
+
+        def counted(self, pt, w, *args):
+            directions.append(attr)
+            return original(self, pt, w, *args)
+
+        monkeypatch.setattr(cls, attr, counted)
+
+    counting(type(A), "dgen_matrix")
+    rep = involutivity_check(mu, m, pairs=[(E[0], E[1])])
+    assert rep.all_passed, rep.to_text()
+    assert directions == ["dgen_matrix"] * 2

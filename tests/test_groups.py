@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import is_special_orthogonal, is_special_unitary
-from gconn.groups import (cay, cross, exp_so3, hat, so3_algebra, su3_basis,
-                          vee)
+from conftest import (general_Ad, is_special_orthogonal,
+                      is_special_unitary)
+from gconn import linalg
+from gconn.actions import get_action
+from gconn.groups import (LieAlgebra, cay, cross, exp_so3, hat, so3_algebra,
+                          su3_basis, vee)
 
 
 def test_hat_vee_roundtrip():
@@ -221,3 +224,89 @@ def test_so3_real_coordinates_match_the_complex_path_bit_for_bit():
         alg.coords(M)
     with pytest.raises(ValueError):
         alg.coords(np.diag([1.0, 0.0, 0.0]))
+
+
+# ---------------------------------------------------------------------------
+# Ad(g, C): the rotation, unitary and general paths
+
+def test_su_n_is_decided_from_the_basis():
+    su3 = su3_basis()
+    assert su3._su_n and not so3_algebra()._su_n
+    # a scaled basis spans su(3) as well; a traceful one does not
+    assert LieAlgebra("su3x2", [2.0 * B for B in su3.basis],
+                      su3._pairing)._su_n
+    traceful = [su3.basis[0] + 1j * np.eye(3)] + su3.basis[1:]
+    assert not LieAlgebra("u", traceful, su3._pairing)._su_n
+
+
+@pytest.mark.parametrize("name, tol", [("hxh-on-su3", 1e-14),
+                                       ("s1s1-on-so3", 1e-15)])
+def test_Ad_paths_agree_with_the_general_path(name, tol):
+    """2,000 draws: the unitary path on su(3) agrees with the general path
+    to 3.6e-15 (measured; the entries reach about 2), the rotation path on
+    so(3) to 5.6e-16."""
+    A = get_action(name)
+    alg, H = A.manifold_alg, A.algebra.h
+    eye = np.eye(alg.dim)
+    rng = np.random.default_rng(40)
+    for _ in range(2000):
+        g = A.random_point(rng)
+        assert np.max(np.abs(alg.Ad(g, H) - general_Ad(alg, g, H))) <= tol
+        assert np.max(np.abs(alg.Ad_matrix(g)
+                             - general_Ad(alg, g, eye))) <= tol
+
+
+def test_unitary_path_stays_in_the_span():
+    """The span test the unitary path drops would have passed: each
+    conjugate g B_i g^H is reproduced by its coordinates to 1e-12."""
+    alg = su3_basis()
+    rng = np.random.default_rng(41)
+    worst = 0.0
+    for _ in range(2000):
+        g = alg.exp(rng.standard_normal(8))
+        rhs = alg._realified(g @ alg._stacked @ g.conj().T)
+        d = alg._flat @ alg.Ad_matrix(g) - rhs
+        resid = np.sqrt((d * d).sum(axis=0))
+        scale = np.maximum(1.0, np.sqrt((rhs * rhs).sum(axis=0)))
+        worst = max(worst, float(np.max(resid / scale)))
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["hxh-on-su3", "s1s1-on-so3"])
+def test_Ad_matrix_times_C_is_Ad_bit_for_bit(name):
+    A = get_action(name)
+    alg = A.manifold_alg
+    rng = np.random.default_rng(42)
+    for _ in range(200):
+        g = A.random_point(rng)
+        for C in (A.algebra.h, rng.standard_normal((alg.dim, 3))):
+            assert np.array_equal(alg.Ad_matrix(g) @ C, alg.Ad(g, C))
+
+
+def test_unitary_path_makes_no_inverse_or_projection(monkeypatch):
+    alg = su3_basis()
+    calls = []
+
+    def spy(name, f):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return f(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(linalg, "inv", spy("inv", linalg.inv))
+    monkeypatch.setattr(LieAlgebra, "_coords_columns",
+                        spy("_coords_columns", LieAlgebra._coords_columns))
+    rng = np.random.default_rng(43)
+    for _ in range(50):
+        alg.Ad_matrix(alg.exp(rng.standard_normal(8)))
+    assert calls == []
+    # a g that is not unitary takes the general path: a scaled unitary
+    # conjugates as the unitary does, and a shear fails the span test
+    g = alg.exp(rng.standard_normal(8))
+    assert np.max(np.abs(alg.Ad_matrix(1.1 * g) - alg.Ad_matrix(g))) < 1e-14
+    assert calls == ["inv", "_coords_columns"]
+    shear = np.eye(3)
+    shear[0, 1] = 1.0
+    with pytest.raises(ValueError, match="not in the span"):
+        alg.Ad(shear, np.eye(8)[:, :2])
+    assert calls == ["inv", "_coords_columns"] * 2

@@ -22,6 +22,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import general_Ad
 from gconn import linalg
 from gconn.actions import get_action
 from gconn.connections import mu_q
@@ -30,6 +31,7 @@ from gconn.frames import (DomainError, PartialMovingFrame, _sample_off_poles,
 from gconn.groups import (LieAlgebra, cay, cay_inv, cross, exp_so3, hat,
                           so3_algebra, su3_basis)
 from gconn.linalg import Subspace
+from gconn.slices import cayley_slice
 
 N = 2000
 TOL = 1e-14
@@ -149,10 +151,6 @@ def ref_cay(eta):
 def ref_cay_inv(R):
     X = np.linalg.solve(_I3 + R, R - _I3)
     return 2.0 * np.array([X[2, 1], X[0, 2], X[1, 0]])
-
-
-def ref_conjugate_coords(alg, g, stack):
-    return alg._coords_columns(g @ stack @ np.linalg.inv(g))
 
 
 # ---------------------------------------------------------------------------
@@ -410,18 +408,17 @@ def test_cay_inv_matches_the_reference_below_two_thirds_of_a_half_turn():
         assert _close(cay_inv(R), ref_cay_inv(R))
 
 
-@pytest.mark.parametrize("stack", ["basis", "h"])
-def test_so3_conjugation_matches_the_reference(stack):
-    S = SO3._stacked if stack == "basis" else S1S1._h_stack
+@pytest.mark.parametrize("columns", ["basis", "h"])
+def test_so3_conjugation_matches_the_reference(columns):
+    C = np.eye(3) if columns == "basis" else S1S1.algebra.h
     for v in _rotation_vectors(94):
         g = exp_so3(v)
-        C = SO3.conjugate_coords(g, S)
-        assert C.dtype == float and C.shape == (3, len(S))
-        assert _close(C, ref_conjugate_coords(SO3, g, S))
+        AdC = SO3.Ad(g, C)
+        assert AdC.dtype == float and AdC.shape == C.shape
+        assert _close(AdC, general_Ad(SO3, g, C))
     for v in _rotation_vectors(95)[:N // 4]:
         g = exp_so3(v)
-        assert _close(SO3.Ad_matrix(g),
-                      ref_conjugate_coords(SO3, g, SO3._stacked))
+        assert _close(SO3.Ad_matrix(g), general_Ad(SO3, g, np.eye(3)))
 
 
 def test_so3_dispatch_reads_the_basis_not_the_name():
@@ -452,17 +449,49 @@ def test_conjugation_refuses_or_agrees_off_the_rotations():
     R = exp_so3(np.array([0.4, -0.3, 0.9]))
     for g in (np.diag([1.0, 1.0, -1.0]), 2.0 * np.eye(3), -R, 1.5 * R,
               R + 1e-9 * np.ones((3, 3))):
-        for S in (SO3._stacked, S1S1._h_stack):
+        for C in (np.eye(3), S1S1.algebra.h):
             try:
-                C = SO3.conjugate_coords(g, S)
+                AdC = SO3.Ad(g, C)
             except ValueError:
                 continue
-            assert np.array_equal(C, ref_conjugate_coords(SO3, g, S))
-    # a complex g or a stack off so(3) is never read as a real rotation
-    for g, S in ((R + 1e-3j * np.eye(3), SO3._stacked),
-                 (R, SO3._stacked + 1e-6 * np.eye(3))):
-        with pytest.raises(ValueError, match="not in the span"):
-            SO3.conjugate_coords(g, S)
+            assert np.array_equal(AdC, general_Ad(SO3, g, C))
+    # a complex g is never read as a real rotation
+    with pytest.raises(ValueError, match="not in the span"):
+        SO3.Ad(R + 1e-3j * np.eye(3), np.eye(3))
+
+
+def test_so3_brackets_on_triples():
+    """On the hat basis, ad_matrix(a) is hat(a), where the structure
+    constants' matrix (projected through the pseudo-inverse of the basis)
+    carries entries of 1.3e-16 in place of some zeros; bracket(a, b) is
+    a x b, bit-equal to np.cross, also column by column; and dgen_matrix of
+    s1s1-on-so3 holds w x each column of K's -Ad_g h block."""
+    rng = np.random.default_rng(97)
+    for _ in range(N // 4):
+        a, b = rng.standard_normal((2, 3))
+        assert np.array_equal(SO3.ad_matrix(a), hat(a))
+        assert _close(SO3.ad_matrix(a), (a @ SO3._ad_basis).reshape(3, 3))
+        assert np.array_equal(SO3.bracket(a, b), np.cross(a, b))
+        B = rng.standard_normal((3, 4))
+        assert np.array_equal(SO3.bracket(a, B), np.cross(a, B.T).T)
+        assert _close(SO3.bracket(a, B), hat(a) @ B)
+        g = S1S1.random_point(rng)
+        K = S1S1.gen_matrix(g)
+        dK = S1S1.dgen_matrix(g, a, K)
+        assert np.array_equal(dK[:, 1:], np.cross(a, K[:, 1:].T).T)
+        assert not dK[:, :1].any()
+
+
+def test_cayley_tangent_on_triples_matches_the_matrix_formula():
+    S = cayley_slice(np.array([0.0, 0.0, 1.0]), exp_so3([0.2, -0.1, 0.4]))
+    rng = np.random.default_rng(98)
+    for _ in range(N):
+        p = rng.standard_normal(2)
+        eta = S.B @ p
+        ref = (S.B + 0.5 * hat(eta) @ S.B) / (1.0 + (eta @ eta) / 4.0)
+        T = S.tangent(p)
+        assert T.dtype == float and T.shape == (3, 2)
+        assert _close(T, ref)
 
 
 def test_cay_inv_refuses_a_half_turn():
