@@ -69,7 +69,8 @@ class Action:
         raise NotImplementedError
 
     def group_inv(self, g):
-        return linalg.inv(g)
+        """g^-1 = g^H of a unitary g (:func:`gconn.groups.inverse`)."""
+        return groups.inverse(g)
 
     def Ad_group(self, g):
         """Adjoint of the acting group on acting-algebra coordinates."""
@@ -256,7 +257,7 @@ class TorusSquareOnGroup(Action):
     vectors on G are right-trivialized: (eta, zeta)_G(g) = eta - Ad_g zeta.
     The generators need Ad_g on h only: only the coordinate columns of h
     are conjugated by g.  The inverse of h or k is its conjugate transpose
-    where it is unitary (:func:`gconn.groups.inverse`).
+    (:func:`gconn.groups.inverse`, which refuses a non-unitary matrix).
     """
 
     def __init__(self, name, manifold_alg, h_coords):

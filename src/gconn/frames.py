@@ -60,6 +60,12 @@ def rho_us2(p):
     return _frame(triple(m), triple(u))
 
 
+def _dnat_frame(m, u, dm, du):
+    """m x dm + <u x du, m> m of four triples, as an array: the
+    right-trivialized derivative of the frame of (m, u) along (dm, du)."""
+    return np.array(axpy3(dot3(cross3(u, du), m), m, cross3(m, dm)))
+
+
 def dnat_rho(p, v):
     """Right-trivialized derivative of the frame along the tangent (dm, du).
 
@@ -67,9 +73,7 @@ def dnat_rho(p, v):
     """
     m, u = So3OnUS2.split(p)
     dm, du = So3OnUS2.split(v)
-    m = triple(m)
-    return np.array(axpy3(dot3(cross3(triple(u), triple(du)), m), m,
-                          cross3(m, triple(dm))))
+    return _dnat_frame(triple(m), triple(u), triple(dm), triple(du))
 
 
 def _trivialized_fd(curve, R):
@@ -159,13 +163,13 @@ class PartialMovingFrame:
 
     def dnat_phi(self, m, dm):
         """Closed form m x dm + <Y x (dY dm), m> m for the trivialized
-        derivative."""
+        derivative: the frame's (:func:`dnat_rho`) along the section
+        m -> (m, Y(m))."""
         m = np.asarray(m, dtype=float).ravel()
         mt = triple(m)
         d = _tangent(mt, triple(dm))
         y = self._field(m, mt)
-        dy = triple(self.dY(m, np.array(d)))
-        return np.array(axpy3(dot3(cross3(y, dy), mt), mt, cross3(mt, d)))
+        return _dnat_frame(mt, y, d, triple(self.dY(m, np.array(d))))
 
     def _slip_frame(self, G, m, mt):
         """Y(m), the moved point g m as an array and w = g^(-1) Y(g m), for

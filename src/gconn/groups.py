@@ -21,13 +21,13 @@ formula in :func:`exp_so3`, the Cayley map :func:`cay` and its inverse
 and to build the result.
 
 :meth:`LieAlgebra.Ad` conjugates coordinate columns by a group element g
-without an inverse where g is known to keep the algebra: on so(3) a
-rotation takes hat(v) to hat(g v), so the result is g times the
-coordinates; on an algebra that is all of su(n) a unitary g keeps su(n),
-so the conjugates by g^H are projected onto the basis with no span test.
-Any other g takes the general path, the conjugates by inv(g), each of
-which must lie in the span of the basis.  :func:`inverse` of a unitary
-(or real orthogonal) matrix is its conjugate transpose.
+without an inverse: on so(3) a rotation takes hat(v) to hat(g v), so the
+result is g times the coordinates; on an algebra that is all of su(n) a
+unitary g keeps su(n), so the conjugates by g^H are projected onto the
+basis with no span test.  :func:`inverse` of a unitary (or real
+orthogonal) matrix is its conjugate transpose.  Both refuse, with
+``ValueError``, a g outside the group: every group the built-in actions
+act by is a rotation or a unitary group.
 """
 
 from __future__ import annotations
@@ -41,8 +41,7 @@ from . import linalg
 _EPS_AXIS = 1e-12
 # How far g g^H may be from I (Frobenius) for g to count as unitary: its
 # inverse is then g^H, and conjugation by g takes the closed form on so(3)
-# (for a real g with det g > 0) or skips the span test on su(n); anything
-# else takes the general path.
+# (for a real g with det g > 0) or on su(n); anything else is refused.
 _UNITARY_TOL = 1e-12
 
 
@@ -176,7 +175,7 @@ def cay_inv(R):
     return np.array([k * (r21 - r12), k * (r02 - r20), k * (r10 - r01)])
 
 
-def _is_rotation(g):
+def is_rotation(g):
     """Whether the real 3x3 matrix g is a rotation, |g g^T - I| <= 1e-12
     and det g > 0 (``ValueError`` for any other shape)."""
     r0, r1, r2 = rows3(g)
@@ -186,23 +185,21 @@ def _is_rotation(g):
             and dot3(r0, cross3(r1, r2)) > 0.0)
 
 
-def _unitary_inverse(g):
-    """g^H if g is square and |g g^H - I| <= 1e-12 (unitary, or real
-    orthogonal), else None."""
+def inverse(g):
+    """The inverse g^H of a unitary (or real orthogonal) matrix g.
+
+    ``ValueError`` unless g is square and |g g^H - I| <= 1e-12
+    (Frobenius).
+    """
+    g = np.asarray(g)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
-        return None
+        raise ValueError(f"inverse: g of shape {g.shape} is not square")
     gh = g.conj().T
     d = np.dot(g, gh)
     d.ravel()[::len(d) + 1] -= 1.0  # g g^H - I, in place
-    return gh if np.vdot(d, d).real <= _UNITARY_TOL ** 2 else None
-
-
-def inverse(g):
-    """The inverse of a square matrix: g^H where g passes the unitarity
-    test (|g g^H - I| <= 1e-12), else ``linalg.inv(g)``."""
-    g = np.asarray(g)
-    gh = _unitary_inverse(g)
-    return linalg.inv(g) if gh is None else gh
+    if not np.vdot(d, d).real <= _UNITARY_TOL ** 2:
+        raise ValueError("inverse: g is not unitary")
+    return gh
 
 
 class LieAlgebra:
@@ -296,11 +293,15 @@ class LieAlgebra:
     @linalg.once
     def _ad_basis(self):
         """Structure constants as a dim x (dim * dim) matrix: row i holds
-        the matrix of ad_{B_i}, flattened.  Taken on first use."""
+        the matrix of ad_{B_i}, flattened.  Taken on first use, with each
+        constant within 1e-12 of an integer set to it: they are small
+        integers in the so(3) and su(3) bases, up to projection roundoff."""
         S = self._stacked
         d = self.dim
         C = self._coords_columns((S[:, None] @ S[None] - S[None] @ S[:, None])
                                  .reshape(d * d, *S.shape[1:]))
+        whole = np.round(C) + 0.0  # + 0.0: no -0.0
+        C = np.where(np.abs(C - whole) <= 1e-12, whole, C)
         # C[:, i * d + j] = coords [B_i, B_j], the column j of ad_{B_i}
         return np.ascontiguousarray(
             C.reshape(d, d, d).transpose(1, 0, 2).reshape(d, d * d))
@@ -312,10 +313,8 @@ class LieAlgebra:
         return R, np.linalg.inv(R)
 
     def ad_matrix(self, a):
-        """Matrix of ad_a = [a, .] on coordinates: hat(a) on so(3) in the
-        hat basis."""
-        if self._so3:
-            return hat(a)
+        """Matrix of ad_a = [a, .] on coordinates, from the structure
+        constants (on so(3) in the hat basis, hat(a))."""
         a = np.asarray(a, dtype=float).ravel()
         return (a @ self._ad_basis).reshape(self.dim, self.dim)
 
@@ -323,35 +322,31 @@ class LieAlgebra:
         """Coordinates of g X g^-1 for the element X of each column of the
         dim x k coordinate matrix C, as the columns of a dim x k matrix.
 
-        On so(3) a real rotation g (g g^T = I to 1e-12, det g > 0) takes
+        On so(3) a rotation g (real, g g^T = I to 1e-12, det g > 0) takes
         the closed form g hat(v) g^-1 = hat(g v): the result is g @ C.  On
         an algebra that is all of su(n) (``_su_n``) a unitary g
         (g g^H = I to 1e-12) keeps the algebra, so the conjugates g X g^H
-        are projected onto the basis with no span test.  Every other g
-        takes the general path: the conjugates by the inverse of g, each of
-        which must lie in the span of the basis (checked by
-        :meth:`_coords_columns`).  A reflection (det(g) hat(g v)), a scaled
-        rotation (hat(g v) / c) or a shear thus gets the general path's
-        answer or its ``ValueError``.
+        are projected onto the basis with no span test.  Any other g (a
+        reflection, a scaled rotation or unitary, a shear, a complex g on
+        so(3)), and any g on another algebra, raises ``ValueError``.
         """
         g = np.asarray(g)
         C = np.asarray(C, dtype=float)
-        if self._so3 and g.dtype.kind != "c" and _is_rotation(g):
+        if self._so3:
+            if g.dtype.kind == "c" or not is_rotation(g):
+                raise ValueError("Ad: g is not a rotation")
             return g @ C
-        if self._su_n:
-            gh = _unitary_inverse(g)
-            if gh is not None:
-                # row-major, vec(g X g^H) = (g kron conj(g)) vec(X), so Ad_g
-                # is Re(_pinv_complex (g kron conj(g)) _rows^T); formed in
-                # full, so that Ad(g, C) is Ad_matrix(g) @ C bit for bit
-                n = len(g)
-                G = (g[:, None, :, None] * gh.T[None, :, None, :]).reshape(
-                    n * n, n * n)
-                Ad = np.dot(np.dot(self._pinv_complex, G), self._rows.T)
-                return np.dot(Ad.real, C)
-        # the matrices X, one product of C^T and the flattened basis
-        X = np.dot(C.T, self._rows).reshape(-1, *self._stacked.shape[1:])
-        return self._coords_columns(g @ X @ linalg.inv(g))
+        if not self._su_n:
+            raise ValueError(f"Ad: no closed form on {self.name}")
+        gh = inverse(g)
+        # row-major, vec(g X g^H) = (g kron conj(g)) vec(X), so Ad_g is
+        # Re(_pinv_complex (g kron conj(g)) _rows^T); formed in full, so
+        # that Ad(g, C) is Ad_matrix(g) @ C bit for bit
+        n = len(g)
+        G = (g[:, None, :, None] * gh.T[None, :, None, :]).reshape(n * n,
+                                                                  n * n)
+        Ad = np.dot(np.dot(self._pinv_complex, G), self._rows.T)
+        return np.dot(Ad.real, C)
 
     def Ad_matrix(self, g):
         """Matrix of Ad_g on coordinates: ``Ad(g, I)``, whose columns are

@@ -12,9 +12,9 @@ of it.  :func:`norm` is the Euclidean norm of a real array by numpy's own
 formula, without ``np.linalg.norm``'s dispatch.
 
 This is the one module that calls LAPACK for the per-point work.
-:func:`svd`, :func:`inv`, :func:`solve` and :func:`eigh` call the gufuncs
-that ``np.linalg`` wraps, with the signatures it passes, so their results
-are bit-equal to ``np.linalg``'s; on matrices this small, ``np.linalg``'s
+:func:`svd`, :func:`solve` and :func:`eigh` call the gufuncs that
+``np.linalg`` wraps, with the signatures it passes, so their results are
+bit-equal to ``np.linalg``'s; on matrices this small, ``np.linalg``'s
 per-call dispatch (array wrapping, type resolution, an ``errstate``
 context, casts of the results) costs more than the routine itself.  Code
 that runs once per algebra or action, at construction, keeps
@@ -95,15 +95,6 @@ def svd(a):
     U, s, Vt = _lapack.svd_f(a, signature="d->ddd")
     _nan_free(s, "SVD did not converge")
     return U, s, Vt
-
-
-def inv(a):
-    """Inverse of a real or complex square matrix, bit-equal to
-    ``np.linalg.inv(a)``; ``LinAlgError`` if singular, the gufunc's
-    ``ValueError`` if not square."""
-    a = np.asarray(a)
-    sig = "D->D" if a.dtype.kind == "c" else "d->d"
-    return _nan_free(_lapack.inv(a, signature=sig), "Singular matrix")
 
 
 def solve(a, b):

@@ -144,7 +144,8 @@ CAYLEY_RADIUS = 1.0
 class SliceCandidate:
     """The Cayley slice eta -> cay(eta) g0 through m0 = g0, for eta
     orthogonal to the unit rotation axis sigma and |eta| < ``radius``,
-    with its tangent evaluator and a closed-form membership test.
+    with its tangent evaluator and a closed-form membership test.  g0 must
+    be a rotation (``ValueError`` otherwise); its inverse is g0^T.
 
     ``psi`` maps the ``param_dim`` = 2 coordinates of eta in an orthonormal
     basis B of sigma-perp to the group element.  ``tangent(params)`` is the
@@ -169,7 +170,9 @@ class SliceCandidate:
         if abs(norm(sigma) - 1.0) > 1e-10:
             raise ValueError("cayley_slice: sigma must be a unit vector")
         self.m0 = np.asarray(g0, dtype=float)
-        self._g0_inv = linalg.inv(self.m0)
+        if not groups.is_rotation(self.m0):
+            raise ValueError("cayley_slice: g0 must be a rotation")
+        self._g0_inv = self.m0.T
         # orthonormal basis of sigma-perp
         aux = np.eye(3)[np.argmin(np.abs(sigma))]
         b1 = groups.cross(sigma, aux)

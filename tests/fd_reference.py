@@ -13,7 +13,9 @@ references difference the values themselves, along the retraction:
 * :func:`field_bracket`: antisymmetrized central differences of the field
   values;
 * :func:`d_chi`: a central difference of the inertia factor, with the
-  larger step of a nested difference.
+  larger step of a nested difference;
+* :func:`trivialized_4pt`: the right-trivialized derivative of a
+  rotation-valued curve by the 4-point central difference.
 """
 
 import numpy as np
@@ -76,3 +78,15 @@ def d_chi(mu, m, w):
     m = m.m if isinstance(m, PointEval) else m
     return curve_derivative(lambda t: at(mu, A.retract(m, w, t)).chi,
                             NESTED_STEP)
+
+
+def trivialized_4pt(curve, h):
+    """Right-trivialized derivative at t = 0 of a rotation-valued curve R,
+    the skew part of R'(0) R(0)^T as a vector, with R'(0) by the 4-point
+    central difference (8 (R(h) - R(-h)) - (R(2h) - R(-2h))) / (12 h),
+    whose truncation error is O(h^4)."""
+    dR = (8.0 * (curve(h) - curve(-h))
+          - (curve(2.0 * h) - curve(-2.0 * h))) / (12.0 * h)
+    J = dR @ curve(0.0).T
+    return 0.5 * np.array([J[2, 1] - J[1, 2], J[0, 2] - J[2, 0],
+                           J[1, 0] - J[0, 1]])

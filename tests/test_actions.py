@@ -65,34 +65,59 @@ def test_torus_generators_keep_the_transposed_vstack_layout(name):
 
 
 @pytest.mark.parametrize("name", ["hxh-on-su3", "s1s1-on-so3"])
-def test_torus_inverse_is_the_conjugate_transpose(monkeypatch, name):
+def test_torus_inverse_is_the_conjugate_transpose(name):
     """The group elements of the torus actions are unitary (rotations on
-    SO(3)): apply and group_inv take their conjugate transposes, with no
-    linalg.inv, and agree with it to rounding; any other matrix is
-    inverted."""
+    SO(3)): apply and group_inv take their conjugate transposes, which
+    agree with an LU inverse to rounding; a shear is refused."""
     A = get_action(name)
     rng = np.random.default_rng(17)
-    draws = [(A.random_group(rng), A.random_point(rng)) for _ in range(200)]
-    inverted = []
-    inv = linalg.inv
-
-    def counted(a):
-        inverted.append(1)
-        return inv(a)
-
-    monkeypatch.setattr(linalg, "inv", counted)
-    for (h, k), m in draws:
+    for _ in range(200):
+        (h, k), m = A.random_group(rng), A.random_point(rng)
         hi, ki = A.group_inv((h, k))
         assert np.array_equal(hi, h.conj().T)
         assert np.array_equal(ki, k.conj().T)
         assert np.max(np.abs(A.apply((h, k), m)
                              - h @ m @ np.linalg.inv(k))) <= 1e-15
-    assert inverted == []
     shear = np.eye(len(m))
     shear[0, 1] = 1.0
-    assert np.array_equal(A.group_inv((shear, shear))[0],
-                          np.linalg.inv(shear))
-    assert inverted == [1, 1]
+    with pytest.raises(ValueError, match="not unitary"):
+        A.group_inv((shear, shear))
+    with pytest.raises(ValueError, match="not unitary"):
+        A.apply((h, shear), m)
+
+
+def _refused(*args, **kwargs):
+    raise AssertionError("LAPACK call")
+
+
+class _NoLapack:
+    """Stands in for numpy's LAPACK gufunc module: any use fails."""
+
+    def __getattr__(self, name):
+        return _refused
+
+
+def test_rotation_inverse_is_its_transpose_without_lapack(monkeypatch):
+    A = get_action("so3-on-r3")
+    rng = np.random.default_rng(18)
+    draws = [A.random_group(rng) for _ in range(200)]
+    monkeypatch.setattr(linalg, "_lapack", _NoLapack())
+    for fn in ("inv", "solve", "svd", "eigh", "pinv", "lstsq"):
+        monkeypatch.setattr(np.linalg, fn, _refused)
+    for g in draws:
+        gi = A.group_inv(g)
+        assert gi.dtype == g.dtype and gi.shape == g.shape
+        assert gi.tobytes() == g.T.tobytes()
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_group_inv_refuses_a_matrix_outside_the_group(name):
+    A = get_action(name)  # every acting group is made of 3x3 matrices
+    shear = np.eye(3)
+    shear[0, 1] = 1.0
+    for g in (shear, 1.5 * np.eye(3), np.ones((3, 4))):
+        with pytest.raises(ValueError):
+            A.group_inv(g if A.manifold_alg is None else (g, g))
 
 
 def test_registry():

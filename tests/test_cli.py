@@ -451,14 +451,15 @@ def test_scenarios_reach_lapack_only_through_gconn_linalg(monkeypatch):
             return f(*args, **kwargs)
         return counted
 
-    for module, prefix in [(np.linalg, "np.linalg."), (linalg, "")]:
-        for fn in ("svd", "inv", "solve", "eigh"):
-            monkeypatch.setattr(module, fn,
-                                spy(prefix + fn, getattr(module, fn)))
+    for fn in ("svd", "inv", "solve", "eigh"):
+        monkeypatch.setattr(np.linalg, fn,
+                            spy("np.linalg." + fn, getattr(np.linalg, fn)))
+    for fn in ("svd", "solve", "eigh"):
+        monkeypatch.setattr(linalg, fn, spy(fn, getattr(linalg, fn)))
     for scenario in sorted(SCENARIOS):
         run_scenario(ScenarioConfig(scenario, seed=0))
     # no np.linalg call, and every entry of gconn.linalg reached
-    assert sorted(calls) == ["eigh", "inv", "solve", "svd"]
+    assert sorted(calls) == ["eigh", "solve", "svd"]
 
 
 def _reject_constant(name):

@@ -231,15 +231,13 @@ def test_closed_curvature_decomposes_once(monkeypatch, decompositions, name):
     g = A.random_point(rng)
     u, v = rng.standard_normal(A.vec_dim), rng.standard_normal(A.vec_dim)
     curvature_leftright_closed(A, g, u, v)   # takes the gram factor once
-    # K is taken before the spies: on su(3) gen_matrix's conjugation
-    # inverts g, and its one call per point is pinned below
+    # K is taken before the spies: its one call per point is pinned below
     K = A.gen_matrix(g)
     monkeypatch.setattr(type(A), "gen_matrix", lambda self, m: K)
     decompositions.clear()
-    # the per-point entries under their names, and np.linalg's build-time
-    # ones (the gram factor's) under theirs
-    for module, fn, key in [(linalg, "inv", "inv"),
-                            (linalg, "solve", "solve"),
+    # the per-point entry under its name, and np.linalg's build-time ones
+    # (the gram factor's) under theirs
+    for module, fn, key in [(linalg, "solve", "solve"),
                             (np.linalg, "cholesky", "np.linalg.cholesky"),
                             (np.linalg, "inv", "np.linalg.inv")]:
         def counted(a, *args, _key=key, _f=getattr(module, fn)):

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import is_special_orthogonal
+from fd_reference import trivialized_4pt
+from gconn import frames
 from gconn.actions import get_action
 from gconn.frames import (DomainError, PartialMovingFrame,
                           beta_equivariance_check, cross_section, dnat_rho,
                           dnat_rho_fd, eastward_field, latitude_curve,
                           pmf_from_field, rho_us2, _sample_off_poles)
-from gconn.groups import exp_so3
+from gconn.groups import exp_so3, triple
 
 
 def test_rho_columns_and_validation():
@@ -145,6 +147,44 @@ def test_beta_check_differentiates_slip_once_per_sample(monkeypatch):
                                   rng=np.random.default_rng(57))
     assert rep.all_passed, rep.to_text()
     assert len(calls) == 3
+
+
+def test_dnat_phi_is_the_frame_derivative_along_the_section():
+    """d_phi(dm) is dnat_rho at (m, Y(m)) along (dm, dY(dm)), bit for
+    bit, with dm first projected onto the tangent plane as d_phi does."""
+    pmf = pmf_from_field(eastward_field)
+    rng = np.random.default_rng(56)
+    for _ in range(200):
+        m = _sample_off_poles(rng)
+        dm = rng.standard_normal(3)
+        d = np.array(frames._tangent(triple(m), triple(dm)))
+        p = np.concatenate([m, eastward_field(m)])
+        v = np.concatenate([d, eastward_field.derivative(m, d)])
+        assert np.array_equal(pmf.dnat_phi(m, dm), dnat_rho(p, v))
+
+
+def test_seed_391_frame_miss_is_the_oracles():
+    """``s2-pmf-beta --seed 391`` reads 1.036e-6 at ``frame-d-exact-vs-fd``
+    against 1e-6.  Replaying the check's draws, the miss is sample 12,
+    where g m is 0.64 degrees from the pole: there the 2-point difference
+    at ``FRAME_STEP`` errs, while a 4-point one at 1e-5 agrees with the
+    closed-form dnat_slip to 1.5e-9."""
+    pmf = pmf_from_field(eastward_field)
+    A = pmf.action
+    rng = np.random.default_rng(391)
+    for _ in range(13):  # the draws of check_frame_d_exact_vs_fd
+        m = _sample_off_poles(rng)
+        g = A.random_group(rng)
+        v = A.random_tangent(rng, m)
+    assert np.degrees(np.arccos((g @ m)[2])) < 0.65
+    exact = pmf.dnat_slip(g, m, v)
+
+    def slip(t):
+        return pmf.slip(g, A.retract(m, v, t))
+
+    two_point = frames._trivialized_fd(slip, slip(0.0))
+    assert np.linalg.norm(exact - two_point) > 1e-6
+    assert np.linalg.norm(exact - trivialized_4pt(slip, 1e-5)) <= 1e-8
 
 
 def test_latitude_identity():

@@ -3,10 +3,9 @@ import pytest
 
 from conftest import (general_Ad, is_special_orthogonal,
                       is_special_unitary)
-from gconn import linalg
 from gconn.actions import get_action
-from gconn.groups import (LieAlgebra, cay, cross, exp_so3, hat, so3_algebra,
-                          su3_basis, vee)
+from gconn.groups import (LieAlgebra, cay, cross, exp_so3, hat, inverse,
+                          so3_algebra, su3_basis, vee)
 
 
 def test_hat_vee_roundtrip():
@@ -227,7 +226,7 @@ def test_so3_real_coordinates_match_the_complex_path_bit_for_bit():
 
 
 # ---------------------------------------------------------------------------
-# Ad(g, C): the rotation, unitary and general paths
+# Ad(g, C): the rotation and unitary paths, against the general reference
 
 def test_su_n_is_decided_from_the_basis():
     su3 = su3_basis()
@@ -283,30 +282,44 @@ def test_Ad_matrix_times_C_is_Ad_bit_for_bit(name):
             assert np.array_equal(alg.Ad_matrix(g) @ C, alg.Ad(g, C))
 
 
-def test_unitary_path_makes_no_inverse_or_projection(monkeypatch):
+def test_unitary_path_makes_no_projection_and_refuses_the_rest(
+        monkeypatch):
+    """The unitary path projects without the span test; a g that is not
+    unitary (a scaled unitary, a shear) is refused before any
+    projection."""
     alg = su3_basis()
     calls = []
+    coords_columns = LieAlgebra._coords_columns
 
-    def spy(name, f):
-        def wrapped(*args, **kwargs):
-            calls.append(name)
-            return f(*args, **kwargs)
-        return wrapped
+    def spy(*args, **kwargs):
+        calls.append("_coords_columns")
+        return coords_columns(*args, **kwargs)
 
-    monkeypatch.setattr(linalg, "inv", spy("inv", linalg.inv))
-    monkeypatch.setattr(LieAlgebra, "_coords_columns",
-                        spy("_coords_columns", LieAlgebra._coords_columns))
+    monkeypatch.setattr(LieAlgebra, "_coords_columns", spy)
     rng = np.random.default_rng(43)
     for _ in range(50):
         alg.Ad_matrix(alg.exp(rng.standard_normal(8)))
     assert calls == []
-    # a g that is not unitary takes the general path: a scaled unitary
-    # conjugates as the unitary does, and a shear fails the span test
-    g = alg.exp(rng.standard_normal(8))
-    assert np.max(np.abs(alg.Ad_matrix(1.1 * g) - alg.Ad_matrix(g))) < 1e-14
-    assert calls == ["inv", "_coords_columns"]
     shear = np.eye(3)
     shear[0, 1] = 1.0
-    with pytest.raises(ValueError, match="not in the span"):
-        alg.Ad(shear, np.eye(8)[:, :2])
-    assert calls == ["inv", "_coords_columns"] * 2
+    for g in (1.1 * alg.exp(rng.standard_normal(8)), shear):
+        with pytest.raises(ValueError, match="not unitary"):
+            alg.Ad(g, np.eye(8)[:, :2])
+    assert calls == []
+
+
+def test_inverse_is_the_conjugate_transpose_of_a_unitary_only():
+    su3 = su3_basis()
+    rng = np.random.default_rng(44)
+    for g in (su3.exp(rng.standard_normal(8)), exp_so3([0.3, -1.2, 0.4]),
+              np.diag([1.0, -1.0, 1.0]), np.eye(5)):
+        assert np.array_equal(inverse(g), g.conj().T)
+    shear = np.eye(3)
+    shear[0, 1] = 1.0
+    for g in (shear, 1.1 * su3.exp(rng.standard_normal(8)), 2.0 * np.eye(3),
+              np.zeros((3, 3)), np.full((3, 3), np.nan)):
+        with pytest.raises(ValueError, match="not unitary"):
+            inverse(g)
+    for g in (np.ones((2, 3)), np.ones(3), np.eye(3)[None]):
+        with pytest.raises(ValueError, match="not square"):
+            inverse(g)

@@ -105,6 +105,20 @@ def test_cayley_slice_input_validation():
         cayley_slice(2 * SIGMA, np.eye(3))
 
 
+def test_cayley_slice_refuses_a_base_that_is_not_a_rotation():
+    R = exp_so3(np.array([0.2, -0.1, 0.4]))
+    shear = np.eye(3)
+    shear[0, 1] = 1.0
+    for g0 in (np.diag([1.0, 1.0, -1.0]), -R, 1.5 * R, shear,
+               np.zeros((3, 3)), np.full((3, 3), np.nan)):
+        with pytest.raises(ValueError, match="g0 must be a rotation"):
+            cayley_slice(SIGMA, g0)
+    with pytest.raises(ValueError, match="expected a 3x3 matrix"):
+        cayley_slice(SIGMA, np.eye(4))
+    # a rotation's inverse is its transpose
+    assert np.array_equal(cayley_slice(SIGMA, R)._g0_inv, R.T)
+
+
 def test_cayley_slice_geometry():
     S = cayley_slice(SIGMA, np.eye(3))
     assert np.allclose(S.psi(np.zeros(2)), np.eye(3))

@@ -434,43 +434,59 @@ def test_so3_dispatch_reads_the_basis_not_the_name():
     E = scaled.exp(v)
     assert np.abs(E.imag).max() <= 1e-12
     assert _close(E.real, ref_exp_so3(2.0 * v), 1e-12)
+    # neither so(3) in the hat basis nor all of su(n): no conjugation
+    with pytest.raises(ValueError, match="no closed form on so3"):
+        scaled.Ad(exp_so3(v), np.eye(3))
 
 
-def test_conjugation_refuses_or_agrees_off_the_rotations():
-    """A shear leaves so(3) and is refused; a reflection conjugates hat(v)
-    to det(g) hat(g v) and a scaled rotation to hat(g v) / c, so each must
-    give the reference's answer or be refused, never another number."""
+def _shear():
     shear = np.eye(3)
     shear[0, 1] = 1.0
-    with pytest.raises(ValueError, match="not in the span"):
-        SO3.Ad_matrix(shear)
-    with pytest.raises(ValueError, match="not in the span"):
-        S1S1.gen_matrix(shear)
-    R = exp_so3(np.array([0.4, -0.3, 0.9]))
-    for g in (np.diag([1.0, 1.0, -1.0]), 2.0 * np.eye(3), -R, 1.5 * R,
-              R + 1e-9 * np.ones((3, 3))):
-        for C in (np.eye(3), S1S1.algebra.h):
-            try:
-                AdC = SO3.Ad(g, C)
-            except ValueError:
-                continue
-            assert np.array_equal(AdC, general_Ad(SO3, g, C))
-    # a complex g is never read as a real rotation
-    with pytest.raises(ValueError, match="not in the span"):
-        SO3.Ad(R + 1e-3j * np.eye(3), np.eye(3))
+    return shear
+
+
+_R = exp_so3(np.array([0.4, -0.3, 0.9]))
+_U = su3_basis().exp(np.array([0.3, -0.5, 0.2, 0.7, -0.1, 0.4, 0.6, -0.8]))
+
+
+@pytest.mark.parametrize("name, g", [
+    ("s1s1-on-so3", np.diag([1.0, 1.0, -1.0])),    # a reflection
+    ("s1s1-on-so3", -_R),                          # a rotoreflection
+    ("s1s1-on-so3", 1.5 * _R),                     # a scaled rotation
+    ("s1s1-on-so3", 2.0 * np.eye(3)),
+    ("s1s1-on-so3", _R + 1e-9 * np.ones((3, 3))),
+    ("s1s1-on-so3", _shear()),
+    ("s1s1-on-so3", _R + 1e-3j * np.eye(3)),       # complex
+    ("s1s1-on-so3", _R + 0j),                      # complex dtype
+    ("hxh-on-su3", 1.1 * _U),                      # a scaled unitary
+    ("hxh-on-su3", _shear()),
+    ("hxh-on-su3", np.ones((3, 3))),
+], ids=["reflection", "rotoreflection", "scaled-rotation", "scaled-identity",
+        "perturbed-rotation", "so3-shear", "complex", "complex-dtype",
+        "scaled-unitary", "su3-shear", "singular"])
+def test_conjugation_refuses_off_the_group(name, g):
+    """A g outside the rotations (on so(3)) or the unitaries (on su(3)) is
+    refused by Ad, Ad_matrix and the generators that conjugate by it,
+    never conjugated by another formula."""
+    A = get_action(name)
+    alg = A.manifold_alg
+    for conjugate in (lambda: alg.Ad(g, np.eye(alg.dim)),
+                      lambda: alg.Ad(g, A.algebra.h),
+                      lambda: alg.Ad_matrix(g),
+                      lambda: A.gen_matrix(g)):
+        with pytest.raises(ValueError, match="not a rotation|not unitary"):
+            conjugate()
 
 
 def test_so3_brackets_on_triples():
-    """On the hat basis, ad_matrix(a) is hat(a), where the structure
-    constants' matrix (projected through the pseudo-inverse of the basis)
-    carries entries of 1.3e-16 in place of some zeros; bracket(a, b) is
-    a x b, bit-equal to np.cross, also column by column; and dgen_matrix of
-    s1s1-on-so3 holds w x each column of K's -Ad_g h block."""
+    """On the hat basis, ad_matrix(a), read from the structure constants,
+    is hat(a); bracket(a, b) is a x b, bit-equal to np.cross, also column
+    by column; and dgen_matrix of s1s1-on-so3 holds w x each column of K's
+    -Ad_g h block."""
     rng = np.random.default_rng(97)
     for _ in range(N // 4):
         a, b = rng.standard_normal((2, 3))
         assert np.array_equal(SO3.ad_matrix(a), hat(a))
-        assert _close(SO3.ad_matrix(a), (a @ SO3._ad_basis).reshape(3, 3))
         assert np.array_equal(SO3.bracket(a, b), np.cross(a, b))
         B = rng.standard_normal((3, 4))
         assert np.array_equal(SO3.bracket(a, B), np.cross(a, B.T).T)
@@ -480,6 +496,22 @@ def test_so3_brackets_on_triples():
         dK = S1S1.dgen_matrix(g, a, K)
         assert np.array_equal(dK[:, 1:], np.cross(a, K[:, 1:].T).T)
         assert not dK[:, :1].any()
+
+
+@pytest.mark.parametrize("alg, values", [
+    (SO3, {-1.0, 0.0, 1.0}),
+    (su3_basis(), {-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0})])
+def test_structure_constants_are_exact_integers(alg, values):
+    """The constants of both bases are small integers, stored exactly (the
+    projection onto the basis leaves them within 8.9e-16 of one), and
+    with them the so(3) matrix of ad_a is hat(a) bit for bit."""
+    C = alg._ad_basis
+    assert set(C.ravel().tolist()) == values
+    assert not np.signbit(C[C == 0.0]).any()
+    if alg is SO3:
+        rng = np.random.default_rng(99)
+        for a in rng.standard_normal((10_000, 3)):
+            assert np.array_equal((a @ C).reshape(3, 3), hat(a))
 
 
 def test_cayley_tangent_on_triples_matches_the_matrix_formula():
@@ -530,10 +562,10 @@ def test_so3_kernels_make_no_solve_inverse_or_projection(monkeypatch):
             return f(*args, **kwargs)
         return wrapped
 
-    for module, prefix in [(linalg, ""), (np.linalg, "np.linalg.")]:
-        for fn in ("solve", "inv"):
-            monkeypatch.setattr(module, fn,
-                                spy(prefix + fn, getattr(module, fn)))
+    monkeypatch.setattr(linalg, "solve", spy("solve", linalg.solve))
+    for fn in ("solve", "inv"):
+        monkeypatch.setattr(np.linalg, fn,
+                            spy("np.linalg." + fn, getattr(np.linalg, fn)))
     monkeypatch.setattr(LieAlgebra, "_coords_columns",
                         spy("_coords_columns", LieAlgebra._coords_columns))
     rng = np.random.default_rng(96)
@@ -543,7 +575,7 @@ def test_so3_kernels_make_no_solve_inverse_or_projection(monkeypatch):
         S1S1.gen_matrix(g)
         SO3.Ad_matrix(g)
         SO3.exp(rng.standard_normal(3))
+    # off the rotations, the refusal comes before any of them
+    with pytest.raises(ValueError, match="not a rotation"):
+        SO3.Ad_matrix(2.0 * np.eye(3))
     assert calls == []
-    # the general path is still the one taken off the rotations
-    SO3.Ad_matrix(2.0 * np.eye(3))
-    assert calls == ["inv", "_coords_columns"]
