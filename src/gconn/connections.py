@@ -21,6 +21,11 @@ from .linalg import SVD, Subspace, curve_derivative, norm, once
 from .report import VerificationReport
 
 
+# How far ker chi(m) may stray from the isotropy algebra: a point's kernel
+# test, its certificate and the adapted form's test all read it.
+_KERNEL_TOL = 1e-6
+
+
 class DegeneracyError(ValueError):
     """The kernel of the inertia factor does not match the isotropy algebra."""
 
@@ -73,8 +78,8 @@ def simple_mechanical_mu(action: Action) -> DualForm:
 
 
 def fd_oracle(mu: DualForm) -> DualForm:
-    """The same form whose ``dmatrix`` is a central difference of its matrix
-    along the retraction, at ``linalg.FD_STEP``: the oracle that the exact
+    """The same form whose ``dmatrix`` differences its matrix along the
+    retraction by ``linalg.curve_derivative``: the oracle that the exact
     derivatives are checked against."""
     A = mu.action
 
@@ -90,10 +95,10 @@ def mu_q(q) -> DualForm:
     ``q`` must be smooth and strictly positive on the sampled positive axis.
     The form carries its derivative along m + t w,
     2 q'(|m|^2) <m, w> hat(m) + q(|m|^2) hat(w), in which q' is the one
-    part not known in closed form: a central difference of ``q`` at
-    ``linalg.FD_STEP``, read at each call, so ``q`` must also be defined a
-    step below |m|^2.  Both compute on triples (the helpers of
-    :mod:`gconn.groups`) and return 3x3 float arrays.
+    part not known in closed form: ``linalg.curve_derivative`` of ``q`` at
+    |m|^2, so ``q`` must be defined two ``FD_STEP`` below |m|^2 too.  Both
+    compute on triples (the helpers of :mod:`gconn.groups`) and return 3x3
+    float arrays.
     """
     action = get_action("so3-on-r3")
     for t in np.linspace(0.3, 9.0, 30):
@@ -107,8 +112,7 @@ def mu_q(q) -> DualForm:
     def dmatrix(pt, w):
         m, w = triple(pt.m), triple(w)
         s = dot3(m, m)
-        h = linalg.FD_STEP
-        dq = (q(s + h) - q(s - h)) / (2.0 * h)
+        dq = curve_derivative(lambda t: q(s + t))
         qs = q(s)
         # hat is linear
         return hat3(axpy3(2.0 * dq * dot3(m, w), m,
@@ -228,11 +232,11 @@ class PointEval:
         (d = n - r columns): sigma_r(K) >= s_r / |M|_2, sigma_{r+1}(K) <=
         |K V|_2, and each unit v in ker chi lies within 2 |K V|_2 /
         sigma_r(K) of ker K.  So K has rank r at the cutoff ``TOL_RANK``
-        and ker chi lies in ker K to 1e-6 when s_r > 2 TOL_RANK |M| |K|,
-        |K V| <= TOL_RANK |K| / (2 sqrt(n)) and 2 |K V| |M| / s_r <=
-        1e-6 / 2 (Frobenius norms); each bound holds with a factor 2 to
-        spare, which keeps the answer clear of the roundoff in the
-        decompositions.  False at r = 0.
+        and ker chi lies in ker K to ``_KERNEL_TOL`` when s_r > 2 TOL_RANK
+        |M| |K|, |K V| <= TOL_RANK |K| / (2 sqrt(n)) and 2 |K V| |M| / s_r
+        <= ``_KERNEL_TOL`` / 2 (Frobenius norms); each bound holds with a
+        factor 2 to spare, which keeps the answer clear of the roundoff in
+        the decompositions.  False at r = 0.
         """
         svd = self.chi_svd
         r = svd.rank
@@ -245,7 +249,7 @@ class PointEval:
         V = svd.kernel.basis
         KV = norm(self.K @ V)
         return (KV <= 0.5 * linalg.TOL_RANK * nK / math.sqrt(V.shape[0])
-                and 2.0 * KV * nM / s_r <= 0.5e-6)
+                and 2.0 * KV * nM / s_r <= 0.5 * _KERNEL_TOL)
 
     @once
     def _degeneracy(self):
@@ -253,12 +257,12 @@ class PointEval:
 
         Decided from chi's SVD where :meth:`_kernel_certified` holds, else
         by the SVD of K: ker chi must have the dimension of ker K and lie in
-        it to 1e-6."""
+        it to ``_KERNEL_TOL``."""
         if self._kernel_certified():
             return None
         kern = self.chi_svd.kernel
         iso = self.K_svd.kernel
-        if kern.dim == iso.dim and iso.contains_subspace(kern, 1e-6):
+        if kern.dim == iso.dim and iso.contains_subspace(kern, _KERNEL_TOL):
             return None
         return (f"ker chi has dim {kern.dim}, isotropy dim {iso.dim} at "
                 f"this point (cond {self.chi_svd.cond:.3e}, "

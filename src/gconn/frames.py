@@ -12,7 +12,7 @@ the seed field, which every seed field carries (the eastward field as
 These per-point kernels compute on triples of Python floats (the helpers
 of :mod:`gconn.groups`) and use numpy only at their inputs and outputs:
 they take and return float arrays, and so do the seed field and its
-derivative.  Central differences with the fixed step ``FRAME_STEP`` remain
+derivative.  Differences (:func:`gconn.linalg.curve_derivative`) remain
 only in the oracles, ``dnat_rho_fd`` and ``_trivialized_fd`` (which the
 CLI's ``frame-d-exact-vs-fd`` record applies to phi and to the slip map),
 which keep their numpy code.
@@ -29,11 +29,6 @@ from .groups import (axpy3, cross3, dot3, exp_so3, matvec3, rmatvec3, rows3,
                      triple, vee)
 from .linalg import curve_derivative, norm
 from .report import VerificationReport
-
-# Not linalg.FD_STEP (1e-5): at seeds 0-5 and 11 the oracles read 6e-11 to
-# 9e-11 (dnat-closed-form) and 1e-10 to 5e-10 (frame-d-exact-vs-fd) at 1e-6,
-# but 8e-10 to 2e-9 and 6e-10 to 3e-8 at 1e-5, 10 to 100 times weaker.
-FRAME_STEP = 1e-6
 
 # Y = z x m / |z x m| is refused where |z x m| < sin(1e-2): the polar caps
 # of angular radius 1e-2
@@ -79,7 +74,7 @@ def dnat_rho(p, v):
 def _trivialized_fd(curve, R):
     """Right-trivialized derivative at t = 0 of a rotation-valued curve
     through R, by differencing: the skew part of R'(0) R^T, as a vector."""
-    J = curve_derivative(curve, FRAME_STEP) @ R.T
+    J = curve_derivative(curve) @ R.T
     return vee(0.5 * (J - J.T))
 
 

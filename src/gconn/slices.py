@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import groups, linalg
+from . import connections, groups, linalg
 from .actions import Action, isotropy_algebra, orbit_tangent
 from .connections import DegeneracyError, DualForm, PointEval, at
 from .curvature import field_bracket
@@ -57,7 +57,7 @@ def adapted_inertia(mu: DualForm, adaptor: Adaptor, m):
     be a point evaluation of mu (see :func:`gconn.connections.at`).
     """
     pt = at(mu, m)
-    if not all(adaptor.iso0.contains(v, 1e-6)
+    if not all(adaptor.iso0.contains(v, connections._KERNEL_TOL)
                for v in pt.chi_svd.kernel.basis.T):
         raise AdaptorContractError(
             "ker chi_phi escapes the reference isotropy algebra")

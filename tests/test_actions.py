@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import general_Ad
+from fd_reference import central
 from gconn import linalg
 from gconn.actions import (action_names, get_action, isotropy_algebra,
                            orbit_tangent)
 from gconn.groups import exp_so3
-from gconn.linalg import curve_derivative
 
 ALL = ["so3-on-r3", "so3-on-s2", "so3-on-us2", "hxh-on-su3", "s1s1-on-so3"]
 
@@ -136,7 +136,7 @@ def _fd_generator(A, xi, m, h=1e-6):
         p = np.asarray(A.apply(A.group_exp(t * np.asarray(xi, float)), m))
         return np.concatenate([p.real.ravel(), p.imag.ravel()])
 
-    d = curve_derivative(at, h)
+    d = central(at, h)
     if A.manifold_alg is not None:
         n = np.asarray(m).shape[0]
         dM = d[:n * n].reshape(n, n) + 1j * d[n * n:].reshape(n, n)

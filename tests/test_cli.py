@@ -11,7 +11,6 @@ from gconn import actions, connections, curvature, frames, linalg, slices
 from gconn.cli import (SCENARIOS, ScenarioConfig, check_closed_vs_fd,
                        check_frame_d_exact_vs_fd, check_us2_frame, main,
                        run_scenario)
-from gconn.frames import FRAME_STEP
 from gconn.groups import exp_so3
 from gconn.report import VerificationReport
 
@@ -310,16 +309,12 @@ def test_property_suite_is_its_scenarios_at_a_quarter_of_the_samples():
 
 
 def test_differences_read_the_step_when_called(monkeypatch, tmp_path):
-    # every difference not given a step takes linalg.FD_STEP at the time of
-    # the call, and the rest take the frame oracles' named step
-    steps, given = [], []
+    # every difference probes +-linalg.FD_STEP and +-2 FD_STEP, with the
+    # step read at the time of the call
+    steps = []
     original = linalg.curve_derivative
 
-    def spied_difference(f, h=None):
-        if h is not None:
-            given.append(h)
-            return original(f, h)
-
+    def spied_difference(f):
         def probed(t):
             steps.append(abs(t))
             return f(t)
@@ -334,21 +329,21 @@ def test_differences_read_the_step_when_called(monkeypatch, tmp_path):
     for scenario in sorted(SCENARIOS):
         main(["--scenario", scenario, "--seed", "1", "--samples", "2",
               "--out", str(tmp_path / "r.json")])
-    assert steps and set(steps) == {2e-5}
-    assert given and set(given) <= {FRAME_STEP}
+    assert steps and set(steps) == {2e-5, 4e-5}
 
 
 def test_differences_come_only_from_the_oracles(monkeypatch, tmp_path):
     # every central difference of every scenario is taken by an oracle
     # (an fd_oracle form's dmatrix, the frame oracles' _trivialized_fd) or
-    # for iota, the one factor of the adapted form without a closed form
+    # for a factor without a closed form: mu_q's q' and the adapted form's
+    # iota
     callers = set()
     original = linalg.curve_derivative
 
-    def spied(f, h=None):
+    def spied(f):
         code = sys._getframe(1).f_code
         callers.add(getattr(code, "co_qualname", code.co_name))
-        return original(f, h)
+        return original(f)
 
     for name, module in list(sys.modules.items()):
         if (name.split(".")[0] == "gconn"
@@ -358,7 +353,8 @@ def test_differences_come_only_from_the_oracles(monkeypatch, tmp_path):
         main(["--scenario", scenario, "--seed", "1", "--samples", "2",
               "--out", str(tmp_path / "r.json")])
     assert callers == {"fd_oracle.<locals>.dmatrix", "_trivialized_fd",
-                       "adapted_dual_form.<locals>.dmatrix"}
+                       "adapted_dual_form.<locals>.dmatrix",
+                       "mu_q.<locals>.dmatrix"}
 
 
 @pytest.mark.parametrize("flag, value", [

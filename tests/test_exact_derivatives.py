@@ -1,9 +1,10 @@
 """The exact first derivatives of the forms, actions, fields and the
 eastward partial moving frame, against finite differences.
 
-An exact derivative and a central difference with step h differ by the
-truncation error c h^2, so halving h must divide their gap by four; a wrong
-exact derivative leaves a gap that does not shrink.  ``fd_oracle`` forms run
+An exact derivative and the reference 2-point central difference
+``fd_reference.central`` with step h differ by the truncation error c h^2,
+so halving h must divide their gap by four; a wrong exact derivative leaves
+a gap that does not shrink.  ``fd_oracle`` forms run
 through the same ``d_oneform`` and ``field_bracket`` as exact ones, so those
 two are checked against the independent references of ``fd_reference``.
 """
@@ -25,7 +26,7 @@ from gconn.connections import (alpha_so3r3, at, clean_alpha, fd_oracle, mu_q,
 from gconn.curvature import (curvature, d_oneform, docile, field_bracket,
                              horizontal_field, involutivity_check,
                              structure_residual, tame)
-from gconn.frames import (FRAME_STEP, PartialMovingFrame, _sample_off_poles,
+from gconn.frames import (PartialMovingFrame, _sample_off_poles,
                           eastward_field, pmf_from_field)
 from gconn.groups import hat
 from gconn.linalg import curve_derivative, norm
@@ -37,8 +38,8 @@ TORUS = ["hxh-on-su3", "s1s1-on-so3"]
 def _h2_ratio(exact, curve, h=1e-3):
     """Gap of the central difference of ``curve`` to ``exact`` at h over
     the gap at h/2, and the gap at h/2 relative to max(1, |exact|)."""
-    far = norm(curve_derivative(curve, h) - exact)
-    near = norm(curve_derivative(curve, h / 2) - exact)
+    far = norm(fd_reference.central(curve, h) - exact)
+    near = norm(fd_reference.central(curve, h / 2) - exact)
     return far / near, near / max(1.0, norm(exact))
 
 
@@ -236,7 +237,7 @@ def test_exact_involutivity_matches_the_oracle(name):
 
 
 @pytest.mark.parametrize("name", TORUS)
-def test_oracle_curvature_evaluates_generators_at_five_points(monkeypatch,
+def test_oracle_curvature_evaluates_generators_at_nine_points(monkeypatch,
                                                               name):
     A = get_action(name)
     oracle = fd_oracle(tame(simple_mechanical_mu(A)))
@@ -252,8 +253,8 @@ def test_oracle_curvature_evaluates_generators_at_five_points(monkeypatch,
 
     monkeypatch.setattr(type(A), "gen_matrix", counted)
     curvature(oracle, g, u, v)
-    # one at g and one at each of the four finite-difference points
-    assert len(calls) == 5
+    # one at g and one at each of the eight finite-difference points
+    assert len(calls) == 9
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +273,8 @@ def test_so3_r3_dgen_matrix_is_exact():
         dK = A.dgen_matrix(m, w, A.gen_matrix(m))
         assert np.array_equal(dK, -hat(w))
         for h in (1e-3, 5e-4):
-            fd = curve_derivative(lambda t: A.gen_matrix(A.retract(m, w, t)),
-                                  h)
+            fd = fd_reference.central(
+                lambda t: A.gen_matrix(A.retract(m, w, t)), h)
             assert norm(fd - dK) < 1e-11
 
 
@@ -303,7 +304,8 @@ def test_mu_q_differences_q_at_linalg_fd_step(monkeypatch):
     seen.clear()
     monkeypatch.setattr(linalg, "FD_STEP", 2e-5)
     mu.dmatrix(m, w)
-    assert sorted(seen) == sorted([s + 2e-5, s - 2e-5, s])
+    # q' by the 4-point difference at +-h and +-2h, and q itself
+    assert sorted(seen) == sorted([s + 2e-5, s - 2e-5, s + 4e-5, s - 4e-5, s])
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -316,8 +318,8 @@ def test_d_exact_vs_fd_catches_a_halved_radial_term(monkeypatch, seed):
 
         def dmatrix(pt, w):
             m, w = np.asarray(pt.m, dtype=float), np.asarray(w, dtype=float)
-            s, h = m @ m, linalg.FD_STEP
-            dq = (q(s + h) - q(s - h)) / (2.0 * h)
+            s = m @ m
+            dq = curve_derivative(lambda t: q(s + t))
             return hat(dq * (m @ w) * m + q(s) * w)
 
         return connections.DualForm(mu.action, mu._matrix_fn, name=mu.name,
@@ -378,15 +380,14 @@ def test_seed_field_without_derivative_takes_finite_differences():
     # what a caller attaches as the field's derivative
     with pytest.raises(AttributeError, match="derivative"):
         PartialMovingFrame(lambda m: eastward_field(m))
-    steps = []
+    calls = []
 
     def plain(m):
         return eastward_field(m)
 
     def differenced(m, w):
-        steps.append(FRAME_STEP)
-        return curve_derivative(lambda t: plain(S2.retract(m, w, t)),
-                                FRAME_STEP)
+        calls.append(m)
+        return curve_derivative(lambda t: plain(S2.retract(m, w, t)))
 
     plain.derivative = differenced
     exact = pmf_from_field(eastward_field)
@@ -399,15 +400,24 @@ def test_seed_field_without_derivative_takes_finite_differences():
         assert norm(fd.dnat_phi(m, v) - exact.dnat_phi(m, v)) < 1e-8
         assert norm(fd.dnat_slip(g, m, v) - exact.dnat_slip(g, m, v)) < 1e-8
     # dY at m for dnat_phi, at m and at g m for dnat_slip
-    assert len(steps) == 15
+    assert len(calls) == 15
 
 
 def test_so3_forms_and_frame_take_no_difference(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("central difference taken")
+    # none but mu_q's scalar difference of q, the one part of its
+    # derivative not known in closed form
+    original = linalg.curve_derivative
+    scalars = []
+
+    def refuse(f):
+        code = sys._getframe(1).f_code
+        caller = getattr(code, "co_qualname", code.co_name)
+        if caller != "mu_q.<locals>.dmatrix":
+            raise AssertionError("central difference taken")
+        scalars.append(original(f))
+        return scalars[-1]
 
     # every alias of curve_derivative in every gconn module
-    original = linalg.curve_derivative
     for name, module in list(sys.modules.items()):
         if (name.split(".")[0] == "gconn"
                 and getattr(module, "curve_derivative", None) is original):
@@ -425,6 +435,7 @@ def test_so3_forms_and_frame_take_no_difference(monkeypatch):
     pmf.dnat_slip(S2.random_group(rng), m, v)
     # the mechanical form on the sphere, now that its generators are exact
     assert involutivity_check(simple_mechanical_mu(S2), m).all_passed
+    assert scalars and all(isinstance(d, float) for d in scalars)
 
 
 # ---------------------------------------------------------------------------

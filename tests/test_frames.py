@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from conftest import is_special_orthogonal
-from fd_reference import trivialized_4pt
 from gconn import frames
 from gconn.actions import get_action
+from gconn.cli import main
 from gconn.frames import (DomainError, PartialMovingFrame,
                           beta_equivariance_check, cross_section, dnat_rho,
                           dnat_rho_fd, eastward_field, latitude_curve,
                           pmf_from_field, rho_us2, _sample_off_poles)
 from gconn.groups import exp_so3, triple
+from gconn.report import VerificationReport
 
 
 def test_rho_columns_and_validation():
@@ -163,28 +164,16 @@ def test_dnat_phi_is_the_frame_derivative_along_the_section():
         assert np.array_equal(pmf.dnat_phi(m, dm), dnat_rho(p, v))
 
 
-def test_seed_391_frame_miss_is_the_oracles():
-    """``s2-pmf-beta --seed 391`` reads 1.036e-6 at ``frame-d-exact-vs-fd``
-    against 1e-6.  Replaying the check's draws, the miss is sample 12,
-    where g m is 0.64 degrees from the pole: there the 2-point difference
-    at ``FRAME_STEP`` errs, while a 4-point one at 1e-5 agrees with the
-    closed-form dnat_slip to 1.5e-9."""
-    pmf = pmf_from_field(eastward_field)
-    A = pmf.action
-    rng = np.random.default_rng(391)
-    for _ in range(13):  # the draws of check_frame_d_exact_vs_fd
-        m = _sample_off_poles(rng)
-        g = A.random_group(rng)
-        v = A.random_tangent(rng, m)
-    assert np.degrees(np.arccos((g @ m)[2])) < 0.65
-    exact = pmf.dnat_slip(g, m, v)
-
-    def slip(t):
-        return pmf.slip(g, A.retract(m, v, t))
-
-    two_point = frames._trivialized_fd(slip, slip(0.0))
-    assert np.linalg.norm(exact - two_point) > 1e-6
-    assert np.linalg.norm(exact - trivialized_4pt(slip, 1e-5)) <= 1e-8
+def test_seed_391_frame_miss_is_the_oracles(tmp_path):
+    """At ``s2-pmf-beta --seed 391``, sample 12 puts g m 0.64 degrees from
+    the pole, where a 2-point difference at a step of 1e-6 errs 1.036e-6
+    on dnat_slip; the 4-point difference at ``FD_STEP`` errs 1.5e-9."""
+    out = tmp_path / "r.json"
+    assert main(["--scenario", "s2-pmf-beta", "--seed", "391",
+                 "--out", str(out)]) == 0
+    rep = VerificationReport.from_json(out.read_text())
+    [record] = [c for c in rep.checks if c.check_id == "frame-d-exact-vs-fd"]
+    assert record.residual <= 1e-8
 
 
 def test_latitude_identity():

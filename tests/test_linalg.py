@@ -131,9 +131,11 @@ def test_rank_cutoff_is_1e_8_of_the_largest_singular_value(scale):
     assert SVD(np.diag([scale, 0.99e-8 * scale])).rank == 1
 
 
-def test_default_step_is_1e_5():
-    assert _steps(curve_derivative) == {1e-5}
-    assert _steps(lambda f: central_difference(f, np.zeros(1))) == {1e-5}
+def test_step_is_1e_5():
+    # the 4-point difference probes +-h and +-2h
+    assert _steps(curve_derivative) == {1e-5, 2e-5}
+    assert _steps(lambda f: central_difference(f, np.zeros(1))) == {1e-5,
+                                                                   2e-5}
 
 
 def test_inconsistent_solve_names_its_cond():
@@ -210,9 +212,29 @@ def test_central_difference_jacobian():
         return np.array([x[0] ** 2, x[0] * x[1]])
 
     x = np.array([1.5, -0.7])
-    J = central_difference(f, x, 1e-6)
+    J = central_difference(f, x)
     expect = np.array([[2 * x[0], 0.0], [x[1], x[0]]])
     assert np.linalg.norm(J - expect) < 1e-8
+
+
+def test_a_quartic_is_differenced_exactly():
+    # the 4-point difference errs by h^4 f^(5) / 30, so by roundoff alone
+    # on a quartic; a 2-point one errs by h^2 f^(3) / 6: by 4e-9 on the
+    # 40 t^3 term of the curve, and by 5e-10 on the Jacobian
+    def curve(t):
+        return np.array([(1.0 + t) ** 4, 40.0 * t ** 3 + t * t - t])
+
+    assert norm(curve_derivative(curve) - [4.0, -1.0]) < 1e-10
+
+    def f(x):
+        return np.array([x[0] ** 4 - 20.0 * x[0] ** 3 * x[1],
+                         10.0 * x[1] ** 3 + x[0] * x[1]])
+
+    x = np.array([0.5, -0.3])
+    expect = np.array([[4 * x[0] ** 3 - 60 * x[0] ** 2 * x[1],
+                        -20 * x[0] ** 3],
+                       [x[1], 30 * x[1] ** 2 + x[0]]])
+    assert norm(central_difference(f, x) - expect) < 1e-10
 
 
 @settings(max_examples=50, deadline=None)
@@ -235,19 +257,19 @@ def test_rank_plus_nullity_property(rows):
     assert range_space(A).dim == r
 
 
-def test_directional_and_curve_derivatives_agree():
+def test_directional_and_curve_derivatives_agree(monkeypatch):
     # the curve derivative of t -> sin(x + t v) is the directional
-    # derivative cos(x) v, with a central difference's h^2 error
+    # derivative cos(x) v, with the 4-point difference's h^4 error
     x = np.array([0.2, 0.4, 0.6])
     v = np.array([1.0, -2.0, 0.5])
     want = np.cos(x) * v
 
     def err(h):
-        return np.linalg.norm(curve_derivative(lambda t: np.sin(x + t * v), h)
-                              - want)
+        monkeypatch.setattr(linalg, "FD_STEP", h)
+        return norm(curve_derivative(lambda t: np.sin(x + t * v)) - want)
 
-    assert err(1e-5) < 1e-9
-    assert 90.0 < err(1e-3) / err(1e-4) < 110.0
+    assert err(1e-5) < 1e-10
+    assert 15.0 < err(1e-2) / err(5e-3) < 17.0
 
 
 def _steps(difference):
@@ -260,17 +282,15 @@ def _steps(difference):
 def test_cutoff_and_step_are_read_at_each_call(monkeypatch):
     A = np.diag([1.0, 1e-3])
 
-    def wide(h=None):
-        return _steps(lambda f: central_difference(f, np.zeros(1), h))
+    def wide():
+        return _steps(lambda f: central_difference(f, np.zeros(1)))
 
     assert SVD(A).rank == Subspace(A).dim == range_space(A).dim == 2
-    assert _steps(curve_derivative) == wide() == {FD_STEP}
+    assert _steps(curve_derivative) == wide() == {FD_STEP, 2 * FD_STEP}
     monkeypatch.setattr(linalg, "TOL_RANK", 1e-2)
     monkeypatch.setattr(linalg, "FD_STEP", 2e-5)
     assert SVD(A).rank == Subspace(A).dim == range_space(A).dim == 1
-    assert _steps(curve_derivative) == wide() == {2e-5}
-    # a step given explicitly wins
-    assert _steps(lambda f: curve_derivative(f, 1e-3)) == wide(1e-3) == {1e-3}
+    assert _steps(curve_derivative) == wide() == {2e-5, 4e-5}
 
 
 def test_norm_is_numpys_norm_bit_for_bit():

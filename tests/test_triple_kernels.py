@@ -120,7 +120,8 @@ def ref_mu_q_matrix(q, m):
 
 def ref_mu_q_dmatrix(q, m, w, h):
     s = float(m @ m)
-    dq = (q(s + h) - q(s - h)) / (2.0 * h)
+    dq = (8.0 * (q(s + h) - q(s - h))
+          - (q(s + 2.0 * h) - q(s - 2.0 * h))) / (12.0 * h)
     return ref_hat(2.0 * dq * float(m @ w) * m + q(s) * w)
 
 
