@@ -1,17 +1,17 @@
 """Scenario runner: reproduces the worked examples and property suites.
 
-A scenario is a row of ``SCENARIOS``: (shared builders, fresh builders).
-A builder ``check_x(rep, rng, samples)`` appends its records to ``rep`` and
-draws only from ``rng``.  The shared builders draw in turn from one
-``np.random.default_rng(seed)``, and each fresh builder from a new one of
-its own, so it gives the same records alone as in its scenario; the
-acceptance criteria call the builders with their own seeds and counts.
-``property-suite-all`` runs the other rows at ``max(4, samples // 4)``
-and prefixes their check ids ``name/``.  A builder that raises a typed
-numerical error adds one failing record naming it and the error; any other
-exception propagates.  The process exits 0 exactly when every check
-passes, and reports serialize byte-stably for a fixed seed.  A record over
-sampled residuals holds the largest of them, or NaN if any sample gave NaN.
+A scenario is a row of ``SCENARIOS``, a tuple of check builders.  A
+builder ``check_x(rep, rng, samples)`` appends its records to ``rep`` and
+draws only from ``rng``, a new ``np.random.default_rng(seed)`` of its own,
+so it gives the same records alone as in its scenario, whatever else the
+row holds; the acceptance criteria call the builders with their own seeds
+and counts.  ``property-suite-all`` runs the other rows at
+``max(4, samples // 4)`` and prefixes their check ids ``name/``.  A
+builder that raises a typed numerical or domain error adds one failing
+record naming it and the error; any other exception propagates.  The
+process exits 0 exactly when every check passes, and reports serialize
+byte-stably for a fixed seed.  A record over sampled residuals holds the
+largest of them, or NaN if any sample gave NaN.
 """
 
 from __future__ import annotations
@@ -272,11 +272,10 @@ def check_mechanical_d_exact_vs_fd(rep, rng, samples):
 
 def check_adapted_d_exact_vs_fd(rep, rng, samples):
     """The adapted form's derivative at ``abel_involutivity``'s point draw."""
-    A, g0 = actions.get_action("s1s1-on-so3"), np.eye(3)
+    A = actions.get_action("s1s1-on-so3")
     _d_exact_vs_fd(
         rep, rng, samples, slices.adapted_dual_form(*_abel_data()),
-        sample_point=lambda rg: A.retract(g0, A.random_tangent(rg, g0),
-                                          0.25 * rg.random()),
+        sample_point=lambda rg: slices.near_base_point(A, np.eye(3), rg),
         check_id="adapted-d-exact-vs-fd")
 
 
@@ -304,7 +303,7 @@ def check_beta(rep, rng, samples):
     rep.extend(frames.beta_equivariance_check(pmf, samples, rng))
     gaps = []
     for _ in range(samples):
-        m, g = frames._sample_off_poles(rng), pmf.action.random_group(rng)
+        m, g = frames.sample_off_poles_pair(pmf.action, rng)
         gaps.append(norm(frames.cross_section(pmf, np.asarray(g) @ m)
                          - frames.cross_section(pmf, m)))
     rep.add_worst("cross-section", "phi(m)^-1 . m is orbit invariant", gaps,
@@ -335,8 +334,7 @@ def check_frame_d_exact_vs_fd(rep, rng, samples):
     A = pmf.action
     gaps = []
     for _ in range(samples):
-        m = frames._sample_off_poles(rng)
-        g = A.random_group(rng)
+        m, g = frames.sample_off_poles_pair(A, rng)
         v = A.random_tangent(rng, m)
         fd_phi = frames._trivialized_fd(
             lambda t: pmf.phi(A.retract(m, v, t)), pmf.phi(m))
@@ -349,19 +347,19 @@ def check_frame_d_exact_vs_fd(rep, rng, samples):
                   "differences", gaps, 1e-6)
 
 
-SCENARIOS = {  # name -> (shared builders, fresh builders)
-    "so3-r3-basics": ((check_dual_form, check_clean_form),
-                      (check_mu_t_d_exact_vs_fd,)),
-    "so3-r3-docility": ((check_docility,), ()),
-    "hxh-su3-curvature": ((check_su3_table,),
-                          (check_closed_vs_fd, check_tamed_d_exact_vs_fd)),
-    "s1s1-so3-slice": ((check_chi_eigen, check_flat, check_slice,
-                        check_abel_involutivity),
-                       (check_mechanical_d_exact_vs_fd,
-                        check_adapted_d_exact_vs_fd)),
-    "us2-moving-frame": ((), (check_us2_frame,)),
-    "s2-pmf-beta": ((check_beta, check_latitude_curvature),
-                    (check_frame_d_exact_vs_fd,)),
+SCENARIOS = {  # name -> its check builders, in report order
+    "so3-r3-basics": (check_dual_form, check_clean_form,
+                      check_mu_t_d_exact_vs_fd),
+    "so3-r3-docility": (check_docility,),
+    "hxh-su3-curvature": (check_su3_table, check_closed_vs_fd,
+                          check_tamed_d_exact_vs_fd),
+    "s1s1-so3-slice": (check_chi_eigen, check_flat, check_slice,
+                       check_abel_involutivity,
+                       check_mechanical_d_exact_vs_fd,
+                       check_adapted_d_exact_vs_fd),
+    "us2-moving-frame": (check_us2_frame,),
+    "s2-pmf-beta": (check_beta, check_latitude_curvature,
+                    check_frame_d_exact_vs_fd),
     "property-suite-all": None,  # derived from the six rows above
 }
 
@@ -374,15 +372,13 @@ def run_scenario(cfg: ScenarioConfig) -> VerificationReport:
     if rows[""] is None:  # property-suite-all
         rows = {f"{name}/": row for name, row in SCENARIOS.items() if row}
         samples = max(4, cfg.samples // 4)
-    for prefix, (shared, fresh) in rows.items():
-        start, rng = len(rep.checks), np.random.default_rng(cfg.seed)
-        for builder in shared + fresh:
-            if builder in fresh:
-                rng = np.random.default_rng(cfg.seed)
+    for prefix, builders in rows.items():
+        start = len(rep.checks)
+        for builder in builders:
             try:
-                builder(rep, rng, samples)
-            except (connections.DegeneracyError, InconsistentSystemError,
-                    np.linalg.LinAlgError) as err:
+                builder(rep, np.random.default_rng(cfg.seed), samples)
+            except (connections.DegeneracyError, frames.DomainError,
+                    InconsistentSystemError, np.linalg.LinAlgError) as err:
                 name = builder.__name__  # check_closed_vs_fd: closed-vs-fd
                 rep.add_bool("-".join(name.split("_")[1:]),
                              f"{name} raised {type(err).__name__}: {err}",

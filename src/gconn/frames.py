@@ -237,8 +237,7 @@ def beta_equivariance_check(pmf: PartialMovingFrame, samples,
     A = pmf.action
     rep = VerificationReport(scenario="beta_equivariance_check")
     for i in range(samples):
-        m = _sample_off_poles(rng)
-        g = A.random_group(rng)
+        m, g = sample_off_poles_pair(A, rng)
         v = A.random_tangent(rng, m)
         tag = f"sample {i}"
         beta = pmf.slip(g, m)
@@ -271,6 +270,7 @@ def beta_equivariance_check(pmf: PartialMovingFrame, samples,
 
 
 _OFF_POLE_TRIES = 1000
+_OFF_POLE_Z = np.cos(0.15)  # |z| below it: polar distance more than 0.15
 
 
 def _sample_off_poles(rng):
@@ -279,10 +279,24 @@ def _sample_off_poles(rng):
     for _ in range(_OFF_POLE_TRIES):
         m = rng.standard_normal(3)
         m /= norm(m)
-        if abs(m[2]) < np.cos(0.15):
+        if abs(m[2]) < _OFF_POLE_Z:
             return m
     raise ValueError(f"_sample_off_poles: no point off the poles in "
                      f"{_OFF_POLE_TRIES} tries")
+
+
+def sample_off_poles_pair(action, rng):
+    """A point m from :func:`_sample_off_poles` and a rotation g of
+    ``action`` (SO(3) on the sphere), redrawn until g m is off the poles
+    too, so that a seed field undefined on the polar caps is defined at m
+    and at g m."""
+    m = _sample_off_poles(rng)
+    for _ in range(_OFF_POLE_TRIES):
+        g = action.random_group(rng)
+        if abs(g[2] @ m) < _OFF_POLE_Z:
+            return m, g
+    raise ValueError(f"sample_off_poles_pair: no rotation keeps m off the "
+                     f"poles in {_OFF_POLE_TRIES} tries")
 
 
 def latitude_curve(theta0):

@@ -293,6 +293,13 @@ def _xi_field(mu_t: DualForm, c):
     return X
 
 
+def near_base_point(action: Action, m0, rng):
+    """A point near the base point m0: the retraction from m0 along a random
+    tangent there, for a time drawn from [0, 0.25)."""
+    v = action.random_tangent(rng, m0)
+    return action.retract(m0, v, 0.25 * rng.random())
+
+
 def abel_involutivity(mu: DualForm, adaptor: Adaptor, pi, iota, samples,
                       rng) -> VerificationReport:
     """Involutivity of the almost-horizontal system near an abelian-stabilizer
@@ -315,8 +322,7 @@ def abel_involutivity(mu: DualForm, adaptor: Adaptor, pi, iota, samples,
 
     E = np.eye(A.vec_dim)
     for i in range(samples):
-        v = A.random_tangent(rng, adaptor.m0)
-        m = A.retract(adaptor.m0, v, 0.25 * rng.random())
+        m = near_base_point(A, adaptor.m0, rng)
         ci, cj = rng.choice(A.vec_dim, size=2, replace=False)
         X, Y = _xi_field(mu_t, E[ci]), _xi_field(mu_t, E[cj])
         pt_t = at(mu_t, m)

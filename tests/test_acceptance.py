@@ -181,16 +181,17 @@ def test_criterion_06_interior_product_and_annihilator():
 def test_criterion_07_slice_verification():
     A = get_action("s1s1-on-so3")
     mu = simple_mechanical_mu(A)
-    rng = np.random.default_rng(107)
     rep = VerificationReport("criterion 07")
-    check_slice(rep, rng, 50)
-    check_chi_eigen(rep, rng, 50)
+    # each builder draws from a generator of the seed, as in a scenario
+    check_slice(rep, np.random.default_rng(107), 50)
+    check_chi_eigen(rep, np.random.default_rng(107), 50)
     conditions = [c for c in rep.checks if c.check_id.startswith("slice-")]
     passed = sum(c.passed for c in conditions)
     worst_tan = _worst(rep, "tangency")
     worst_eig = _worst(rep, "chi-eigen")
     # flatness of the tamed form's (exactly differentiated) curvature
     nu = tame(mu)
+    rng = np.random.default_rng(107)
     worst_cur = 0.0
     for _ in range(100):
         g = regular_point(A, mu, rng, cond=1e-3)
@@ -234,7 +235,7 @@ def test_criterion_08_involutivity():
         details.append(f"{A.name}:{passed}/{total}")
     # involutivity near the singular base point via the adapted form
     rep = VerificationReport("criterion 08")
-    check_abel_involutivity(rep, rng, 50)
+    check_abel_involutivity(rep, np.random.default_rng(108), 50)
     ok &= rep.all_passed
     details.append(f"near-singular:{rep.summary['passed']}"
                    f"/{rep.summary['total']}")
@@ -242,16 +243,17 @@ def test_criterion_08_involutivity():
 
 
 def test_criterion_09_moving_frames():
-    rng = np.random.default_rng(109)
     rep = VerificationReport("criterion 09")
-    check_us2_frame(rep, rng, 1000)
-    check_latitude_curvature(rep, rng, None, (0.5, 0.9, 1.3),
-                             np.linspace(0.0, 3.0, 7))
+    # each builder draws from a generator of the seed, as in a scenario
+    check_us2_frame(rep, np.random.default_rng(109), 1000)
+    check_latitude_curvature(rep, np.random.default_rng(109), None,
+                             (0.5, 0.9, 1.3), np.linspace(0.0, 3.0, 7))
     pmf = pmf_from_field(eastward_field)
     worst_eq = _worst(rep, "rho-equivariance")
     worst_d = _worst(rep, "dnat-closed-form")
     worst_lat = _worst(rep, "latitude-curvature")
-    beta = beta_equivariance_check(pmf, samples=200, rng=rng)
+    beta = beta_equivariance_check(pmf, samples=200,
+                                   rng=np.random.default_rng(109))
     worst_slip = _worst(beta, "slip-property")
     ok = (worst_eq < 1e-10 and worst_d < 1e-6 and worst_lat < 1e-5
           and beta.all_passed and worst_slip < 1e-9)

@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from gconn import actions, connections, curvature, frames, linalg, slices
-from gconn.cli import (SCENARIOS, ScenarioConfig, check_closed_vs_fd,
-                       check_frame_d_exact_vs_fd, check_us2_frame, main,
+from gconn.cli import (SCENARIOS, ScenarioConfig, check_closed_vs_fd, main,
                        run_scenario)
 from gconn.groups import exp_so3
 from gconn.report import VerificationReport
@@ -61,7 +60,7 @@ def test_key_error_inside_a_scenario_is_not_a_usage_error(monkeypatch):
     def check_lookup(rep, rng, samples):
         actions.get_action("no-such-action")
 
-    monkeypatch.setitem(SCENARIOS, "so3-r3-docility", ((check_lookup,), ()))
+    monkeypatch.setitem(SCENARIOS, "so3-r3-docility", (check_lookup,))
     with pytest.raises(KeyError, match="no-such-action"):
         main(["--scenario", "so3-r3-docility"])
 
@@ -80,7 +79,7 @@ def test_a_typed_numerical_error_is_a_failing_record(monkeypatch, tmp_path):
     detail, = [c["detail"] for c in failing if c["check_id"] == "closed-vs-fd"]
     assert detail.startswith("check_closed_vs_fd raised DegeneracyError: ")
     assert "cond 7.373e+03, gap 1.064e-01" in detail
-    # the fresh builder after it still runs
+    # the builder after it still runs
     assert checks[-1]["check_id"] == "d-exact-vs-fd"
 
 
@@ -120,44 +119,87 @@ def test_an_adaptor_contract_failure_is_a_failing_record(monkeypatch):
         slices.adapted_inertia(connections.simple_mechanical_mu(A), bad,
                                np.eye(3))
 
-    monkeypatch.setitem(SCENARIOS, "so3-r3-docility",
-                        ((check_bad_adaptor,), ()))
+    monkeypatch.setitem(SCENARIOS, "so3-r3-docility", (check_bad_adaptor,))
     [c] = run_scenario(ScenarioConfig("so3-r3-docility")).checks
     assert (c.check_id, c.passed) == ("bad-adaptor", False)
     assert c.detail == ("check_bad_adaptor raised AdaptorContractError: ker "
                         "chi_phi escapes the reference isotropy algebra")
 
 
+def test_a_point_outside_a_frame_domain_is_a_failing_record(monkeypatch):
+    # the eastward field is undefined on its polar caps
+    def check_pole(rep, rng, samples):
+        frames.eastward_field(np.array([0.0, 0.0, 1.0]))
+
+    monkeypatch.setitem(SCENARIOS, "so3-r3-docility", (check_pole,))
+    [c] = run_scenario(ScenarioConfig("so3-r3-docility")).checks
+    assert (c.check_id, c.passed) == ("pole", False)
+    assert c.detail == ("check_pole raised DomainError: eastward_field: too "
+                        "close to a pole")
+
+
+def test_a_rotation_that_moves_its_point_onto_a_pole_is_redrawn(tmp_path):
+    # at this seed a rotation of the slip-relative checks moved its point
+    # into a polar cap, where the eastward field is undefined
+    out = tmp_path / "r.json"
+    assert main(["--scenario", "s2-pmf-beta", "--seed", "764",
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["summary"] == {
+        "total": 103, "passed": 103, "failed": 0}
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 11])
 def test_each_form_evaluates_the_generators_once_per_point(
         generator_evaluations, seed):
-    # so3-r3-basics draws 117 points, each evaluated by the forms there
-    # through one point evaluation; so3-r3-docility evaluates its two forms
-    # once each at the origin
-    run_scenario(ScenarioConfig("so3-r3-basics", seed=seed))
-    assert len(generator_evaluations) == 117
-    assert set(generator_evaluations.values()) == {1}
+    # each builder of so3-r3-basics draws its points from a generator of
+    # its own, and the forms there evaluate each point through one point
+    # evaluation; so3-r3-docility evaluates its two forms once each at the
+    # origin
+    for builder, points in zip(SCENARIOS["so3-r3-basics"], (40, 77, 0)):
+        generator_evaluations.clear()
+        builder(VerificationReport("alone"), np.random.default_rng(seed), 20)
+        assert len(generator_evaluations) == points, builder.__name__
+        assert set(generator_evaluations.values()) <= {1}, builder.__name__
     generator_evaluations.clear()
     run_scenario(ScenarioConfig("so3-r3-docility", seed=seed))
     assert generator_evaluations == {np.zeros(3).tobytes(): 2}
 
 
-@pytest.mark.parametrize("builder, scenario, seed", [
-    (check_closed_vs_fd, "hxh-su3-curvature", 3),
-    (check_us2_frame, "us2-moving-frame", 2),
-    # after shared builders that draw
-    (check_frame_d_exact_vs_fd, "s2-pmf-beta", 1),
-])
-def test_a_fresh_builder_alone_gives_its_scenario_records(builder, scenario,
-                                                         seed):
-    # a fresh builder draws from a generator of its own, so the criteria
-    # can call it with their own seed and count
-    assert builder in SCENARIOS[scenario][1]
-    alone = VerificationReport("alone")
-    builder(alone, np.random.default_rng(seed), 20)
-    ids = {c.check_id for c in alone.checks}
+_SINGLE = sorted(set(SCENARIOS) - {"property-suite-all"})
+
+
+@pytest.mark.parametrize("seed", [0, 1, 11])
+@pytest.mark.parametrize("scenario", _SINGLE)
+def test_every_builder_alone_gives_its_scenario_records(scenario, seed):
+    # each builder draws from a generator of its own, so it replays alone,
+    # and the criteria can call it with their own seed and count
+    alone = []
+    for builder in SCENARIOS[scenario]:
+        rep = VerificationReport("alone")
+        builder(rep, np.random.default_rng(seed), 20)
+        assert rep.checks, builder.__name__
+        alone += rep.checks
     rep = run_scenario(ScenarioConfig(scenario, seed=seed, samples=20))
-    assert [c for c in rep.checks if c.check_id in ids] == alone.checks
+    assert rep.checks == alone
+
+
+def test_a_builder_added_to_a_row_moves_no_other_record(monkeypatch):
+    def check_draws(rep, rng, samples):
+        rep.add_worst("draws", "draws from its generator",
+                      rng.random(samples), 1.0)
+
+    def run(name):
+        return run_scenario(ScenarioConfig(name, seed=1, samples=8)).checks
+
+    before = {name: run(name) for name in _SINGLE + ["property-suite-all"]}
+    for name in _SINGLE:
+        monkeypatch.setitem(SCENARIOS, name, (check_draws,) + SCENARIOS[name])
+        first, *rest = run(name)
+        assert first.check_id == "draws"
+        assert rest == before[name], name
+    suite = [c for c in run("property-suite-all")
+             if not c.check_id.endswith("/draws")]
+    assert suite == before["property-suite-all"]
 
 
 def test_out_dash_writes_the_report_to_stdout(capsys):

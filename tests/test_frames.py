@@ -8,7 +8,8 @@ from gconn.cli import main
 from gconn.frames import (DomainError, PartialMovingFrame,
                           beta_equivariance_check, cross_section, dnat_rho,
                           dnat_rho_fd, eastward_field, latitude_curve,
-                          pmf_from_field, rho_us2, _sample_off_poles)
+                          pmf_from_field, rho_us2, sample_off_poles_pair,
+                          _sample_off_poles)
 from gconn.groups import exp_so3, triple
 from gconn.report import VerificationReport
 
@@ -221,3 +222,37 @@ def test_sample_off_poles_keeps_polar_distance_above_0_15(pole):
 
     m = _sample_off_poles(Draws())
     assert m == pytest.approx([np.sin(0.16), 0.0, pole * np.cos(0.16)])
+
+
+def test_sample_off_poles_pair_redraws_a_rotation_onto_a_pole():
+    # the first rotation moves m = e_x onto the north pole, a quarter turn
+    # about e_y; the second, the identity, keeps it where it is
+    class Draws:
+        draws = [np.array([1.0, 0.0, 0.0]), np.array([0.0, -1.0, 0.0]),
+                 np.zeros(3)]
+        fractions = [1.0]
+
+        def standard_normal(self, size):
+            return self.draws.pop(0).copy()
+
+        def random(self):
+            return self.fractions.pop(0)
+
+    m, g = sample_off_poles_pair(get_action("so3-on-s2"), Draws())
+    assert m == pytest.approx([1.0, 0.0, 0.0])
+    assert np.array_equal(g, np.eye(3))
+
+
+def test_sample_off_poles_pair_gives_up_when_every_rotation_hits_a_pole():
+    class Draws:
+        def __init__(self):
+            self.draws = iter([np.array([1.0, 0.0, 0.0])])
+
+        def standard_normal(self, size):
+            return next(self.draws, np.array([0.0, -1.0, 0.0]))
+
+        def random(self):
+            return 1.0
+
+    with pytest.raises(ValueError, match="no rotation keeps m off"):
+        sample_off_poles_pair(get_action("so3-on-s2"), Draws())

@@ -290,8 +290,7 @@ def test_abel_sample_evaluates_each_point_once(setup, monkeypatch):
     # the generators only at m: every derivative is taken there
     assert len(gen_calls) == 1
     # the plain form once, at the sample point m
-    rng = np.random.default_rng(48)
-    m = A.retract(g0, A.random_tangent(rng, g0), 0.25 * rng.random())
+    m = slices.near_base_point(A, g0, np.random.default_rng(48))
     assert len(plain_points) == 1
     assert all(np.array_equal(p, m) for p in plain_points)
 
